@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import LengthMismatch, RegistrationError
-from .geometry import PointCloud, geodesic_angle
+from .geometry import PointCloud
 from .graph import build_graph
 from .io_formats import (
     TrajectoryEntry,
@@ -40,6 +40,7 @@ from .metrics import (
     ROTATION_ECDF_THRESHOLDS_DEG,
     TRANSLATION_ECDF_THRESHOLDS_M,
     ecdf,
+    motion_errors,
 )
 from .pairwise import register_pair
 from .pipeline import pairwise_chain_absolute, run_multiview
@@ -194,17 +195,14 @@ def _cmd_eval(args) -> int:
         if args.trans_thresholds
         else TRANSLATION_ECDF_THRESHOLDS_M
     )
-    rot_errors = []
-    trans_errors = []
-    n = len(est)
-    for j in range(n):
-        for i in range(j):
-            rel_est = np.linalg.solve(est[j].matrix, est[i].matrix)
-            rel_gt = np.linalg.solve(gt[j].matrix, gt[i].matrix)
-            rot_errors.append(np.degrees(geodesic_angle(rel_est[:3, :3], rel_gt[:3, :3])))
-            trans_errors.append(float(np.linalg.norm(rel_est[:3, 3] - rel_gt[:3, 3])))
-    rot_errors = np.array(rot_errors)
-    trans_errors = np.array(trans_errors)
+    est_m = np.array([e.matrix for e in est]).reshape(-1, 4, 4)
+    gt_m = np.array([e.matrix for e in gt]).reshape(-1, 4, 4)
+    # relatives M_j^-1 M_i of every pair i < j; trajectory files may hold
+    # slightly non-rigid matrices, so invert them in general
+    j, i = np.tril_indices(len(est), -1)
+    rot_errors, trans_errors = motion_errors(
+        np.linalg.solve(est_m[j], est_m[i]), np.linalg.solve(gt_m[j], gt_m[i])
+    )
     print("pairs", rot_errors.size)
     print("rot_thresholds_deg", _fmt(rot_thresholds))
     print("rot_ecdf", _fmt(ecdf(rot_errors, rot_thresholds)))
@@ -248,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pts", type=int, default=512)
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--outliers", type=float, default=0.0,
-                   help="fraction of scan pairs given a consistently wrong alignment")
+                   help="fraction of scan pairs labelled as corrupted; only labels.txt and "
+                        "corruptions.log record them, the scan files stay clean")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)

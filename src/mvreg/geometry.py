@@ -146,21 +146,38 @@ def project_to_so3(m) -> Rotation3:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
+    return Rotation3(nearest_rotations(m))
+
+
+def nearest_rotations(m) -> np.ndarray:
+    """project_to_so3 applied to each 3x3 block of a (..., 3, 3) array."""
+    m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise DegenerateMatrix("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(m)
-    if s[1] <= 1e-12 * s[0] or s[0] == 0.0:
-        raise DegenerateMatrix(
-            f"two singular values vanish (singular values {s}); nearest rotation undefined"
-        )
-    d = np.sign(np.linalg.det(u @ vt))
-    r = u @ np.diag([1.0, 1.0, d]) @ vt
-    return Rotation3(r)
+    if np.any(s[..., 1] <= 1e-12 * s[..., 0]):
+        raise DegenerateMatrix("two singular values vanish; nearest rotation undefined")
+    # u diag(1, 1, d): scale the last column of u by d
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def relative_from_absolute(mi: RigidMotion, mj: RigidMotion) -> RigidMotion:
     """Motion taking frame-i coordinates to frame-j coordinates: M_j^-1 * M_i."""
     return compose(invert(mj), mi)
+
+
+def relative_motions(absolute, pairs) -> np.ndarray:
+    """Stack form of relative_from_absolute: the 4x4 relative M_j^-1 M_i of
+    n x 4 x 4 absolute motions for each pair (i, j) of an m x 2 index array."""
+    a = np.asarray(absolute, dtype=np.float64)
+    i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    inv_rot = np.swapaxes(a[j, :3, :3], 1, 2)
+    rel = np.zeros((len(i), 4, 4))
+    rel[:, :3, :3] = inv_rot @ a[i, :3, :3]
+    rel[:, :3, 3:] = inv_rot @ (a[i, :3, 3:] - a[j, :3, 3:])
+    rel[:, 3, 3] = 1.0
+    return rel
 
 
 def geodesic_angle(a, b) -> float:

@@ -130,27 +130,38 @@ def cauchy_scale(residual_values, gamma: float) -> float:
     return max(CAUCHY_MAD_TO_SIGMA * gamma * mad, SCALE_FLOOR)
 
 
-def cauchy_global_confidence(edge_residual: float, b: float) -> float:
-    """Cauchy weight 1 / (1 + r/b) of a consistency residual at scale b."""
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def cauchy_global_confidence(edge_residual, b: float):
+    """Cauchy weight 1 / (1 + r/b) of consistency residuals at scale b.
+
+    Element-wise on arrays; a scalar residual gives a float.
+    """
     if b <= 0.0:
         raise ValueError("scale b must be positive")
-    if edge_residual < 0.0:
+    r = np.asarray(edge_residual, dtype=np.float64)
+    if np.any(r < 0.0):
         raise ValueError("edge residual must be non-negative")
-    return 1.0 / (1.0 + edge_residual / b)
+    return _scalar_or_array(1.0 / (1.0 + r / b))
 
 
-def harmonic_fuse(c_local: float, c_global: float, beta: float) -> float:
+def harmonic_fuse(c_local, c_global, beta: float):
     """Weighted harmonic mean (1 + b^2) c_g c_l / (b^2 c_g + c_l).
 
-    beta balances the two terms; beta = 1 is the plain harmonic mean. Returns
-    0 when both confidences vanish.
+    beta balances the two terms; beta = 1 is the plain harmonic mean. The
+    result is 0 where both confidences vanish. Element-wise on arrays; scalar
+    confidences give a float.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    c_local = np.asarray(c_local, dtype=np.float64)
+    c_global = np.asarray(c_global, dtype=np.float64)
     denom = beta**2 * c_global + c_local
-    if denom == 0.0:
-        return 0.0
-    return (1.0 + beta**2) * c_global * c_local / denom
+    vanished = denom == 0.0
+    fused = (1.0 + beta**2) * c_global * c_local / np.where(vanished, 1.0, denom)
+    return _scalar_or_array(np.where(vanished, 0.0, fused))
 
 
 def prune_edges(g: PoseGraph, tau: float) -> PoseGraph:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyErrors, EmptyPairs, LengthMismatch
-from .geometry import RigidMotion, geodesic_angle, relative_from_absolute, transform_points
+from .geometry import RigidMotion, geodesic_angle, relative_motions, transform_points
 
 ROTATION_ECDF_THRESHOLDS_DEG = (3.0, 5.0, 10.0, 30.0, 45.0)
 TRANSLATION_ECDF_THRESHOLDS_M = (0.05, 0.1, 0.25, 0.5, 0.75)
@@ -20,6 +20,18 @@ DEFAULT_RECALL_RMSE_M = 0.2
 def angular_error(a, b) -> float:
     """Geodesic angle between two rotations, in degrees."""
     return math.degrees(geodesic_angle(a, b))
+
+
+def motion_errors(est, ref) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation error (deg, geodesic) and translation error (m, Euclidean) of
+    each stacked 4x4 motion est[k] against ref[k]."""
+    est = np.asarray(est, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    product = np.swapaxes(est[:, :3, :3], 1, 2) @ ref[:, :3, :3]
+    cos_angle = (np.trace(product, axis1=1, axis2=2) - 1.0) / 2.0
+    rot = np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
+    trans = np.linalg.norm(est[:, :3, 3] - ref[:, :3, 3], axis=1)
+    return rot, trans
 
 
 def ecdf(errors, thresholds) -> list[float]:
@@ -72,19 +84,14 @@ def sync_pair_error(est, gt: list[RigidMotion]) -> tuple[float, float]:
     if len(est_abs) != len(gt):
         raise LengthMismatch(f"{len(est_abs)} estimated poses vs {len(gt)} reference poses")
     n = len(gt)
-    rot_total = 0.0
-    trans_total = 0.0
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel_est = relative_from_absolute(est_abs[i], est_abs[j])
-            rel_gt = relative_from_absolute(gt[i], gt[j])
-            rot_total += float(np.linalg.norm(rel_est.rotation.m - rel_gt.rotation.m))
-            trans_total += float(np.linalg.norm(rel_est.translation - rel_gt.translation))
-            count += 1
-    if count == 0:
+    if n < 2:
         raise LengthMismatch("need at least 2 poses to compare relative motions")
-    return rot_total / count, trans_total / count
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    gap = (relative_motions([m.matrix for m in est_abs], pairs)
+           - relative_motions([m.matrix for m in gt], pairs))
+    rot = np.linalg.norm(gap[:, :3, :3], axis=(1, 2))
+    trans = np.linalg.norm(gap[:, :3, 3], axis=1)
+    return float(rot.mean()), float(trans.mean())
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,13 +20,14 @@ from .errors import (
 from .geometry import (
     PointCloud,
     RigidMotion,
-    apply,
     compose,
-    geodesic_angle,
     invert,
     relative_from_absolute,
+    relative_motions,
+    transform_points,
 )
 from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges
+from .metrics import motion_errors
 from .pairwise import (
     CorrespondenceSet,
     build_correspondences,
@@ -70,39 +71,19 @@ class PipelineTrace:
 
 def pre_align(c: CorrespondenceSet, m: RigidMotion) -> CorrespondenceSet:
     """Move the target side of a correspondence set by m."""
-    cloud = apply(m, PointCloud(c.target_pts))
-    return CorrespondenceSet(c.source_pts, cloud.points, c.weights, c.residuals)
+    return CorrespondenceSet(c.source_pts, transform_points(m, c.target_pts), c.weights, c.residuals)
 
 
-def _relative_errors(pairs, absolute, ground_truth):
-    """Angular (deg) and translation errors of est vs truth relative motions."""
-    rot = np.empty(len(pairs))
-    trans = np.empty(len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        rel_est = relative_from_absolute(absolute[i], absolute[j])
-        rel_gt = relative_from_absolute(ground_truth[i], ground_truth[j])
-        rot[k] = math.degrees(geodesic_angle(rel_est.rotation, rel_gt.rotation))
-        trans[k] = float(np.linalg.norm(rel_est.translation - rel_gt.translation))
-    return rot, trans
+def _matrices(motions) -> np.ndarray:
+    return np.stack([m.matrix for m in motions])
 
 
-def _measured_errors(graph: PoseGraph, pairs, ground_truth):
-    """Errors of the per-edge measured motions against the truth relatives."""
-    rot = np.empty(len(pairs))
-    trans = np.empty(len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        measured = graph.relative_motion(i, j)
-        rel_gt = relative_from_absolute(ground_truth[i], ground_truth[j])
-        rot[k] = math.degrees(geodesic_angle(measured.rotation, rel_gt.rotation))
-        trans[k] = float(np.linalg.norm(measured.translation - rel_gt.translation))
-    return rot, trans
-
-
-def _stats(iteration, graph, disconnected, pairs, absolute, ground_truth) -> IterationStats:
+def _stats(iteration, graph, disconnected, pairs, absolute, truth_relatives) -> IterationStats:
+    """Diagnostics; errors of the synchronized relatives when the truth is known."""
     active = len(graph.active_edges())
-    if ground_truth is None:
+    if truth_relatives is None:
         return IterationStats(iteration, active, disconnected)
-    rot, trans = _relative_errors(pairs, absolute, ground_truth)
+    rot, trans = motion_errors(relative_motions(_matrices(absolute), pairs), truth_relatives)
     return IterationStats(
         iteration,
         active,
@@ -172,10 +153,13 @@ def run_multiview_from_correspondences(
     weights = {(i, j): res.weights for i, j, res in results}
 
     trace = PipelineTrace(pairs=pairs)
+    truth_relatives = None
     if ground_truth is not None:
         if len(ground_truth) != n:
             raise ValueError(f"ground truth length {len(ground_truth)} != {n} clouds")
-        rot, trans = _measured_errors(graph, pairs, ground_truth)
+        truth_relatives = relative_motions(_matrices(ground_truth), pairs)
+        measured = _matrices(graph.relative_motion(i, j) for i, j in pairs)
+        rot, trans = motion_errors(measured, truth_relatives)
         trace = replace(trace, pairwise_rotation_errors_deg=rot, pairwise_translation_errors_m=trans)
 
     stats = []
@@ -184,10 +168,6 @@ def run_multiview_from_correspondences(
     for k in range(1, cfg.outer_iterations + 1):
         result = transf_sync(graph, rounds=cfg.sync_rounds, gamma=cfg.gamma, beta=cfg.beta)
         graph = result.graph
-        if result.disconnected:
-            stats.append(_stats(k, graph, True, pairs, result.absolute, ground_truth))
-            stopped = True
-            break
 
         # feedback: pre-align each active pair with the synchronized relative,
         # reweight from the aligned residuals, and re-fit the pair motion
@@ -220,12 +200,12 @@ def run_multiview_from_correspondences(
         graph = prune_edges(graph.with_edges(new_edges), cfg.tau_p)
 
         connected = is_connected(graph)
-        stats.append(_stats(k, graph, not connected, pairs, result.absolute, ground_truth))
+        stats.append(_stats(k, graph, not connected, pairs, result.absolute, truth_relatives))
         if not connected:
             stopped = True
             break
 
-    final = replace(result, graph=graph, disconnected=result.disconnected or stopped)
+    final = replace(result, graph=graph, disconnected=stopped)
     return final, replace(trace, iterations=tuple(stats))
 
 

@@ -4,9 +4,13 @@ from relative measurements on a pose graph.
 Rotations come from a spectral relaxation: the three eigenvectors of the
 smallest eigenvalues of a block Laplacian built from the weighted relative
 rotations, projected block-wise back to SO(3). Translations come from the
-pseudoinverse solution of the weighted least-squares system that asks the
-relative translations rebuilt from the absolutes to match the measured ones.
-Both solutions are gauge-fixed so node 0 carries the identity.
+weighted least-squares problem that asks the relative translations rebuilt
+from the absolutes to match the measured ones; its normal equations are the
+scalar weighted graph Laplacian with one right-hand side per coordinate,
+solved with node 0 anchored at the origin. Node 0 carries the identity.
+
+The solvers work on edge arrays (endpoints, relative rotations and
+translations, confidences) taken once from the graph's active edges.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DisconnectedGraph, EigenSolverFailure
-from .geometry import RigidMotion, Rotation3, project_to_so3, relative_from_absolute
+from .geometry import RigidMotion, Rotation3, nearest_rotations, relative_motions
 from .graph import (
     PoseGraph,
     cauchy_global_confidence,
@@ -24,8 +28,6 @@ from .graph import (
     harmonic_fuse,
     is_connected,
 )
-
-PINV_RCOND = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,89 +42,83 @@ class SyncResult:
     disconnected: bool = False
 
 
-def _require_connected(g: PoseGraph):
+def _active_arrays(g: PoseGraph):
+    """Endpoint pairs (m x 2), measured relative motions (m x 4 x 4) and fused
+    confidences of the active edges of a connected graph."""
     if not is_connected(g):
         raise DisconnectedGraph("active edges do not connect all nodes")
+    edges = g.active_edges()
+    pairs = np.array([(e.i, e.j) for e in edges], dtype=np.intp)
+    motions = np.array([e.motion.matrix for e in edges])
+    c_fused = np.array([e.c_fused for e in edges])
+    return pairs, motions, c_fused
 
 
-def _rotation_sync_full(g: PoseGraph) -> tuple[list[Rotation3], float]:
-    """Synchronized rotations and the eigengap lambda_4 - lambda_3 of L."""
-    _require_connected(g)
-    n = g.node_count
-    lap = np.zeros((3 * n, 3 * n))
-    eye3 = np.eye(3)
-    for e in g.active_edges():
-        c = e.c_fused
-        rel = e.motion.rotation.m
-        si, sj = 3 * e.i, 3 * e.j
-        # off-diagonal blocks carry c * R^T / c * R so that the stack of
-        # R_i^T blocks spans the nullspace for consistent measurements
-        lap[si:si + 3, sj:sj + 3] -= c * rel.T
-        lap[sj:sj + 3, si:si + 3] -= c * rel
-        lap[si:si + 3, si:si + 3] += c * eye3
-        lap[sj:sj + 3, sj:sj + 3] += c * eye3
+def _degrees(n: int, pairs, c) -> np.ndarray:
+    """Weighted node degrees, accumulated edge by edge in edge order."""
+    return np.bincount(pairs.ravel(), np.repeat(c, 2), minlength=n)
+
+
+def _rotations(n: int, pairs, rot, c) -> tuple[np.ndarray, float]:
+    """Synchronized rotations (n x 3 x 3) and the eigengap lambda_4 - lambda_3."""
+    i, j = pairs.T
+    lap = np.zeros((n, 3, n, 3))
+    # off-diagonal blocks carry c * R^T / c * R so that the stack of
+    # R_i^T blocks spans the nullspace for consistent measurements
+    weighted = c[:, None, None] * rot
+    lap[i, :, j, :] = -np.swapaxes(weighted, 1, 2)
+    lap[j, :, i, :] = -weighted
+    lap = lap.reshape(3 * n, 3 * n)
+    lap[np.diag_indices(3 * n)] = np.repeat(_degrees(n, pairs, c), 3)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverFailure(f"symmetric eigendecomposition failed: {exc}") from exc
-    basis = eigenvectors[:, :3]
     eigengap = float(eigenvalues[3] - eigenvalues[2])
-    blocks = basis.reshape(n, 3, 3)
+    blocks = eigenvectors[:, :3].reshape(n, 3, 3)
     # eigenvectors are sign-ambiguous; pick the global sign under which most
     # blocks are nearer to rotations than to reflections
-    negative = int(np.sum(np.linalg.det(blocks) < 0.0))
-    if negative > n - negative:
+    if 2 * np.sum(np.linalg.det(blocks) < 0.0) > n:
         blocks = -blocks
-    projected = [project_to_so3(b) for b in blocks]
-    anchor = projected[0].m
-    return [Rotation3(anchor @ p.m.T) for p in projected], eigengap
+    projected = nearest_rotations(blocks)
+    return projected[0] @ np.swapaxes(projected, 1, 2), eigengap
+
+
+def _translations(n: int, pairs, trans, c, rotations) -> tuple[np.ndarray, int]:
+    """Least-squares translations (n x 3, t_0 = 0) given synchronized rotations,
+    and the rank deficiency of the normal equations.
+
+    Minimizes sum_e c_e |R_j^T (t_i - t_j) - t_e|^2 over the absolute
+    translations with the rotations held fixed. The normal equations are
+    L T = B with L the scalar weighted graph Laplacian acting on each
+    coordinate. L annihilates global shifts, so fixing t_0 = 0 leaves
+    L[1:, 1:] T[1:] = B[1:]; row 0 then holds too, because the rows of L, and
+    those of B, add up to zero. A connected graph leaves exactly the 3 shift
+    directions undetermined.
+    """
+    i, j = pairs.T
+    lap = np.zeros((n, n))
+    lap[i, j] = -c
+    lap[j, i] = -c
+    lap[np.diag_indices(n)] = _degrees(n, pairs, c)
+    projected = c[:, None] * np.einsum("kab,kb->ka", rotations[j], trans)
+    rhs = np.zeros((n, 3))
+    np.add.at(rhs, pairs.ravel(), np.stack((projected, -projected), axis=1).reshape(-1, 3))
+    solution, _, rank, _ = np.linalg.lstsq(lap[1:, 1:], rhs[1:], rcond=None)
+    return np.vstack((np.zeros(3), solution)), 3 * (n - int(rank))
 
 
 def rotation_sync(g: PoseGraph) -> list[Rotation3]:
     """Absolute rotations from the spectral relaxation, node 0 = identity."""
-    return _rotation_sync_full(g)[0]
-
-
-def _translation_sync_full(
-    g: PoseGraph, rotations: list[Rotation3]
-) -> tuple[list[np.ndarray], int]:
-    """Least-squares translations given synchronized rotations.
-
-    Minimizes sum_e c_e |R_j^T (t_i - t_j) - t_e|^2 over the absolute
-    translations t, with the rotations held fixed. The quadratic form is the
-    scalar graph Laplacian acting on each coordinate, so a connected graph
-    yields exactly a 3-dimensional nullspace (global shifts); the
-    pseudoinverse picks one minimizer and the result is shifted so t_0 = 0,
-    which moves along that nullspace and preserves optimality.
-    """
-    _require_connected(g)
-    n = g.node_count
-    normal = np.zeros((3 * n, 3 * n))
-    rhs = np.zeros(3 * n)
-    eye3 = np.eye(3)
-    for e in g.active_edges():
-        c = e.c_fused
-        rj = rotations[e.j].m
-        si, sj = 3 * e.i, 3 * e.j
-        normal[si:si + 3, si:si + 3] += c * eye3
-        normal[sj:sj + 3, sj:sj + 3] += c * eye3
-        normal[si:si + 3, sj:sj + 3] -= c * eye3
-        normal[sj:sj + 3, si:si + 3] -= c * eye3
-        projected = c * (rj @ e.motion.translation)
-        rhs[si:si + 3] += projected
-        rhs[sj:sj + 3] -= projected
-    singular = np.linalg.svd(normal, compute_uv=False)
-    cutoff = PINV_RCOND * singular[0] if singular[0] > 0.0 else 0.0
-    deficiency = int(np.sum(singular <= cutoff))
-    solution = np.linalg.pinv(normal, rcond=PINV_RCOND) @ rhs
-    translations = solution.reshape(n, 3)
-    translations = translations - translations[0]
-    return [t for t in translations], deficiency
+    pairs, motions, c = _active_arrays(g)
+    return [Rotation3(r) for r in _rotations(g.node_count, pairs, motions[:, :3, :3], c)[0]]
 
 
 def translation_sync(g: PoseGraph, rotations: list[Rotation3]) -> list[np.ndarray]:
     """Absolute translations (node 0 = zero) given synchronized rotations."""
-    return _translation_sync_full(g, rotations)[0]
+    pairs, motions, c = _active_arrays(g)
+    rotations = np.array([r.m for r in rotations])
+    return list(_translations(g.node_count, pairs, motions[:, :3, 3], c, rotations)[0])
 
 
 def translation_objective(g: PoseGraph, rotations: list[Rotation3], translations) -> float:
@@ -139,31 +135,14 @@ def translation_objective(g: PoseGraph, rotations: list[Rotation3], translations
     return total
 
 
-def _consistency_residuals(g: PoseGraph, absolute: tuple[RigidMotion, ...]) -> np.ndarray:
-    """Per-active-edge Frobenius gap between measured and rebuilt relatives."""
-    values = []
-    for e in g.active_edges():
-        rebuilt = relative_from_absolute(absolute[e.i], absolute[e.j])
-        values.append(np.linalg.norm(e.motion.matrix - rebuilt.matrix))
-    return np.asarray(values)
-
-
-def _updated_confidences(g: PoseGraph, absolute, gamma: float, beta: float) -> PoseGraph:
-    """Refresh global and fused confidences from consistency residuals."""
-    residual_values = _consistency_residuals(g, absolute)
-    if residual_values.size == 0:
-        return g
-    b = cauchy_scale(residual_values, gamma)
-    edges = list(g.edges)
-    k = 0
-    for idx, e in enumerate(edges):
-        if not e.active:
-            continue
-        c_global = cauchy_global_confidence(float(residual_values[k]), b)
-        k += 1
-        c_fused = min(max(harmonic_fuse(e.c_local, c_global, beta), 0.0), 1.0)
-        edges[idx] = replace(e, c_global=c_global, c_fused=c_fused)
-    return g.with_edges(edges)
+def _consistency_residuals(pairs, motions, rotations, translations) -> np.ndarray:
+    """Per-edge Frobenius gap between the measured relative motions and those
+    rebuilt from the absolutes."""
+    absolute = np.zeros((len(rotations), 4, 4))
+    absolute[:, :3, :3] = rotations
+    absolute[:, :3, 3] = translations
+    absolute[:, 3, 3] = 1.0
+    return np.linalg.norm(motions - relative_motions(absolute, pairs), axis=(1, 2))
 
 
 def transf_sync(
@@ -174,30 +153,32 @@ def transf_sync(
     Each round synchronizes rotations and translations, rebuilds the relative
     motions, and refreshes the global/fused confidences with a Cauchy weight
     at a MAD-derived scale. Local confidences are held fixed here; the outer
-    pipeline owns them. If the graph disconnects after the first completed
-    round, the last valid result is returned with the disconnection flag set.
+    pipeline owns them. Rounds only reweight edges, never deactivate them, so
+    connectivity is checked once, up front.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    current = g
-    last_valid: SyncResult | None = None
-    for round_index in range(1, rounds + 1):
-        if not is_connected(current):
-            if last_valid is None:
-                raise DisconnectedGraph("active edges do not connect all nodes")
-            return replace(last_valid, disconnected=True)
-        rotations, eigengap = _rotation_sync_full(current)
-        translations, deficiency = _translation_sync_full(current, rotations)
-        absolute = tuple(
-            RigidMotion(rot, t) for rot, t in zip(rotations, translations)
-        )
-        current = _updated_confidences(current, absolute, gamma, beta)
-        last_valid = SyncResult(
-            absolute=absolute,
-            rotation_eigengap=eigengap,
-            translation_rank_deficiency=deficiency,
-            graph=current,
-            rounds_completed=round_index,
-            disconnected=False,
-        )
-    return last_valid
+    n = g.node_count
+    pairs, motions, c_fused = _active_arrays(g)
+    c_local = np.array([e.c_local for e in g.active_edges()])
+    for _ in range(rounds):
+        rotations, eigengap = _rotations(n, pairs, motions[:, :3, :3], c_fused)
+        translations, deficiency = _translations(n, pairs, motions[:, :3, 3], c_fused, rotations)
+        residuals = _consistency_residuals(pairs, motions, rotations, translations)
+        c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals, gamma))
+        c_fused = np.clip(harmonic_fuse(c_local, c_global, beta), 0.0, 1.0)
+
+    refreshed = iter(zip(c_global.tolist(), c_fused.tolist()))
+    edges = []
+    for e in g.edges:
+        if e.active:
+            cg, cf = next(refreshed)
+            e = replace(e, c_global=cg, c_fused=cf)
+        edges.append(e)
+    return SyncResult(
+        absolute=tuple(RigidMotion(Rotation3(r), t) for r, t in zip(rotations, translations)),
+        rotation_eigengap=eigengap,
+        translation_rank_deficiency=deficiency,
+        graph=g.with_edges(edges),
+        rounds_completed=rounds,
+    )

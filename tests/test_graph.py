@@ -156,12 +156,20 @@ class TestCauchyGlobalConfidence:
         assert cauchy_global_confidence(0.0, 2.0) == 1.0
         assert cauchy_global_confidence(2.0, 2.0) == 0.5
         assert abs(cauchy_global_confidence(18.0, 2.0) - 0.1) < 1e-12
+        assert type(cauchy_global_confidence(2.0, 2.0)) is float
+        c = cauchy_global_confidence(np.array([0.0, 2.0, 18.0]), 2.0)
+        assert c.shape == (3,)
+        assert np.allclose(c, [1.0, 0.5, 0.1], rtol=0.0, atol=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             cauchy_global_confidence(1.0, 0.0)
         with pytest.raises(ValueError):
             cauchy_global_confidence(-1.0, 1.0)
+        with pytest.raises(ValueError):
+            cauchy_global_confidence(np.array([1.0, 2.0]), 0.0)
+        with pytest.raises(ValueError):
+            cauchy_global_confidence(np.array([1.0, -1e-300, 2.0]), 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1e6), st.floats(1e-9, 1e3))
@@ -180,13 +188,25 @@ class TestHarmonicFuse:
     def test_zero_local_confidence_dominates(self):
         assert harmonic_fuse(0.0, 1.0, 1.0) == 0.0
         assert harmonic_fuse(1.0, 0.0, 1.0) == 0.0
+        # element-wise, including the 0 where both confidences vanish
+        fused = harmonic_fuse(np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]), 1.0)
+        assert np.array_equal(fused, [0.0, 0.0, 0.0])
 
     def test_documented_value(self):
         assert abs(harmonic_fuse(0.4, 0.8, 1.0) - 0.53333333333333333) < 1e-12
+        assert type(harmonic_fuse(0.4, 0.8, 1.0)) is float
+        c_local = np.array([0.4, 0.3, 0.9])
+        c_global = np.array([0.8, 0.6, 0.2])
+        fused = harmonic_fuse(c_local, c_global, 2.0)
+        assert fused.shape == (3,)
+        for f, cl, cg in zip(fused, c_local, c_global):
+            assert f == harmonic_fuse(float(cl), float(cg), 2.0)
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             harmonic_fuse(0.5, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            harmonic_fuse(np.array([0.5, 0.2]), np.array([0.5, 0.1]), -1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mvreg.sync
 from mvreg import (
     DisconnectedGraph,
     Edge,
@@ -10,6 +11,7 @@ from mvreg import (
     compose,
     geodesic_angle,
     invert,
+    is_connected,
     relative_from_absolute,
     rotation_sync,
     transf_sync,
@@ -51,6 +53,28 @@ def all_pairs(n):
 
 def random_truth(rng, n):
     return [random_motion(rng) for _ in range(n)]
+
+
+def ring_pairs(n):
+    return [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)]
+
+
+def normal_matrix_translations(g, rotations):
+    """Reference translations from the 3n x 3n normal matrix kron(L, I3):
+    its pseudoinverse applied to the stacked right-hand side, then shifted so
+    that t_0 = 0."""
+    n = g.node_count
+    lap = np.zeros((n, n))
+    rhs = np.zeros((n, 3))
+    for e in g.active_edges():
+        c = e.c_fused
+        lap[[e.i, e.j], [e.i, e.j]] += c
+        lap[[e.i, e.j], [e.j, e.i]] -= c
+        projected = c * (rotations[e.j].m @ e.motion.translation)
+        rhs[e.i] += projected
+        rhs[e.j] -= projected
+    t = (np.linalg.pinv(np.kron(lap, np.eye(3))) @ rhs.ravel()).reshape(n, 3)
+    return t - t[0]
 
 
 class TestRotationSync:
@@ -183,6 +207,17 @@ class TestTranslationSync:
             delta = 1e-3 * rng.normal(size=t.size)
             assert translation_objective(g, rots, t + delta) >= base - 1e-12
 
+    @pytest.mark.parametrize("n, pairs_of", [(7, all_pairs), (15, ring_pairs)])
+    def test_matches_normal_matrix_pseudoinverse(self, n, pairs_of):
+        rng = np.random.default_rng(n)
+        truth = random_truth(rng, n)
+        pairs = pairs_of(n)
+        confidences = rng.uniform(0.05, 1.0, size=len(pairs))
+        g = graph_from_truth(truth, pairs, confidences, rng=rng, rot_sigma=0.05, trans_sigma=0.05)
+        rots = rotation_sync(g)
+        t = np.array(translation_sync(g, rots))
+        assert np.max(np.abs(t - normal_matrix_translations(g, rots))) < 1e-9
+
     def test_disconnected_graph_raises(self):
         rng = np.random.default_rng(9)
         m = random_motion(rng)
@@ -291,6 +326,7 @@ class TestTransfSync:
         result = transf_sync(g, rounds=2)
         assert result.rotation_eigengap > 0.1
         assert result.translation_rank_deficiency == 3
+        assert type(result.translation_rank_deficiency) is int
         assert not result.disconnected
         assert np.linalg.norm(result.absolute[0].matrix - np.eye(4)) < 1e-12
 
@@ -307,6 +343,20 @@ class TestTransfSync:
         g = PoseGraph(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
         with pytest.raises(DisconnectedGraph):
             transf_sync(g)
+
+    def test_connectivity_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        truth = random_truth(rng, 6)
+        g = graph_from_truth(truth, all_pairs(6), rng=rng, rot_sigma=0.03, trans_sigma=0.03)
+        checked = []
+
+        def counting_is_connected(graph):
+            checked.append(graph)
+            return is_connected(graph)
+
+        monkeypatch.setattr(mvreg.sync, "is_connected", counting_is_connected)
+        transf_sync(g, rounds=4)
+        assert len(checked) == 1
 
     def test_determinism(self):
         rng = np.random.default_rng(19)
