@@ -33,11 +33,11 @@ def run_seed(seed, args):
     )
     correspondences = scene_correspondences(scene, temperature=args.temperature)
     cfg = PipelineConfig(connectivity=scene.edges, temperature=args.temperature)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result, trace = run_multiview_from_correspondences(
         correspondences, args.scans, cfg=cfg, ground_truth=list(scene.ground_truth)
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     last = trace.iterations[-1]
     return {
         "seed": seed,

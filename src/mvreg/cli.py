@@ -14,6 +14,7 @@ with split().
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -87,10 +88,12 @@ def _read_edge_list(path: Path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.replace("-", " ").split()
-        if len(tokens) != 2:
-            raise ValueError(f"edge line '{line}' is not a pair of scan indices")
-        pairs.append((int(tokens[0]), int(tokens[1])))
+        match = re.fullmatch(r"([0-9]+)(?:-|\s+)([0-9]+)", line)
+        if match is None:
+            raise ValueError(
+                f"edge line '{line}' is not 'i j' or 'i-j' with scan indices i, j >= 0"
+            )
+        pairs.append((int(match[1]), int(match[2])))
     return tuple(pairs)
 
 

@@ -21,6 +21,8 @@ from .geometry import PointCloud, RigidMotion, Rotation3, transform_points
 MOTION_CHANGE_TOL = 1e-8
 MAD_FLOOR = 1e-9
 MAD_TO_SIGMA = 1.4826
+# distances per row block of the correspondence kernel: 1 MiB of float64
+BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,20 +79,36 @@ class PairwiseResult:
     converged: bool = field(default=True)
 
 
-def _feature_distances(query_features: np.ndarray, target_features: np.ndarray) -> np.ndarray:
-    """Euclidean distances between query rows and target rows, (N, M)."""
-    sq = (
-        np.sum(query_features**2, axis=1)[:, None]
-        + np.sum(target_features**2, axis=1)[None, :]
-        - 2.0 * query_features @ target_features.T
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+def _soft_targets(query_features, target_features, target_points, temperature: float) -> np.ndarray:
+    """Softmax-weighted target point for every query row, (N, 3).
 
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    Row k weights target l by exp((d_min - d_kl) / t), normalized over l,
+    where d_kl is the Euclidean feature distance and d_min the row minimum,
+    so no exponent is positive and nothing overflows at small t. Query rows
+    are processed in blocks of about BLOCK_CELLS distances, all written in
+    place into one buffer: extra memory is O(block + N + M), not N x M.
+    """
+    n, m = query_features.shape[0], target_features.shape[0]
+    rows = max(1, BLOCK_CELLS // m)
+    query_sq = np.sum(query_features**2, axis=1)
+    target_sq = np.sum(target_features**2, axis=1)
+    # scaling by -2 is exact, so Q (-2 T)^T equals -2 Q T^T
+    target_t = -2.0 * target_features.T
+    buf = np.empty((min(rows, n), m))
+    out = np.empty((n, target_points.shape[1]))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        d = buf[: stop - start]
+        np.matmul(query_features[start:stop], target_t, out=d)
+        d += query_sq[start:stop, None]
+        d += target_sq
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d -= d.min(axis=1, keepdims=True)
+        d /= -temperature
+        np.exp(d, out=d)
+        out[start:stop] = (d @ target_points) / d.sum(axis=1, keepdims=True)
+    return out
 
 
 def soft_assign(query_feature, target_features, target_points, temperature: float) -> np.ndarray:
@@ -107,9 +125,7 @@ def soft_assign(query_feature, target_features, target_points, temperature: floa
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     query = np.asarray(query_feature, dtype=np.float64)[None, :]
-    d = _feature_distances(query, target_features)
-    s = _softmax_rows(-d / temperature)
-    return (s @ target_points)[0]
+    return _soft_targets(query, target_features, target_points, temperature)[0]
 
 
 def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> CorrespondenceSet:
@@ -125,9 +141,7 @@ def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> C
         )
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    d = _feature_distances(p.features, q.features)
-    s = _softmax_rows(-d / temperature)
-    targets = s @ q.points
+    targets = _soft_targets(p.features, q.features, q.points, temperature)
     n = len(p)
     return CorrespondenceSet(p.points, targets, np.ones(n), np.zeros(n))
 

@@ -10,7 +10,7 @@ from mvreg import (
     write_trajectory,
     trajectory_from_motions,
 )
-from mvreg.cli import cli_main
+from mvreg.cli import _read_edge_list, cli_main
 from mvreg.synthetic import random_motion
 
 
@@ -169,6 +169,20 @@ class TestMultiviewCommand:
         code, _, err = run_cli(capsys, "multiview", str(tmp_path))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("line", ["-1 2", "3 -0"])
+    def test_negative_edge_index_fails(self, tmp_path, capsys, line):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 1\n{line}\n")
+        code, _, err = run_cli(capsys, "multiview", str(scene), "--edges", str(edges))
+        assert code == 1
+        assert "edge line" in err
+
+    def test_edge_list_accepts_space_and_dash_pairs(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("# measured pairs\n0 1\n1-2\n\n2\t3\n")
+        assert _read_edge_list(edges) == ((0, 1), (1, 2), (2, 3))
 
     def test_voxel_downsampling_runs(self, tmp_path, capsys):
         scene = self.make_scene_dir(tmp_path, capsys)

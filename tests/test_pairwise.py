@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from mvreg import (
     transform_points,
     wls_transform,
 )
+import mvreg.pairwise as pairwise_mod
 from mvreg.synthetic import random_motion
 
 from conftest import make_feature_cloud
@@ -146,6 +149,61 @@ class TestBuildCorrespondences:
         corr = build_correspondences(p, q, temperature=0.1)
         assert np.all(corr.weights == 1.0)
         assert np.all(corr.residuals == 0.0)
+
+
+def dense_soft_targets(query_features, target_features, target_points, t):
+    """The dense N x M formula the blocked kernel must reproduce."""
+    sq = (
+        np.sum(query_features**2, axis=1)[:, None]
+        + np.sum(target_features**2, axis=1)[None, :]
+        - 2.0 * query_features @ target_features.T
+    )
+    z = -np.sqrt(np.maximum(sq, 0.0)) / t
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)) @ target_points
+
+
+class TestCorrespondenceKernel:
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("m", [1, 5, 300])
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_matches_dense_formula_in_every_block_layout(self, monkeypatch, n, m, d):
+        # features on a 1/8 lattice make every squared distance exact in both
+        # formulas, so the comparison measures the blocked softmax, not the
+        # cancellation error of the dense formula
+        rng = np.random.default_rng([n, m, d])
+        p = PointCloud(rng.normal(size=(n, 3)), rng.integers(-16, 17, size=(n, d)) / 8.0)
+        q = PointCloud(rng.normal(size=(m, 3)), rng.integers(-16, 17, size=(m, d)) / 8.0)
+        # one-row blocks, a ragged last block, a single block
+        for rows in (1, n // 2 + 1, n):
+            monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", rows * m)
+            for t in (1e-6, 0.02, 1.0, 100.0):
+                expected = dense_soft_targets(p.features, q.features, q.points, t)
+                got = build_correspondences(p, q, t).target_pts
+                assert np.abs(got - expected).max() <= 1e-12, (rows, t)
+                assert np.array_equal(got, build_correspondences(p, q, t).target_pts)
+
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_far_queries_stay_finite_at_tiny_temperature(self, d):
+        rng = np.random.default_rng(d)
+        q = PointCloud(rng.normal(size=(300, 3)), rng.normal(size=(300, d)))
+        p = PointCloud(rng.normal(size=(7, 3)), rng.normal(size=(7, d)) + 1e3)
+        targets = build_correspondences(p, q, 1e-6).target_pts
+        assert np.all(np.isfinite(targets))
+        assert np.all(targets >= q.points.min(axis=0) - 1e-12)
+        assert np.all(targets <= q.points.max(axis=0) + 1e-12)
+
+    def test_peak_memory_is_bounded(self):
+        # the dense formula holds several 4096 x 4096 float64 arrays, 128 MB each
+        rng = np.random.default_rng(11)
+        p, q = make_feature_cloud(rng, 4096), make_feature_cloud(rng, 4096)
+        tracemalloc.start()
+        try:
+            build_correspondences(p, q, 0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestWlsTransform:
