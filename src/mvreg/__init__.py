@@ -78,6 +78,7 @@ from .pairwise import (
     PairwiseResult,
     build_correspondences,
     local_confidence,
+    register_batch,
     register_correspondences,
     register_pair,
     residuals,
@@ -125,7 +126,8 @@ __all__ = [
     "relative_from_absolute", "geodesic_angle", "rotation_about_z",
     "CorrespondenceSet", "PairwiseResult",
     "soft_assign", "build_correspondences", "wls_transform", "residuals",
-    "robust_reweight", "local_confidence", "register_correspondences", "register_pair",
+    "robust_reweight", "local_confidence", "register_batch", "register_correspondences",
+    "register_pair",
     "Edge", "PoseGraph", "build_graph", "cauchy_scale", "cauchy_global_confidence",
     "harmonic_fuse", "prune_edges", "is_connected",
     "SyncResult", "rotation_sync", "translation_sync", "translation_objective",

@@ -44,7 +44,7 @@ from .metrics import (
     motion_errors,
 )
 from .pairwise import register_pair
-from .pipeline import pairwise_chain_absolute, run_multiview
+from .pipeline import canonical_pairs, pairwise_chain_absolute, run_multiview
 from .synthetic import generate_scene
 
 
@@ -116,11 +116,7 @@ def _cmd_multiview(args) -> int:
             _load_cloud(ply_path, feat_path if feat_path.exists() else None, args.voxel)
         )
     if args.pairwise_only:
-        pairs = cfg.connectivity
-        if pairs is None:
-            pairs = tuple(
-                (i, j) for i in range(len(clouds)) for j in range(i + 1, len(clouds))
-            )
+        pairs = canonical_pairs(cfg.connectivity, len(clouds))
         registered = [(i, j, register_pair(clouds[i], clouds[j], cfg)) for i, j in pairs]
         graph = build_graph(registered, len(clouds))
         absolute = pairwise_chain_absolute(graph)

@@ -14,15 +14,21 @@ from .errors import (
     DimensionMismatch,
     EmptyTarget,
     MissingFeatures,
+    RegistrationError,
     ZeroWeightSum,
 )
-from .geometry import PointCloud, RigidMotion, Rotation3, transform_points
+from .geometry import PointCloud, RigidMotion, Rotation3
 
 MOTION_CHANGE_TOL = 1e-8
 MAD_FLOOR = 1e-9
 MAD_TO_SIGMA = 1.4826
 # distances per row block of the correspondence kernel: 1 MiB of float64
 BLOCK_CELLS = 1 << 17
+# correspondences per batch of the IRLS kernel: each (m, n, 3) temporary of
+# a batch stays near 100 KB, however many sets are registered
+BATCH_CORRESPONDENCES = 4096
+# fit status of one row of _fit_stack; _fit_error maps a failure to its error
+_FIT_OK, _TOO_FEW, _ZERO_WEIGHT, _COLLINEAR = range(4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +124,24 @@ def soft_assign(query_feature, target_features, target_points, temperature: floa
     Euclidean feature distance; as t -> 0 this converges to the hard nearest
     neighbor. The max-shifted softmax avoids overflow at small temperatures.
     """
+    query = np.asarray(query_feature, dtype=np.float64)
     target_features = np.asarray(target_features, dtype=np.float64)
     target_points = np.asarray(target_points, dtype=np.float64)
+    if target_features.ndim != 2 or query.shape != target_features.shape[1:]:
+        raise DimensionMismatch(
+            f"query of shape {query.shape} does not match descriptors of shape "
+            f"{target_features.shape}"
+        )
+    if target_points.shape != (target_features.shape[0], 3):
+        raise DimensionMismatch(
+            f"target points of shape {target_points.shape} do not match "
+            f"{target_features.shape[0]} descriptor rows"
+        )
     if target_features.shape[0] == 0:
         raise EmptyTarget("soft assignment needs at least one target point")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    query = np.asarray(query_feature, dtype=np.float64)[None, :]
-    return _soft_targets(query, target_features, target_points, temperature)[0]
+    return _soft_targets(query[None, :], target_features, target_points, temperature)[0]
 
 
 def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> CorrespondenceSet:
@@ -146,6 +162,148 @@ def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> C
     return CorrespondenceSet(p.points, targets, np.ones(n), np.zeros(n))
 
 
+def _fit_error(status: int, count: int) -> RegistrationError:
+    """The typed error of a failed fit status from _fit_stack."""
+    if status == _TOO_FEW:
+        return DegenerateConfiguration(f"need at least 3 correspondences, got {count}")
+    if status == _ZERO_WEIGHT:
+        return ZeroWeightSum("all correspondence weights are zero")
+    return DegenerateConfiguration(
+        "weighted support is collinear or coincident; rotation undetermined"
+    )
+
+
+def _fit_stack(src, dst, w):
+    """Weighted closed-form rigid fits of m equal-length correspondence sets.
+
+    src and dst are (m, n, 3), w is (m, n). Each row minimizes
+    sum_l w_l |R p_l + t - q_l|^2: weighted centroids, centered coordinates,
+    cross-covariance S = P~^T W Q~, SVD S = U S V^T,
+    R = V diag(1, 1, det(VU^T)) U^T, t = q_bar - R p_bar. Returns rotations
+    (m, 3, 3), translations (m, 3) and a fit status per row; the motion of
+    a failed row is finite but meaningless.
+    """
+    m, n = w.shape
+    status = np.full(m, _FIT_OK, dtype=np.int8)
+    if n < 3:
+        status[:] = _TOO_FEW
+        return np.zeros((m, 3, 3)), np.zeros((m, 3)), status
+    sw = w.sum(axis=1)
+    status[sw <= 0.0] = _ZERO_WEIGHT
+    # a unit divisor keeps zero-weight rows finite, so one SVD serves all rows
+    sw = np.where(sw > 0.0, sw, 1.0)[:, None]
+    p_bar = (w[:, None, :] @ src)[:, 0] / sw
+    q_bar = (w[:, None, :] @ dst)[:, 0] / sw
+    p_c = src - p_bar[:, None, :]
+    q_c = dst - q_bar[:, None, :]
+    cov = np.swapaxes(p_c, 1, 2) @ (w[:, :, None] * q_c)
+    u, s, vt = np.linalg.svd(cov)
+    collinear = (s[:, 0] == 0.0) | (s[:, 1] <= 1e-12 * s[:, 0])
+    status[collinear & (status == _FIT_OK)] = _COLLINEAR
+    v = np.swapaxes(vt, 1, 2)
+    ut = np.swapaxes(u, 1, 2)
+    # V diag(1, 1, d): scale the last column of V by d
+    v[..., 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
+    rot = v @ ut
+    return rot, q_bar - (rot @ p_bar[:, :, None])[:, :, 0], status
+
+
+def _residual_stack(rot, trans, src, dst):
+    """|R p_l + t - q_l| for every correspondence of every row, (m, n)."""
+    moved = src @ np.swapaxes(rot, 1, 2)
+    moved += trans[:, None, :]
+    moved -= dst
+    return np.linalg.norm(moved, axis=2)
+
+
+def _reweight_stack(r, prev, blend: float):
+    """robust_reweight applied to each row of (m, n) residuals and weights."""
+    med = np.median(r, axis=1, keepdims=True)
+    mad = np.median(np.abs(r - med), axis=1, keepdims=True)
+    scale = np.maximum(MAD_TO_SIGMA * mad, MAD_FLOOR)
+    kernel = 1.0 / (1.0 + (r / scale) ** 2)
+    return np.clip(blend * kernel + (1.0 - blend) * prev, 0.0, 1.0)
+
+
+def _irls_stack(src, dst, w, iterations: int, blend: float, rot=None, trans=None):
+    """The inner IRLS loop on m equal-length correspondence sets at once.
+
+    Starts from the weighted fit of w, or from the motions rot, trans when
+    they are given. Each iteration reweights the running rows from their
+    residuals and re-fits them. A row stops when its motion moves by less
+    than MOTION_CHANGE_TOL (it converged) or when its fit fails. w, rot and
+    trans are updated in place; returns rot, trans, the fit status and the
+    converged flag of each row.
+    """
+    if rot is None:
+        rot, trans, status = _fit_stack(src, dst, w)
+    else:
+        status = np.full(len(w), _FIT_OK, dtype=np.int8)
+    converged = np.full(len(w), iterations == 0)
+    running = status == _FIT_OK
+    for _ in range(iterations):
+        rows = np.flatnonzero(running)
+        if rows.size == 0:
+            break
+        s, d = src[rows], dst[rows]
+        w_new = _reweight_stack(_residual_stack(rot[rows], trans[rows], s, d), w[rows], blend)
+        rot_new, trans_new, status_new = _fit_stack(s, d, w_new)
+        change = np.sqrt(
+            np.sum((rot_new - rot[rows]) ** 2, axis=(1, 2))
+            + np.sum((trans_new - trans[rows]) ** 2, axis=1)
+        )
+        ok = status_new == _FIT_OK
+        status[rows] = status_new
+        fitted = rows[ok]
+        rot[fitted], trans[fitted], w[fitted] = rot_new[ok], trans_new[ok], w_new[ok]
+        done = ok & (change < MOTION_CHANGE_TOL)
+        converged[rows[done]] = True
+        running[rows[~ok | done]] = False
+    return rot, trans, status, converged
+
+
+def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None) -> list:
+    """_irls_stack over many correspondence sets, plus each set's score.
+
+    Sets are grouped by correspondence count, and each group is walked in
+    batches of at most BATCH_CORRESPONDENCES correspondences (at least one
+    set), so the extra memory does not grow with the number of sets.
+    weights[k] are the starting weights of sets[k]; start, when given, is an
+    (m, 4, 4) stack of starting motions. Returns, in input order, one
+    PairwiseResult per set or the typed error its fit raised.
+    """
+    groups: dict[int, list[int]] = {}
+    for k, c in enumerate(sets):
+        groups.setdefault(len(c), []).append(k)
+    out: list = [None] * len(sets)
+    for count, members in groups.items():
+        step = max(1, BATCH_CORRESPONDENCES // count)
+        for first in range(0, len(members), step):
+            idx = members[first : first + step]
+            src = np.stack([sets[k].source_pts for k in idx])
+            dst = np.stack([sets[k].target_pts for k in idx])
+            w = np.stack([weights[k] for k in idx])
+            rot = trans = None
+            if start is not None:
+                rot, trans = start[idx, :3, :3], start[idx, :3, 3]
+            rot, trans, status, converged = _irls_stack(
+                src, dst, w, iterations, cfg.blend, rot, trans
+            )
+            r = _residual_stack(rot, trans, src, dst)
+            inlier = np.mean(w > cfg.w_thresh, axis=1)
+            conf = local_confidence(inlier, np.median(r, axis=1), cfg)
+            for row, k in enumerate(idx):
+                if status[row] != _FIT_OK:
+                    out[k] = _fit_error(status[row], count)
+                    continue
+                motion = RigidMotion(Rotation3(rot[row]), trans[row])
+                out[k] = PairwiseResult(
+                    motion, w[row], r[row], float(inlier[row]), float(conf[row]),
+                    bool(converged[row]),
+                )
+    return out
+
+
 def wls_transform(c: CorrespondenceSet) -> RigidMotion:
     """Weighted least-squares rigid motion minimizing sum_l w_l |R p_l + t - q_l|^2.
 
@@ -153,33 +311,17 @@ def wls_transform(c: CorrespondenceSet) -> RigidMotion:
     S = P~^T W Q~, SVD S = U S V^T, R = V diag(1, 1, det(VU^T)) U^T,
     t = q_bar - R p_bar.
     """
-    if len(c) < 3:
-        raise DegenerateConfiguration(f"need at least 3 correspondences, got {len(c)}")
-    w = c.weights
-    sw = w.sum()
-    if sw <= 0.0:
-        raise ZeroWeightSum("all correspondence weights are zero")
-    p_bar = w @ c.source_pts / sw
-    q_bar = w @ c.target_pts / sw
-    p_c = c.source_pts - p_bar
-    q_c = c.target_pts - q_bar
-    cov = p_c.T @ (w[:, None] * q_c)
-    u, s, vt = np.linalg.svd(cov)
-    if s[0] == 0.0 or s[1] <= 1e-12 * s[0]:
-        raise DegenerateConfiguration(
-            "weighted support is collinear or coincident; rotation undetermined"
-        )
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    rot = v @ np.diag([1.0, 1.0, d]) @ u.T
-    rotation = Rotation3(rot)
-    return RigidMotion(rotation, q_bar - rot @ p_bar)
+    rot, trans, status = _fit_stack(c.source_pts[None], c.target_pts[None], c.weights[None])
+    if status[0] != _FIT_OK:
+        raise _fit_error(status[0], len(c))
+    return RigidMotion(Rotation3(rot[0]), trans[0])
 
 
 def residuals(c: CorrespondenceSet, m: RigidMotion) -> np.ndarray:
     """Per-correspondence distance |R p_l + t - q_l|."""
-    moved = transform_points(m, c.source_pts)
-    return np.linalg.norm(moved - c.target_pts, axis=1)
+    return _residual_stack(
+        m.rotation.m[None], m.translation[None], c.source_pts[None], c.target_pts[None]
+    )[0]
 
 
 def robust_reweight(residual_values, prev_weights, blend: float) -> np.ndarray:
@@ -194,43 +336,66 @@ def robust_reweight(residual_values, prev_weights, blend: float) -> np.ndarray:
         raise ValueError(f"residuals shape {r.shape} != weights shape {prev.shape}")
     if not 0.0 <= blend <= 1.0:
         raise ValueError("blend must lie in [0, 1]")
-    s = max(MAD_TO_SIGMA * float(np.median(np.abs(r - np.median(r)))), MAD_FLOOR)
-    kernel = 1.0 / (1.0 + (r / s) ** 2)
-    return np.clip(blend * kernel + (1.0 - blend) * prev, 0.0, 1.0)
+    return _reweight_stack(r.reshape(1, -1), prev.reshape(1, -1), blend).reshape(r.shape)
 
 
-def local_confidence(inlier_ratio: float, median_residual: float, cfg: PipelineConfig | None = None) -> float:
+def local_confidence(inlier_ratio, median_residual, cfg: PipelineConfig | None = None):
     """Analytic per-pair confidence in [0, 1].
 
     Logistic in the inlier ratio (midpoint delta_0, steepness k), damped by
     the median residual relative to a length scale rho: confidence halves
-    when the median residual reaches rho.
+    when the median residual reaches rho. Element-wise on arrays; scalar
+    inputs give a float.
     """
     cfg = cfg or PipelineConfig()
     gate = 1.0 / (1.0 + np.exp(-cfg.conf_steepness * (inlier_ratio - cfg.conf_midpoint)))
     damp = 1.0 / (1.0 + median_residual / cfg.conf_residual_scale)
-    return float(gate * damp)
+    value = gate * damp
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def register_batch(sets, cfg: PipelineConfig | None = None) -> list[PairwiseResult]:
+    """register_correspondences on many correspondence sets at once.
+
+    Results come in input order. When fits fail, the error of the first
+    failing set in input order is raised, as a loop over the sets would.
+    """
+    cfg = cfg or PipelineConfig()
+    results = _irls_edges(sets, [c.weights for c in sets], cfg, cfg.inner_irls)
+    for result in results:
+        if isinstance(result, RegistrationError):
+            raise result
+    return results
+
+
+def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> list:
+    """One IRLS step per correspondence set, from a given motion.
+
+    Reweights each set from its residuals under start[k], an (m, 4, 4) stack
+    of motions mapping source onto target (such as synchronized relative
+    motions), blending with the previous weights[k], then re-fits and
+    scores the set. A set whose re-fit fails, because its weights collapsed
+    onto a degenerate support, gets None so the caller can keep its previous
+    fit.
+    """
+    cfg = cfg or PipelineConfig()
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (len(sets), 4, 4) or len(weights) != len(sets):
+        raise ValueError(
+            f"need one 4x4 start motion and one weight vector per set, got {start.shape} "
+            f"and {len(weights)} for {len(sets)} sets"
+        )
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    for c, w in zip(sets, weights):
+        if w.shape != (len(c),):
+            raise ValueError(f"weights shape {w.shape} != ({len(c)},) correspondences")
+    results = _irls_edges(sets, weights, cfg, 1, start)
+    return [None if isinstance(r, RegistrationError) else r for r in results]
 
 
 def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None = None) -> PairwiseResult:
     """Run the inner IRLS loop on an existing correspondence set."""
-    cfg = cfg or PipelineConfig()
-    motion = wls_transform(corr)
-    weights = corr.weights
-    converged = cfg.inner_irls == 0
-    for _ in range(cfg.inner_irls):
-        r = residuals(corr, motion)
-        weights = robust_reweight(r, weights, cfg.blend)
-        new_motion = wls_transform(corr.with_weights(weights))
-        change = np.linalg.norm(new_motion.matrix - motion.matrix)
-        motion = new_motion
-        if change < MOTION_CHANGE_TOL:
-            converged = True
-            break
-    final_residuals = residuals(corr, motion)
-    inlier_ratio = float(np.mean(weights > cfg.w_thresh))
-    conf = local_confidence(inlier_ratio, float(np.median(final_residuals)), cfg)
-    return PairwiseResult(motion, weights, final_residuals, inlier_ratio, conf, converged)
+    return register_batch([corr], cfg)[0]
 
 
 def register_pair(p: PointCloud, q: PointCloud, cfg: PipelineConfig | None = None) -> PairwiseResult:

@@ -10,28 +10,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import (
-    DegenerateConfiguration,
-    DisconnectedInput,
-    IndexOutOfRange,
-    TooFewClouds,
-    ZeroWeightSum,
-)
+from .errors import DisconnectedInput, IndexOutOfRange, TooFewClouds
 from .geometry import (
     PointCloud,
     RigidMotion,
     compose,
     invert,
-    relative_from_absolute,
     relative_motions,
     transform_points,
 )
 from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges
 from .metrics import motion_errors
-from .pairwise import (
+
+# register_correspondences, wls_transform, residuals, robust_reweight and
+# local_confidence are not called in this module. They are imported because
+# the benchmark's span tracer (bench/spans.py) rebinds them by name here.
+from .pairwise import (  # noqa: F401
     CorrespondenceSet,
     build_correspondences,
     local_confidence,
+    refit_batch,
+    register_batch,
     register_correspondences,
     residuals,
     robust_reweight,
@@ -123,6 +122,65 @@ def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
     return tuple(absolute)
 
 
+def _register_all(correspondences, pairs, n, cfg) -> tuple[PoseGraph, dict]:
+    """Batched IRLS fits of all pairs: the pose graph and each pair's weights.
+
+    Only the weights are carried on, so the fits' residual arrays are freed
+    when this returns.
+    """
+    results = register_batch([correspondences[p] for p in pairs], cfg)
+    graph = build_graph([(i, j, res) for (i, j), res in zip(pairs, results)], n)
+    return graph, {p: res.weights for p, res in zip(pairs, results)}
+
+
+def _feedback(graph, absolute, correspondences, weights, cfg, first: bool) -> PoseGraph:
+    """One IRLS step per active pair, started from the synchronized relative motion.
+
+    Reweights each pair from its aligned residuals, re-fits its motion and
+    local confidence, and fuses that with the global confidence. An edge
+    whose weights collapse keeps its previous fit. Updates weights in place.
+    """
+    active = [(e.i, e.j) for e in graph.edges if e.active]
+    refits = refit_batch(
+        [correspondences[p] for p in active],
+        [weights[p] for p in active],
+        relative_motions(_matrices(absolute), active),
+        cfg,
+    )
+    refitted = {p: res for p, res in zip(active, refits) if res is not None}
+    new_edges = []
+    for e in graph.edges:
+        res = refitted.get((e.i, e.j))
+        if res is None:
+            # inactive, or weight collapse on a bad edge: keep the previous fit
+            new_edges.append(e)
+            continue
+        weights[(e.i, e.j)] = res.weights
+        c_local = res.local_confidence
+        if first:
+            # no trustworthy global evidence yet: confidence is local only
+            c_fused = c_local
+        else:
+            c_fused = min(max(harmonic_fuse(c_local, e.c_global, cfg.beta), 0.0), 1.0)
+        new_edges.append(replace(e, motion=res.motion, c_local=c_local, c_fused=c_fused))
+    return graph.with_edges(new_edges)
+
+
+def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:
+    """Scan pairs as (min, max) tuples; every pair i < j when connectivity is None.
+
+    Raises IndexOutOfRange for a self-loop or an index outside 0..n-1.
+    """
+    if connectivity is None:
+        return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    pairs = []
+    for i, j in connectivity:
+        if not 0 <= min(i, j) < max(i, j) < n:
+            raise IndexOutOfRange(f"connectivity pair ({i}, {j}) invalid for {n} clouds")
+        pairs.append((min(i, j), max(i, j)))
+    return tuple(pairs)
+
+
 def run_multiview_from_correspondences(
     correspondences: dict[tuple[int, int], CorrespondenceSet],
     n: int,
@@ -146,11 +204,9 @@ def run_multiview_from_correspondences(
         pairs.append((i, j))
     pairs = tuple(sorted(pairs))
 
-    results = [(i, j, register_correspondences(correspondences[(i, j)], cfg)) for i, j in pairs]
-    graph = build_graph(results, n)
+    graph, weights = _register_all(correspondences, pairs, n, cfg)
     if not is_connected(graph):
         raise DisconnectedInput("measurement pairs do not connect all clouds")
-    weights = {(i, j): res.weights for i, j, res in results}
 
     trace = PipelineTrace(pairs=pairs)
     truth_relatives = None
@@ -167,37 +223,8 @@ def run_multiview_from_correspondences(
     stopped = False
     for k in range(1, cfg.outer_iterations + 1):
         result = transf_sync(graph, rounds=cfg.sync_rounds, gamma=cfg.gamma, beta=cfg.beta)
-        graph = result.graph
-
-        # feedback: pre-align each active pair with the synchronized relative,
-        # reweight from the aligned residuals, and re-fit the pair motion
-        new_edges = []
-        for e in graph.edges:
-            if not e.active:
-                new_edges.append(e)
-                continue
-            corr = correspondences[(e.i, e.j)]
-            to_source = relative_from_absolute(result.absolute[e.j], result.absolute[e.i])
-            aligned = pre_align(corr, to_source)
-            r = residuals(aligned, RigidMotion.identity())
-            w = robust_reweight(r, weights[(e.i, e.j)], cfg.blend)
-            try:
-                motion = wls_transform(corr.with_weights(w))
-            except (DegenerateConfiguration, ZeroWeightSum):
-                # weight collapse on a bad edge: keep the previous fit
-                new_edges.append(e)
-                continue
-            weights[(e.i, e.j)] = w
-            r_new = residuals(corr, motion)
-            delta = float(np.mean(w > cfg.w_thresh))
-            c_local = local_confidence(delta, float(np.median(r_new)), cfg)
-            if k == 1:
-                # no trustworthy global evidence yet: confidence is local only
-                c_fused = c_local
-            else:
-                c_fused = min(max(harmonic_fuse(c_local, e.c_global, cfg.beta), 0.0), 1.0)
-            new_edges.append(replace(e, motion=motion, c_local=c_local, c_fused=c_fused))
-        graph = prune_edges(graph.with_edges(new_edges), cfg.tau_p)
+        graph = _feedback(result.graph, result.absolute, correspondences, weights, cfg, k == 1)
+        graph = prune_edges(graph, cfg.tau_p)
 
         connected = is_connected(graph)
         stats.append(_stats(k, graph, not connected, pairs, result.absolute, truth_relatives))
@@ -227,15 +254,8 @@ def run_multiview(
     n = len(clouds)
     if n < 3:
         raise TooFewClouds(f"need at least 3 clouds, got {n}")
-    if cfg.connectivity is not None:
-        pairs = []
-        for i, j in cfg.connectivity:
-            if not 0 <= min(i, j) < max(i, j) < n:
-                raise IndexOutOfRange(f"connectivity pair ({i}, {j}) invalid for {n} clouds")
-            pairs.append((min(i, j), max(i, j)))
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     correspondences = {
-        (i, j): build_correspondences(clouds[i], clouds[j], cfg.temperature) for i, j in pairs
+        (i, j): build_correspondences(clouds[i], clouds[j], cfg.temperature)
+        for i, j in canonical_pairs(cfg.connectivity, n)
     }
     return run_multiview_from_correspondences(correspondences, n, cfg, ground_truth)

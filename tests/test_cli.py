@@ -179,6 +179,16 @@ class TestMultiviewCommand:
         assert code == 1
         assert "edge line" in err
 
+    @pytest.mark.parametrize("pairwise_only", [False, True])
+    def test_edge_to_missing_scan_fails(self, tmp_path, capsys, pairwise_only):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 3\n1 9\n")
+        extra = ("--pairwise-only",) if pairwise_only else ()
+        code, _, err = run_cli(capsys, "multiview", str(scene), "--edges", str(edges), *extra)
+        assert code == 1
+        assert "(1, 9) invalid" in err
+
     def test_edge_list_accepts_space_and_dash_pairs(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text("# measured pairs\n0 1\n1-2\n\n2\t3\n")

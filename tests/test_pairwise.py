@@ -21,6 +21,7 @@ from mvreg import (
     geodesic_angle,
     invert,
     local_confidence,
+    register_batch,
     register_correspondences,
     register_pair,
     residuals,
@@ -31,6 +32,7 @@ from mvreg import (
     wls_transform,
 )
 import mvreg.pairwise as pairwise_mod
+from mvreg.pairwise import refit_batch
 from mvreg.synthetic import random_motion
 
 from conftest import make_feature_cloud
@@ -94,6 +96,19 @@ class TestSoftAssign:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             soft_assign(np.zeros(2), np.ones((2, 2)), np.ones((2, 3)), 0.0)
+
+    def test_query_must_be_a_vector(self):
+        with pytest.raises(DimensionMismatch):
+            soft_assign(np.zeros((2, 3)), np.ones((3, 3)), np.ones((3, 3)), 0.1)
+
+    def test_query_length_must_match_descriptor_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            soft_assign(np.zeros(2), np.ones((3, 3)), np.ones((3, 3)), 0.1)
+
+    @pytest.mark.parametrize("points_shape", [(4, 3), (3, 2)])
+    def test_target_points_must_be_one_row_per_descriptor(self, points_shape):
+        with pytest.raises(DimensionMismatch):
+            soft_assign(np.zeros(3), np.ones((3, 3)), np.ones(points_shape), 0.1)
 
     def test_output_in_convex_hull(self):
         # the result is a convex combination, so each coordinate lies inside
@@ -471,3 +486,228 @@ class TestRegisterPair:
         result = register_correspondences(corr, PipelineConfig(inner_irls=0))
         assert result.converged
         assert np.linalg.norm(result.motion.matrix - np.eye(4)) < 1e-9
+
+
+def reference_register(corr, cfg):
+    """The per-edge IRLS loop, inlined: the oracle for the batched kernel.
+
+    Returns (motion 4x4, weights, converged), or the error class its fit
+    raises.
+    """
+    src, dst = corr.source_pts, corr.target_pts
+
+    def fit(w):
+        if len(w) < 3:
+            return DegenerateConfiguration
+        sw = w.sum()
+        if sw <= 0.0:
+            return ZeroWeightSum
+        p_bar = w @ src / sw
+        q_bar = w @ dst / sw
+        cov = (src - p_bar).T @ (w[:, None] * (dst - q_bar))
+        u, s, vt = np.linalg.svd(cov)
+        if s[0] == 0.0 or s[1] <= 1e-12 * s[0]:
+            return DegenerateConfiguration
+        v = vt.T
+        rot = v @ np.diag([1.0, 1.0, np.sign(np.linalg.det(v @ u.T))]) @ u.T
+        mat = np.eye(4)
+        mat[:3, :3] = rot
+        mat[:3, 3] = q_bar - rot @ p_bar
+        return mat
+
+    def reweight(r, prev):
+        s = max(1.4826 * float(np.median(np.abs(r - np.median(r)))), 1e-9)
+        kernel = 1.0 / (1.0 + (r / s) ** 2)
+        return np.clip(cfg.blend * kernel + (1.0 - cfg.blend) * prev, 0.0, 1.0)
+
+    weights = corr.weights
+    motion = fit(weights)
+    if not isinstance(motion, np.ndarray):
+        return motion
+    converged = cfg.inner_irls == 0
+    for _ in range(cfg.inner_irls):
+        r = np.linalg.norm(src @ motion[:3, :3].T + motion[:3, 3] - dst, axis=1)
+        weights = reweight(r, weights)
+        new = fit(weights)
+        if not isinstance(new, np.ndarray):
+            return new
+        change = np.linalg.norm(new - motion)
+        motion = new
+        if change < pairwise_mod.MOTION_CHANGE_TOL:
+            converged = True
+            break
+    return motion, weights, converged
+
+
+def mixed_sets(rng, counts=(3, 4, 128, 2048), per_count=5):
+    """Correspondence sets of mixed sizes, in shuffled order.
+
+    Per size: noise-free sets, whose IRLS converges within a few steps, and
+    sets with noise and 30 % outliers, whose IRLS runs to its cap.
+    """
+    sets = []
+    for n in counts:
+        for k in range(per_count):
+            src = rng.uniform(-1.0, 1.0, size=(n, 3))
+            dst = transform_points(random_motion(rng), src)
+            if k % 2:
+                dst += 0.01 * rng.normal(size=dst.shape)
+                bad = rng.random(n) < 0.3
+                dst[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), 3))
+            sets.append(CorrespondenceSet(src, dst, rng.uniform(0.5, 1.0, n), np.zeros(n)))
+    return [sets[k] for k in rng.permutation(len(sets))]
+
+
+class TestBatchedIrls:
+    # one set per batch; the 2048 group in batches of 3, 2 (ragged last);
+    # the 128 group in batches of 2, 2, 1 and the 2048 group one per batch;
+    # every group in a single batch
+    BATCHES = (1, 3 * 2048, 2 * 128, 10**9)
+
+    @pytest.mark.parametrize("inner_irls", [0, 1, 5])
+    @pytest.mark.parametrize("blend", [0.0, 0.7, 1.0])
+    def test_matches_per_edge_reference_in_every_batch_layout(self, monkeypatch, inner_irls, blend):
+        sets = mixed_sets(np.random.default_rng(40))
+        cfg = PipelineConfig(inner_irls=inner_irls, blend=blend)
+        expected = [reference_register(c, cfg) for c in sets]
+        if inner_irls == 5 and blend > 0.0:
+            # both kinds share batches: some sets converge early, others never
+            flags = {e[2] for e in expected}
+            assert flags == {True, False}
+        for batch in self.BATCHES:
+            monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
+            got = register_batch(sets, cfg)
+            for c, res, (motion, weights, converged) in zip(sets, got, expected):
+                assert np.abs(res.motion.matrix - motion).max() <= 1e-12, (batch, len(c))
+                assert np.abs(res.weights - weights).max() <= 1e-12, (batch, len(c))
+                assert res.converged == converged, (batch, len(c))
+                final = np.linalg.norm(
+                    c.source_pts @ motion[:3, :3].T + motion[:3, 3] - c.target_pts, axis=1
+                )
+                assert np.abs(res.residuals - final).max() <= 1e-12
+                assert res.inlier_ratio == float(np.mean(weights > cfg.w_thresh))
+
+    def test_single_set_matches_its_batched_result(self):
+        sets = mixed_sets(np.random.default_rng(41), counts=(64,), per_count=6)
+        batched = register_batch(sets)
+        for c, res in zip(sets, batched):
+            alone = register_correspondences(c)
+            assert np.abs(alone.motion.matrix - res.motion.matrix).max() <= 1e-12
+            assert abs(alone.local_confidence - res.local_confidence) <= 1e-12
+            assert alone.converged == res.converged
+
+    def test_repeated_calls_are_bit_identical(self):
+        sets = mixed_sets(np.random.default_rng(42), counts=(4, 128))
+        a, b = register_batch(sets), register_batch(sets)
+        for ra, rb in zip(a, b):
+            assert np.array_equal(ra.motion.matrix, rb.motion.matrix)
+            assert np.array_equal(ra.weights, rb.weights)
+
+    def test_empty_input(self):
+        assert register_batch([]) == []
+        assert refit_batch([], [], np.zeros((0, 4, 4))) == []
+
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            (("good", "collinear", "zero", "few"), DegenerateConfiguration),
+            (("good", "zero", "collinear", "few"), ZeroWeightSum),
+            (("good", "few", "zero", "collinear"), DegenerateConfiguration),
+        ],
+    )
+    def test_first_failing_set_decides_the_error(self, monkeypatch, order, error):
+        rng = np.random.default_rng(43)
+        pts = rng.normal(size=(10, 3))
+        line = np.outer(np.linspace(0.0, 1.0, 10), [1.0, 1.0, 0.0])
+        kinds = {
+            "good": CorrespondenceSet(pts, pts + 0.1, np.ones(10), np.zeros(10)),
+            "collinear": CorrespondenceSet(line, line + 0.1, np.ones(10), np.zeros(10)),
+            "zero": CorrespondenceSet(pts, pts, np.zeros(10), np.zeros(10)),
+            "few": CorrespondenceSet(pts[:2], pts[:2], np.ones(2), np.zeros(2)),
+        }
+        sets = [kinds[k] for k in order]
+        # the loop it replaces: the first failing set raises
+        for c in sets:
+            try:
+                register_correspondences(c)
+            except (DegenerateConfiguration, ZeroWeightSum) as exc:
+                assert type(exc) is error
+                break
+        for batch in (1, 10**9):
+            monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
+            with pytest.raises(error) as info:
+                register_batch(sets)
+            assert type(info.value) is error
+
+    def test_peak_memory_is_bounded(self):
+        # 96 sets of 2048 correspondences, the synthetic-30x2048 shape: the
+        # outputs (weights and residuals) take 3.1 MB; one stack of all sets
+        # at once peaked at ~36 MB
+        rng = np.random.default_rng(44)
+        sets = []
+        for _ in range(96):
+            src = rng.uniform(-1.0, 1.0, size=(2048, 3))
+            dst = src + 0.01 * rng.normal(size=src.shape)
+            sets.append(CorrespondenceSet(src, dst, np.ones(2048), np.zeros(2048)))
+        tracemalloc.start()
+        try:
+            results = register_batch(sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 96
+        assert peak < 8e6
+
+
+class TestRefitBatch:
+    def make_sets(self, rng, count=3, n=40):
+        sets, truths = [], []
+        for _ in range(count):
+            c, motion = make_set(rng, n)
+            noisy = c.target_pts + 0.01 * rng.normal(size=(n, 3))
+            sets.append(CorrespondenceSet(c.source_pts, noisy, c.weights, c.residuals))
+            truths.append(motion.matrix)
+        return sets, np.stack(truths)
+
+    def test_matches_one_reference_step(self):
+        rng = np.random.default_rng(45)
+        sets, start = self.make_sets(rng)
+        prev = [rng.uniform(0.2, 1.0, len(c)) for c in sets]
+        cfg = PipelineConfig(blend=0.7)
+        for c, w, m, res in zip(sets, prev, start, refit_batch(sets, prev, start, cfg)):
+            r = residuals(c, RigidMotion.from_matrix(m))
+            w_new = robust_reweight(r, w, cfg.blend)
+            expected = wls_transform(c.with_weights(w_new))
+            assert np.abs(res.motion.matrix - expected.matrix).max() <= 1e-12
+            assert np.abs(res.weights - w_new).max() <= 1e-12
+            final = residuals(c, expected)
+            delta = float(np.mean(w_new > cfg.w_thresh))
+            conf = local_confidence(delta, float(np.median(final)), cfg)
+            assert abs(res.local_confidence - conf) <= 1e-12
+
+    @pytest.mark.parametrize("collapse", ["zero", "two_points"])
+    def test_collapsed_weights_are_masked(self, collapse):
+        rng = np.random.default_rng(46)
+        sets, start = self.make_sets(rng)
+        prev = [np.ones(len(c)) for c in sets]
+        prev[1] = np.zeros(len(sets[1]))
+        if collapse == "two_points":
+            prev[1][:2] = 1.0
+        # blend 0 keeps the previous weights, so set 1 cannot be fitted
+        cfg = PipelineConfig(blend=0.0)
+        results = refit_batch(sets, prev, start, cfg)
+        assert results[1] is None
+        alone = refit_batch([sets[0], sets[2]], [prev[0], prev[2]], start[[0, 2]], cfg)
+        for res, expected in zip([results[0], results[2]], alone):
+            assert np.array_equal(res.motion.matrix, expected.motion.matrix)
+
+    def test_shapes_are_validated(self):
+        rng = np.random.default_rng(47)
+        sets, start = self.make_sets(rng)
+        prev = [np.ones(len(c)) for c in sets]
+        with pytest.raises(ValueError):
+            refit_batch(sets, prev, start[:2])
+        with pytest.raises(ValueError):
+            refit_batch(sets, prev[:2], start)
+        with pytest.raises(ValueError):
+            refit_batch(sets, [np.ones(3)] + prev[1:], start)

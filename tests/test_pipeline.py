@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import mvreg.pipeline as pipeline_mod
 from mvreg import (
     CorrespondenceSet,
+    DegenerateConfiguration,
     DisconnectedInput,
     Edge,
     IndexOutOfRange,
@@ -11,6 +13,7 @@ from mvreg import (
     PoseGraph,
     RigidMotion,
     TooFewClouds,
+    ZeroWeightSum,
     compose,
     geodesic_angle,
     invert,
@@ -150,6 +153,26 @@ class TestRunMultiviewBasics:
         with pytest.raises(TooFewClouds):
             run_multiview_from_correspondences({(0, 1): c}, 2)
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [({(0, 2): "collinear", (1, 2): "zero"}, DegenerateConfiguration),
+         ({(0, 2): "zero", (1, 2): "collinear"}, ZeroWeightSum)],
+    )
+    def test_first_failing_pair_in_sorted_order_raises(self, bad, error):
+        rng = np.random.default_rng(17)
+        pts = rng.normal(size=(10, 3))
+        line = np.outer(np.linspace(0.0, 1.0, 10), [1.0, 1.0, 0.0])
+        kinds = {
+            "collinear": CorrespondenceSet(line, line + 0.1, np.ones(10), np.zeros(10)),
+            "zero": CorrespondenceSet(pts, pts, np.zeros(10), np.zeros(10)),
+        }
+        # keys in reverse order: the sorted pair order decides, not the dict's
+        corr = {key: kinds[kind] for key, kind in sorted(bad.items(), reverse=True)}
+        corr[(0, 1)] = CorrespondenceSet(pts, pts + 0.1, np.ones(10), np.zeros(10))
+        with pytest.raises(error) as info:
+            run_multiview_from_correspondences(corr, 3)
+        assert type(info.value) is error
+
     def test_ground_truth_length_validated(self):
         rng = np.random.default_rng(12)
         clouds, truth = shared_scene_clouds(rng, 3)
@@ -223,6 +246,52 @@ class TestRefinementQuality:
         assert not result.disconnected
         assert len(trace.iterations) == 4
         assert trace.iterations[-1].active_edges == 5
+
+
+class TestFeedbackRefit:
+    def test_collapsed_edge_keeps_its_previous_fit(self, monkeypatch):
+        # the refit of edge (0, 3), the second in sorted pair order, sees a
+        # collinear support and fails: that
+        # edge keeps its motion and confidences from the synchronized graph,
+        # while the other edges take the same refits as in a normal run
+        rng = np.random.default_rng(18)
+        clouds, _ = shared_scene_clouds(rng, 4)
+        noisy = [
+            PointCloud(c.points + 5e-3 * rng.normal(size=c.points.shape), c.features)
+            for c in clouds
+        ]
+        ring = ((0, 1), (1, 2), (2, 3), (0, 3))
+        cfg = PipelineConfig(temperature=1e-6, connectivity=ring, tau_p=0.0,
+                             outer_iterations=1)
+        synced = []
+        real_sync, real_refit = pipeline_mod.transf_sync, pipeline_mod.refit_batch
+
+        def sync(graph, **kwargs):
+            synced.append(real_sync(graph, **kwargs))
+            return synced[-1]
+
+        def collapse(sets, weights, start, cfg):
+            n = len(sets[1])
+            line = np.outer(np.linspace(0.0, 1.0, n), [1.0, 1.0, 0.0])
+            sets = list(sets)
+            sets[1] = CorrespondenceSet(line, line, np.ones(n), np.zeros(n))
+            results = real_refit(sets, weights, start, cfg)
+            assert results[1] is None
+            return results
+
+        monkeypatch.setattr(pipeline_mod, "transf_sync", sync)
+        normal, _ = run_multiview(noisy, cfg)
+        monkeypatch.setattr(pipeline_mod, "refit_batch", collapse)
+        masked, _ = run_multiview(noisy, cfg)
+        before = {(e.i, e.j): e for e in synced[1].graph.edges}
+        refitted = {(e.i, e.j): e for e in normal.graph.edges}
+        for e in masked.graph.edges:
+            expected = before[(e.i, e.j)] if (e.i, e.j) == (0, 3) else refitted[(e.i, e.j)]
+            assert np.abs(e.motion.matrix - expected.motion.matrix).max() <= 1e-12
+            for name in ("c_local", "c_global", "c_fused"):
+                assert abs(getattr(e, name) - getattr(expected, name)) <= 1e-12
+        # the mask matters: a normal refit moves edge (0, 3)
+        assert abs(refitted[(0, 3)].c_local - before[(0, 3)].c_local) > 1e-6
 
 
 class TestPipelineInvariances:
