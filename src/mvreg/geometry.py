@@ -50,6 +50,33 @@ class Rotation3:
         return Rotation3(self.m.T)
 
 
+def rotation_stack(matrices) -> list[Rotation3]:
+    """One Rotation3 per 3x3 block of a (k, 3, 3) array.
+
+    Rotation3's checks run once over the whole stack, vectorized; a matrix
+    they flag goes through Rotation3 itself, so the first bad matrix raises
+    the ValueError its own construction would. The objects are then built
+    without checking each one again.
+    """
+    stack = np.array(matrices, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1:] != (3, 3):
+        raise ValueError(f"rotation stack must have shape (k, 3, 3), got {stack.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.linalg.norm(np.swapaxes(stack, 1, 2) @ stack - np.eye(3), axis=(1, 2))
+        det = np.linalg.det(stack)
+    # NaN compares false, so a matrix with non-finite entries is flagged too
+    flagged = ~((err <= ORTHONORMALITY_TOL) & (np.abs(det - 1.0) <= ORTHONORMALITY_TOL))
+    for k in np.flatnonzero(flagged):
+        Rotation3(stack[k])
+    stack.setflags(write=False)
+    out = []
+    for m in stack:
+        r = object.__new__(Rotation3)
+        object.__setattr__(r, "m", m)
+        out.append(r)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class RigidMotion:
     """SE(3) element: rotation plus translation, acting as x -> R x + t."""

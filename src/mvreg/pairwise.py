@@ -17,7 +17,7 @@ from .errors import (
     RegistrationError,
     ZeroWeightSum,
 )
-from .geometry import PointCloud, RigidMotion, Rotation3
+from .geometry import PointCloud, RigidMotion, Rotation3, rotation_stack
 
 MOTION_CHANGE_TOL = 1e-8
 MAD_FLOOR = 1e-9
@@ -292,11 +292,13 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
             r = _residual_stack(rot, trans, src, dst)
             inlier = np.mean(w > cfg.w_thresh, axis=1)
             conf = local_confidence(inlier, np.median(r, axis=1), cfg)
+            fitted = status == _FIT_OK
+            rotations = iter(rotation_stack(rot[fitted]))
             for row, k in enumerate(idx):
-                if status[row] != _FIT_OK:
+                if not fitted[row]:
                     out[k] = _fit_error(status[row], count)
                     continue
-                motion = RigidMotion(Rotation3(rot[row]), trans[row])
+                motion = RigidMotion(next(rotations), trans[row])
                 out[k] = PairwiseResult(
                     motion, w[row], r[row], float(inlier[row]), float(conf[row]),
                     bool(converged[row]),

@@ -9,18 +9,35 @@ from the absolutes to match the measured ones; its normal equations are the
 scalar weighted graph Laplacian with one right-hand side per coordinate,
 solved with node 0 anchored at the origin. Node 0 carries the identity.
 
+Only the 4 smallest eigenpairs of the 3n x 3n rotation Laplacian are used
+(the fourth eigenvalue gives the eigengap). Up to DENSE_MAX_SIZE rows a full
+np.linalg.eigh finds them. Larger Laplacians go through shift-invert subspace
+iteration: one Cholesky factorization of L + sigma I, then sweeps of blocked
+triangular solves, QR and Rayleigh-Ritz on a fixed-seed panel of PANEL
+columns, until the 4 wanted Ritz residuals fall below RESIDUAL_TOL * |L|.
+When the observed convergence rate cannot get there within MAX_SWEEPS
+sweeps, as on stars and complete graphs whose eigenvalues cluster at
+lambda_4, the full eigh runs after all. numpy is the only dependency.
+
 The solvers work on edge arrays (endpoints, relative rotations and
 translations, confidences) taken once from the graph's active edges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DisconnectedGraph, EigenSolverFailure
-from .geometry import RigidMotion, Rotation3, nearest_rotations, relative_motions
+from .geometry import (
+    RigidMotion,
+    Rotation3,
+    nearest_rotations,
+    relative_motions,
+    rotation_stack,
+)
 from .graph import (
     PoseGraph,
     cauchy_global_confidence,
@@ -28,6 +45,23 @@ from .graph import (
     harmonic_fuse,
     is_connected,
 )
+
+# Laplacians of at most this many rows (3n) take the full eigh: below about
+# 3n = 300 it is faster than the iterative path on a 2-vCPU x86 box, and
+# slower-converging graphs (a 2-d grid needs ~17 sweeps) move the break-even up
+DENSE_MAX_SIZE = 450
+# columns of the subspace-iteration panel; 4 are wanted
+PANEL = 16
+# shift sigma of the factored L + sigma I, relative to |L|, the largest
+# absolute row sum of L: far above the Cholesky rounding, far below lambda_4
+SHIFT = 1e-10
+# converged when every wanted Ritz residual |L x - theta x| <= RESIDUAL_TOL |L|
+RESIDUAL_TOL = 1e-12
+# sweeps before falling back to the full eigh
+MAX_SWEEPS = 30
+# rows per diagonal block of the blocked triangular solves
+SOLVE_BLOCK = 128
+_WANTED = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +76,25 @@ class SyncResult:
     disconnected: bool = False
 
 
-def _active_arrays(g: PoseGraph):
+def _active_arrays(g: PoseGraph, rounds: int = 1):
     """Endpoint pairs (m x 2), measured relative motions (m x 4 x 4) and fused
-    confidences of the active edges of a connected graph."""
-    if not is_connected(g):
-        raise DisconnectedGraph("active edges do not connect all nodes")
+    confidences of the active edges.
+
+    Raises DisconnectedGraph unless the active edges of positive weight
+    connect all nodes: a zero-weight edge adds nothing to the Laplacians, so
+    a graph that only such edges hold together has too large a null space.
+    An edge's weight is its c_fused in the first round; later rounds fuse it
+    from c_local, which makes it zero wherever c_local is, so with rounds > 1
+    both must be positive.
+    """
+    def weighted(e):
+        return e.c_fused > 0.0 and (rounds == 1 or e.c_local > 0.0)
+
+    support = g
+    if not all(weighted(e) for e in g.active_edges()):
+        support = g.with_edges(e if weighted(e) else replace(e, active=False) for e in g.edges)
+    if not is_connected(support):
+        raise DisconnectedGraph("active edges of positive confidence do not connect all nodes")
     edges = g.active_edges()
     pairs = np.array([(e.i, e.j) for e in edges], dtype=np.intp)
     motions = np.array([e.motion.matrix for e in edges])
@@ -59,8 +107,98 @@ def _degrees(n: int, pairs, c) -> np.ndarray:
     return np.bincount(pairs.ravel(), np.repeat(c, 2), minlength=n)
 
 
+def _shift_invert(lap: np.ndarray, shift: float):
+    """x -> (L + shift I)^-1 x for n x k panels, from one Cholesky factor.
+
+    numpy has no triangular solve, so the forward and back substitutions run
+    over blocks of SOLVE_BLOCK rows: each block applies the inverse of its
+    diagonal block of the factor to its right-hand side, after subtracting
+    the part already solved (one matmul). The shift goes onto L's diagonal
+    in place for the factorization and is taken off again exactly.
+    """
+    size = lap.shape[0]
+    diagonal = lap.diagonal().copy()
+    lap[np.diag_indices(size)] += shift
+    try:
+        low = np.linalg.cholesky(lap)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverFailure(f"Cholesky factorization failed: {exc}") from exc
+    finally:
+        lap[np.diag_indices(size)] = diagonal
+    bounds = [(s, min(s + SOLVE_BLOCK, size)) for s in range(0, size, SOLVE_BLOCK)]
+    inverses = [np.linalg.inv(low[s:e, s:e]) for s, e in bounds]
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        y = np.empty_like(x)
+        for (s, e), inv in zip(bounds, inverses):
+            y[s:e] = inv @ (x[s:e] - low[s:e, :s] @ y[:s])
+        for (s, e), inv in zip(reversed(bounds), reversed(inverses)):
+            y[s:e] = inv.T @ (y[s:e] - low[e:, s:e].T @ y[e:])
+        return y
+
+    return solve
+
+
+def _subspace_iteration(lap: np.ndarray):
+    """The 4 smallest eigenvalues and eigenvectors of a PSD matrix by
+    shift-invert subspace iteration, or None when it would not converge
+    within MAX_SWEEPS sweeps.
+
+    A sweep applies (L + sigma I)^-1 to the panel, orthonormalizes it (QR)
+    and rotates it onto its Ritz vectors (eigh of the PANEL x PANEL
+    projection). The residual of the k-th Ritz pair shrinks by about
+    (theta_k + sigma) / (theta_PANEL + sigma) a sweep, so once the fourth
+    pair's rate, extrapolated from its residual, cannot reach RESIDUAL_TOL
+    within MAX_SWEEPS, this gives up at once instead of at the cap.
+    """
+    size = lap.shape[0]
+    norm = float(np.linalg.norm(lap, np.inf))
+    shift = SHIFT * norm
+    solve = _shift_invert(lap, shift)
+    # a fixed seed: the same Laplacian always gives the same panel and result
+    panel = np.random.default_rng(0).standard_normal((size, PANEL))
+    for sweep in range(1, MAX_SWEEPS + 1):
+        basis, _ = np.linalg.qr(solve(panel))
+        lap_basis = lap @ basis
+        ritz, rotation = np.linalg.eigh(basis.T @ lap_basis)
+        panel = basis @ rotation
+        wanted = panel[:, :_WANTED]
+        residual = np.linalg.norm(
+            lap_basis @ rotation[:, :_WANTED] - wanted * ritz[:_WANTED], axis=0
+        ).max()
+        if residual <= RESIDUAL_TOL * norm:
+            return ritz[:_WANTED], wanted
+        rate = (ritz[_WANTED - 1] + shift) / (ritz[-1] + shift)
+        if rate >= 1.0:
+            return None
+        if sweep + math.log(RESIDUAL_TOL * norm / residual) / math.log(rate) > MAX_SWEEPS:
+            return None
+    return None
+
+
+def _smallest_eigenpairs(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 4 smallest eigenvalues (ascending) of the symmetric PSD matrix lap
+    and their eigenvectors as columns: iterative above DENSE_MAX_SIZE rows
+    unless it stalls, else from the full eigh."""
+    if lap.shape[0] > DENSE_MAX_SIZE:
+        found = _subspace_iteration(lap)
+        if found is not None:
+            return found
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverFailure(f"symmetric eigendecomposition failed: {exc}") from exc
+    return eigenvalues[:_WANTED], eigenvectors[:, :_WANTED]
+
+
 def _rotations(n: int, pairs, rot, c) -> tuple[np.ndarray, float]:
-    """Synchronized rotations (n x 3 x 3) and the eigengap lambda_4 - lambda_3."""
+    """Synchronized rotations (n x 3 x 3) and the eigengap lambda_4 - lambda_3.
+
+    The eigenpairs come from _smallest_eigenpairs: the full eigh when
+    3n <= DENSE_MAX_SIZE or when the subspace iteration stalls, the
+    shift-invert subspace iteration otherwise. Either way only the span of
+    the first three eigenvectors enters the result.
+    """
     i, j = pairs.T
     lap = np.zeros((n, 3, n, 3))
     # off-diagonal blocks carry c * R^T / c * R so that the stack of
@@ -70,10 +208,7 @@ def _rotations(n: int, pairs, rot, c) -> tuple[np.ndarray, float]:
     lap[j, :, i, :] = -weighted
     lap = lap.reshape(3 * n, 3 * n)
     lap[np.diag_indices(3 * n)] = np.repeat(_degrees(n, pairs, c), 3)
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(lap)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(f"symmetric eigendecomposition failed: {exc}") from exc
+    eigenvalues, eigenvectors = _smallest_eigenpairs(lap)
     eigengap = float(eigenvalues[3] - eigenvalues[2])
     blocks = eigenvectors[:, :3].reshape(n, 3, 3)
     # eigenvectors are sign-ambiguous; pick the global sign under which most
@@ -111,7 +246,7 @@ def _translations(n: int, pairs, trans, c, rotations) -> tuple[np.ndarray, int]:
 def rotation_sync(g: PoseGraph) -> list[Rotation3]:
     """Absolute rotations from the spectral relaxation, node 0 = identity."""
     pairs, motions, c = _active_arrays(g)
-    return [Rotation3(r) for r in _rotations(g.node_count, pairs, motions[:, :3, :3], c)[0]]
+    return rotation_stack(_rotations(g.node_count, pairs, motions[:, :3, :3], c)[0])
 
 
 def translation_sync(g: PoseGraph, rotations: list[Rotation3]) -> list[np.ndarray]:
@@ -159,7 +294,7 @@ def transf_sync(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = g.node_count
-    pairs, motions, c_fused = _active_arrays(g)
+    pairs, motions, c_fused = _active_arrays(g, rounds)
     c_local = np.array([e.c_local for e in g.active_edges()])
     for _ in range(rounds):
         rotations, eigengap = _rotations(n, pairs, motions[:, :3, :3], c_fused)
@@ -176,7 +311,7 @@ def transf_sync(
             e = replace(e, c_global=cg, c_fused=cf)
         edges.append(e)
     return SyncResult(
-        absolute=tuple(RigidMotion(Rotation3(r), t) for r, t in zip(rotations, translations)),
+        absolute=tuple(map(RigidMotion, rotation_stack(rotations), translations)),
         rotation_eigengap=eigengap,
         translation_rank_deficiency=deficiency,
         graph=g.with_edges(edges),

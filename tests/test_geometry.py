@@ -17,6 +17,7 @@ from mvreg import (
     rotation_about_z,
     transform_points,
 )
+from mvreg.geometry import rotation_stack
 from mvreg.synthetic import random_motion, random_rotation
 
 
@@ -46,6 +47,55 @@ class TestRotation3:
         r = rot_z(30)
         with pytest.raises(ValueError):
             r.m[0, 0] = 5.0
+
+
+class TestRotationStack:
+    def test_matches_single_construction(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_rotation(rng).m for _ in range(7)])
+        rotations = rotation_stack(stack)
+        assert len(rotations) == 7
+        for r, m in zip(rotations, stack):
+            assert isinstance(r, Rotation3)
+            assert np.array_equal(r.m, Rotation3(m).m)
+
+    def test_copies_and_freezes(self):
+        stack = np.stack([np.eye(3), rot_z(40).m])
+        rotations = rotation_stack(stack)
+        stack[0, 0, 0] = 5.0
+        assert rotations[0].m[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            rotations[1].m[0, 0] = 5.0
+
+    def test_empty_stack(self):
+        assert rotation_stack(np.zeros((0, 3, 3))) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.eye(3) * 2.0, "not orthonormal"),
+            (np.diag([1.0, 1.0, -1.0]), "determinant"),
+            (np.full((3, 3), np.nan), "finite"),
+            (np.diag([np.inf, 1.0, 1.0]), "finite"),
+        ],
+    )
+    def test_one_bad_matrix_raises_its_error(self, bad, message):
+        rng = np.random.default_rng(4)
+        stack = np.stack([random_rotation(rng).m for _ in range(6)])
+        stack[4] = bad
+        with pytest.raises(ValueError, match=message):
+            rotation_stack(stack)
+        with pytest.raises(ValueError, match=message):
+            Rotation3(bad)
+
+    def test_first_bad_matrix_decides(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3) * 2.0])
+        with pytest.raises(ValueError, match="determinant"):
+            rotation_stack(stack)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            rotation_stack(np.eye(3))
 
 
 class TestRigidMotion:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,7 @@ import mvreg.sync
 from mvreg import (
     DisconnectedGraph,
     Edge,
+    EigenSolverFailure,
     PoseGraph,
     RigidMotion,
     Rotation3,
@@ -57,6 +63,38 @@ def random_truth(rng, n):
 
 def ring_pairs(n):
     return [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)]
+
+
+def ring_k_pairs(n, k):
+    """Each node linked to the next k on a ring, as sorted pairs."""
+    return sorted({tuple(sorted((a, (a + d) % n))) for a in range(n) for d in range(1, k + 1)})
+
+
+def grid_pairs(side):
+    return [(v, v + 1) for v in range(side * side) if (v + 1) % side] + [
+        (v, v + side) for v in range(side * (side - 1))
+    ]
+
+
+def star_pairs(n):
+    return [(0, k) for k in range(1, n)]
+
+
+@pytest.fixture
+def iterative(monkeypatch):
+    """Force the subspace iteration for every Laplacian size; the list it
+    returns records, per call, whether the iteration fell back to the full eigh."""
+    fell_back = []
+    solve = mvreg.sync._subspace_iteration
+
+    def recording(lap):
+        found = solve(lap)
+        fell_back.append(found is None)
+        return found
+
+    monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 0)
+    monkeypatch.setattr(mvreg.sync, "_subspace_iteration", recording)
+    return fell_back
 
 
 def normal_matrix_translations(g, rotations):
@@ -153,6 +191,11 @@ class TestRotationSync:
         g = PoseGraph(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
         with pytest.raises(DisconnectedGraph):
             rotation_sync(g)
+
+
+@pytest.mark.usefixtures("iterative")
+class TestRotationSyncIterative(TestRotationSync):
+    """TestRotationSync with the subspace iteration forced."""
 
 
 class TestTranslationSync:
@@ -330,6 +373,31 @@ class TestTransfSync:
         assert not result.disconnected
         assert np.linalg.norm(result.absolute[0].matrix - np.eye(4)) < 1e-12
 
+    def test_zero_confidence_bridge_is_disconnected(self):
+        # two triangles joined only by an edge of zero confidence: the
+        # Laplacians have a 6-dimensional null space, so no pose is defined
+        rng = np.random.default_rng(21)
+        truth = random_truth(rng, 6)
+        pairs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+        g = graph_from_truth(truth, pairs, [0.9] * 6 + [0.0])
+        with pytest.raises(DisconnectedGraph, match="positive confidence"):
+            transf_sync(g)
+        with pytest.raises(DisconnectedGraph):
+            rotation_sync(g)
+
+    def test_zero_local_confidence_bridge_is_disconnected_after_one_round(self):
+        # from the second round on, an edge's weight is fused from c_local and
+        # vanishes with it, whatever c_fused the input carries
+        rng = np.random.default_rng(22)
+        truth = random_truth(rng, 6)
+        pairs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+        g = graph_from_truth(truth, pairs)
+        bridge = g.edges[-1]
+        g = g.with_edges(g.edges[:-1] + (Edge(2, 3, bridge.motion, c_local=0.0, c_fused=0.9),))
+        assert transf_sync(g, rounds=1).rounds_completed == 1
+        with pytest.raises(DisconnectedGraph):
+            transf_sync(g, rounds=2)
+
     def test_rounds_must_be_positive(self):
         rng = np.random.default_rng(17)
         truth = random_truth(rng, 3)
@@ -367,3 +435,129 @@ class TestTransfSync:
         for ma, mb in zip(a.absolute, b.absolute):
             assert np.array_equal(ma.matrix, mb.matrix)
         assert a.rotation_eigengap == b.rotation_eigengap
+
+
+@pytest.mark.usefixtures("iterative")
+class TestTransfSyncIterative(TestTransfSync):
+    """TestTransfSync with the subspace iteration forced."""
+
+
+def oracle_graph(kind, noisy, seed, uniform=False):
+    """Graph of the given shape, with non-uniform confidences unless uniform."""
+    n, pairs = {
+        "ring1": (120, ring_pairs(120)),
+        "ring3": (120, ring_k_pairs(120, 3)),
+        "grid": (400, grid_pairs(20)),
+        "star": (60, star_pairs(60)),
+        "complete": (30, all_pairs(30)),
+    }[kind]
+    rng = np.random.default_rng(seed)
+    truth = random_truth(rng, n)
+    confidences = np.full(len(pairs), 0.9) if uniform else rng.uniform(0.05, 1.0, size=len(pairs))
+    sigma = 0.03 if noisy else 0.0
+    return graph_from_truth(truth, pairs, confidences, rng=rng, rot_sigma=sigma, trans_sigma=sigma)
+
+
+def dense_and_iterative(g, monkeypatch):
+    """One transf_sync round on the full eigh, then one with the iteration forced."""
+    monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 10**9)
+    dense = transf_sync(g, rounds=1)
+    monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 0)
+    return dense, transf_sync(g, rounds=1)
+
+
+def assert_same_solution(a, b, tol=1e-9):
+    assert max(np.max(np.abs(x.matrix - y.matrix)) for x, y in zip(a.absolute, b.absolute)) <= tol
+    assert abs(a.rotation_eigengap - b.rotation_eigengap) <= tol * a.rotation_eigengap
+
+
+class TestPartialEigensolver:
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("kind", ["ring1", "ring3", "grid", "star", "complete"])
+    def test_matches_full_eigh(self, kind, noisy, iterative, monkeypatch):
+        g = oracle_graph(kind, noisy, seed=len(kind) + noisy)
+        dense, iter_result = dense_and_iterative(g, monkeypatch)
+        assert_same_solution(dense, iter_result)
+        # on rings and grids the eigenvalues below lambda_17 are spread enough
+        # for the panel: the iteration itself must have converged
+        if kind in ("ring1", "ring3", "grid"):
+            assert iterative == [False]
+
+    @pytest.mark.parametrize("kind", ["star", "complete"])
+    def test_clustered_spectrum_falls_back(self, kind, iterative, monkeypatch):
+        # at equal confidences, a star's or a complete graph's eigenvalues
+        # above the null space form one cluster wider than the panel, which
+        # noise splits slightly, so the iteration cannot isolate lambda_4; it
+        # must notice within a few sweeps and hand over to the full eigh
+        g = oracle_graph(kind, noisy=True, seed=30, uniform=True)
+        calls = []
+        solve = mvreg.sync._shift_invert
+
+        def counting(lap, shift):
+            inverse = solve(lap, shift)
+
+            def counted(x):
+                calls.append(1)
+                return inverse(x)
+
+            return counted
+
+        monkeypatch.setattr(mvreg.sync, "_shift_invert", counting)
+        dense, iter_result = dense_and_iterative(g, monkeypatch)
+        assert iterative == [True]
+        assert len(calls) <= 3
+        assert_same_solution(dense, iter_result, tol=0.0)
+
+    def test_repeated_calls_are_bit_identical(self, iterative):
+        g = oracle_graph("ring3", noisy=True, seed=31)
+        a = transf_sync(g, rounds=3)
+        b = transf_sync(g, rounds=3)
+        assert iterative == [False] * 6
+        for ma, mb in zip(a.absolute, b.absolute):
+            assert np.array_equal(ma.matrix, mb.matrix)
+        assert a.rotation_eigengap == b.rotation_eigengap
+
+    def test_finds_smallest_eigenpairs_and_leaves_laplacian_unchanged(self, monkeypatch):
+        checked = []
+        solve = mvreg.sync._subspace_iteration
+
+        def checking(lap):
+            before = lap.copy()
+            values, vectors = solve(lap)
+            assert np.array_equal(lap, before)
+            tol = 1e-12 * np.linalg.norm(before, np.inf)
+            assert np.allclose(values, np.linalg.eigvalsh(before)[:4], rtol=0.0, atol=tol)
+            assert np.allclose(vectors.T @ vectors, np.eye(4), rtol=0.0, atol=1e-12)
+            checked.append(lap.shape)
+            return values, vectors
+
+        monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 0)
+        monkeypatch.setattr(mvreg.sync, "_subspace_iteration", checking)
+        transf_sync(oracle_graph("ring3", noisy=True, seed=32), rounds=1)
+        assert checked == [(360, 360)]
+
+    def test_cholesky_failure_is_typed(self):
+        lap = -np.eye(60)
+        with pytest.raises(EigenSolverFailure, match="Cholesky"):
+            mvreg.sync._subspace_iteration(lap)
+
+
+def test_sync_does_not_import_scipy():
+    # scipy would add ~28 MB of resident memory to every run; numpy is the
+    # only runtime dependency, also on the iterative eigensolver path
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import mvreg, mvreg.sync\n"
+        "mvreg.sync.DENSE_MAX_SIZE = 0\n"
+        "m = mvreg.RigidMotion(mvreg.Rotation3.identity(), np.ones(3))\n"
+        "edges = tuple(mvreg.Edge(i, i + 1, m, c_local=0.9) for i in range(7))\n"
+        "mvreg.transf_sync(mvreg.PoseGraph(8, edges))\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+    )
+    src = str(Path(mvreg.sync.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
