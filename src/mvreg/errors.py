@@ -9,7 +9,8 @@ class RegistrationError(Exception):
 
 
 class DegenerateMatrix(RegistrationError):
-    """Matrix has no well-defined nearest rotation (rank < 2)."""
+    """Matrix has no well-defined nearest rotation (rank < 2), or a linear
+    system to solve is singular."""
 
 
 # pairwise registration

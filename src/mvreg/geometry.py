@@ -111,6 +111,39 @@ class RigidMotion:
         return mat
 
 
+def motion_stack(rotations, translations) -> list[RigidMotion]:
+    """One RigidMotion per row of a (k, 3, 3) rotation stack and k translations.
+
+    The rotations go through rotation_stack. RigidMotion's translation check
+    then runs once over all k translations, vectorized; a row it flags (or
+    every row, when the translations do not stack into a (k, 3) array) goes
+    through RigidMotion itself, so the first bad translation raises the
+    ValueError its own construction would. The objects are then built
+    without checking each one again.
+    """
+    rots = rotation_stack(rotations)
+    if len(translations) != len(rots):
+        raise ValueError(f"got {len(rots)} rotations but {len(translations)} translations")
+    try:
+        stack = np.array(translations, dtype=np.float64)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is not None and stack.shape == (len(rots), 3):
+        flagged = ~np.all(np.isfinite(stack), axis=1)
+    else:
+        flagged = np.ones(len(rots), dtype=bool)
+    for k in np.flatnonzero(flagged):
+        RigidMotion(rots[k], translations[k])
+    stack.setflags(write=False)
+    out = []
+    for r, t in zip(rots, stack):
+        m = object.__new__(RigidMotion)
+        object.__setattr__(m, "rotation", r)
+        object.__setattr__(m, "translation", t)
+        out.append(m)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """N points in meters, optionally with one descriptor row per point."""

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import DuplicateEdge, EmptyResiduals, IndexOutOfRange
 from .geometry import RigidMotion, invert
-from .pairwise import PairwiseResult
+from .pairwise import PairwiseResult, mad_scale
 
 CAUCHY_MAD_TO_SIGMA = 1.482
-SCALE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +125,7 @@ def cauchy_scale(residual_values, gamma: float) -> float:
     r = np.asarray(residual_values, dtype=np.float64)
     if r.size == 0:
         raise EmptyResiduals("cannot estimate a scale from zero residuals")
-    mad = float(np.median(np.abs(r - np.median(r))))
-    return max(CAUCHY_MAD_TO_SIGMA * gamma * mad, SCALE_FLOOR)
+    return float(mad_scale(r.ravel(), CAUCHY_MAD_TO_SIGMA * gamma)[0])
 
 
 def _scalar_or_array(values: np.ndarray):

@@ -17,7 +17,7 @@ from .errors import (
     RegistrationError,
     ZeroWeightSum,
 )
-from .geometry import PointCloud, RigidMotion, Rotation3, rotation_stack
+from .geometry import PointCloud, RigidMotion, Rotation3, motion_stack
 
 MOTION_CHANGE_TOL = 1e-8
 MAD_FLOOR = 1e-9
@@ -216,11 +216,18 @@ def _residual_stack(rot, trans, src, dst):
     return np.linalg.norm(moved, axis=2)
 
 
+def mad_scale(r, factor):
+    """Robust scale factor * med(|r - med(r)|) of each row of r (along its
+    last axis, kept as a length-1 axis), floored at MAD_FLOOR so identical
+    residuals do not give a zero scale."""
+    med = np.median(r, axis=-1, keepdims=True)
+    mad = np.median(np.abs(r - med), axis=-1, keepdims=True)
+    return np.maximum(factor * mad, MAD_FLOOR)
+
+
 def _reweight_stack(r, prev, blend: float):
     """robust_reweight applied to each row of (m, n) residuals and weights."""
-    med = np.median(r, axis=1, keepdims=True)
-    mad = np.median(np.abs(r - med), axis=1, keepdims=True)
-    scale = np.maximum(MAD_TO_SIGMA * mad, MAD_FLOOR)
+    scale = mad_scale(r, MAD_TO_SIGMA)
     kernel = 1.0 / (1.0 + (r / scale) ** 2)
     return np.clip(blend * kernel + (1.0 - blend) * prev, 0.0, 1.0)
 
@@ -293,14 +300,13 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
             inlier = np.mean(w > cfg.w_thresh, axis=1)
             conf = local_confidence(inlier, np.median(r, axis=1), cfg)
             fitted = status == _FIT_OK
-            rotations = iter(rotation_stack(rot[fitted]))
+            motions = iter(motion_stack(rot[fitted], trans[fitted]))
             for row, k in enumerate(idx):
                 if not fitted[row]:
                     out[k] = _fit_error(status[row], count)
                     continue
-                motion = RigidMotion(next(rotations), trans[row])
                 out[k] = PairwiseResult(
-                    motion, w[row], r[row], float(inlier[row]), float(conf[row]),
+                    next(motions), w[row], r[row], float(inlier[row]), float(conf[row]),
                     bool(converged[row]),
                 )
     return out

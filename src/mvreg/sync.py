@@ -6,18 +6,30 @@ smallest eigenvalues of a block Laplacian built from the weighted relative
 rotations, projected block-wise back to SO(3). Translations come from the
 weighted least-squares problem that asks the relative translations rebuilt
 from the absolutes to match the measured ones; its normal equations are the
-scalar weighted graph Laplacian with one right-hand side per coordinate,
-solved with node 0 anchored at the origin. Node 0 carries the identity.
+scalar weighted graph Laplacian with one right-hand side per coordinate.
+With node 0 anchored at the origin that Laplacian is symmetric positive
+definite on every graph the solvers accept, so np.linalg.solve solves it
+directly. Node 0 carries the identity.
 
 Only the 4 smallest eigenpairs of the 3n x 3n rotation Laplacian are used
 (the fourth eigenvalue gives the eigengap). Up to DENSE_MAX_SIZE rows a full
 np.linalg.eigh finds them. Larger Laplacians go through shift-invert subspace
-iteration: one Cholesky factorization of L + sigma I, then sweeps of blocked
-triangular solves, QR and Rayleigh-Ritz on a fixed-seed panel of PANEL
-columns, until the 4 wanted Ritz residuals fall below RESIDUAL_TOL * |L|.
-When the observed convergence rate cannot get there within MAX_SWEEPS
-sweeps, as on stars and complete graphs whose eigenvalues cluster at
-lambda_4, the full eigh runs after all. numpy is the only dependency.
+iteration on a band. The nodes are put in reverse Cuthill-McKee order once
+per call; if every edge then joins nodes at most w places apart, L + sigma I
+is block tridiagonal in n // w equal blocks of at least 3w rows. It is
+factored block by block with Cholesky, and each sweep applies its inverse by
+forward and back substitution over the same blocks, then QR and
+Rayleigh-Ritz on a panel of PANEL columns, until the 4 wanted Ritz residuals
+fall below RESIDUAL_TOL * |L|. A ring of 400 nodes, each linked to the next
+3, has w = 8: 50 blocks of 24 rows instead of one 1200 x 1200 factor. A
+graph whose band spans more than half the nodes, such as a star or a
+complete graph, has one block, the dense factor. The first round of
+transf_sync starts from a fixed-seed panel; later rounds change only the
+edge weights and start from the previous round's Ritz panel, so on that ring
+(benchmark seed 7) the 4 rounds take 10, 7, 5 and 4 sweeps instead of 10
+each. When the observed convergence rate cannot reach the tolerance within
+MAX_SWEEPS sweeps, as on stars and complete graphs whose eigenvalues cluster
+at lambda_4, the full eigh runs after all. numpy is the only dependency.
 
 The solvers work on edge arrays (endpoints, relative rotations and
 translations, confidences) taken once from the graph's active edges.
@@ -30,10 +42,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DisconnectedGraph, EigenSolverFailure
+from .errors import DegenerateMatrix, DisconnectedGraph, EigenSolverFailure
 from .geometry import (
     RigidMotion,
     Rotation3,
+    motion_stack,
     nearest_rotations,
     relative_motions,
     rotation_stack,
@@ -46,9 +59,10 @@ from .graph import (
     is_connected,
 )
 
-# Laplacians of at most this many rows (3n) take the full eigh: below about
-# 3n = 300 it is faster than the iterative path on a 2-vCPU x86 box, and
-# slower-converging graphs (a 2-d grid needs ~17 sweeps) move the break-even up
+# Laplacians of at most this many rows (3n) take the full eigh. On noisy
+# rings on a 2-vCPU x86 box the band iteration breaks even with it near
+# 3n = 240 and takes half its time at 450; slower-converging graphs (a 2-d
+# grid needs ~17 sweeps) move the break-even up
 DENSE_MAX_SIZE = 450
 # columns of the subspace-iteration panel; 4 are wanted
 PANEL = 16
@@ -59,14 +73,18 @@ SHIFT = 1e-10
 RESIDUAL_TOL = 1e-12
 # sweeps before falling back to the full eigh
 MAX_SWEEPS = 30
-# rows per diagonal block of the blocked triangular solves
-SOLVE_BLOCK = 128
 _WANTED = 4
 
 
 @dataclass(frozen=True, eq=False)
 class SyncResult:
-    """Absolute motions (node 0 = identity) plus solver diagnostics."""
+    """Absolute motions (node 0 = identity) plus solver diagnostics.
+
+    translation_rank_deficiency is the number of translation unknowns the
+    normal equations leave undetermined. It is always 3, the global shifts
+    that anchoring node 0 removes: transf_sync checks up front that the edges
+    of positive weight connect all nodes, and rejects every other graph.
+    """
 
     absolute: tuple[RigidMotion, ...]
     rotation_eigengap: float
@@ -107,56 +125,141 @@ def _degrees(n: int, pairs, c) -> np.ndarray:
     return np.bincount(pairs.ravel(), np.repeat(c, 2), minlength=n)
 
 
-def _shift_invert(lap: np.ndarray, shift: float):
+def _band(n: int, pairs) -> tuple[np.ndarray, int]:
+    """The rows of the 3n x 3n rotation Laplacian in reverse Cuthill-McKee
+    order of the nodes, and the rows per block of the block-tridiagonal form
+    that order gives it.
+
+    Cuthill-McKee is a breadth-first search from a node of least degree that
+    visits each node's neighbours by increasing degree; every tie goes to the
+    lower node index, so the order depends on the edges alone. A node the
+    search has not reached starts a new search. If every edge then joins
+    nodes at most `width` places apart, blocks of at least `width`
+    consecutive nodes couple only to their neighbouring blocks. There are
+    n // width blocks of equal size (the last may be smaller), so a graph
+    whose band spans more than half the nodes gets one dense block.
+    """
+    adjacency = [[] for _ in range(n)]
+    for i, j in pairs.tolist():
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    degree = [len(a) for a in adjacency]
+
+    def key(v):
+        return degree[v], v
+
+    for a in adjacency:
+        a.sort(key=key)
+    seen = [False] * n
+    order = []
+    for start in sorted(range(n), key=key):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for v in adjacency[order[head]]:
+                if not seen[v]:
+                    seen[v] = True
+                    order.append(v)
+            head += 1
+    order = np.array(order[::-1], dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    width = int(np.abs(np.diff(position[pairs], axis=1)).max(initial=1))
+    count = n // width
+    return (3 * order[:, None] + np.arange(3)).ravel(), 3 * -(-n // count)
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive halving: with
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]] it costs a few
+    matmuls, about a quarter of np.linalg.inv's time at 1200 rows."""
+    size = low.shape[0]
+    if size <= 128:
+        return np.linalg.inv(low)
+    half = size // 2
+    top = _lower_inverse(low[:half, :half])
+    bottom = _lower_inverse(low[half:, half:])
+    inverse = np.zeros_like(low)
+    inverse[:half, :half] = top
+    inverse[half:, half:] = bottom
+    inverse[half:, :half] = -(bottom @ low[half:, :half]) @ top
+    return inverse
+
+
+def _shift_invert(lap: np.ndarray, shift: float, band=None):
     """x -> (L + shift I)^-1 x for n x k panels, from one Cholesky factor.
 
-    numpy has no triangular solve, so the forward and back substitutions run
-    over blocks of SOLVE_BLOCK rows: each block applies the inverse of its
-    diagonal block of the factor to its right-hand side, after subtracting
-    the part already solved (one matmul). The shift goes onto L's diagonal
-    in place for the factorization and is taken off again exactly.
+    band = (rows, block) says that L, with its rows and columns taken in the
+    order `rows`, is block tridiagonal in blocks of `block` rows (see _band);
+    without it L is one dense block. The factor is then block bidiagonal:
+    each diagonal block is the Cholesky factor of the shifted diagonal block
+    of L less the part its coupling to the previous block already accounts
+    for. numpy has no triangular solve, so each diagonal block of the factor
+    is inverted, and the forward and back substitutions walk the same blocks:
+    subtract the coupling to the block solved before (one matmul), then apply
+    the inverse. L itself is not modified.
     """
     size = lap.shape[0]
-    diagonal = lap.diagonal().copy()
-    lap[np.diag_indices(size)] += shift
-    try:
-        low = np.linalg.cholesky(lap)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(f"Cholesky factorization failed: {exc}") from exc
-    finally:
-        lap[np.diag_indices(size)] = diagonal
-    bounds = [(s, min(s + SOLVE_BLOCK, size)) for s in range(0, size, SOLVE_BLOCK)]
-    inverses = [np.linalg.inv(low[s:e, s:e]) for s, e in bounds]
+    rows, block = (np.arange(size), size) if band is None else band
+    blocks = [rows[s : s + block] for s in range(0, size, block)]
+    inverses = []
+    # couplings[k] is the block of the factor below diagonal block k
+    couplings = []
+    for k, idx in enumerate(blocks):
+        diagonal = lap[np.ix_(idx, idx)]
+        diagonal[np.diag_indices(len(idx))] += shift
+        if k:
+            diagonal -= couplings[-1] @ couplings[-1].T
+        try:
+            low = np.linalg.cholesky(diagonal)
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverFailure(f"Cholesky factorization failed: {exc}") from exc
+        inverses.append(_lower_inverse(low))
+        if k + 1 < len(blocks):
+            couplings.append(lap[np.ix_(blocks[k + 1], idx)] @ inverses[-1].T)
+    starts = range(0, size, block)
 
     def solve(x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        for (s, e), inv in zip(bounds, inverses):
-            y[s:e] = inv @ (x[s:e] - low[s:e, :s] @ y[:s])
-        for (s, e), inv in zip(reversed(bounds), reversed(inverses)):
-            y[s:e] = inv.T @ (y[s:e] - low[e:, s:e].T @ y[e:])
-        return y
+        y = x[rows]
+        for k, s in enumerate(starts):
+            if k:
+                y[s : s + block] -= couplings[k - 1] @ y[s - block : s]
+            y[s : s + block] = inverses[k] @ y[s : s + block]
+        for k, s in reversed(list(enumerate(starts))):
+            if k < len(couplings):
+                y[s : s + block] -= couplings[k].T @ y[s + block : s + 2 * block]
+            y[s : s + block] = inverses[k].T @ y[s : s + block]
+        out = np.empty_like(y)
+        out[rows] = y
+        return out
 
     return solve
 
 
-def _subspace_iteration(lap: np.ndarray):
+def _subspace_iteration(lap: np.ndarray, band=None, start=None):
     """The 4 smallest eigenvalues and eigenvectors of a PSD matrix by
-    shift-invert subspace iteration, or None when it would not converge
-    within MAX_SWEEPS sweeps.
+    shift-invert subspace iteration, plus the final Ritz panel, or None when
+    it would not converge within MAX_SWEEPS sweeps.
 
-    A sweep applies (L + sigma I)^-1 to the panel, orthonormalizes it (QR)
-    and rotates it onto its Ritz vectors (eigh of the PANEL x PANEL
-    projection). The residual of the k-th Ritz pair shrinks by about
-    (theta_k + sigma) / (theta_PANEL + sigma) a sweep, so once the fourth
-    pair's rate, extrapolated from its residual, cannot reach RESIDUAL_TOL
-    within MAX_SWEEPS, this gives up at once instead of at the cap.
+    A sweep applies (L + sigma I)^-1 to the panel (through the band factor of
+    _shift_invert), orthonormalizes it (QR) and rotates it onto its Ritz
+    vectors (eigh of the PANEL x PANEL projection). The panel starts from
+    `start` when given, else from a fixed seed. The residual of the k-th Ritz
+    pair shrinks by about (theta_k + sigma) / (theta_PANEL + sigma) a sweep,
+    so once the fourth pair's rate, extrapolated from its residual, cannot
+    reach RESIDUAL_TOL within MAX_SWEEPS, this gives up at once instead of at
+    the cap.
     """
     size = lap.shape[0]
     norm = float(np.linalg.norm(lap, np.inf))
     shift = SHIFT * norm
-    solve = _shift_invert(lap, shift)
-    # a fixed seed: the same Laplacian always gives the same panel and result
-    panel = np.random.default_rng(0).standard_normal((size, PANEL))
+    solve = _shift_invert(lap, shift, band)
+    # either way the start is a function of the inputs, so the same inputs
+    # always give the same result
+    panel = np.random.default_rng(0).standard_normal((size, PANEL)) if start is None else start
     for sweep in range(1, MAX_SWEEPS + 1):
         basis, _ = np.linalg.qr(solve(panel))
         lap_basis = lap @ basis
@@ -167,7 +270,7 @@ def _subspace_iteration(lap: np.ndarray):
             lap_basis @ rotation[:, :_WANTED] - wanted * ritz[:_WANTED], axis=0
         ).max()
         if residual <= RESIDUAL_TOL * norm:
-            return ritz[:_WANTED], wanted
+            return ritz[:_WANTED], wanted, panel
         rate = (ritz[_WANTED - 1] + shift) / (ritz[-1] + shift)
         if rate >= 1.0:
             return None
@@ -176,29 +279,24 @@ def _subspace_iteration(lap: np.ndarray):
     return None
 
 
-def _smallest_eigenpairs(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 4 smallest eigenvalues (ascending) of the symmetric PSD matrix lap
-    and their eigenvectors as columns: iterative above DENSE_MAX_SIZE rows
-    unless it stalls, else from the full eigh."""
+def _smallest_eigenpairs(lap: np.ndarray, band=None, start=None):
+    """The 4 smallest eigenvalues (ascending) of the symmetric PSD matrix lap,
+    their eigenvectors as columns, and the Ritz panel of the PANEL smallest:
+    iterative above DENSE_MAX_SIZE rows unless it stalls, else from the full
+    eigh, whose panel is its first PANEL eigenvectors."""
     if lap.shape[0] > DENSE_MAX_SIZE:
-        found = _subspace_iteration(lap)
+        found = _subspace_iteration(lap, band, start)
         if found is not None:
             return found
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverFailure(f"symmetric eigendecomposition failed: {exc}") from exc
-    return eigenvalues[:_WANTED], eigenvectors[:, :_WANTED]
+    return eigenvalues[:_WANTED], eigenvectors[:, :_WANTED], eigenvectors[:, :PANEL].copy()
 
 
-def _rotations(n: int, pairs, rot, c) -> tuple[np.ndarray, float]:
-    """Synchronized rotations (n x 3 x 3) and the eigengap lambda_4 - lambda_3.
-
-    The eigenpairs come from _smallest_eigenpairs: the full eigh when
-    3n <= DENSE_MAX_SIZE or when the subspace iteration stalls, the
-    shift-invert subspace iteration otherwise. Either way only the span of
-    the first three eigenvectors enters the result.
-    """
+def _rotation_laplacian(n: int, pairs, rot, c) -> np.ndarray:
+    """The 3n x 3n confidence-weighted block Laplacian of the relative rotations."""
     i, j = pairs.T
     lap = np.zeros((n, 3, n, 3))
     # off-diagonal blocks carry c * R^T / c * R so that the stack of
@@ -208,7 +306,21 @@ def _rotations(n: int, pairs, rot, c) -> tuple[np.ndarray, float]:
     lap[j, :, i, :] = -weighted
     lap = lap.reshape(3 * n, 3 * n)
     lap[np.diag_indices(3 * n)] = np.repeat(_degrees(n, pairs, c), 3)
-    eigenvalues, eigenvectors = _smallest_eigenpairs(lap)
+    return lap
+
+
+def _rotations(n: int, pairs, rot, c, band, start=None):
+    """Synchronized rotations (n x 3 x 3), the eigengap lambda_4 - lambda_3,
+    and the Ritz panel to start the next round from.
+
+    The eigenpairs come from _smallest_eigenpairs: the full eigh when
+    3n <= DENSE_MAX_SIZE or when the subspace iteration stalls, the
+    shift-invert subspace iteration on the band of _band otherwise. Either
+    way only the span of the first three eigenvectors enters the result.
+    """
+    eigenvalues, eigenvectors, panel = _smallest_eigenpairs(
+        _rotation_laplacian(n, pairs, rot, c), band, start
+    )
     eigengap = float(eigenvalues[3] - eigenvalues[2])
     blocks = eigenvectors[:, :3].reshape(n, 3, 3)
     # eigenvectors are sign-ambiguous; pick the global sign under which most
@@ -216,20 +328,20 @@ def _rotations(n: int, pairs, rot, c) -> tuple[np.ndarray, float]:
     if 2 * np.sum(np.linalg.det(blocks) < 0.0) > n:
         blocks = -blocks
     projected = nearest_rotations(blocks)
-    return projected[0] @ np.swapaxes(projected, 1, 2), eigengap
+    return projected[0] @ np.swapaxes(projected, 1, 2), eigengap, panel
 
 
-def _translations(n: int, pairs, trans, c, rotations) -> tuple[np.ndarray, int]:
-    """Least-squares translations (n x 3, t_0 = 0) given synchronized rotations,
-    and the rank deficiency of the normal equations.
+def _translations(n: int, pairs, trans, c, rotations) -> np.ndarray:
+    """Least-squares translations (n x 3, t_0 = 0) given synchronized rotations.
 
     Minimizes sum_e c_e |R_j^T (t_i - t_j) - t_e|^2 over the absolute
     translations with the rotations held fixed. The normal equations are
     L T = B with L the scalar weighted graph Laplacian acting on each
     coordinate. L annihilates global shifts, so fixing t_0 = 0 leaves
     L[1:, 1:] T[1:] = B[1:]; row 0 then holds too, because the rows of L, and
-    those of B, add up to zero. A connected graph leaves exactly the 3 shift
-    directions undetermined.
+    those of B, add up to zero. When the edges of positive weight connect all
+    nodes, as every caller checks first, L[1:, 1:] is symmetric positive
+    definite and the solve is direct; a singular one raises DegenerateMatrix.
     """
     i, j = pairs.T
     lap = np.zeros((n, n))
@@ -239,21 +351,25 @@ def _translations(n: int, pairs, trans, c, rotations) -> tuple[np.ndarray, int]:
     projected = c[:, None] * np.einsum("kab,kb->ka", rotations[j], trans)
     rhs = np.zeros((n, 3))
     np.add.at(rhs, pairs.ravel(), np.stack((projected, -projected), axis=1).reshape(-1, 3))
-    solution, _, rank, _ = np.linalg.lstsq(lap[1:, 1:], rhs[1:], rcond=None)
-    return np.vstack((np.zeros(3), solution)), 3 * (n - int(rank))
+    try:
+        solution = np.linalg.solve(lap[1:, 1:], rhs[1:])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMatrix(f"anchored translation Laplacian is singular: {exc}") from exc
+    return np.vstack((np.zeros(3), solution))
 
 
 def rotation_sync(g: PoseGraph) -> list[Rotation3]:
     """Absolute rotations from the spectral relaxation, node 0 = identity."""
     pairs, motions, c = _active_arrays(g)
-    return rotation_stack(_rotations(g.node_count, pairs, motions[:, :3, :3], c)[0])
+    n = g.node_count
+    return rotation_stack(_rotations(n, pairs, motions[:, :3, :3], c, _band(n, pairs))[0])
 
 
 def translation_sync(g: PoseGraph, rotations: list[Rotation3]) -> list[np.ndarray]:
     """Absolute translations (node 0 = zero) given synchronized rotations."""
     pairs, motions, c = _active_arrays(g)
     rotations = np.array([r.m for r in rotations])
-    return list(_translations(g.node_count, pairs, motions[:, :3, 3], c, rotations)[0])
+    return list(_translations(g.node_count, pairs, motions[:, :3, 3], c, rotations))
 
 
 def translation_objective(g: PoseGraph, rotations: list[Rotation3], translations) -> float:
@@ -289,16 +405,22 @@ def transf_sync(
     motions, and refreshes the global/fused confidences with a Cauchy weight
     at a MAD-derived scale. Local confidences are held fixed here; the outer
     pipeline owns them. Rounds only reweight edges, never deactivate them, so
-    connectivity is checked once, up front.
+    connectivity is checked once, and the band order computed once, up front.
+    Each round after the first starts its eigensolver from the previous
+    round's Ritz panel.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = g.node_count
     pairs, motions, c_fused = _active_arrays(g, rounds)
     c_local = np.array([e.c_local for e in g.active_edges()])
+    band = _band(n, pairs)
+    panel = None
     for _ in range(rounds):
-        rotations, eigengap = _rotations(n, pairs, motions[:, :3, :3], c_fused)
-        translations, deficiency = _translations(n, pairs, motions[:, :3, 3], c_fused, rotations)
+        rotations, eigengap, panel = _rotations(
+            n, pairs, motions[:, :3, :3], c_fused, band, panel
+        )
+        translations = _translations(n, pairs, motions[:, :3, 3], c_fused, rotations)
         residuals = _consistency_residuals(pairs, motions, rotations, translations)
         c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals, gamma))
         c_fused = np.clip(harmonic_fuse(c_local, c_global, beta), 0.0, 1.0)
@@ -311,9 +433,9 @@ def transf_sync(
             e = replace(e, c_global=cg, c_fused=cf)
         edges.append(e)
     return SyncResult(
-        absolute=tuple(map(RigidMotion, rotation_stack(rotations), translations)),
+        absolute=tuple(motion_stack(rotations, translations)),
         rotation_eigengap=eigengap,
-        translation_rank_deficiency=deficiency,
+        translation_rank_deficiency=3,
         graph=g.with_edges(edges),
         rounds_completed=rounds,
     )

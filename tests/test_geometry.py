@@ -17,7 +17,7 @@ from mvreg import (
     rotation_about_z,
     transform_points,
 )
-from mvreg.geometry import rotation_stack
+from mvreg.geometry import motion_stack, rotation_stack
 from mvreg.synthetic import random_motion, random_rotation
 
 
@@ -96,6 +96,57 @@ class TestRotationStack:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             rotation_stack(np.eye(3))
+
+
+class TestMotionStack:
+    def test_matches_single_construction(self):
+        rng = np.random.default_rng(5)
+        rotations = np.stack([random_rotation(rng).m for _ in range(5)])
+        translations = rng.normal(size=(5, 3))
+        motions = motion_stack(rotations, translations)
+        assert len(motions) == 5
+        for m, r, t in zip(motions, rotations, translations):
+            assert isinstance(m, RigidMotion)
+            assert np.array_equal(m.matrix, RigidMotion(Rotation3(r), t).matrix)
+
+    def test_copies_and_freezes(self):
+        translations = np.ones((2, 3))
+        motions = motion_stack(np.stack([np.eye(3)] * 2), translations)
+        translations[0, 0] = 5.0
+        assert motions[0].translation[0] == 1.0
+        with pytest.raises(ValueError):
+            motions[1].translation[0] = 5.0
+
+    def test_empty_stack(self):
+        assert motion_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([np.nan, 0.0, 0.0]), "finite"),
+            (np.array([0.0, np.inf, 0.0]), "finite"),
+            (np.zeros(4), "shape"),
+            (np.zeros((3, 1)), "shape"),
+        ],
+    )
+    def test_one_bad_translation_raises_its_error(self, bad, message):
+        rng = np.random.default_rng(6)
+        rotations = np.stack([random_rotation(rng).m for _ in range(6)])
+        translations = list(rng.normal(size=(6, 3)))
+        translations[4] = bad
+        with pytest.raises(ValueError, match=message):
+            motion_stack(rotations, translations)
+        with pytest.raises(ValueError, match=message):
+            RigidMotion(Rotation3(rotations[4]), bad)
+
+    def test_bad_rotation_raises_its_error(self):
+        rotations = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
+        with pytest.raises(ValueError, match="determinant"):
+            motion_stack(rotations, np.zeros((2, 3)))
+
+    def test_rejects_count_mismatch(self):
+        with pytest.raises(ValueError, match="translations"):
+            motion_stack(np.stack([np.eye(3)] * 2), np.zeros((3, 3)))
 
 
 class TestRigidMotion:

@@ -8,6 +8,7 @@ import pytest
 
 import mvreg.sync
 from mvreg import (
+    DegenerateMatrix,
     DisconnectedGraph,
     Edge,
     EigenSolverFailure,
@@ -80,6 +81,17 @@ def star_pairs(n):
     return [(0, k) for k in range(1, n)]
 
 
+def sparse_pairs(n, extra, seed):
+    """A random tree on n nodes (each node after 0 linked to an earlier one)
+    plus `extra` random chords, as sorted pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(pairs) < n - 1 + extra:
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((i, j))
+    return sorted(pairs)
+
+
 @pytest.fixture
 def iterative(monkeypatch):
     """Force the subspace iteration for every Laplacian size; the list it
@@ -87,8 +99,8 @@ def iterative(monkeypatch):
     fell_back = []
     solve = mvreg.sync._subspace_iteration
 
-    def recording(lap):
-        found = solve(lap)
+    def recording(lap, *args):
+        found = solve(lap, *args)
         fell_back.append(found is None)
         return found
 
@@ -260,6 +272,15 @@ class TestTranslationSync:
         rots = rotation_sync(g)
         t = np.array(translation_sync(g, rots))
         assert np.max(np.abs(t - normal_matrix_translations(g, rots))) < 1e-9
+
+    def test_singular_anchored_laplacian_is_typed(self):
+        # node 2 has no edge, so the anchored Laplacian is singular; the
+        # public solvers reject such a graph before solving, hence the
+        # direct call
+        pairs = np.array([[0, 1]])
+        rotations = np.tile(np.eye(3), (3, 1, 1))
+        with pytest.raises(DegenerateMatrix, match="translation"):
+            mvreg.sync._translations(3, pairs, np.ones((1, 3)), np.array([0.9]), rotations)
 
     def test_disconnected_graph_raises(self):
         rng = np.random.default_rng(9)
@@ -450,6 +471,7 @@ def oracle_graph(kind, noisy, seed, uniform=False):
         "grid": (400, grid_pairs(20)),
         "star": (60, star_pairs(60)),
         "complete": (30, all_pairs(30)),
+        "sparse": (150, sparse_pairs(150, 150, seed=7)),
     }[kind]
     rng = np.random.default_rng(seed)
     truth = random_truth(rng, n)
@@ -493,8 +515,8 @@ class TestPartialEigensolver:
         calls = []
         solve = mvreg.sync._shift_invert
 
-        def counting(lap, shift):
-            inverse = solve(lap, shift)
+        def counting(lap, shift, *args):
+            inverse = solve(lap, shift, *args)
 
             def counted(x):
                 calls.append(1)
@@ -521,15 +543,15 @@ class TestPartialEigensolver:
         checked = []
         solve = mvreg.sync._subspace_iteration
 
-        def checking(lap):
+        def checking(lap, *args):
             before = lap.copy()
-            values, vectors = solve(lap)
+            values, vectors, panel = solve(lap, *args)
             assert np.array_equal(lap, before)
             tol = 1e-12 * np.linalg.norm(before, np.inf)
             assert np.allclose(values, np.linalg.eigvalsh(before)[:4], rtol=0.0, atol=tol)
             assert np.allclose(vectors.T @ vectors, np.eye(4), rtol=0.0, atol=1e-12)
             checked.append(lap.shape)
-            return values, vectors
+            return values, vectors, panel
 
         monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 0)
         monkeypatch.setattr(mvreg.sync, "_subspace_iteration", checking)
@@ -540,6 +562,106 @@ class TestPartialEigensolver:
         lap = -np.eye(60)
         with pytest.raises(EigenSolverFailure, match="Cholesky"):
             mvreg.sync._subspace_iteration(lap)
+
+
+def band_solve_and_reference(kind, shuffled, shift_rel):
+    """The band shift-invert solve of a 16-column panel and the same solve
+    through a dense Cholesky factor, on a noisy graph of the given kind whose
+    node labels are shuffled when `shuffled` is set."""
+    g = oracle_graph(kind, noisy=True, seed=40)
+    n = g.node_count
+    pairs, motions, c = mvreg.sync._active_arrays(g)
+    rng = np.random.default_rng(41)
+    if shuffled:
+        pairs = rng.permutation(n)[pairs]
+    lap = mvreg.sync._rotation_laplacian(n, pairs, motions[:, :3, :3], c)
+    shift = shift_rel * np.linalg.norm(lap, np.inf)
+    band = mvreg.sync._band(n, pairs)
+    x = rng.standard_normal((3 * n, 16))
+    y = mvreg.sync._shift_invert(lap, shift, band)(x)
+    shifted = lap + shift * np.eye(3 * n)
+    low = np.linalg.cholesky(shifted)
+    return band, shifted, x, y, np.linalg.solve(low.T, np.linalg.solve(low, x))
+
+
+class TestBandFactor:
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("kind", ["ring1", "ring3", "grid", "star", "complete", "sparse"])
+    def test_matches_dense_cholesky_solve(self, kind, shuffled):
+        # at the solver's own shift of 1e-10 |L| the near-null directions are
+        # amplified ~1e10 times, and any two correct factorizations differ
+        # there by ~1e-8 relative; a shift of 1e-3 |L| compares the band
+        # factor and its substitutions at 1e-9
+        band, _, _, y, expected = band_solve_and_reference(kind, shuffled, 1e-3)
+        assert np.linalg.norm(y - expected) <= 1e-9 * np.linalg.norm(expected)
+        # shuffled labels leave reverse Cuthill-McKee the same band to find
+        rows, block = band
+        assert np.array_equal(np.sort(rows), np.arange(len(rows)))
+        expected_block = {"ring1": 6, "ring3": 24, "grid": 60, "star": 180, "complete": 90}
+        if kind in expected_block:
+            assert block == expected_block[kind]
+
+    @pytest.mark.parametrize("kind", ["ring1", "ring3", "grid", "star", "complete", "sparse"])
+    def test_backward_error_at_solver_shift(self, kind):
+        _, shifted, x, y, _ = band_solve_and_reference(kind, True, mvreg.sync.SHIFT)
+        residual = np.linalg.norm(shifted @ y - x)
+        assert residual <= 1e-14 * np.linalg.norm(shifted, np.inf) * np.linalg.norm(y)
+
+    def test_ring_factor_never_exceeds_one_band_block(self, monkeypatch):
+        n = 400
+        pairs = ring_k_pairs(n, 3)
+        rng = np.random.default_rng(42)
+        confidences = rng.uniform(0.05, 1.0, size=len(pairs))
+        g = graph_from_truth(random_truth(rng, n), pairs, confidences, rng=rng,
+                             rot_sigma=0.01, trans_sigma=0.01)
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        transf_sync(g, rounds=2)
+        _, block = mvreg.sync._band(n, np.array(pairs))
+        assert block == 24
+        assert len(shapes) == 2 * 50
+        assert max(max(shape) for shape in shapes) <= block
+
+    def test_warm_start_saves_sweeps(self, iterative, monkeypatch):
+        g = oracle_graph("ring3", noisy=True, seed=33)
+        sweeps = []
+        solve = mvreg.sync._shift_invert
+
+        def counting(lap, shift, *args):
+            inverse = solve(lap, shift, *args)
+            sweeps.append(0)
+
+            def counted(x):
+                sweeps[-1] += 1
+                return inverse(x)
+
+            return counted
+
+        monkeypatch.setattr(mvreg.sync, "_shift_invert", counting)
+        warm = transf_sync(g, rounds=3)
+        assert iterative == [False] * 3
+        assert sweeps[1] < sweeps[0] and sweeps[2] < sweeps[0]
+        again = transf_sync(g, rounds=3)
+        for ma, mb in zip(warm.absolute, again.absolute):
+            assert np.array_equal(ma.matrix, mb.matrix)
+        assert warm.rotation_eigengap == again.rotation_eigengap
+
+        iterate = mvreg.sync._subspace_iteration
+
+        def cold_start(lap, band=None, start=None):
+            return iterate(lap, band)
+
+        monkeypatch.setattr(mvreg.sync, "_subspace_iteration", cold_start)
+        sweeps.clear()
+        cold = transf_sync(g, rounds=3)
+        assert sweeps[1] >= sweeps[0] - 1 and sweeps[2] >= sweeps[0] - 1
+        assert_same_solution(warm, cold)
 
 
 def test_sync_does_not_import_scipy():
