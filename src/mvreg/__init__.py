@@ -90,7 +90,6 @@ from .pipeline import (
     IterationStats,
     PipelineTrace,
     pairwise_chain_absolute,
-    pre_align,
     run_multiview,
     run_multiview_from_correspondences,
 )
@@ -132,7 +131,7 @@ __all__ = [
     "harmonic_fuse", "prune_edges", "is_connected",
     "SyncResult", "rotation_sync", "translation_sync", "translation_objective",
     "transf_sync",
-    "IterationStats", "PipelineTrace", "pre_align", "pairwise_chain_absolute",
+    "IterationStats", "PipelineTrace", "pairwise_chain_absolute",
     "run_multiview", "run_multiview_from_correspondences",
     "angular_error", "ecdf", "registration_recall", "sync_pair_error", "ErrorReport",
     "ROTATION_ECDF_THRESHOLDS_DEG", "TRANSLATION_ECDF_THRESHOLDS_M",

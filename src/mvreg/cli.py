@@ -121,14 +121,14 @@ def _cmd_multiview(args) -> int:
         graph = build_graph(registered, len(clouds))
         absolute = pairwise_chain_absolute(graph)
         print("mode pairwise_chain")
-        print("active_edges", len(graph.active_edges()))
+        print("active_edges", int(graph.active.sum()))
     else:
         result, trace = run_multiview(clouds, cfg)
         absolute = result.absolute
         print("mode multiview")
         print("rotation_eigengap", _fmt(result.rotation_eigengap))
         print("translation_rank_deficiency", result.translation_rank_deficiency)
-        print("active_edges", len(result.graph.active_edges()))
+        print("active_edges", int(result.graph.active.sum()))
         print("disconnected", int(result.disconnected))
     entries = trajectory_from_motions(absolute)
     if args.out:

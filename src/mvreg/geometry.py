@@ -50,6 +50,15 @@ class Rotation3:
         return Rotation3(self.m.T)
 
 
+def non_rotations(stack: np.ndarray) -> np.ndarray:
+    """Mask of the 3x3 blocks of a (k, 3, 3) array that fail Rotation3's
+    checks, vectorized; NaN compares false, so non-finite blocks fail too."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.linalg.norm(np.swapaxes(stack, 1, 2) @ stack - np.eye(3), axis=(1, 2))
+        det = np.linalg.det(stack)
+    return ~((err <= ORTHONORMALITY_TOL) & (np.abs(det - 1.0) <= ORTHONORMALITY_TOL))
+
+
 def rotation_stack(matrices) -> list[Rotation3]:
     """One Rotation3 per 3x3 block of a (k, 3, 3) array.
 
@@ -61,12 +70,7 @@ def rotation_stack(matrices) -> list[Rotation3]:
     stack = np.array(matrices, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[1:] != (3, 3):
         raise ValueError(f"rotation stack must have shape (k, 3, 3), got {stack.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        err = np.linalg.norm(np.swapaxes(stack, 1, 2) @ stack - np.eye(3), axis=(1, 2))
-        det = np.linalg.det(stack)
-    # NaN compares false, so a matrix with non-finite entries is flagged too
-    flagged = ~((err <= ORTHONORMALITY_TOL) & (np.abs(det - 1.0) <= ORTHONORMALITY_TOL))
-    for k in np.flatnonzero(flagged):
+    for k in np.flatnonzero(non_rotations(stack)):
         Rotation3(stack[k])
     stack.setflags(write=False)
     out = []

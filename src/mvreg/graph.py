@@ -1,23 +1,30 @@
 """Scan graph with per-edge relative motions and confidences.
 
-Graphs are immutable snapshots: every mutation-like operation returns a new
-graph, so concurrent readers need no locking. Edges are stored once per
-unordered pair with i < j; the reverse direction is derived on demand from
-the compatibility relations R_ji = R_ij^T, t_ji = -R_ij^T t_ij.
+A PoseGraph keeps one row per edge in read-only arrays, validated once when
+it is built: `pairs` (m x 2, i < j), `motions` (m x 4 x 4, mapping frame-i
+coordinates into frame j), `c_local`, `c_global` and `c_fused` in [0, 1],
+and the `active` mask. Graphs are immutable snapshots: each update returns a
+new graph, and pruned edges keep their rows. Edge is a row as a record;
+PoseGraph.from_edges takes records, and `edges` and the lookups give them
+back, built on first use. Reverse directions follow from R_ji = R_ij^T,
+t_ji = -R_ij^T t_ij.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DuplicateEdge, EmptyResiduals, IndexOutOfRange
-from .geometry import RigidMotion, invert
+from .geometry import RigidMotion, invert, motion_stack, non_rotations
 from .pairwise import PairwiseResult, mad_scale
 
 CAUCHY_MAD_TO_SIGMA = 1.482
+_CONFIDENCES = ("c_local", "c_global", "c_fused")
+# an Edge record's fields after i, j and motion
+_SCALARS = (*_CONFIDENCES, "active")
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,49 +44,105 @@ class Edge:
     active: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.motion, RigidMotion):
+            raise ValueError(f"edge motion must be a RigidMotion, got {type(self.motion).__name__}")
         if not 0 <= self.i < self.j:
             raise ValueError(f"edge endpoints must satisfy 0 <= i < j, got ({self.i}, {self.j})")
         if self.c_fused is None:
             object.__setattr__(self, "c_fused", self.c_local)
-        for name in ("c_local", "c_global", "c_fused"):
+        for name in _CONFIDENCES:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _column(values, dtype, shape, name) -> np.ndarray:
+    """A read-only copy of values in dtype and shape; another kind, such as float indices, fails."""
+    column = np.asarray(values)
+    if column.size and not np.can_cast(column.dtype, dtype, "same_kind"):
+        raise ValueError(f"{name} must hold {np.dtype(dtype)} values, got {column.dtype}")
+    column = np.array(column, dtype=dtype)
+    if column.size == 0 == shape[0]:
+        column = column.reshape(shape)
+    if column.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {column.shape}")
+    column.setflags(write=False)
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class PoseGraph:
-    """Nodes 0..n-1 plus at most one measurement edge per unordered pair."""
+    """Nodes 0..node_count-1 and at most one edge per unordered pair, a row each."""
 
     node_count: int
-    edges: tuple[Edge, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    pairs: np.ndarray
+    motions: np.ndarray
+    c_local: np.ndarray
+    c_global: np.ndarray
+    c_fused: np.ndarray
+    active: np.ndarray
 
     def __post_init__(self):
-        if self.node_count < 2:
-            raise ValueError("a pose graph needs at least 2 nodes")
-        edges = tuple(self.edges)
-        index = {}
-        for k, e in enumerate(edges):
-            if e.j >= self.node_count:
-                raise IndexOutOfRange(
-                    f"edge ({e.i}, {e.j}) references a node >= node_count {self.node_count}"
-                )
-            if (e.i, e.j) in index:
-                raise DuplicateEdge(f"edge ({e.i}, {e.j}) supplied more than once")
-            index[(e.i, e.j)] = k
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_index", index)
+        n = self.node_count
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"a pose graph needs an integer node count of at least 2, got {n!r}")
+        m = len(self.pairs) if np.ndim(self.pairs) else -1
+        columns = {"node_count": int(n), "pairs": _column(self.pairs, np.intp, (m, 2), "pairs"),
+                   "motions": _column(self.motions, np.float64, (m, 4, 4), "motions"),
+                   "active": _column(self.active, bool, (m,), "active")}
+        i, j = columns["pairs"].T
+        motions = columns["motions"]
+        rigid = (np.isfinite(motions).all(axis=(1, 2)) & ~non_rotations(motions[:, :3, :3])
+                 & (motions[:, 3] == (0.0, 0.0, 0.0, 1.0)).all(axis=1))
+        repeated = np.ones(m, dtype=bool)
+        repeated[np.unique(i * n + j, return_index=True)[1]] = False
+        checks = [((i < 0) | (i == j) | (j >= n), IndexOutOfRange, f"is a loop or leaves 0..{n - 1}"),
+                  (i > j, ValueError, "must be stored with i < j"),
+                  (repeated, DuplicateEdge, "is supplied more than once"),
+                  (~rigid, ValueError, "has a motion that is not a finite rigid 4x4 matrix")]
+        for name in _CONFIDENCES:
+            columns[name] = c = _column(getattr(self, name), np.float64, (m,), name)
+            checks.append((~((c >= 0.0) & (c <= 1.0)), ValueError, f"has {name} outside [0, 1]"))
+        for bad, error, what in checks:
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise error(f"edge ({i[k]}, {j[k]}) {what}")
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_edges(cls, node_count: int, edges) -> "PoseGraph":
+        """Graph of Edge records, one row each in the order given."""
+        edges = tuple(edges)
+        return cls(node_count, [(e.i, e.j) for e in edges], [e.motion.matrix for e in edges],
+                   *([getattr(e, name) for e in edges] for name in _SCALARS))
+
+    def with_rows(self, rows, **columns) -> "PoseGraph":
+        """A new graph with the given rows of each named array overwritten."""
+        changed = {name: getattr(self, name).copy() for name in columns}
+        for name, values in columns.items():
+            changed[name][rows] = values
+        return replace(self, **changed)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every row as an Edge record, in storage order."""
+        motions = motion_stack(self.motions[:, :3, :3], self.motions[:, :3, 3])
+        scalars = (getattr(self, name).tolist() for name in _SCALARS)
+        return tuple(Edge(*row) for row in zip(*self.pairs.T.tolist(), motions, *scalars))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {(i, j): k for k, (i, j) in enumerate(self.pairs.tolist())}
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self._index
 
     def edge(self, i: int, j: int) -> Edge:
         """Edge record for the unordered pair {i, j}."""
-        key = (min(i, j), max(i, j))
-        if key not in self._index:
+        if not self.has_edge(i, j):
             raise KeyError(f"no edge between {i} and {j}")
-        return self.edges[self._index[key]]
+        return self.edges[self._index[min(i, j), max(i, j)]]
 
     def relative_motion(self, i: int, j: int) -> RigidMotion:
         """Measured motion mapping frame-i coordinates into frame j."""
@@ -89,9 +152,6 @@ class PoseGraph:
     def active_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.active)
 
-    def with_edges(self, edges) -> "PoseGraph":
-        return PoseGraph(self.node_count, tuple(edges))
-
 
 def build_graph(pairwise: list[tuple[int, int, PairwiseResult]], n: int) -> PoseGraph:
     """Graph from pairwise results; input pairs are canonicalized to i < j.
@@ -99,25 +159,13 @@ def build_graph(pairwise: list[tuple[int, int, PairwiseResult]], n: int) -> Pose
     Initial confidences follow the first-iteration rule: the fused confidence
     is the local one, and the global confidence starts at 1.
     """
-    edges = []
-    seen = set()
-    for i, j, result in pairwise:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for {n} nodes")
-        if i == j:
-            raise IndexOutOfRange(f"self-loop ({i}, {j}) is not a valid edge")
-        motion = result.motion
-        if i > j:
-            i, j = j, i
-            motion = invert(motion)
-        if (i, j) in seen:
-            raise DuplicateEdge(f"pair ({i}, {j}) supplied more than once")
-        seen.add((i, j))
-        edges.append(
-            Edge(i, j, motion, c_local=result.local_confidence, c_global=1.0,
-                 c_fused=result.local_confidence, active=True)
-        )
-    return PoseGraph(n, tuple(edges))
+    pairs, motions, c_local = [], [], []
+    for i, j, res in pairwise:
+        pairs.append((min(i, j), max(i, j)))
+        motions.append((res.motion if i < j else invert(res.motion)).matrix)
+        c_local.append(res.local_confidence)
+    ones = np.ones(len(pairs))
+    return PoseGraph(n, pairs, motions, c_local, ones, c_local, ones.astype(bool))
 
 
 def cauchy_scale(residual_values, gamma: float) -> float:
@@ -170,24 +218,44 @@ def prune_edges(g: PoseGraph, tau: float) -> PoseGraph:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    edges = tuple(
-        replace(e, active=False) if e.active and e.c_fused < tau else e for e in g.edges
-    )
-    return g.with_edges(edges)
+    return replace(g, active=g.active & ~(g.c_fused < tau))
+
+
+def search_tree(n: int, pairs, roots=(0,), key=None) -> tuple[list[int], list[int]]:
+    """Breadth-first search over the edges `pairs` (m x 2).
+
+    A search starts from each node of `roots` in turn that no earlier search
+    reached. Each node's neighbours are visited in edge order, or in the
+    order of `key` when it is given. Returns the nodes reached, in visiting
+    order, and each node's parent in the search forest: a root is its own
+    parent, and a node not reached has -1. An edge is the only one between
+    its two nodes, so a node and its parent name its tree edge.
+    """
+    adjacency = [[] for _ in range(n)]
+    for i, j in np.asarray(pairs).tolist():
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    if key is not None:
+        for a in adjacency:
+            a.sort(key=key)
+    parent = [-1] * n
+    order = []
+    head = 0
+    for root in roots:
+        if parent[root] < 0:
+            parent[root] = root
+            order.append(root)
+        # order is also the queue
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in adjacency[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    order.append(v)
+    return order, parent
 
 
 def is_connected(g: PoseGraph) -> bool:
-    """True when the active edges connect all nodes (breadth-first search)."""
-    adjacency = [[] for _ in range(g.node_count)]
-    for e in g.active_edges():
-        adjacency[e.i].append(e.j)
-        adjacency[e.j].append(e.i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.node_count
+    """True when the active edges connect all nodes."""
+    return len(search_tree(g.node_count, g.pairs[g.active])[0]) == g.node_count

@@ -11,15 +11,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import DisconnectedInput, IndexOutOfRange, TooFewClouds
-from .geometry import (
-    PointCloud,
-    RigidMotion,
-    compose,
-    invert,
-    relative_motions,
-    transform_points,
-)
-from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges
+from .geometry import PointCloud, RigidMotion, compose, invert, relative_motions
+from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges, search_tree
 from .metrics import motion_errors
 
 # register_correspondences, wls_transform, residuals, robust_reweight and
@@ -68,18 +61,13 @@ class PipelineTrace:
         return any(s.disconnected for s in self.iterations)
 
 
-def pre_align(c: CorrespondenceSet, m: RigidMotion) -> CorrespondenceSet:
-    """Move the target side of a correspondence set by m."""
-    return CorrespondenceSet(c.source_pts, transform_points(m, c.target_pts), c.weights, c.residuals)
-
-
 def _matrices(motions) -> np.ndarray:
     return np.stack([m.matrix for m in motions])
 
 
 def _stats(iteration, graph, disconnected, pairs, absolute, truth_relatives) -> IterationStats:
     """Diagnostics; errors of the synchronized relatives when the truth is known."""
-    active = len(graph.active_edges())
+    active = int(graph.active.sum())
     if truth_relatives is None:
         return IterationStats(iteration, active, disconnected)
     rot, trans = motion_errors(relative_motions(_matrices(absolute), pairs), truth_relatives)
@@ -99,71 +87,49 @@ def _stats(iteration, graph, disconnected, pairs, absolute, truth_relatives) -> 
 def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
     """Pairwise-only baseline: chain measured motions along a search tree.
 
-    Breadth-first from node 0; each new node's absolute pose composes the
-    parent's pose with the inverted measured relative, so errors accumulate
-    along tree paths with no synchronization.
+    The tree is search_tree's over the active edges from node 0. Each node's
+    pose composes its parent's pose with the inverted measured relative, so
+    errors accumulate along tree paths with no synchronization.
     """
-    if not is_connected(graph):
+    order, parent = search_tree(graph.node_count, graph.pairs[graph.active])
+    if len(order) < graph.node_count:
         raise DisconnectedInput("active edges do not connect all nodes")
-    adjacency = [[] for _ in range(graph.node_count)]
-    for e in graph.active_edges():
-        adjacency[e.i].append(e.j)
-        adjacency[e.j].append(e.i)
-    absolute: list[RigidMotion | None] = [None] * graph.node_count
-    absolute[0] = RigidMotion.identity()
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in adjacency[u]:
-            if absolute[v] is None:
-                # motion maps u -> v, so M_v = M_u . M_uv^-1
-                absolute[v] = compose(absolute[u], invert(graph.relative_motion(u, v)))
-                queue.append(v)
+    absolute = [RigidMotion.identity()] * graph.node_count
+    for v in order[1:]:
+        # the measured motion maps parent u -> v, so M_v = M_u . M_uv^-1
+        absolute[v] = compose(absolute[parent[v]], invert(graph.relative_motion(parent[v], v)))
     return tuple(absolute)
 
 
-def _register_all(correspondences, pairs, n, cfg) -> tuple[PoseGraph, dict]:
-    """Batched IRLS fits of all pairs: the pose graph and each pair's weights.
+def _feedback(graph, absolute, sets, weights, cfg, first: bool) -> PoseGraph:
+    """One IRLS step per active edge, started from the synchronized relative motion.
 
-    Only the weights are carried on, so the fits' residual arrays are freed
-    when this returns.
+    Reweights each edge's correspondences from their aligned residuals,
+    re-fits its motion and local confidence, and fuses that with the global
+    confidence. An edge whose weights collapse keeps its previous fit.
+    sets and weights hold one entry per edge; weights is updated in place.
     """
-    results = register_batch([correspondences[p] for p in pairs], cfg)
-    graph = build_graph([(i, j, res) for (i, j), res in zip(pairs, results)], n)
-    return graph, {p: res.weights for p, res in zip(pairs, results)}
-
-
-def _feedback(graph, absolute, correspondences, weights, cfg, first: bool) -> PoseGraph:
-    """One IRLS step per active pair, started from the synchronized relative motion.
-
-    Reweights each pair from its aligned residuals, re-fits its motion and
-    local confidence, and fuses that with the global confidence. An edge
-    whose weights collapse keeps its previous fit. Updates weights in place.
-    """
-    active = [(e.i, e.j) for e in graph.edges if e.active]
+    active = np.flatnonzero(graph.active)
     refits = refit_batch(
-        [correspondences[p] for p in active],
-        [weights[p] for p in active],
-        relative_motions(_matrices(absolute), active),
+        [sets[k] for k in active],
+        [weights[k] for k in active],
+        relative_motions(_matrices(absolute), graph.pairs[active]),
         cfg,
     )
-    refitted = {p: res for p, res in zip(active, refits) if res is not None}
-    new_edges = []
-    for e in graph.edges:
-        res = refitted.get((e.i, e.j))
-        if res is None:
-            # inactive, or weight collapse on a bad edge: keep the previous fit
-            new_edges.append(e)
-            continue
-        weights[(e.i, e.j)] = res.weights
-        c_local = res.local_confidence
-        if first:
-            # no trustworthy global evidence yet: confidence is local only
-            c_fused = c_local
-        else:
-            c_fused = min(max(harmonic_fuse(c_local, e.c_global, cfg.beta), 0.0), 1.0)
-        new_edges.append(replace(e, motion=res.motion, c_local=c_local, c_fused=c_fused))
-    return graph.with_edges(new_edges)
+    # inactive edges, and bad edges whose weights collapsed, keep their fit
+    rows = [k for k, res in zip(active.tolist(), refits) if res is not None]
+    fits = [res for res in refits if res is not None]
+    if not fits:
+        return graph
+    for k, res in zip(rows, fits):
+        weights[k] = res.weights
+    c_local = np.array([res.local_confidence for res in fits])
+    # on the first pass there is no trustworthy global evidence yet
+    c_fused = c_local if first else np.clip(
+        harmonic_fuse(c_local, graph.c_global[rows], cfg.beta), 0.0, 1.0
+    )
+    return graph.with_rows(rows, motions=_matrices(res.motion for res in fits),
+                           c_local=c_local, c_fused=c_fused)
 
 
 def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:
@@ -197,14 +163,17 @@ def run_multiview_from_correspondences(
     cfg = cfg or PipelineConfig()
     if n < 3:
         raise TooFewClouds(f"need at least 3 clouds, got {n}")
-    pairs = []
     for i, j in correspondences:
         if not (0 <= i < j < n):
             raise IndexOutOfRange(f"correspondence key ({i}, {j}) is not a pair with 0 <= i < j < {n}")
-        pairs.append((i, j))
-    pairs = tuple(sorted(pairs))
+    pairs = tuple(sorted(correspondences))
+    sets = [correspondences[p] for p in pairs]
 
-    graph, weights = _register_all(correspondences, pairs, n, cfg)
+    results = register_batch(sets, cfg)
+    graph = build_graph([(i, j, res) for (i, j), res in zip(pairs, results)], n)
+    # keep only each edge's weights, so the fits' residual arrays are freed
+    weights = [res.weights for res in results]
+    del results
     if not is_connected(graph):
         raise DisconnectedInput("measurement pairs do not connect all clouds")
 
@@ -214,25 +183,21 @@ def run_multiview_from_correspondences(
         if len(ground_truth) != n:
             raise ValueError(f"ground truth length {len(ground_truth)} != {n} clouds")
         truth_relatives = relative_motions(_matrices(ground_truth), pairs)
-        measured = _matrices(graph.relative_motion(i, j) for i, j in pairs)
-        rot, trans = motion_errors(measured, truth_relatives)
+        rot, trans = motion_errors(graph.motions, truth_relatives)
         trace = replace(trace, pairwise_rotation_errors_deg=rot, pairwise_translation_errors_m=trans)
 
     stats = []
-    result: SyncResult | None = None
-    stopped = False
     for k in range(1, cfg.outer_iterations + 1):
         result = transf_sync(graph, rounds=cfg.sync_rounds, gamma=cfg.gamma, beta=cfg.beta)
-        graph = _feedback(result.graph, result.absolute, correspondences, weights, cfg, k == 1)
+        graph = _feedback(result.graph, result.absolute, sets, weights, cfg, k == 1)
         graph = prune_edges(graph, cfg.tau_p)
 
         connected = is_connected(graph)
         stats.append(_stats(k, graph, not connected, pairs, result.absolute, truth_relatives))
         if not connected:
-            stopped = True
             break
 
-    final = replace(result, graph=graph, disconnected=stopped)
+    final = replace(result, graph=graph, disconnected=not connected)
     return final, replace(trace, iterations=tuple(stats))
 
 

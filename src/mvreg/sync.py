@@ -31,8 +31,8 @@ each. When the observed convergence rate cannot reach the tolerance within
 MAX_SWEEPS sweeps, as on stars and complete graphs whose eigenvalues cluster
 at lambda_4, the full eigh runs after all. numpy is the only dependency.
 
-The solvers work on edge arrays (endpoints, relative rotations and
-translations, confidences) taken once from the graph's active edges.
+The solvers work on the graph's edge arrays (endpoints, relative rotations
+and translations, confidences), restricted once to the active rows.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .graph import (
     cauchy_scale,
     harmonic_fuse,
     is_connected,
+    search_tree,
 )
 
 # Laplacians of at most this many rows (3n) take the full eigh. On noisy
@@ -95,29 +96,18 @@ class SyncResult:
 
 
 def _active_arrays(g: PoseGraph, rounds: int = 1):
-    """Endpoint pairs (m x 2), measured relative motions (m x 4 x 4) and fused
-    confidences of the active edges.
+    """The active rows of the graph's pairs, motions and c_fused.
 
     Raises DisconnectedGraph unless the active edges of positive weight
     connect all nodes: a zero-weight edge adds nothing to the Laplacians, so
     a graph that only such edges hold together has too large a null space.
     An edge's weight is its c_fused in the first round; later rounds fuse it
-    from c_local, which makes it zero wherever c_local is, so with rounds > 1
-    both must be positive.
+    from c_local, so with rounds > 1 both must be positive.
     """
-    def weighted(e):
-        return e.c_fused > 0.0 and (rounds == 1 or e.c_local > 0.0)
-
-    support = g
-    if not all(weighted(e) for e in g.active_edges()):
-        support = g.with_edges(e if weighted(e) else replace(e, active=False) for e in g.edges)
-    if not is_connected(support):
+    weighted = g.active & (g.c_fused > 0.0) & ((g.c_local > 0.0) | (rounds == 1))
+    if not is_connected(replace(g, active=weighted)):
         raise DisconnectedGraph("active edges of positive confidence do not connect all nodes")
-    edges = g.active_edges()
-    pairs = np.array([(e.i, e.j) for e in edges], dtype=np.intp)
-    motions = np.array([e.motion.matrix for e in edges])
-    c_fused = np.array([e.c_fused for e in edges])
-    return pairs, motions, c_fused
+    return g.pairs[g.active], g.motions[g.active], g.c_fused[g.active]
 
 
 def _degrees(n: int, pairs, c) -> np.ndarray:
@@ -139,31 +129,12 @@ def _band(n: int, pairs) -> tuple[np.ndarray, int]:
     n // width blocks of equal size (the last may be smaller), so a graph
     whose band spans more than half the nodes gets one dense block.
     """
-    adjacency = [[] for _ in range(n)]
-    for i, j in pairs.tolist():
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    degree = [len(a) for a in adjacency]
+    degree = np.bincount(pairs.ravel(), minlength=n).tolist()
 
     def key(v):
         return degree[v], v
 
-    for a in adjacency:
-        a.sort(key=key)
-    seen = [False] * n
-    order = []
-    for start in sorted(range(n), key=key):
-        if seen[start]:
-            continue
-        seen[start] = True
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for v in adjacency[order[head]]:
-                if not seen[v]:
-                    seen[v] = True
-                    order.append(v)
-            head += 1
+    order, _ = search_tree(n, pairs, sorted(range(n), key=key), key)
     order = np.array(order[::-1], dtype=np.intp)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
@@ -378,12 +349,11 @@ def translation_objective(g: PoseGraph, rotations: list[Rotation3], translations
     Exposed so solutions can be checked by finite differences.
     """
     translations = np.asarray(translations, dtype=np.float64).reshape(g.node_count, 3)
-    total = 0.0
-    for e in g.active_edges():
-        rebuilt = rotations[e.j].m.T @ (translations[e.i] - translations[e.j])
-        diff = rebuilt - e.motion.translation
-        total += e.c_fused * float(diff @ diff)
-    return total
+    pairs, motions, c = g.pairs[g.active], g.motions[g.active], g.c_fused[g.active]
+    i, j = pairs.T
+    rotations = np.array([r.m for r in rotations])
+    rebuilt = np.einsum("kba,kb->ka", rotations[j], translations[i] - translations[j])
+    return float(c @ np.sum((rebuilt - motions[:, :3, 3]) ** 2, axis=1))
 
 
 def _consistency_residuals(pairs, motions, rotations, translations) -> np.ndarray:
@@ -413,7 +383,7 @@ def transf_sync(
         raise ValueError("rounds must be >= 1")
     n = g.node_count
     pairs, motions, c_fused = _active_arrays(g, rounds)
-    c_local = np.array([e.c_local for e in g.active_edges()])
+    c_local = g.c_local[g.active]
     band = _band(n, pairs)
     panel = None
     for _ in range(rounds):
@@ -425,17 +395,10 @@ def transf_sync(
         c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals, gamma))
         c_fused = np.clip(harmonic_fuse(c_local, c_global, beta), 0.0, 1.0)
 
-    refreshed = iter(zip(c_global.tolist(), c_fused.tolist()))
-    edges = []
-    for e in g.edges:
-        if e.active:
-            cg, cf = next(refreshed)
-            e = replace(e, c_global=cg, c_fused=cf)
-        edges.append(e)
     return SyncResult(
         absolute=tuple(motion_stack(rotations, translations)),
         rotation_eigengap=eigengap,
         translation_rank_deficiency=3,
-        graph=g.with_edges(edges),
+        graph=g.with_rows(g.active, c_global=c_global, c_fused=c_fused),
         rounds_completed=rounds,
     )

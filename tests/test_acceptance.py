@@ -69,7 +69,7 @@ def complete_noisy_graph(rng, n, rot_sigma=0.05, trans_sigma=0.05, confidences=N
             measured = compose(noise, relative_from_absolute(truth[i], truth[j]))
             c = rng.uniform(0.1, 1.0) if confidences is None else confidences
             edges.append(Edge(i, j, measured, c_local=c, c_fused=c))
-    return PoseGraph(n, tuple(edges)), truth
+    return PoseGraph.from_edges(n, tuple(edges)), truth
 
 
 def test_01_procrustes_exactness_1000_noise_free_trials():
@@ -126,7 +126,7 @@ def test_03_rotation_sync_exactness_and_eigengap():
         for i in range(n)
         for j in range(i + 1, n)
     )
-    g = PoseGraph(n, edges)
+    g = PoseGraph.from_edges(n, edges)
     rotations = rotation_sync(g)
     worst = 0.0
     for e in g.edges:
@@ -199,7 +199,7 @@ def test_05_gauge_invariance_of_recovered_relative_motions():
                      c_local=0.9)
                 for k, (i, j) in enumerate(pairs)
             )
-            return transf_sync(PoseGraph(n, edges), rounds=2).absolute
+            return transf_sync(PoseGraph.from_edges(n, edges), rounds=2).absolute
 
         base = solve(truth)
         moved = solve([compose(gauge, m) for m in truth])

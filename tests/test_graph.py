@@ -19,6 +19,7 @@ from mvreg import (
     is_connected,
     prune_edges,
 )
+from mvreg.graph import search_tree
 from mvreg.synthetic import random_motion
 
 
@@ -37,7 +38,7 @@ def chain_graph(n, rng, confidence=0.9):
     edges = tuple(
         Edge(k, k + 1, random_motion(rng), c_local=confidence) for k in range(n - 1)
     )
-    return PoseGraph(n, edges)
+    return PoseGraph.from_edges(n, edges)
 
 
 class TestEdge:
@@ -67,17 +68,17 @@ class TestEdge:
 class TestPoseGraph:
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):
-            PoseGraph(1, ())
+            PoseGraph.from_edges(1, ())
 
     def test_rejects_out_of_range_edge(self):
         e = Edge(0, 5, RigidMotion.identity(), c_local=0.5)
         with pytest.raises(IndexOutOfRange):
-            PoseGraph(3, (e,))
+            PoseGraph.from_edges(3, (e,))
 
     def test_rejects_duplicate_edges(self):
         m = RigidMotion.identity()
         with pytest.raises(DuplicateEdge):
-            PoseGraph(3, (Edge(0, 1, m, c_local=0.5), Edge(0, 1, m, c_local=0.6)))
+            PoseGraph.from_edges(3, (Edge(0, 1, m, c_local=0.5), Edge(0, 1, m, c_local=0.6)))
 
     def test_reverse_query_inverts_motion(self):
         rng = np.random.default_rng(0)
@@ -95,6 +96,81 @@ class TestPoseGraph:
         assert g.has_edge(2, 1) and not g.has_edge(0, 2)
         with pytest.raises(KeyError):
             g.edge(0, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: PoseGraph.from_edges(2, (Edge(0, 1, np.eye(4), c_local=0.5),)),
+            lambda m: PoseGraph.from_edges(2, (Edge(0.0, 1.5, m, c_local=0.5),)),
+            lambda m: PoseGraph.from_edges(3.5, (Edge(0, 1, m, c_local=0.5),)),
+            lambda m: PoseGraph(2, [(0.0, 1.0)], [m.matrix], [0.5], [1.0], [0.5], [True]),
+            lambda m: PoseGraph(2, [(0, 1)], [2.0 * m.matrix], [0.5], [1.0], [0.5], [True]),
+            lambda m: PoseGraph(2, [(0, 1)], [m.matrix + np.outer(np.eye(4)[3], np.eye(4)[0])],
+                                [0.5], [1.0], [0.5], [True]),
+            lambda m: PoseGraph(2, [(0, 1)], [np.full((4, 4), np.nan)],
+                                [0.5], [1.0], [0.5], [True]),
+            lambda m: PoseGraph(2, [(0, 1)], [m.matrix[:3]], [0.5], [1.0], [0.5], [True]),
+            lambda m: PoseGraph(2, [(1, 0)], [m.matrix], [0.5], [1.0], [0.5], [True]),
+            lambda m: PoseGraph(2, [(0, 1)], [m.matrix], [0.5], [1.0], [np.nan], [True]),
+            lambda m: PoseGraph(2, [(0, 1)], [m.matrix], [0.5], [1.0], [0.5], [0.5]),
+        ],
+        ids=["motion-not-rigid-motion", "float-endpoints", "float-node-count",
+             "float-pair-array", "scaled-rotation", "bad-bottom-row", "nan-motion",
+             "motion-shape", "reversed-pair", "nan-confidence", "numeric-active-mask"],
+    )
+    def test_rejects_malformed_input_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build(random_motion(np.random.default_rng(30)))
+
+    def test_array_errors_are_typed(self):
+        m = random_motion(np.random.default_rng(31)).matrix
+        with pytest.raises(IndexOutOfRange):
+            PoseGraph(3, [(1, 1)], [m], [0.5], [1.0], [0.5], [True])
+        with pytest.raises(IndexOutOfRange):
+            PoseGraph(3, [(0, 3)], [m], [0.5], [1.0], [0.5], [True])
+        with pytest.raises(DuplicateEdge):
+            PoseGraph(3, [(0, 1), (1, 2), (0, 1)], [m] * 3, [0.5] * 3, [1.0] * 3, [0.5] * 3,
+                      [True] * 3)
+
+    def test_arrays_are_read_only_copies(self):
+        rng = np.random.default_rng(32)
+        motions = np.stack([random_motion(rng).matrix for _ in range(2)])
+        c_local = np.array([0.3, 0.6])
+        g = PoseGraph(3, np.array([[0, 1], [1, 2]]), motions, c_local, np.ones(2), c_local,
+                      np.ones(2, dtype=bool))
+        c_local[0] = 0.9
+        motions[0] = np.eye(4)
+        assert g.c_local[0] == 0.3 and g.c_fused[0] == 0.3
+        assert not np.array_equal(g.motions[0], np.eye(4))
+        for name in ("pairs", "motions", "c_local", "c_global", "c_fused", "active"):
+            assert not getattr(g, name).flags.writeable
+
+    def test_records_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        g = chain_graph(5, rng)
+        g = g.with_rows([1, 3], c_global=[0.25, 0.5], active=[False, True])
+        again = PoseGraph.from_edges(g.node_count, g.edges)
+        for name in ("pairs", "motions", "c_local", "c_global", "c_fused", "active"):
+            assert np.array_equal(getattr(again, name), getattr(g, name))
+        e = g.edges[1]
+        assert (e.i, e.j, e.c_global, e.active) == (1, 2, 0.25, False)
+        assert type(e.i) is int and type(e.c_local) is float and type(e.active) is bool
+        assert np.array_equal(e.motion.matrix, g.motions[1])
+        assert g.active_edges() == tuple(g.edges[k] for k in (0, 2, 3))
+
+    def test_with_rows_returns_a_new_graph(self):
+        rng = np.random.default_rng(34)
+        g = chain_graph(4, rng, confidence=0.9)
+        h = g.with_rows(np.array([False, True, False]), c_fused=[0.1])
+        assert np.array_equal(h.c_fused, [0.9, 0.1, 0.9])
+        assert np.array_equal(g.c_fused, [0.9, 0.9, 0.9])
+        with pytest.raises(ValueError):
+            g.with_rows([0], c_fused=[1.5])
+
+    def test_empty_edge_set(self):
+        g = PoseGraph.from_edges(3, ())
+        assert g.pairs.shape == (0, 2) and g.motions.shape == (0, 4, 4)
+        assert g.edges == () and not is_connected(g)
 
 
 class TestBuildGraph:
@@ -226,7 +302,7 @@ class TestPruneAndConnectivity:
     def test_prune_deactivates_below_threshold(self):
         rng = np.random.default_rng(7)
         m = random_motion(rng)
-        g = PoseGraph(
+        g = PoseGraph.from_edges(
             3,
             (
                 Edge(0, 1, m, c_local=0.9, c_fused=0.9),
@@ -243,7 +319,7 @@ class TestPruneAndConnectivity:
         rng = np.random.default_rng(8)
         m = random_motion(rng)
         e = Edge(0, 1, m, c_local=0.9, c_fused=0.9, active=False)
-        g = PoseGraph(2, (e,))
+        g = PoseGraph.from_edges(2, (e,))
         assert not prune_edges(g, 0.1).edge(0, 1).active
 
     def test_prune_threshold_monotone(self):
@@ -253,14 +329,14 @@ class TestPruneAndConnectivity:
         edges = tuple(
             Edge(k, k + 1, m, c_local=c, c_fused=c) for k, c in enumerate(confs)
         )
-        g = PoseGraph(11, edges)
+        g = PoseGraph.from_edges(11, edges)
         active_counts = [
             len(prune_edges(g, tau).active_edges()) for tau in np.linspace(0, 1, 21)
         ]
         assert all(a >= b for a, b in zip(active_counts, active_counts[1:]))
 
     def test_invalid_threshold(self):
-        g = PoseGraph(2, (Edge(0, 1, RigidMotion.identity(), c_local=0.5),))
+        g = PoseGraph.from_edges(2, (Edge(0, 1, RigidMotion.identity(), c_local=0.5),))
         with pytest.raises(ValueError):
             prune_edges(g, 1.5)
 
@@ -271,13 +347,14 @@ class TestPruneAndConnectivity:
     def test_missing_link_disconnects(self):
         rng = np.random.default_rng(11)
         m = random_motion(rng)
-        g = PoseGraph(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
         assert not is_connected(g)
 
     def test_inactive_edges_do_not_connect(self):
         rng = np.random.default_rng(12)
         g = chain_graph(5, rng)
-        cut = g.with_edges(
+        cut = PoseGraph.from_edges(
+            g.node_count,
             tuple(
                 e if (e.i, e.j) != (2, 3) else Edge(2, 3, e.motion, e.c_local, active=False)
                 for e in g.edges
@@ -286,8 +363,22 @@ class TestPruneAndConnectivity:
         assert is_connected(g)
         assert not is_connected(cut)
 
+    def test_search_tree_visits_neighbours_in_edge_order(self):
+        # 0 reaches 2 before 1 because edge (0, 2) comes first; 3 hangs off
+        # 2, the first node in the queue adjacent to it; 5 is not reached
+        pairs = np.array([(0, 2), (0, 1), (1, 3), (2, 3), (3, 4)])
+        order, parent = search_tree(6, pairs)
+        assert order == [0, 2, 1, 3, 4]
+        assert parent == [0, 0, 0, 2, 3, -1]
+
+    def test_search_tree_restarts_from_each_unreached_root(self):
+        pairs = np.array([(0, 1), (2, 3)])
+        order, parent = search_tree(5, pairs, roots=(3, 0, 4, 1))
+        assert order == [3, 2, 0, 1, 4]
+        assert parent == [0, 0, 3, 3, 4]
+
     def test_isolated_node(self):
         rng = np.random.default_rng(13)
         m = random_motion(rng)
-        g = PoseGraph(3, (Edge(0, 1, m, c_local=0.9),))
+        g = PoseGraph.from_edges(3, (Edge(0, 1, m, c_local=0.9),))
         assert not is_connected(g)

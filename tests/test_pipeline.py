@@ -11,19 +11,22 @@ from mvreg import (
     PipelineConfig,
     PointCloud,
     PoseGraph,
-    RigidMotion,
     TooFewClouds,
     ZeroWeightSum,
+    build_graph,
     compose,
     geodesic_angle,
+    harmonic_fuse,
     invert,
     pairwise_chain_absolute,
-    pre_align,
     relative_from_absolute,
     run_multiview,
     run_multiview_from_correspondences,
+    transf_sync,
     transform_points,
 )
+from mvreg.geometry import relative_motions
+from mvreg.pairwise import build_correspondences, refit_batch, register_batch
 from mvreg.synthetic import generate_scene, random_motion, scene_correspondences
 
 
@@ -46,33 +49,6 @@ def gauge_fixed(truth):
     return [compose(g0, m) for m in truth]
 
 
-class TestPreAlign:
-    def test_moves_target_side_only(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(10, 3))
-        tgt = rng.normal(size=(10, 3))
-        c = CorrespondenceSet(pts, tgt, np.ones(10), np.zeros(10))
-        m = random_motion(rng)
-        out = pre_align(c, m)
-        assert np.array_equal(out.source_pts, c.source_pts)
-        assert np.allclose(out.target_pts, transform_points(m, tgt), atol=1e-12)
-        assert np.array_equal(out.weights, c.weights)
-
-    def test_identity_is_a_no_op(self):
-        rng = np.random.default_rng(1)
-        c = CorrespondenceSet(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), np.ones(5), np.zeros(5))
-        out = pre_align(c, RigidMotion.identity())
-        assert np.allclose(out.target_pts, c.target_pts, atol=1e-15)
-
-    def test_composition(self):
-        rng = np.random.default_rng(2)
-        c = CorrespondenceSet(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)), np.ones(8), np.zeros(8))
-        a, b = random_motion(rng), random_motion(rng)
-        twice = pre_align(pre_align(c, a), b)
-        once = pre_align(c, compose(b, a))
-        assert np.allclose(twice.target_pts, once.target_pts, atol=1e-12)
-
-
 class TestPairwiseChain:
     def test_consistent_chain_recovers_truth(self):
         rng = np.random.default_rng(3)
@@ -81,7 +57,7 @@ class TestPairwiseChain:
             Edge(k, k + 1, relative_from_absolute(truth[k], truth[k + 1]), c_local=0.9)
             for k in range(4)
         )
-        graph = PoseGraph(5, edges)
+        graph = PoseGraph.from_edges(5, edges)
         absolute = pairwise_chain_absolute(graph)
         expected = gauge_fixed(truth)
         for a, e in zip(absolute, expected):
@@ -94,13 +70,13 @@ class TestPairwiseChain:
             Edge(k, k + 1, relative_from_absolute(truth[k], truth[k + 1]), c_local=0.9)
             for k in range(3)
         )
-        absolute = pairwise_chain_absolute(PoseGraph(4, edges))
+        absolute = pairwise_chain_absolute(PoseGraph.from_edges(4, edges))
         assert np.array_equal(absolute[0].matrix, np.eye(4))
 
     def test_disconnected_raises(self):
         rng = np.random.default_rng(5)
         m = random_motion(rng)
-        g = PoseGraph(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
         with pytest.raises(DisconnectedInput):
             pairwise_chain_absolute(g)
 
@@ -292,6 +268,35 @@ class TestFeedbackRefit:
                 assert abs(getattr(e, name) - getattr(expected, name)) <= 1e-12
         # the mask matters: a normal refit moves edge (0, 3)
         assert abs(refitted[(0, 3)].c_local - before[(0, 3)].c_local) > 1e-6
+
+    def test_later_pass_fuses_each_refitted_row_with_its_own_global_confidence(self):
+        # edge (0, 1) is inactive, so rows 1..3 are refitted: each fuses its
+        # new local confidence with the c_global of its own row, and row 0
+        # keeps everything it had
+        rng = np.random.default_rng(19)
+        clouds, _ = shared_scene_clouds(rng, 4)
+        noisy = [
+            PointCloud(c.points + 5e-3 * rng.normal(size=c.points.shape), c.features)
+            for c in clouds
+        ]
+        ring = ((0, 1), (0, 3), (1, 2), (2, 3))
+        cfg = PipelineConfig(temperature=1e-6)
+        sets = [build_correspondences(noisy[i], noisy[j], cfg.temperature) for i, j in ring]
+        fits = register_batch(sets, cfg)
+        synced = transf_sync(build_graph([(i, j, f) for (i, j), f in zip(ring, fits)], 4))
+        graph = synced.graph.with_rows([0], active=[False])
+        assert len(set(graph.c_global[1:].tolist())) == 3
+        weights = [f.weights for f in fits]
+        out = pipeline_mod._feedback(graph, synced.absolute, sets, list(weights), cfg, False)
+        poses = np.stack([m.matrix for m in synced.absolute])
+        refits = refit_batch(sets[1:], weights[1:], relative_motions(poses, ring[1:]), cfg)
+        for k, res in enumerate(refits, start=1):
+            fused = harmonic_fuse(res.local_confidence, graph.c_global[k], cfg.beta)
+            assert out.c_local[k] == res.local_confidence
+            assert out.c_fused[k] == min(max(fused, 0.0), 1.0)
+            assert np.array_equal(out.motions[k], res.motion.matrix)
+        for name in ("motions", "c_local", "c_global", "c_fused", "active"):
+            assert np.array_equal(getattr(out, name)[0], getattr(graph, name)[0])
 
 
 class TestPipelineInvariances:

@@ -45,7 +45,7 @@ def graph_from_truth(truth, pairs, confidences=None, rng=None, rot_sigma=0.0, tr
             measured = compose(noise_motion(rng, rot_sigma, trans_sigma), measured)
         c = 0.9 if confidences is None else confidences[k]
         edges.append(Edge(i, j, measured, c_local=c, c_fused=c))
-    return PoseGraph(len(truth), tuple(edges))
+    return PoseGraph.from_edges(len(truth), tuple(edges))
 
 
 def gauge_fixed(truth):
@@ -129,7 +129,7 @@ def normal_matrix_translations(g, rotations):
 
 class TestRotationSync:
     def test_two_nodes_identity_measurement(self):
-        g = PoseGraph(2, (Edge(0, 1, RigidMotion.identity(), c_local=0.9),))
+        g = PoseGraph.from_edges(2, (Edge(0, 1, RigidMotion.identity(), c_local=0.9),))
         rots = rotation_sync(g)
         for r in rots:
             assert np.linalg.norm(r.m - np.eye(3)) < 1e-9
@@ -159,13 +159,14 @@ class TestRotationSync:
         noisy = graph_from_truth(truth, pairs, rng=rng, rot_sigma=0.05, trans_sigma=0.02)
         # the same graph, except the last edge carries zero confidence /
         # is absent entirely
-        zeroed = noisy.with_edges(
+        zeroed = PoseGraph.from_edges(
+            noisy.node_count,
             tuple(
                 e if k < len(pairs) - 1 else Edge(e.i, e.j, e.motion, c_local=0.0, c_fused=0.0)
                 for k, e in enumerate(noisy.edges)
             )
         )
-        removed = PoseGraph(5, noisy.edges[:-1])
+        removed = PoseGraph.from_edges(5, noisy.edges[:-1])
         rz, rr = rotation_sync(zeroed), rotation_sync(removed)
         for a, b in zip(rz, rr):
             assert np.linalg.norm(a.m - b.m) < 1e-9
@@ -200,7 +201,7 @@ class TestRotationSync:
     def test_disconnected_graph_raises(self):
         rng = np.random.default_rng(4)
         m = random_motion(rng)
-        g = PoseGraph(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
         with pytest.raises(DisconnectedGraph):
             rotation_sync(g)
 
@@ -285,12 +286,28 @@ class TestTranslationSync:
     def test_disconnected_graph_raises(self):
         rng = np.random.default_rng(9)
         m = random_motion(rng)
-        g = PoseGraph(3, (Edge(0, 1, m, c_local=0.9),))
+        g = PoseGraph.from_edges(3, (Edge(0, 1, m, c_local=0.9),))
         with pytest.raises(DisconnectedGraph):
             translation_sync(g, [Rotation3.identity()] * 3)
 
 
 class TestTransfSync:
+    def test_inactive_rows_keep_their_confidences(self):
+        # the refreshed confidences go to the active rows, in order; an
+        # inactive row in the middle keeps its own
+        rng = np.random.default_rng(16)
+        truth = random_truth(rng, 5)
+        g = graph_from_truth(truth, all_pairs(5), rng=rng, rot_sigma=0.04, trans_sigma=0.04)
+        g = g.with_rows([2], active=[False], c_global=[0.7])
+        result = transf_sync(g, rounds=2)
+        alone = transf_sync(PoseGraph.from_edges(5, g.active_edges()), rounds=2)
+        assert result.graph.c_global[2] == 0.7 and result.graph.c_fused[2] == g.c_fused[2]
+        kept = np.flatnonzero(g.active)
+        assert np.array_equal(result.graph.c_global[kept], alone.graph.c_global)
+        assert np.array_equal(result.graph.c_fused[kept], alone.graph.c_fused)
+        for a, b in zip(result.absolute, alone.absolute):
+            assert np.array_equal(a.matrix, b.matrix)
+
     def test_noise_free_poses_are_a_fixed_point(self):
         rng = np.random.default_rng(10)
         truth = random_truth(rng, 6)
@@ -328,7 +345,7 @@ class TestTransfSync:
             else e
             for k, e in enumerate(g.edges)
         )
-        result = transf_sync(g.with_edges(edges), rounds=4)
+        result = transf_sync(PoseGraph.from_edges(g.node_count, edges), rounds=4)
         out_conf = [e.c_global for k, e in enumerate(result.graph.edges) if k in outlier_idx]
         in_conf = [e.c_global for k, e in enumerate(result.graph.edges) if k not in outlier_idx]
         assert np.median(out_conf) < 0.5 * np.median(in_conf)
@@ -355,7 +372,7 @@ class TestTransfSync:
                      c_local=0.9)
                 for k, (i, j) in enumerate(pairs)
             )
-            return transf_sync(PoseGraph(6, edges), rounds=2)
+            return transf_sync(PoseGraph.from_edges(6, edges), rounds=2)
 
         reference = solve(base_truth)
         for _ in range(5):
@@ -371,7 +388,8 @@ class TestTransfSync:
         rng = np.random.default_rng(15)
         truth = random_truth(rng, 5)
         g = graph_from_truth(truth, all_pairs(5), rng=rng, rot_sigma=0.04, trans_sigma=0.04)
-        halved = g.with_edges(
+        halved = PoseGraph.from_edges(
+            g.node_count,
             tuple(
                 Edge(e.i, e.j, e.motion, c_local=e.c_local, c_fused=0.5 * e.c_fused)
                 for e in g.edges
@@ -414,7 +432,9 @@ class TestTransfSync:
         pairs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         g = graph_from_truth(truth, pairs)
         bridge = g.edges[-1]
-        g = g.with_edges(g.edges[:-1] + (Edge(2, 3, bridge.motion, c_local=0.0, c_fused=0.9),))
+        g = PoseGraph.from_edges(
+            g.node_count, g.edges[:-1] + (Edge(2, 3, bridge.motion, c_local=0.0, c_fused=0.9),)
+        )
         assert transf_sync(g, rounds=1).rounds_completed == 1
         with pytest.raises(DisconnectedGraph):
             transf_sync(g, rounds=2)
@@ -429,7 +449,7 @@ class TestTransfSync:
     def test_disconnected_input_raises(self):
         rng = np.random.default_rng(18)
         m = random_motion(rng)
-        g = PoseGraph(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
         with pytest.raises(DisconnectedGraph):
             transf_sync(g)
 
@@ -674,7 +694,7 @@ def test_sync_does_not_import_scipy():
         "mvreg.sync.DENSE_MAX_SIZE = 0\n"
         "m = mvreg.RigidMotion(mvreg.Rotation3.identity(), np.ones(3))\n"
         "edges = tuple(mvreg.Edge(i, i + 1, m, c_local=0.9) for i in range(7))\n"
-        "mvreg.transf_sync(mvreg.PoseGraph(8, edges))\n"
+        "mvreg.transf_sync(mvreg.PoseGraph.from_edges(8, edges))\n"
         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
     )
     src = str(Path(mvreg.sync.__file__).resolve().parents[1])
