@@ -75,6 +75,7 @@ from .metrics import (
 )
 from .pairwise import (
     CorrespondenceSet,
+    PairwiseFits,
     PairwiseResult,
     build_correspondences,
     local_confidence,
@@ -123,7 +124,7 @@ __all__ = [
     "Rotation3", "RigidMotion", "PointCloud",
     "compose", "invert", "apply", "transform_points", "project_to_so3",
     "relative_from_absolute", "geodesic_angle", "rotation_about_z",
-    "CorrespondenceSet", "PairwiseResult",
+    "CorrespondenceSet", "PairwiseFits", "PairwiseResult",
     "soft_assign", "build_correspondences", "wls_transform", "residuals",
     "robust_reweight", "local_confidence", "register_batch", "register_correspondences",
     "register_pair",

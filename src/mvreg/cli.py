@@ -43,7 +43,7 @@ from .metrics import (
     ecdf,
     motion_errors,
 )
-from .pairwise import register_pair
+from .pairwise import build_correspondences, register_batch, register_pair
 from .pipeline import canonical_pairs, pairwise_chain_absolute, run_multiview
 from .synthetic import generate_scene
 
@@ -78,7 +78,6 @@ def _cmd_pairwise(args) -> int:
     print("motion", _fmt(result.motion.matrix.ravel()))
     print("inlier_ratio", _fmt(result.inlier_ratio))
     print("local_confidence", _fmt(result.local_confidence))
-    print("converged", int(result.converged))
     return 0
 
 
@@ -117,8 +116,8 @@ def _cmd_multiview(args) -> int:
         )
     if args.pairwise_only:
         pairs = canonical_pairs(cfg.connectivity, len(clouds))
-        registered = [(i, j, register_pair(clouds[i], clouds[j], cfg)) for i, j in pairs]
-        graph = build_graph(registered, len(clouds))
+        sets = [build_correspondences(clouds[i], clouds[j], cfg.temperature) for i, j in pairs]
+        graph = build_graph(len(clouds), pairs, register_batch(sets, cfg))
         absolute = pairwise_chain_absolute(graph)
         print("mode pairwise_chain")
         print("active_edges", int(graph.active.sum()))

@@ -46,9 +46,6 @@ class Rotation3:
     def identity() -> "Rotation3":
         return Rotation3(np.eye(3))
 
-    def transpose(self) -> "Rotation3":
-        return Rotation3(self.m.T)
-
 
 def non_rotations(stack: np.ndarray) -> np.ndarray:
     """Mask of the 3x3 blocks of a (k, 3, 3) array that fail Rotation3's

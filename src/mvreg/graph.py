@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DuplicateEdge, EmptyResiduals, IndexOutOfRange
 from .geometry import RigidMotion, invert, motion_stack, non_rotations
-from .pairwise import PairwiseResult, mad_scale
+from .pairwise import PairwiseFits, mad_scale
 
 CAUCHY_MAD_TO_SIGMA = 1.482
 _CONFIDENCES = ("c_local", "c_global", "c_fused")
@@ -153,19 +153,18 @@ class PoseGraph:
         return tuple(e for e in self.edges if e.active)
 
 
-def build_graph(pairwise: list[tuple[int, int, PairwiseResult]], n: int) -> PoseGraph:
-    """Graph from pairwise results; input pairs are canonicalized to i < j.
+def build_graph(n: int, pairs, fits: PairwiseFits) -> PoseGraph:
+    """Graph on n nodes of the pairs (i, j), i < j, and their fits, one row each.
 
     Initial confidences follow the first-iteration rule: the fused confidence
-    is the local one, and the global confidence starts at 1.
+    is the local one, and the global confidence starts at 1. Every row of
+    fits must be fitted, as register_batch returns them.
     """
-    pairs, motions, c_local = [], [], []
-    for i, j, res in pairwise:
-        pairs.append((min(i, j), max(i, j)))
-        motions.append((res.motion if i < j else invert(res.motion)).matrix)
-        c_local.append(res.local_confidence)
-    ones = np.ones(len(pairs))
-    return PoseGraph(n, pairs, motions, c_local, ones, c_local, ones.astype(bool))
+    if not np.all(fits.fitted):
+        raise ValueError("every pair needs a fitted motion")
+    ones = np.ones(len(fits))
+    c_local = fits.local_confidence
+    return PoseGraph(n, pairs, fits.motions, c_local, ones, c_local, ones.astype(bool))
 
 
 def cauchy_scale(residual_values, gamma: float) -> float:

@@ -1,10 +1,11 @@
 """Pairwise rigid alignment: soft correspondences, weighted closed-form
-least squares, and iteratively reweighted refinement.
+least squares, and iteratively reweighted refinement. The IRLS fits many
+sets at once: register_batch and refit_batch return one PairwiseFits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +18,8 @@ from .errors import (
     RegistrationError,
     ZeroWeightSum,
 )
-from .geometry import PointCloud, RigidMotion, Rotation3, motion_stack
+from .geometry import PointCloud, RigidMotion, Rotation3
 
-MOTION_CHANGE_TOL = 1e-8
 MAD_FLOOR = 1e-9
 MAD_TO_SIGMA = 1.4826
 # distances per row block of the correspondence kernel: 1 MiB of float64
@@ -69,10 +69,6 @@ class CorrespondenceSet:
     def with_weights(self, weights) -> "CorrespondenceSet":
         return CorrespondenceSet(self.source_pts, self.target_pts, weights, self.residuals)
 
-    def with_residuals(self, residuals) -> "CorrespondenceSet":
-        return CorrespondenceSet(self.source_pts, self.target_pts, self.weights, residuals)
-
-
 @dataclass(frozen=True, eq=False)
 class PairwiseResult:
     """Outcome of registering one scan pair."""
@@ -82,7 +78,26 @@ class PairwiseResult:
     residuals: np.ndarray
     inlier_ratio: float
     local_confidence: float
-    converged: bool = field(default=True)
+
+
+@dataclass(frozen=True, eq=False)
+class PairwiseFits:
+    """Fits of m correspondence sets, one row per set in input order.
+
+    motions (m, 4, 4), each set's final weights and residuals, inlier_ratio
+    and local_confidence (m,). A row whose fit failed has fitted False, the
+    identity motion and zero scores.
+    """
+
+    motions: np.ndarray
+    weights: tuple
+    residuals: tuple
+    inlier_ratio: np.ndarray
+    local_confidence: np.ndarray
+    fitted: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.fitted)
 
 
 def _soft_targets(query_features, target_features, target_points, temperature: float) -> np.ndarray:
@@ -236,80 +251,64 @@ def _irls_stack(src, dst, w, iterations: int, blend: float, rot=None, trans=None
     """The inner IRLS loop on m equal-length correspondence sets at once.
 
     Starts from the weighted fit of w, or from the motions rot, trans when
-    they are given. Each iteration reweights the running rows from their
-    residuals and re-fits them. A row stops when its motion moves by less
-    than MOTION_CHANGE_TOL (it converged) or when its fit fails. w, rot and
-    trans are updated in place; returns rot, trans, the fit status and the
-    converged flag of each row.
+    they are given. Each iteration reweights the rows whose fits have not
+    failed from their residuals and re-fits them. w, rot and trans are
+    updated in place; returns rot, trans and the fit status of each row.
     """
     if rot is None:
         rot, trans, status = _fit_stack(src, dst, w)
     else:
         status = np.full(len(w), _FIT_OK, dtype=np.int8)
-    converged = np.full(len(w), iterations == 0)
-    running = status == _FIT_OK
     for _ in range(iterations):
-        rows = np.flatnonzero(running)
-        if rows.size == 0:
-            break
+        rows = np.flatnonzero(status == _FIT_OK)
         s, d = src[rows], dst[rows]
         w_new = _reweight_stack(_residual_stack(rot[rows], trans[rows], s, d), w[rows], blend)
-        rot_new, trans_new, status_new = _fit_stack(s, d, w_new)
-        change = np.sqrt(
-            np.sum((rot_new - rot[rows]) ** 2, axis=(1, 2))
-            + np.sum((trans_new - trans[rows]) ** 2, axis=1)
-        )
-        ok = status_new == _FIT_OK
-        status[rows] = status_new
+        rot_new, trans_new, status[rows] = _fit_stack(s, d, w_new)
+        ok = status[rows] == _FIT_OK
         fitted = rows[ok]
         rot[fitted], trans[fitted], w[fitted] = rot_new[ok], trans_new[ok], w_new[ok]
-        done = ok & (change < MOTION_CHANGE_TOL)
-        converged[rows[done]] = True
-        running[rows[~ok | done]] = False
-    return rot, trans, status, converged
+    return rot, trans, status
 
 
-def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None) -> list:
+def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None):
     """_irls_stack over many correspondence sets, plus each set's score.
 
     Sets are grouped by correspondence count, and each group is walked in
     batches of at most BATCH_CORRESPONDENCES correspondences (at least one
     set), so the extra memory does not grow with the number of sets.
     weights[k] are the starting weights of sets[k]; start, when given, is an
-    (m, 4, 4) stack of starting motions. Returns, in input order, one
-    PairwiseResult per set or the typed error its fit raised.
+    (m, 4, 4) stack of starting motions. Returns the PairwiseFits of the sets
+    and the fit status of each row.
     """
+    m = len(sets)
     groups: dict[int, list[int]] = {}
     for k, c in enumerate(sets):
         groups.setdefault(len(c), []).append(k)
-    out: list = [None] * len(sets)
+    motions = np.tile(np.eye(4), (m, 1, 1))
+    status = np.empty(m, dtype=np.int8)
+    inlier, conf = np.zeros(m), np.zeros(m)
+    w_out, r_out = [None] * m, [None] * m
     for count, members in groups.items():
         step = max(1, BATCH_CORRESPONDENCES // count)
         for first in range(0, len(members), step):
-            idx = members[first : first + step]
+            idx = np.array(members[first : first + step])
             src = np.stack([sets[k].source_pts for k in idx])
             dst = np.stack([sets[k].target_pts for k in idx])
             w = np.stack([weights[k] for k in idx])
             rot = trans = None
             if start is not None:
                 rot, trans = start[idx, :3, :3], start[idx, :3, 3]
-            rot, trans, status, converged = _irls_stack(
-                src, dst, w, iterations, cfg.blend, rot, trans
-            )
+            rot, trans, status[idx] = _irls_stack(src, dst, w, iterations, cfg.blend, rot, trans)
             r = _residual_stack(rot, trans, src, dst)
-            inlier = np.mean(w > cfg.w_thresh, axis=1)
-            conf = local_confidence(inlier, np.median(r, axis=1), cfg)
-            fitted = status == _FIT_OK
-            motions = iter(motion_stack(rot[fitted], trans[fitted]))
+            ok = status[idx] == _FIT_OK
+            rows = idx[ok]
+            motions[rows, :3, :3], motions[rows, :3, 3] = rot[ok], trans[ok]
+            inlier[rows] = np.mean(w[ok] > cfg.w_thresh, axis=1)
+            conf[rows] = local_confidence(inlier[rows], np.median(r[ok], axis=1), cfg)
             for row, k in enumerate(idx):
-                if not fitted[row]:
-                    out[k] = _fit_error(status[row], count)
-                    continue
-                out[k] = PairwiseResult(
-                    next(motions), w[row], r[row], float(inlier[row]), float(conf[row]),
-                    bool(converged[row]),
-                )
-    return out
+                w_out[k], r_out[k] = w[row], r[row]
+    fits = PairwiseFits(motions, tuple(w_out), tuple(r_out), inlier, conf, status == _FIT_OK)
+    return fits, status
 
 
 def wls_transform(c: CorrespondenceSet) -> RigidMotion:
@@ -362,29 +361,29 @@ def local_confidence(inlier_ratio, median_residual, cfg: PipelineConfig | None =
     return float(value) if np.ndim(value) == 0 else value
 
 
-def register_batch(sets, cfg: PipelineConfig | None = None) -> list[PairwiseResult]:
+def register_batch(sets, cfg: PipelineConfig | None = None) -> PairwiseFits:
     """register_correspondences on many correspondence sets at once.
 
-    Results come in input order. When fits fail, the error of the first
-    failing set in input order is raised, as a loop over the sets would.
+    Rows come in input order. When fits fail, the error of the first failing
+    set in input order is raised, as a loop over the sets would.
     """
     cfg = cfg or PipelineConfig()
-    results = _irls_edges(sets, [c.weights for c in sets], cfg, cfg.inner_irls)
-    for result in results:
-        if isinstance(result, RegistrationError):
-            raise result
-    return results
+    fits, status = _irls_edges(sets, [c.weights for c in sets], cfg, cfg.inner_irls)
+    if not fits.fitted.all():
+        k = int(np.argmin(fits.fitted))
+        raise _fit_error(status[k], len(sets[k]))
+    return fits
 
 
-def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> list:
+def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> PairwiseFits:
     """One IRLS step per correspondence set, from a given motion.
 
     Reweights each set from its residuals under start[k], an (m, 4, 4) stack
     of motions mapping source onto target (such as synchronized relative
     motions), blending with the previous weights[k], then re-fits and
     scores the set. A set whose re-fit fails, because its weights collapsed
-    onto a degenerate support, gets None so the caller can keep its previous
-    fit.
+    onto a degenerate support, gets fitted False, so the caller can keep its
+    previous fit.
     """
     cfg = cfg or PipelineConfig()
     start = np.asarray(start, dtype=np.float64)
@@ -397,13 +396,15 @@ def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> list
     for c, w in zip(sets, weights):
         if w.shape != (len(c),):
             raise ValueError(f"weights shape {w.shape} != ({len(c)},) correspondences")
-    results = _irls_edges(sets, weights, cfg, 1, start)
-    return [None if isinstance(r, RegistrationError) else r for r in results]
+    return _irls_edges(sets, weights, cfg, 1, start)[0]
 
 
 def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None = None) -> PairwiseResult:
     """Run the inner IRLS loop on an existing correspondence set."""
-    return register_batch([corr], cfg)[0]
+    fits = register_batch([corr], cfg)
+    return PairwiseResult(RigidMotion.from_matrix(fits.motions[0]), fits.weights[0],
+                          fits.residuals[0], float(fits.inlier_ratio[0]),
+                          float(fits.local_confidence[0]))
 
 
 def register_pair(p: PointCloud, q: PointCloud, cfg: PipelineConfig | None = None) -> PairwiseResult:

@@ -1,5 +1,6 @@
-"""Outer refinement loop: pairwise registration of all pairs, pose-graph
-synchronization, pre-alignment feedback, confidence fusion, and pruning.
+"""Outer refinement loop: pairwise registration of all pairs in one batch,
+pose-graph synchronization, pre-alignment feedback (one batched refit of the
+active edges per iteration), confidence fusion, and pruning.
 """
 
 from __future__ import annotations
@@ -110,26 +111,23 @@ def _feedback(graph, absolute, sets, weights, cfg, first: bool) -> PoseGraph:
     sets and weights hold one entry per edge; weights is updated in place.
     """
     active = np.flatnonzero(graph.active)
-    refits = refit_batch(
+    fits = refit_batch(
         [sets[k] for k in active],
         [weights[k] for k in active],
         relative_motions(_matrices(absolute), graph.pairs[active]),
         cfg,
     )
     # inactive edges, and bad edges whose weights collapsed, keep their fit
-    rows = [k for k, res in zip(active.tolist(), refits) if res is not None]
-    fits = [res for res in refits if res is not None]
-    if not fits:
-        return graph
-    for k, res in zip(rows, fits):
-        weights[k] = res.weights
-    c_local = np.array([res.local_confidence for res in fits])
+    rows = active[fits.fitted]
+    for row in np.flatnonzero(fits.fitted):
+        weights[active[row]] = fits.weights[row]
+    c_local = fits.local_confidence[fits.fitted]
     # on the first pass there is no trustworthy global evidence yet
     c_fused = c_local if first else np.clip(
         harmonic_fuse(c_local, graph.c_global[rows], cfg.beta), 0.0, 1.0
     )
-    return graph.with_rows(rows, motions=_matrices(res.motion for res in fits),
-                           c_local=c_local, c_fused=c_fused)
+    return graph.with_rows(rows, motions=fits.motions[fits.fitted], c_local=c_local,
+                           c_fused=c_fused)
 
 
 def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:
@@ -169,11 +167,11 @@ def run_multiview_from_correspondences(
     pairs = tuple(sorted(correspondences))
     sets = [correspondences[p] for p in pairs]
 
-    results = register_batch(sets, cfg)
-    graph = build_graph([(i, j, res) for (i, j), res in zip(pairs, results)], n)
+    fits = register_batch(sets, cfg)
+    graph = build_graph(n, pairs, fits)
     # keep only each edge's weights, so the fits' residual arrays are freed
-    weights = [res.weights for res in results]
-    del results
+    weights = list(fits.weights)
+    del fits
     if not is_connected(graph):
         raise DisconnectedInput("measurement pairs do not connect all clouds")
 

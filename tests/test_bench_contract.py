@@ -61,6 +61,8 @@ def test_toy_solve_has_what_the_harness_reads():
         result, trace = run_multiview_from_correspondences(correspondences, 6, cfg)
     names = {s.name for s in tracer.spans}
     assert {"graph.build_graph", "graph.is_connected", "sync.transf_sync"} <= names
+    # the harness reads single-set results off these spans; a solve makes none
+    assert "pairwise.register_correspondences" not in names
     assert len(graphs) == 1 and rounds and all(r >= 1 for r in rounds)
 
     g0 = graphs[0]

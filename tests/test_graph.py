@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from mvreg import (
     Edge,
     EmptyResiduals,
     IndexOutOfRange,
-    PairwiseResult,
+    PairwiseFits,
     PoseGraph,
     RigidMotion,
     build_graph,
@@ -23,14 +25,16 @@ from mvreg.graph import search_tree
 from mvreg.synthetic import random_motion
 
 
-def pw(motion, confidence=0.9):
-    n = 4
-    return PairwiseResult(
-        motion=motion,
-        weights=np.ones(n),
-        residuals=np.zeros(n),
-        inlier_ratio=1.0,
-        local_confidence=confidence,
+def pw(motions, confidence=0.9):
+    """Fits of the given motions, each row scored `confidence`."""
+    m, n = len(motions), 4
+    return PairwiseFits(
+        motions=np.stack([x.matrix for x in motions]),
+        weights=(np.ones(n),) * m,
+        residuals=(np.zeros(n),) * m,
+        inlier_ratio=np.ones(m),
+        local_confidence=np.full(m, confidence),
+        fitted=np.ones(m, dtype=bool),
     )
 
 
@@ -176,35 +180,37 @@ class TestPoseGraph:
 class TestBuildGraph:
     def test_initial_confidences(self):
         rng = np.random.default_rng(2)
-        g = build_graph([(0, 1, pw(random_motion(rng), 0.8))], 2)
+        g = build_graph(2, [(0, 1)], pw([random_motion(rng)], 0.8))
         e = g.edges[0]
         assert e.c_local == 0.8
         assert e.c_global == 1.0
         assert e.c_fused == 0.8
         assert e.active
 
-    def test_reversed_pair_is_canonicalized(self):
+    def test_reversed_pair_is_rejected(self):
         rng = np.random.default_rng(3)
-        m = random_motion(rng)
-        g = build_graph([(2, 0, pw(m))], 3)
-        e = g.edges[0]
-        assert (e.i, e.j) == (0, 2)
-        # stored motion maps frame 0 into frame 2, i.e. the inverse of the
-        # supplied 2 -> 0 measurement
-        assert np.linalg.norm(compose(e.motion, m).matrix - np.eye(4)) < 1e-12
+        with pytest.raises(ValueError, match="i < j"):
+            build_graph(3, [(2, 0)], pw([random_motion(rng)]))
 
-    def test_same_pair_in_both_orders_is_duplicate(self):
+    def test_repeated_pair_is_duplicate(self):
         rng = np.random.default_rng(4)
-        entries = [(1, 2, pw(random_motion(rng))), (2, 1, pw(random_motion(rng)))]
+        fits = pw([random_motion(rng), random_motion(rng)])
         with pytest.raises(DuplicateEdge):
-            build_graph(entries, 3)
+            build_graph(3, [(1, 2), (1, 2)], fits)
 
     def test_out_of_range_and_self_loop(self):
         rng = np.random.default_rng(5)
         with pytest.raises(IndexOutOfRange):
-            build_graph([(0, 3, pw(random_motion(rng)))], 3)
+            build_graph(3, [(0, 3)], pw([random_motion(rng)]))
         with pytest.raises(IndexOutOfRange):
-            build_graph([(1, 1, pw(random_motion(rng)))], 3)
+            build_graph(3, [(1, 1)], pw([random_motion(rng)]))
+
+    def test_unfitted_row_is_rejected(self):
+        rng = np.random.default_rng(6)
+        fits = pw([random_motion(rng), random_motion(rng)])
+        fits = replace(fits, fitted=np.array([True, False]))
+        with pytest.raises(ValueError, match="fitted"):
+            build_graph(3, [(0, 1), (1, 2)], fits)
 
 
 class TestCauchyScale:

@@ -252,7 +252,7 @@ class TestFeedbackRefit:
             sets = list(sets)
             sets[1] = CorrespondenceSet(line, line, np.ones(n), np.zeros(n))
             results = real_refit(sets, weights, start, cfg)
-            assert results[1] is None
+            assert not results.fitted[1]
             return results
 
         monkeypatch.setattr(pipeline_mod, "transf_sync", sync)
@@ -283,18 +283,20 @@ class TestFeedbackRefit:
         cfg = PipelineConfig(temperature=1e-6)
         sets = [build_correspondences(noisy[i], noisy[j], cfg.temperature) for i, j in ring]
         fits = register_batch(sets, cfg)
-        synced = transf_sync(build_graph([(i, j, f) for (i, j), f in zip(ring, fits)], 4))
+        synced = transf_sync(build_graph(4, ring, fits))
         graph = synced.graph.with_rows([0], active=[False])
         assert len(set(graph.c_global[1:].tolist())) == 3
-        weights = [f.weights for f in fits]
+        weights = list(fits.weights)
         out = pipeline_mod._feedback(graph, synced.absolute, sets, list(weights), cfg, False)
         poses = np.stack([m.matrix for m in synced.absolute])
         refits = refit_batch(sets[1:], weights[1:], relative_motions(poses, ring[1:]), cfg)
-        for k, res in enumerate(refits, start=1):
-            fused = harmonic_fuse(res.local_confidence, graph.c_global[k], cfg.beta)
-            assert out.c_local[k] == res.local_confidence
+        assert refits.fitted.all()
+        for k in range(1, 4):
+            c_local = refits.local_confidence[k - 1]
+            fused = harmonic_fuse(c_local, graph.c_global[k], cfg.beta)
+            assert out.c_local[k] == c_local
             assert out.c_fused[k] == min(max(fused, 0.0), 1.0)
-            assert np.array_equal(out.motions[k], res.motion.matrix)
+            assert np.array_equal(out.motions[k], refits.motions[k - 1])
         for name in ("motions", "c_local", "c_global", "c_fused", "active"):
             assert np.array_equal(getattr(out, name)[0], getattr(graph, name)[0])
 
