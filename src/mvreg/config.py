@@ -23,11 +23,6 @@ class PipelineConfig:
     inner_irls: int = 5
     blend: float = 0.7
     connectivity: tuple[tuple[int, int], ...] | None = None
-    # local-confidence surrogate: logistic steepness/midpoint on the inlier
-    # ratio and the residual scale (meters) of the damping factor
-    conf_steepness: float = 10.0
-    conf_midpoint: float = 0.3
-    conf_residual_scale: float = 0.05
 
     def __post_init__(self):
         if self.outer_iterations < 1:

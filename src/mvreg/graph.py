@@ -5,9 +5,9 @@ it is built: `pairs` (m x 2, i < j), `motions` (m x 4 x 4, mapping frame-i
 coordinates into frame j), `c_local`, `c_global` and `c_fused` in [0, 1],
 and the `active` mask. Graphs are immutable snapshots: each update returns a
 new graph, and pruned edges keep their rows. Edge is a row as a record;
-PoseGraph.from_edges takes records, and `edges` and the lookups give them
-back, built on first use. Reverse directions follow from R_ji = R_ij^T,
-t_ji = -R_ij^T t_ij.
+PoseGraph.from_edges takes records, and `edges` and `active_edges()` give
+them back, built on first use. Reverse directions follow from
+R_ji = R_ij^T, t_ji = -R_ij^T t_ij.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DuplicateEdge, EmptyResiduals, IndexOutOfRange
-from .geometry import RigidMotion, invert, motion_stack, non_rotations
+from .geometry import RigidMotion, motion_stack, non_rotations
 from .pairwise import PairwiseFits, mad_scale
 
 CAUCHY_MAD_TO_SIGMA = 1.482
@@ -130,24 +130,6 @@ class PoseGraph:
         motions = motion_stack(self.motions[:, :3, :3], self.motions[:, :3, 3])
         scalars = (getattr(self, name).tolist() for name in _SCALARS)
         return tuple(Edge(*row) for row in zip(*self.pairs.T.tolist(), motions, *scalars))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {(i, j): k for k, (i, j) in enumerate(self.pairs.tolist())}
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._index
-
-    def edge(self, i: int, j: int) -> Edge:
-        """Edge record for the unordered pair {i, j}."""
-        if not self.has_edge(i, j):
-            raise KeyError(f"no edge between {i} and {j}")
-        return self.edges[self._index[min(i, j), max(i, j)]]
-
-    def relative_motion(self, i: int, j: int) -> RigidMotion:
-        """Measured motion mapping frame-i coordinates into frame j."""
-        e = self.edge(i, j)
-        return e.motion if (i, j) == (e.i, e.j) else invert(e.motion)
 
     def active_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.active)

@@ -29,12 +29,6 @@ FEATURE_MAGIC = b"FEAT"
 FEATURE_HEADER_BYTES = 16
 DEFAULT_VOXEL_CELL = 0.025
 
-_PLY_TYPE_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
 _PLY_NUMPY_CODES = {
     "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
     "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
@@ -94,7 +88,7 @@ def _parse_ply_header(handle):
                     raise MalformedHeader(f"malformed list property: '{line}'")
                 current[2].append(("list", tokens[4]))
             elif len(tokens) == 3:
-                if tokens[1] not in _PLY_TYPE_SIZES:
+                if tokens[1] not in _PLY_NUMPY_CODES:
                     raise MalformedHeader(f"unknown property type '{tokens[1]}'")
                 current[2].append((tokens[1], tokens[2]))
             else:
@@ -138,7 +132,7 @@ def read_ply(path) -> PointCloud:
                     f"binary list property in element '{name}' has no fixed size"
                 )
         expected = sum(
-            count * sum(_PLY_TYPE_SIZES[kind] for kind, _ in props)
+            count * sum(np.dtype(_PLY_NUMPY_CODES[kind]).itemsize for kind, _ in props)
             for name, count, props in elements
         )
         if len(body) != expected:

@@ -70,25 +70,25 @@ def registration_recall(pairs, rmse_thresh: float = DEFAULT_RECALL_RMSE_M) -> fl
     return successes / len(pairs)
 
 
-def _absolute_list(est):
-    return list(est.absolute) if hasattr(est, "absolute") else list(est)
+def _pose_array(motions) -> np.ndarray:
+    return np.array([m.matrix for m in motions]).reshape(-1, 4, 4)
 
 
 def sync_pair_error(est, gt: list[RigidMotion]) -> tuple[float, float]:
     """Mean Frobenius rotation gap and translation gap over all relative pairs.
 
     Compares relative motions, so the result is invariant to the global gauge
-    of either pose set. `est` may be a SyncResult or a list of motions.
+    of either pose set. `est` may be a SyncResult, whose poses array is read,
+    or a list of motions.
     """
-    est_abs = _absolute_list(est)
-    if len(est_abs) != len(gt):
-        raise LengthMismatch(f"{len(est_abs)} estimated poses vs {len(gt)} reference poses")
+    est_poses = est.poses if hasattr(est, "poses") else _pose_array(est)
+    if len(est_poses) != len(gt):
+        raise LengthMismatch(f"{len(est_poses)} estimated poses vs {len(gt)} reference poses")
     n = len(gt)
     if n < 2:
         raise LengthMismatch("need at least 2 poses to compare relative motions")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    gap = (relative_motions([m.matrix for m in est_abs], pairs)
-           - relative_motions([m.matrix for m in gt], pairs))
+    gap = relative_motions(est_poses, pairs) - relative_motions(_pose_array(gt), pairs)
     rot = np.linalg.norm(gap[:, :3, :3], axis=(1, 2))
     trans = np.linalg.norm(gap[:, :3, 3], axis=1)
     return float(rot.mean()), float(trans.mean())

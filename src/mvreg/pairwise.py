@@ -29,6 +29,11 @@ BLOCK_CELLS = 1 << 17
 BATCH_CORRESPONDENCES = 4096
 # fit status of one row of _fit_stack; _fit_error maps a failure to its error
 _FIT_OK, _TOO_FEW, _ZERO_WEIGHT, _COLLINEAR = range(4)
+# local_confidence: logistic steepness and midpoint on the inlier ratio, and
+# the residual scale (meters) at which the damping factor halves
+CONF_STEEPNESS = 10.0
+CONF_MIDPOINT = 0.3
+CONF_RESIDUAL_SCALE = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +89,13 @@ class PairwiseResult:
 class PairwiseFits:
     """Fits of m correspondence sets, one row per set in input order.
 
-    motions (m, 4, 4), each set's final weights and residuals, inlier_ratio
-    and local_confidence (m,). A row whose fit failed has fitted False, the
+    motions (m, 4, 4), each set's final weights, inlier_ratio and
+    local_confidence (m,). A row whose fit failed has fitted False, the
     identity motion and zero scores.
     """
 
     motions: np.ndarray
     weights: tuple
-    residuals: tuple
     inlier_ratio: np.ndarray
     local_confidence: np.ndarray
     fitted: np.ndarray
@@ -287,7 +291,7 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
     motions = np.tile(np.eye(4), (m, 1, 1))
     status = np.empty(m, dtype=np.int8)
     inlier, conf = np.zeros(m), np.zeros(m)
-    w_out, r_out = [None] * m, [None] * m
+    w_out = [None] * m
     for count, members in groups.items():
         step = max(1, BATCH_CORRESPONDENCES // count)
         for first in range(0, len(members), step):
@@ -304,10 +308,10 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
             rows = idx[ok]
             motions[rows, :3, :3], motions[rows, :3, 3] = rot[ok], trans[ok]
             inlier[rows] = np.mean(w[ok] > cfg.w_thresh, axis=1)
-            conf[rows] = local_confidence(inlier[rows], np.median(r[ok], axis=1), cfg)
+            conf[rows] = local_confidence(inlier[rows], np.median(r[ok], axis=1))
             for row, k in enumerate(idx):
-                w_out[k], r_out[k] = w[row], r[row]
-    fits = PairwiseFits(motions, tuple(w_out), tuple(r_out), inlier, conf, status == _FIT_OK)
+                w_out[k] = w[row]
+    fits = PairwiseFits(motions, tuple(w_out), inlier, conf, status == _FIT_OK)
     return fits, status
 
 
@@ -346,17 +350,16 @@ def robust_reweight(residual_values, prev_weights, blend: float) -> np.ndarray:
     return _reweight_stack(r.reshape(1, -1), prev.reshape(1, -1), blend).reshape(r.shape)
 
 
-def local_confidence(inlier_ratio, median_residual, cfg: PipelineConfig | None = None):
+def local_confidence(inlier_ratio, median_residual):
     """Analytic per-pair confidence in [0, 1].
 
-    Logistic in the inlier ratio (midpoint delta_0, steepness k), damped by
-    the median residual relative to a length scale rho: confidence halves
-    when the median residual reaches rho. Element-wise on arrays; scalar
-    inputs give a float.
+    Logistic in the inlier ratio (midpoint delta_0 = CONF_MIDPOINT, steepness
+    k = CONF_STEEPNESS), damped by the median residual relative to a length
+    scale rho = CONF_RESIDUAL_SCALE: confidence halves when the median
+    residual reaches rho. Element-wise on arrays; scalar inputs give a float.
     """
-    cfg = cfg or PipelineConfig()
-    gate = 1.0 / (1.0 + np.exp(-cfg.conf_steepness * (inlier_ratio - cfg.conf_midpoint)))
-    damp = 1.0 / (1.0 + median_residual / cfg.conf_residual_scale)
+    gate = 1.0 / (1.0 + np.exp(-CONF_STEEPNESS * (inlier_ratio - CONF_MIDPOINT)))
+    damp = 1.0 / (1.0 + median_residual / CONF_RESIDUAL_SCALE)
     value = gate * damp
     return float(value) if np.ndim(value) == 0 else value
 
@@ -402,9 +405,9 @@ def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> Pair
 def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None = None) -> PairwiseResult:
     """Run the inner IRLS loop on an existing correspondence set."""
     fits = register_batch([corr], cfg)
-    return PairwiseResult(RigidMotion.from_matrix(fits.motions[0]), fits.weights[0],
-                          fits.residuals[0], float(fits.inlier_ratio[0]),
-                          float(fits.local_confidence[0]))
+    motion = RigidMotion.from_matrix(fits.motions[0])
+    return PairwiseResult(motion, fits.weights[0], residuals(corr, motion),
+                          float(fits.inlier_ratio[0]), float(fits.local_confidence[0]))
 
 
 def register_pair(p: PointCloud, q: PointCloud, cfg: PipelineConfig | None = None) -> PairwiseResult:

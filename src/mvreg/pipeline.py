@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DisconnectedInput, IndexOutOfRange, TooFewClouds
-from .geometry import PointCloud, RigidMotion, compose, invert, relative_motions
+from .errors import DisconnectedInput, DuplicateEdge, IndexOutOfRange, TooFewClouds
+from .geometry import PointCloud, RigidMotion, motion_stack, relative_motions
 from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges, search_tree
 from .metrics import motion_errors
 
@@ -62,16 +62,12 @@ class PipelineTrace:
         return any(s.disconnected for s in self.iterations)
 
 
-def _matrices(motions) -> np.ndarray:
-    return np.stack([m.matrix for m in motions])
-
-
-def _stats(iteration, graph, disconnected, pairs, absolute, truth_relatives) -> IterationStats:
+def _stats(iteration, graph, disconnected, pairs, poses, truth_relatives) -> IterationStats:
     """Diagnostics; errors of the synchronized relatives when the truth is known."""
     active = int(graph.active.sum())
     if truth_relatives is None:
         return IterationStats(iteration, active, disconnected)
-    rot, trans = motion_errors(relative_motions(_matrices(absolute), pairs), truth_relatives)
+    rot, trans = motion_errors(relative_motions(poses, pairs), truth_relatives)
     return IterationStats(
         iteration,
         active,
@@ -92,17 +88,27 @@ def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
     pose composes its parent's pose with the inverted measured relative, so
     errors accumulate along tree paths with no synchronization.
     """
-    order, parent = search_tree(graph.node_count, graph.pairs[graph.active])
-    if len(order) < graph.node_count:
+    n = graph.node_count
+    pairs = graph.pairs[graph.active]
+    order, parent = search_tree(n, pairs)
+    if len(order) < n:
         raise DisconnectedInput("active edges do not connect all nodes")
-    absolute = [RigidMotion.identity()] * graph.node_count
+    # the motions row of each active edge (i, j), keyed by i * n + j
+    row = dict(zip((pairs @ (n, 1)).tolist(), np.flatnonzero(graph.active).tolist()))
+    poses = np.tile(np.eye(4), (n, 1, 1))
     for v in order[1:]:
-        # the measured motion maps parent u -> v, so M_v = M_u . M_uv^-1
-        absolute[v] = compose(absolute[parent[v]], invert(graph.relative_motion(parent[v], v)))
-    return tuple(absolute)
+        u = parent[v]
+        motion = graph.motions[row[min(u, v) * n + max(u, v)]]
+        rot, trans = motion[:3, :3], motion[:3, 3]
+        if u < v:
+            # the motion maps u -> v, so M_v = M_u . M_uv^-1; else it is M_vu = M_uv^-1
+            rot, trans = rot.T, -rot.T @ trans
+        poses[v, :3, :3] = poses[u, :3, :3] @ rot
+        poses[v, :3, 3] = poses[u, :3, :3] @ trans + poses[u, :3, 3]
+    return tuple(motion_stack(poses[:, :3, :3], poses[:, :3, 3]))
 
 
-def _feedback(graph, absolute, sets, weights, cfg, first: bool) -> PoseGraph:
+def _feedback(graph, poses, sets, weights, cfg, first: bool) -> PoseGraph:
     """One IRLS step per active edge, started from the synchronized relative motion.
 
     Reweights each edge's correspondences from their aligned residuals,
@@ -114,7 +120,7 @@ def _feedback(graph, absolute, sets, weights, cfg, first: bool) -> PoseGraph:
     fits = refit_batch(
         [sets[k] for k in active],
         [weights[k] for k in active],
-        relative_motions(_matrices(absolute), graph.pairs[active]),
+        relative_motions(poses, graph.pairs[active]),
         cfg,
     )
     # inactive edges, and bad edges whose weights collapsed, keep their fit
@@ -133,15 +139,20 @@ def _feedback(graph, absolute, sets, weights, cfg, first: bool) -> PoseGraph:
 def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:
     """Scan pairs as (min, max) tuples; every pair i < j when connectivity is None.
 
-    Raises IndexOutOfRange for a self-loop or an index outside 0..n-1.
+    Raises IndexOutOfRange for a self-loop or an index outside 0..n-1, and
+    DuplicateEdge when two entries name the same unordered pair.
     """
     if connectivity is None:
         return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    pairs = []
+    # each canonical pair -> the entry that named it first
+    pairs = {}
     for i, j in connectivity:
-        if not 0 <= min(i, j) < max(i, j) < n:
+        pair = (min(i, j), max(i, j))
+        if not 0 <= pair[0] < pair[1] < n:
             raise IndexOutOfRange(f"connectivity pair ({i}, {j}) invalid for {n} clouds")
-        pairs.append((min(i, j), max(i, j)))
+        if pair in pairs:
+            raise DuplicateEdge(f"connectivity pair ({i}, {j}) repeats {pairs[pair]}")
+        pairs[pair] = (i, j)
     return tuple(pairs)
 
 
@@ -169,9 +180,7 @@ def run_multiview_from_correspondences(
 
     fits = register_batch(sets, cfg)
     graph = build_graph(n, pairs, fits)
-    # keep only each edge's weights, so the fits' residual arrays are freed
     weights = list(fits.weights)
-    del fits
     if not is_connected(graph):
         raise DisconnectedInput("measurement pairs do not connect all clouds")
 
@@ -180,18 +189,18 @@ def run_multiview_from_correspondences(
     if ground_truth is not None:
         if len(ground_truth) != n:
             raise ValueError(f"ground truth length {len(ground_truth)} != {n} clouds")
-        truth_relatives = relative_motions(_matrices(ground_truth), pairs)
+        truth_relatives = relative_motions(np.stack([m.matrix for m in ground_truth]), pairs)
         rot, trans = motion_errors(graph.motions, truth_relatives)
         trace = replace(trace, pairwise_rotation_errors_deg=rot, pairwise_translation_errors_m=trans)
 
     stats = []
     for k in range(1, cfg.outer_iterations + 1):
         result = transf_sync(graph, rounds=cfg.sync_rounds, gamma=cfg.gamma, beta=cfg.beta)
-        graph = _feedback(result.graph, result.absolute, sets, weights, cfg, k == 1)
+        graph = _feedback(result.graph, result.poses, sets, weights, cfg, k == 1)
         graph = prune_edges(graph, cfg.tau_p)
 
         connected = is_connected(graph)
-        stats.append(_stats(k, graph, not connected, pairs, result.absolute, truth_relatives))
+        stats.append(_stats(k, graph, not connected, pairs, result.poses, truth_relatives))
         if not connected:
             break
 

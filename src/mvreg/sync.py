@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,11 @@ _WANTED = 4
 
 @dataclass(frozen=True, eq=False)
 class SyncResult:
-    """Absolute motions (node 0 = identity) plus solver diagnostics.
+    """Absolute poses (node 0 = identity) plus solver diagnostics.
+
+    poses is a read-only (n, 4, 4) array whose row i is the absolute motion
+    M_i; `absolute` gives the same rows as RigidMotion records, built on
+    first use.
 
     translation_rank_deficiency is the number of translation unknowns the
     normal equations leave undetermined. It is always 3, the global shifts
@@ -87,12 +92,16 @@ class SyncResult:
     of positive weight connect all nodes, and rejects every other graph.
     """
 
-    absolute: tuple[RigidMotion, ...]
+    poses: np.ndarray
     rotation_eigengap: float
     translation_rank_deficiency: int
     graph: PoseGraph
     rounds_completed: int = 1
     disconnected: bool = False
+
+    @cached_property
+    def absolute(self) -> tuple[RigidMotion, ...]:
+        return tuple(motion_stack(self.poses[:, :3, :3], self.poses[:, :3, 3]))
 
 
 def _active_arrays(g: PoseGraph, rounds: int = 1):
@@ -356,16 +365,6 @@ def translation_objective(g: PoseGraph, rotations: list[Rotation3], translations
     return float(c @ np.sum((rebuilt - motions[:, :3, 3]) ** 2, axis=1))
 
 
-def _consistency_residuals(pairs, motions, rotations, translations) -> np.ndarray:
-    """Per-edge Frobenius gap between the measured relative motions and those
-    rebuilt from the absolutes."""
-    absolute = np.zeros((len(rotations), 4, 4))
-    absolute[:, :3, :3] = rotations
-    absolute[:, :3, 3] = translations
-    absolute[:, 3, 3] = 1.0
-    return np.linalg.norm(motions - relative_motions(absolute, pairs), axis=(1, 2))
-
-
 def transf_sync(
     g: PoseGraph, rounds: int = 4, gamma: float = 3.0, beta: float = 1.0
 ) -> SyncResult:
@@ -390,13 +389,18 @@ def transf_sync(
         rotations, eigengap, panel = _rotations(
             n, pairs, motions[:, :3, :3], c_fused, band, panel
         )
-        translations = _translations(n, pairs, motions[:, :3, 3], c_fused, rotations)
-        residuals = _consistency_residuals(pairs, motions, rotations, translations)
+        poses = np.zeros((n, 4, 4))
+        poses[:, :3, :3] = rotations
+        poses[:, :3, 3] = _translations(n, pairs, motions[:, :3, 3], c_fused, rotations)
+        poses[:, 3, 3] = 1.0
+        # per edge, the Frobenius gap between the measured and the rebuilt relative motion
+        residuals = np.linalg.norm(motions - relative_motions(poses, pairs), axis=(1, 2))
         c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals, gamma))
         c_fused = np.clip(harmonic_fuse(c_local, c_global, beta), 0.0, 1.0)
 
+    poses.setflags(write=False)
     return SyncResult(
-        absolute=tuple(motion_stack(rotations, translations)),
+        poses=poses,
         rotation_eigengap=eigengap,
         translation_rank_deficiency=3,
         graph=g.with_rows(g.active, c_global=c_global, c_fused=c_fused),

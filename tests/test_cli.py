@@ -201,6 +201,17 @@ class TestMultiviewCommand:
         assert "edge line" in err
 
     @pytest.mark.parametrize("pairwise_only", [False, True])
+    def test_repeated_scan_pair_fails_in_both_modes(self, tmp_path, capsys, pairwise_only):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 3\n1 0\n")
+        extra = ("--pairwise-only",) if pairwise_only else ()
+        code, out, err = run_cli(capsys, "multiview", str(scene), "--edges", str(edges), *extra)
+        assert code == 1
+        assert "(1, 0) repeats (0, 1)" in err
+        assert "mode" not in parse_kv(out)
+
+    @pytest.mark.parametrize("pairwise_only", [False, True])
     def test_edge_to_missing_scan_fails(self, tmp_path, capsys, pairwise_only):
         scene = self.make_scene_dir(tmp_path, capsys)
         edges = tmp_path / "edges.txt"

@@ -32,7 +32,7 @@ from mvreg import (
     wls_transform,
 )
 import mvreg.pairwise as pairwise_mod
-from mvreg.pairwise import refit_batch
+from mvreg.pairwise import CONF_MIDPOINT, refit_batch
 from mvreg.synthetic import random_motion
 
 from conftest import make_feature_cloud
@@ -391,8 +391,7 @@ class TestRobustReweight:
 
 class TestLocalConfidence:
     def test_logistic_midpoint(self):
-        cfg = PipelineConfig()
-        assert abs(local_confidence(cfg.conf_midpoint, 0.0) - 0.5) < 1e-12
+        assert abs(local_confidence(CONF_MIDPOINT, 0.0) - 0.5) < 1e-12
 
     def test_perfect_pair(self):
         expected = 1.0 / (1.0 + np.exp(-7.0))
@@ -569,11 +568,13 @@ class TestBatchedIrls:
             for k, (c, (motion, weights)) in enumerate(zip(sets, expected)):
                 assert np.abs(got.motions[k] - motion).max() <= 1e-12, (batch, len(c))
                 assert np.abs(got.weights[k] - weights).max() <= 1e-12, (batch, len(c))
-                final = np.linalg.norm(
-                    c.source_pts @ motion[:3, :3].T + motion[:3, 3] - c.target_pts, axis=1
-                )
-                assert np.abs(got.residuals[k] - final).max() <= 1e-12
                 assert got.inlier_ratio[k] == float(np.mean(weights > cfg.w_thresh))
+        # the single-set record carries the residuals under the final motion
+        for c, (motion, _) in zip(sets, expected):
+            final = np.linalg.norm(
+                c.source_pts @ motion[:3, :3].T + motion[:3, 3] - c.target_pts, axis=1
+            )
+            assert np.abs(register_correspondences(c, cfg).residuals - final).max() <= 1e-12
 
     def test_single_set_matches_its_batched_result(self):
         sets = mixed_sets(np.random.default_rng(41), counts=(64,), per_count=6)
@@ -629,8 +630,8 @@ class TestBatchedIrls:
 
     def test_peak_memory_is_bounded(self):
         # 96 sets of 2048 correspondences, the synthetic-30x2048 shape: the
-        # outputs (weights and residuals) take 3.1 MB; one stack of all sets
-        # at once peaked at ~36 MB
+        # output weights take 1.6 MB; one stack of all sets at once peaked at
+        # ~36 MB
         rng = np.random.default_rng(44)
         sets = []
         for _ in range(96):
@@ -672,7 +673,7 @@ class TestRefitBatch:
             assert np.abs(fits.weights[k] - w_new).max() <= 1e-12
             final = residuals(c, expected)
             delta = float(np.mean(w_new > cfg.w_thresh))
-            conf = local_confidence(delta, float(np.median(final)), cfg)
+            conf = local_confidence(delta, float(np.median(final)))
             assert abs(fits.local_confidence[k] - conf) <= 1e-12
 
     @pytest.mark.parametrize("collapse", ["zero", "two_points"])

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 import mvreg.pipeline as pipeline_mod
+import mvreg.sync as sync_mod
 from mvreg import (
     CorrespondenceSet,
     DegenerateConfiguration,
     DisconnectedInput,
+    DuplicateEdge,
     Edge,
     IndexOutOfRange,
     PipelineConfig,
     PointCloud,
     PoseGraph,
+    RigidMotion,
     TooFewClouds,
     ZeroWeightSum,
     build_graph,
@@ -25,7 +28,7 @@ from mvreg import (
     transf_sync,
     transform_points,
 )
-from mvreg.geometry import relative_motions
+from mvreg.geometry import motion_stack, relative_motions
 from mvreg.pairwise import build_correspondences, refit_batch, register_batch
 from mvreg.synthetic import generate_scene, random_motion, scene_correspondences
 
@@ -72,6 +75,26 @@ class TestPairwiseChain:
         )
         absolute = pairwise_chain_absolute(PoseGraph.from_edges(4, edges))
         assert np.array_equal(absolute[0].matrix, np.eye(4))
+
+    def test_matches_object_chain_with_tree_edges_in_both_directions(self):
+        # independent random motions, so every cycle is inconsistent and the
+        # result depends on which tree is chained. Edge (0, 1) is inactive and
+        # (1, 4) closes a cycle; the tree from node 0 is 0-3, 0-2, 3-1, 2-4,
+        # and its edge 3-1 runs against the stored (1, 3) direction
+        rng = np.random.default_rng(6)
+        pairs = ((0, 1), (0, 3), (1, 3), (0, 2), (2, 4), (1, 4))
+        edges = [Edge(i, j, random_motion(rng), c_local=0.9, active=(i, j) != (0, 1))
+                 for i, j in pairs]
+        motions = {(e.i, e.j): e.motion for e in edges}
+        expected = [RigidMotion.identity()] * 5
+        for v, u in ((3, 0), (2, 0), (1, 3), (4, 2)):
+            # measured u -> v, so M_v = M_u . M_uv^-1
+            uv = motions[u, v] if u < v else invert(motions[v, u])
+            expected[v] = compose(expected[u], invert(uv))
+        absolute = pairwise_chain_absolute(PoseGraph.from_edges(5, edges))
+        assert all(isinstance(m, RigidMotion) for m in absolute)
+        for a, e in zip(absolute, expected, strict=True):
+            assert np.abs(a.matrix - e.matrix).max() <= 1e-12
 
     def test_disconnected_raises(self):
         rng = np.random.default_rng(5)
@@ -148,6 +171,36 @@ class TestRunMultiviewBasics:
         with pytest.raises(error) as info:
             run_multiview_from_correspondences(corr, 3)
         assert type(info.value) is error
+
+    def test_repeated_connectivity_pair_fails_before_any_correspondences(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        clouds, _ = shared_scene_clouds(rng, 4)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_correspondences(*args)
+
+        monkeypatch.setattr(pipeline_mod, "build_correspondences", counting)
+        cfg = PipelineConfig(connectivity=((0, 1), (1, 2), (2, 3), (1, 0)))
+        with pytest.raises(DuplicateEdge):
+            run_multiview(clouds, cfg)
+        assert calls == []
+
+    def test_solve_builds_no_pose_records_until_absolute_is_read(self, monkeypatch):
+        scene = generate_scene(6, 64, 0.01, 0.0, 3)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return motion_stack(*args)
+
+        monkeypatch.setattr(sync_mod, "motion_stack", counting)
+        correspondences = scene_correspondences(scene, PipelineConfig().temperature)
+        result, _ = run_multiview_from_correspondences(correspondences, 6)
+        assert calls == []
+        absolute = result.absolute
+        assert len(calls) == 1 and result.absolute is absolute
 
     def test_ground_truth_length_validated(self):
         rng = np.random.default_rng(12)
@@ -287,9 +340,8 @@ class TestFeedbackRefit:
         graph = synced.graph.with_rows([0], active=[False])
         assert len(set(graph.c_global[1:].tolist())) == 3
         weights = list(fits.weights)
-        out = pipeline_mod._feedback(graph, synced.absolute, sets, list(weights), cfg, False)
-        poses = np.stack([m.matrix for m in synced.absolute])
-        refits = refit_batch(sets[1:], weights[1:], relative_motions(poses, ring[1:]), cfg)
+        out = pipeline_mod._feedback(graph, synced.poses, sets, list(weights), cfg, False)
+        refits = refit_batch(sets[1:], weights[1:], relative_motions(synced.poses, ring[1:]), cfg)
         assert refits.fitted.all()
         for k in range(1, 4):
             c_local = refits.local_confidence[k - 1]

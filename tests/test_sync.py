@@ -412,6 +412,18 @@ class TestTransfSync:
         assert not result.disconnected
         assert np.linalg.norm(result.absolute[0].matrix - np.eye(4)) < 1e-12
 
+    def test_poses_are_a_read_only_array_behind_absolute(self):
+        rng = np.random.default_rng(17)
+        truth = random_truth(rng, 6)
+        g = graph_from_truth(truth, ring_pairs(6), rng=rng, rot_sigma=0.02, trans_sigma=0.02)
+        result = transf_sync(g, rounds=2)
+        assert result.poses.shape == (6, 4, 4)
+        assert not result.poses.flags.writeable
+        with pytest.raises(ValueError):
+            result.poses[1, 0, 3] = 0.0
+        assert np.array_equal(result.poses, np.stack([m.matrix for m in result.absolute]))
+        assert result.absolute is result.absolute
+
     def test_zero_confidence_bridge_is_disconnected(self):
         # two triangles joined only by an edge of zero confidence: the
         # Laplacians have a 6-dimensional null space, so no pose is defined
