@@ -5,6 +5,8 @@ sets at once: register_batch and refit_batch return one PairwiseFits.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,13 @@ MAD_FLOOR = 1e-9
 MAD_TO_SIGMA = 1.4826
 # distances per row block of the correspondence kernel: 1 MiB of float64
 BLOCK_CELLS = 1 << 17
+# threads of the correspondence kernel: one per usable CPU
+if hasattr(os, "sched_getaffinity"):
+    _THREADS = len(os.sched_getaffinity(0))
+else:
+    _THREADS = os.cpu_count() or 1
+# (process id, worker count) and the ThreadPoolExecutor of _pool
+_POOL = None
 # correspondences per batch of the IRLS kernel: each (m, n, 3) temporary of
 # a batch stays near 100 KB, however many sets are registered
 BATCH_CORRESPONDENCES = 4096
@@ -110,8 +119,19 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     Row k weights target l by exp((d_min - d_kl) / t), normalized over l,
     where d_kl is the Euclidean feature distance and d_min the row minimum,
     so no exponent is positive and nothing overflows at small t. Query rows
-    are processed in blocks of about BLOCK_CELLS distances, all written in
-    place into one buffer: extra memory is O(block + N + M), not N x M.
+    are processed in blocks of about BLOCK_CELLS distances, each written in
+    place into its thread's buffer: extra memory is O(block + N + M) per
+    thread, not N x M.
+
+    The blocks are shared out over _THREADS threads, one per usable CPU:
+    the caller's thread and the persistent workers of _pool each take the
+    next unclaimed block until none is left, so a thread that other load
+    slows down takes fewer blocks. Threads write disjoint rows of the
+    result. numpy releases the interpreter lock in these ufuncs and GEMMs,
+    so the threads overlap. Every block runs the same numpy calls whichever
+    thread runs it, so the targets are bit-identical for any thread count.
+    The distance GEMM is tiled by _matmul_tiles, which keeps each BLAS call
+    single-threaded.
     """
     n, m = query_features.shape[0], target_features.shape[0]
     rows = max(1, BLOCK_CELLS // m)
@@ -119,21 +139,80 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     target_sq = np.sum(target_features**2, axis=1)
     # scaling by -2 is exact, so Q (-2 T)^T equals -2 Q T^T
     target_t = -2.0 * target_features.T
-    buf = np.empty((min(rows, n), m))
     out = np.empty((n, target_points.shape[1]))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        d = buf[: stop - start]
-        np.matmul(query_features[start:stop], target_t, out=d)
-        d += query_sq[start:stop, None]
-        d += target_sq
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        d -= d.min(axis=1, keepdims=True)
-        d /= -temperature
-        np.exp(d, out=d)
-        out[start:stop] = (d @ target_points) / d.sum(axis=1, keepdims=True)
+    starts = range(0, n, rows)
+    threads = min(_THREADS, len(starts))
+    unclaimed, claim = iter(starts), threading.Lock()
+
+    def run_blocks() -> None:
+        buf = np.empty((min(rows, n), m))
+        while True:
+            with claim:
+                start = next(unclaimed, None)
+            if start is None:
+                return
+            stop = min(start + rows, n)
+            d = buf[: stop - start]
+            _matmul_tiles(query_features[start:stop], target_t, d)
+            d += query_sq[start:stop, None]
+            d += target_sq
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+            d -= d.min(axis=1, keepdims=True)
+            d /= -temperature
+            np.exp(d, out=d)
+            out[start:stop] = (d @ target_points) / d.sum(axis=1, keepdims=True)
+
+    # with one thread the list is empty and no worker is started
+    workers = [_pool(threads - 1).submit(run_blocks) for _ in range(threads - 1)]
+    try:
+        run_blocks()
+    finally:
+        # no worker may still write into out once this call has returned
+        for w in workers:
+            w.exception()
+    for w in workers:
+        w.result()
     return out
+
+
+def _matmul_tiles(a, b, out) -> None:
+    """out = a @ b in GEMM calls of at most 3 * BLOCK_CELLS multiply-adds.
+
+    OpenBLAS runs a GEMM of more than about 2^19 multiply-adds on several
+    threads, whose spin-wait steals the core the kernel's other thread runs
+    on; below that it runs on the calling thread. Split along columns when
+    a has fewer rows than b has columns, otherwise along rows. A kernel
+    block holds at most BLOCK_CELLS cells, so inner dimensions up to 3
+    take one call.
+    """
+    r, depth = a.shape
+    c = b.shape[1]
+    cap = 3 * BLOCK_CELLS
+    if r < c:
+        step = max(1, cap // (r * depth))
+        for first in range(0, c, step):
+            np.matmul(a, b[:, first : first + step], out=out[:, first : first + step])
+    else:
+        step = max(1, cap // (c * depth))
+        for first in range(0, r, step):
+            np.matmul(a[first : first + step], b, out=out[first : first + step])
+
+
+def _pool(size: int):
+    """The persistent kernel workers of this process, size threads.
+
+    Created on first use and kept, so a call does not pay for thread start.
+    A forked child gets its own: the parent's threads do not exist there,
+    and work submitted to them would never run.
+    """
+    global _POOL
+    key = (os.getpid(), size)
+    if _POOL is None or _POOL[0] != key:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = (key, ThreadPoolExecutor(size, thread_name_prefix="mvreg-kernel"))
+    return _POOL[1]
 
 
 def soft_assign(query_feature, target_features, target_points, temperature: float) -> np.ndarray:

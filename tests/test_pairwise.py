@@ -1,4 +1,12 @@
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +227,216 @@ class TestCorrespondenceKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @staticmethod
+    def lattice_clouds(n, m, d, seed):
+        rng = np.random.default_rng(seed)
+        p = PointCloud(rng.normal(size=(n, 3)), rng.integers(-16, 17, size=(n, d)) / 8.0)
+        q = PointCloud(rng.normal(size=(m, 3)), rng.integers(-16, 17, size=(m, d)) / 8.0)
+        return p, q
+
+    def targets_per_thread_count(self, monkeypatch, p, q):
+        """Targets for 1, 2 and 3 kernel threads, and the threads each used.
+
+        Each thread's first block waits until every thread that can get a
+        block has one, so all of them take part.
+        """
+        idents = set()
+        tiles = pairwise_mod._matmul_tiles
+        results = {}
+
+        def recording(a, b, out):
+            if threading.get_ident() not in idents:
+                idents.add(threading.get_ident())
+                start.wait()
+            tiles(a, b, out)
+
+        blocks = -(-len(p) // max(1, pairwise_mod.BLOCK_CELLS // len(q)))
+        with monkeypatch.context() as patch:
+            patch.setattr(pairwise_mod, "_matmul_tiles", recording)
+            for threads in (1, 2, 3):
+                patch.setattr(pairwise_mod, "_THREADS", threads)
+                idents.clear()
+                start = threading.Barrier(min(threads, blocks), timeout=10)
+                results[threads] = (build_correspondences(p, q, 0.02).target_pts, len(idents))
+        return results
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("m", [1, 5, 300])
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_targets_are_bit_equal_for_any_thread_count(self, monkeypatch, n, m, d):
+        p, q = self.lattice_clouds(n, m, d, [n, m, d])
+        # one-row blocks, a ragged last block, a single block
+        for rows in (1, n // 2 + 1, n):
+            monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", rows * m)
+            results = self.targets_per_thread_count(monkeypatch, p, q)
+            blocks = -(-n // rows)
+            for threads, (got, used) in results.items():
+                assert np.array_equal(got, results[1][0]), (rows, threads)
+                assert used == min(threads, blocks), (rows, threads)
+
+    # default blocks: 64 x 2048 x 32 tiles into 192 columns, 52 x 2500 x 64
+    # into 118 and 32 x 4096 x 32 into 384, each with a ragged last tile and
+    # a ragged last block
+    @pytest.mark.parametrize("n, m, d", [(150, 2048, 32), (161, 2500, 64), (40, 4096, 32)])
+    def test_tiled_shapes_are_bit_equal_for_any_thread_count(self, monkeypatch, n, m, d):
+        p, q = self.lattice_clouds(n, m, d, [n, m, d])
+        results = self.targets_per_thread_count(monkeypatch, p, q)
+        expected = dense_soft_targets(p.features, q.features, q.points, 0.02)
+        assert np.abs(results[1][0] - expected).max() <= 1e-12
+        for threads, (got, _) in results.items():
+            assert np.array_equal(got, results[1][0]), threads
+
+    @pytest.mark.parametrize("n, m, d", [(4096, 4096, 32), (161, 2500, 64), (2048, 2048, 3),
+                                         (300, 5, 32)])
+    def test_distance_gemm_calls_stay_below_blas_threading(self, monkeypatch, n, m, d):
+        rng = np.random.default_rng(d)
+        p = PointCloud(rng.normal(size=(n, 3)), rng.normal(size=(n, d)))
+        q = PointCloud(rng.normal(size=(m, 3)), rng.normal(size=(m, d)))
+        if m == 5:
+            # 151-row blocks of 5 columns split along rows
+            monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", 151 * m)
+        macs = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        build_correspondences(p, q, 0.02)
+        rows = max(1, pairwise_mod.BLOCK_CELLS // m)
+        assert sum(macs) == n * m * d
+        assert max(macs) <= 3 * pairwise_mod.BLOCK_CELLS
+        if d <= 3:
+            assert len(macs) == -(-n // rows)
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_block_error_is_raised_after_every_thread_stopped(self, monkeypatch, failing):
+        # 6 one-row blocks on 2 threads; feature 0 of a query row is its block
+        p = PointCloud(np.zeros((6, 3)), np.arange(6.0)[:, None] * np.ones((1, 3)))
+        q = PointCloud(np.zeros((4, 3)), np.ones((4, 3)))
+        monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", 4)
+        monkeypatch.setattr(pairwise_mod, "_THREADS", 2)
+        tiles = pairwise_mod._matmul_tiles
+        caller = threading.get_ident()
+        worker_started = threading.Event()
+        done, failed = [], []
+
+        def failing_tiles(a, b, out):
+            on_caller = threading.get_ident() == caller
+            if on_caller:
+                worker_started.wait(10)
+            else:
+                worker_started.set()
+            block = int(a[0, 0])
+            if on_caller == (failing == "caller"):
+                failed.append(block)
+                raise ZeroDivisionError(f"block {block}")
+            # the other thread lags, so a call that did not wait for it
+            # would return while it still writes
+            time.sleep(0.05)
+            tiles(a, b, out)
+            done.append(block)
+
+        monkeypatch.setattr(pairwise_mod, "_matmul_tiles", failing_tiles)
+        with pytest.raises(ZeroDivisionError) as info:
+            build_correspondences(p, q, 0.02)
+        stopped = list(done)
+        assert len(failed) == 1 and str(info.value) == f"block {failed[0]}"
+        assert sorted(stopped + failed) == list(range(6))
+        time.sleep(0.2)
+        assert done == stopped
+        monkeypatch.setattr(pairwise_mod, "_matmul_tiles", tiles)
+        assert np.all(np.isfinite(build_correspondences(p, q, 0.02).target_pts))
+
+    def test_concurrent_callers_share_the_workers(self, monkeypatch):
+        monkeypatch.setattr(pairwise_mod, "_THREADS", 3)
+        monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", 64)
+        clouds = [self.lattice_clouds(40, 16, 3, seed) for seed in range(4)]
+        expected = [build_correspondences(p, q, 0.02).target_pts for p, q in clouds]
+        equal = {}
+
+        def call(k):
+            equal[k] = all(
+                np.array_equal(build_correspondences(*clouds[k], 0.02).target_pts, expected[k])
+                for _ in range(20)
+            )
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert equal == {k: True for k in range(4)}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Python 3.12+ warns on every fork of a process that has threads
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_kernel_runs_in_a_forked_child(self, monkeypatch):
+        monkeypatch.setattr(pairwise_mod, "_THREADS", 2)
+        monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", 64)
+        p, q = self.lattice_clouds(32, 16, 3, 4)
+        expected = build_correspondences(p, q, 0.02).target_pts
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(build_correspondences(p, q, 0.02).target_pts, expected) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("kernel call in the forked child did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_threaded_blas_keeps_bit_identity_and_solves_start_no_thread(self):
+        # a pose-graph solve makes no kernel call, so it starts no worker; a
+        # D = 32 kernel call gives the same targets on 1 and 2 threads while
+        # OpenBLAS may run 2 threads of its own
+        script = (
+            "import json, sys, threading\n"
+            "import numpy as np\n"
+            "import mvreg, mvreg.pairwise as pw\n"
+            "rng = np.random.default_rng(3)\n"
+            "pts = rng.normal(size=(64, 3))\n"
+            "poses = [mvreg.random_motion(rng) for _ in range(8)]\n"
+            "corr = {}\n"
+            "for i in range(8):\n"
+            "    for j in sorted({(i + 1) % 8, (i + 2) % 8}):\n"
+            "        a, b = min(i, j), max(i, j)\n"
+            "        src = mvreg.transform_points(mvreg.invert(poses[a]), pts)\n"
+            "        dst = mvreg.transform_points(mvreg.invert(poses[b]), pts)\n"
+            "        corr[(a, b)] = mvreg.CorrespondenceSet(src, dst, np.ones(64), np.zeros(64))\n"
+            "mvreg.run_multiview_from_correspondences(corr, 8)\n"
+            "idle = [threading.active_count(), 'concurrent.futures' in sys.modules]\n"
+            "p = mvreg.PointCloud(rng.normal(size=(300, 3)), rng.normal(size=(300, 32)))\n"
+            "q = mvreg.PointCloud(rng.normal(size=(2048, 3)), rng.normal(size=(2048, 32)))\n"
+            "out = {}\n"
+            "for threads in (1, 2):\n"
+            "    pw._THREADS = threads\n"
+            "    out[threads] = mvreg.build_correspondences(p, q, 0.02).target_pts\n"
+            "print(json.dumps(idle + [bool(np.array_equal(out[1], out[2])), threading.active_count()]))\n"
+        )
+        src = str(Path(pairwise_mod.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}, timeout=120,
+        )
+        assert json.loads(out.stdout) == [1, False, True, 2]
 
 
 class TestWlsTransform:
