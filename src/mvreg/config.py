@@ -25,16 +25,18 @@ class PipelineConfig:
     connectivity: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if self.outer_iterations < 1:
-            raise ValueError("outer_iterations must be >= 1")
-        if self.sync_rounds < 1:
-            raise ValueError("sync_rounds must be >= 1")
-        if not 0.0 <= self.tau_p <= 1.0:
-            raise ValueError("tau_p must lie in [0, 1]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if not 0.0 <= self.blend <= 1.0:
-            raise ValueError("blend must lie in [0, 1]")
+        for name in ("outer_iterations", "sync_rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.inner_irls < 0:
+            raise ValueError("inner_irls must be >= 0")
+        # `not x > 0` and chained comparisons also reject NaN
+        for name in ("temperature", "gamma", "beta"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("tau_p", "w_thresh", "blend"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.connectivity is not None:
             canon = tuple(tuple(int(v) for v in pair) for pair in self.connectivity)
             object.__setattr__(self, "connectivity", canon)

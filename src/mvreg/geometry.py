@@ -56,28 +56,6 @@ def non_rotations(stack: np.ndarray) -> np.ndarray:
     return ~((err <= ORTHONORMALITY_TOL) & (np.abs(det - 1.0) <= ORTHONORMALITY_TOL))
 
 
-def rotation_stack(matrices) -> list[Rotation3]:
-    """One Rotation3 per 3x3 block of a (k, 3, 3) array.
-
-    Rotation3's checks run once over the whole stack, vectorized; a matrix
-    they flag goes through Rotation3 itself, so the first bad matrix raises
-    the ValueError its own construction would. The objects are then built
-    without checking each one again.
-    """
-    stack = np.array(matrices, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[1:] != (3, 3):
-        raise ValueError(f"rotation stack must have shape (k, 3, 3), got {stack.shape}")
-    for k in np.flatnonzero(non_rotations(stack)):
-        Rotation3(stack[k])
-    stack.setflags(write=False)
-    out = []
-    for m in stack:
-        r = object.__new__(Rotation3)
-        object.__setattr__(r, "m", m)
-        out.append(r)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class RigidMotion:
     """SE(3) element: rotation plus translation, acting as x -> R x + t."""
@@ -115,14 +93,18 @@ class RigidMotion:
 def motion_stack(rotations, translations) -> list[RigidMotion]:
     """One RigidMotion per row of a (k, 3, 3) rotation stack and k translations.
 
-    The rotations go through rotation_stack. RigidMotion's translation check
-    then runs once over all k translations, vectorized; a row it flags (or
-    every row, when the translations do not stack into a (k, 3) array) goes
-    through RigidMotion itself, so the first bad translation raises the
+    Rotation3's and RigidMotion's checks run once over all k rows,
+    vectorized. A rotation they flag goes through Rotation3 itself, and a
+    translation they flag (or every one, when the translations do not stack
+    into a (k, 3) array) through RigidMotion, so the first bad row raises the
     ValueError its own construction would. The objects are then built
     without checking each one again.
     """
-    rots = rotation_stack(rotations)
+    rots = np.array(rotations, dtype=np.float64)
+    if rots.ndim != 3 or rots.shape[1:] != (3, 3):
+        raise ValueError(f"rotation stack must have shape (k, 3, 3), got {rots.shape}")
+    for k in np.flatnonzero(non_rotations(rots)):
+        Rotation3(rots[k])
     if len(translations) != len(rots):
         raise ValueError(f"got {len(rots)} rotations but {len(translations)} translations")
     try:
@@ -134,12 +116,15 @@ def motion_stack(rotations, translations) -> list[RigidMotion]:
     else:
         flagged = np.ones(len(rots), dtype=bool)
     for k in np.flatnonzero(flagged):
-        RigidMotion(rots[k], translations[k])
+        RigidMotion(Rotation3(rots[k]), translations[k])
+    rots.setflags(write=False)
     stack.setflags(write=False)
     out = []
     for r, t in zip(rots, stack):
+        rotation = object.__new__(Rotation3)
+        object.__setattr__(rotation, "m", r)
         m = object.__new__(RigidMotion)
-        object.__setattr__(m, "rotation", r)
+        object.__setattr__(m, "rotation", rotation)
         object.__setattr__(m, "translation", t)
         out.append(m)
     return out

@@ -3,11 +3,12 @@
 A PoseGraph keeps one row per edge in read-only arrays, validated once when
 it is built: `pairs` (m x 2, i < j), `motions` (m x 4 x 4, mapping frame-i
 coordinates into frame j), `c_local`, `c_global` and `c_fused` in [0, 1],
-and the `active` mask. Graphs are immutable snapshots: each update returns a
-new graph, and pruned edges keep their rows. Edge is a row as a record;
-PoseGraph.from_edges takes records, and `edges` and `active_edges()` give
-them back, built on first use. Reverse directions follow from
-R_ji = R_ij^T, t_ji = -R_ij^T t_ij.
+and the `active` mask. The last three default to the first iteration's
+values: c_global 1, c_fused = c_local, every row active. Graphs are
+immutable snapshots: each update returns a new graph, and pruned edges keep
+their rows. A graph is built from arrays only; Edge is a read-only view of
+one row, and `edges` and `active_edges()` give the rows as views, built on
+first use. Reverse directions follow from R_ji = R_ij^T, t_ji = -R_ij^T t_ij.
 """
 
 from __future__ import annotations
@@ -23,37 +24,23 @@ from .pairwise import PairwiseFits, mad_scale
 
 CAUCHY_MAD_TO_SIGMA = 1.482
 _CONFIDENCES = ("c_local", "c_global", "c_fused")
-# an Edge record's fields after i, j and motion
+# the columns after pairs and motions, and an Edge record's fields after i, j and motion
 _SCALARS = (*_CONFIDENCES, "active")
 
 
 @dataclass(frozen=True, eq=False)
 class Edge:
-    """Relative motion measurement between scans i and j (stored with i < j).
-
-    The motion maps frame-i coordinates into frame j. Confidences live in
-    [0, 1]; pruned edges keep their data but are excluded from synchronization.
-    """
+    """One row of a PoseGraph as a record: the relative motion between scans
+    i < j, mapping frame-i coordinates into frame j, its confidences and
+    whether it is active. Built by PoseGraph.edges from validated rows."""
 
     i: int
     j: int
     motion: RigidMotion
     c_local: float
-    c_global: float = 1.0
-    c_fused: float | None = None
-    active: bool = True
-
-    def __post_init__(self):
-        if not isinstance(self.motion, RigidMotion):
-            raise ValueError(f"edge motion must be a RigidMotion, got {type(self.motion).__name__}")
-        if not 0 <= self.i < self.j:
-            raise ValueError(f"edge endpoints must satisfy 0 <= i < j, got ({self.i}, {self.j})")
-        if self.c_fused is None:
-            object.__setattr__(self, "c_fused", self.c_local)
-        for name in _CONFIDENCES:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    c_global: float
+    c_fused: float
+    active: bool
 
 
 def _column(values, dtype, shape, name) -> np.ndarray:
@@ -72,15 +59,19 @@ def _column(values, dtype, shape, name) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PoseGraph:
-    """Nodes 0..node_count-1 and at most one edge per unordered pair, a row each."""
+    """Nodes 0..node_count-1 and at most one edge per unordered pair, a row each.
+
+    c_global, c_fused and active left as None take the first iteration's
+    values: all ones, c_local, and all true.
+    """
 
     node_count: int
     pairs: np.ndarray
     motions: np.ndarray
     c_local: np.ndarray
-    c_global: np.ndarray
-    c_fused: np.ndarray
-    active: np.ndarray
+    c_global: np.ndarray | None = None
+    c_fused: np.ndarray | None = None
+    active: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.node_count
@@ -88,8 +79,13 @@ class PoseGraph:
             raise ValueError(f"a pose graph needs an integer node count of at least 2, got {n!r}")
         m = len(self.pairs) if np.ndim(self.pairs) else -1
         columns = {"node_count": int(n), "pairs": _column(self.pairs, np.intp, (m, 2), "pairs"),
-                   "motions": _column(self.motions, np.float64, (m, 4, 4), "motions"),
-                   "active": _column(self.active, bool, (m,), "active")}
+                   "motions": _column(self.motions, np.float64, (m, 4, 4), "motions")}
+        # the first iteration's values of the columns left as None
+        first = {"c_local": None, "c_global": np.ones(m), "c_fused": self.c_local,
+                 "active": np.ones(m, dtype=bool)}
+        given = {name: first[name] if getattr(self, name) is None else getattr(self, name)
+                 for name in _SCALARS}
+        columns["active"] = _column(given["active"], bool, (m,), "active")
         i, j = columns["pairs"].T
         motions = columns["motions"]
         rigid = (np.isfinite(motions).all(axis=(1, 2)) & ~non_rotations(motions[:, :3, :3])
@@ -101,7 +97,7 @@ class PoseGraph:
                   (repeated, DuplicateEdge, "is supplied more than once"),
                   (~rigid, ValueError, "has a motion that is not a finite rigid 4x4 matrix")]
         for name in _CONFIDENCES:
-            columns[name] = c = _column(getattr(self, name), np.float64, (m,), name)
+            columns[name] = c = _column(given[name], np.float64, (m,), name)
             checks.append((~((c >= 0.0) & (c <= 1.0)), ValueError, f"has {name} outside [0, 1]"))
         for bad, error, what in checks:
             if bad.any():
@@ -109,13 +105,6 @@ class PoseGraph:
                 raise error(f"edge ({i[k]}, {j[k]}) {what}")
         for name, value in columns.items():
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_edges(cls, node_count: int, edges) -> "PoseGraph":
-        """Graph of Edge records, one row each in the order given."""
-        edges = tuple(edges)
-        return cls(node_count, [(e.i, e.j) for e in edges], [e.motion.matrix for e in edges],
-                   *([getattr(e, name) for e in edges] for name in _SCALARS))
 
     def with_rows(self, rows, **columns) -> "PoseGraph":
         """A new graph with the given rows of each named array overwritten."""
@@ -136,17 +125,13 @@ class PoseGraph:
 
 
 def build_graph(n: int, pairs, fits: PairwiseFits) -> PoseGraph:
-    """Graph on n nodes of the pairs (i, j), i < j, and their fits, one row each.
-
-    Initial confidences follow the first-iteration rule: the fused confidence
-    is the local one, and the global confidence starts at 1. Every row of
-    fits must be fitted, as register_batch returns them.
+    """Graph on n nodes of the pairs (i, j), i < j, and their fits, one row each,
+    with PoseGraph's first-iteration confidences. Every row of fits must be
+    fitted, as register_batch returns them.
     """
     if not np.all(fits.fitted):
         raise ValueError("every pair needs a fitted motion")
-    ones = np.ones(len(fits))
-    c_local = fits.local_confidence
-    return PoseGraph(n, pairs, fits.motions, c_local, ones, c_local, ones.astype(bool))
+    return PoseGraph(n, pairs, fits.motions, fits.local_confidence)
 
 
 def cauchy_scale(residual_values, gamma: float) -> float:

@@ -32,7 +32,10 @@ MAX_SWEEPS sweeps, as on stars and complete graphs whose eigenvalues cluster
 at lambda_4, the full eigh runs after all. numpy is the only dependency.
 
 The solvers work on the graph's edge arrays (endpoints, relative rotations
-and translations, confidences), restricted once to the active rows.
+and translations, confidences), restricted once to the active rows, and
+return arrays: rotation_sync the n x 3 x 3 rotations, translation_sync the
+n x 3 translations for them, and transf_sync a SyncResult holding the
+n x 4 x 4 poses. Only SyncResult.absolute builds RigidMotion records.
 """
 
 from __future__ import annotations
@@ -44,14 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMatrix, DisconnectedGraph, EigenSolverFailure
-from .geometry import (
-    RigidMotion,
-    Rotation3,
-    motion_stack,
-    nearest_rotations,
-    relative_motions,
-    rotation_stack,
-)
+from .geometry import RigidMotion, motion_stack, nearest_rotations, relative_motions
 from .graph import (
     PoseGraph,
     cauchy_global_confidence,
@@ -338,29 +334,39 @@ def _translations(n: int, pairs, trans, c, rotations) -> np.ndarray:
     return np.vstack((np.zeros(3), solution))
 
 
-def rotation_sync(g: PoseGraph) -> list[Rotation3]:
-    """Absolute rotations from the spectral relaxation, node 0 = identity."""
+def rotation_sync(g: PoseGraph) -> np.ndarray:
+    """Absolute rotations (n x 3 x 3) from the spectral relaxation, node 0 = identity."""
     pairs, motions, c = _active_arrays(g)
     n = g.node_count
-    return rotation_stack(_rotations(n, pairs, motions[:, :3, :3], c, _band(n, pairs))[0])
+    return _rotations(n, pairs, motions[:, :3, :3], c, _band(n, pairs))[0]
 
 
-def translation_sync(g: PoseGraph, rotations: list[Rotation3]) -> list[np.ndarray]:
-    """Absolute translations (node 0 = zero) given synchronized rotations."""
+def _rotation_array(g: PoseGraph, rotations) -> np.ndarray:
+    """rotations as a float array, checked to hold one 3 x 3 matrix per node."""
+    rotations = np.asarray(rotations, dtype=np.float64)
+    if rotations.shape != (g.node_count, 3, 3):
+        raise ValueError(f"expected {g.node_count} x 3 x 3 rotations, got {rotations.shape}")
+    return rotations
+
+
+def translation_sync(g: PoseGraph, rotations) -> np.ndarray:
+    """Absolute translations (n x 3, node 0 = zero) given the n x 3 x 3
+    synchronized rotations."""
+    rotations = _rotation_array(g, rotations)
     pairs, motions, c = _active_arrays(g)
-    rotations = np.array([r.m for r in rotations])
-    return list(_translations(g.node_count, pairs, motions[:, :3, 3], c, rotations))
+    return _translations(g.node_count, pairs, motions[:, :3, 3], c, rotations)
 
 
-def translation_objective(g: PoseGraph, rotations: list[Rotation3], translations) -> float:
-    """Weighted squared mismatch minimized by translation_sync.
+def translation_objective(g: PoseGraph, rotations, translations) -> float:
+    """Weighted squared mismatch minimized by translation_sync, for n x 3 x 3
+    rotations and n x 3 translations (or their 3n entries in one row).
 
     Exposed so solutions can be checked by finite differences.
     """
+    rotations = _rotation_array(g, rotations)
     translations = np.asarray(translations, dtype=np.float64).reshape(g.node_count, 3)
     pairs, motions, c = g.pairs[g.active], g.motions[g.active], g.c_fused[g.active]
     i, j = pairs.T
-    rotations = np.array([r.m for r in rotations])
     rebuilt = np.einsum("kba,kb->ka", rotations[j], translations[i] - translations[j])
     return float(c @ np.sum((rebuilt - motions[:, :3, 3]) ** 2, axis=1))
 
@@ -380,6 +386,8 @@ def transf_sync(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if not (gamma > 0.0 and beta > 0.0):
+        raise ValueError("gamma and beta must be positive")
     n = g.node_count
     pairs, motions, c_fused = _active_arrays(g, rounds)
     c_local = g.c_local[g.active]

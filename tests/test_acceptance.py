@@ -12,7 +12,6 @@ import pytest
 
 from mvreg import (
     CorrespondenceSet,
-    Edge,
     MalformedConfig,
     MalformedEntry,
     MalformedHeader,
@@ -59,17 +58,16 @@ def complete_noisy_graph(rng, n, rot_sigma=0.05, trans_sigma=0.05, confidences=N
     from mvreg import RigidMotion, compose
 
     truth = [random_motion(rng) for _ in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            noise = RigidMotion(
-                rotation_about_axis(rng.normal(size=3), rot_sigma * rng.normal()),
-                trans_sigma * rng.normal(size=3),
-            )
-            measured = compose(noise, relative_from_absolute(truth[i], truth[j]))
-            c = rng.uniform(0.1, 1.0) if confidences is None else confidences
-            edges.append(Edge(i, j, measured, c_local=c, c_fused=c))
-    return PoseGraph.from_edges(n, tuple(edges)), truth
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    motions, c = [], []
+    for i, j in pairs:
+        noise = RigidMotion(
+            rotation_about_axis(rng.normal(size=3), rot_sigma * rng.normal()),
+            trans_sigma * rng.normal(size=3),
+        )
+        motions.append(compose(noise, relative_from_absolute(truth[i], truth[j])).matrix)
+        c.append(rng.uniform(0.1, 1.0) if confidences is None else confidences)
+    return PoseGraph(n, pairs, motions, c), truth
 
 
 def test_01_procrustes_exactness_1000_noise_free_trials():
@@ -121,26 +119,22 @@ def test_03_rotation_sync_exactness_and_eigengap():
     rng = np.random.default_rng(103)
     n = 10
     truth = [random_motion(rng) for _ in range(n)]
-    edges = tuple(
-        Edge(i, j, relative_from_absolute(truth[i], truth[j]), c_local=0.9)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    g = PoseGraph.from_edges(n, edges)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    motions = [relative_from_absolute(truth[i], truth[j]).matrix for i, j in pairs]
+    g = PoseGraph(n, pairs, motions, [0.9] * len(pairs))
     rotations = rotation_sync(g)
     worst = 0.0
-    for e in g.edges:
-        measured = e.motion.rotation
-        rebuilt = rotations[e.j].m.T @ rotations[e.i].m
-        worst = max(worst, geodesic_angle(measured, rebuilt))
+    for (i, j), motion in zip(g.pairs, g.motions):
+        rebuilt = rotations[j].T @ rotations[i]
+        worst = max(worst, geodesic_angle(motion[:3, :3], rebuilt))
     lap = np.zeros((3 * n, 3 * n))
-    for e in g.active_edges():
-        si, sj = 3 * e.i, 3 * e.j
-        rel = e.motion.rotation.m
-        lap[si:si + 3, sj:sj + 3] -= e.c_fused * rel.T
-        lap[sj:sj + 3, si:si + 3] -= e.c_fused * rel
-        lap[si:si + 3, si:si + 3] += e.c_fused * np.eye(3)
-        lap[sj:sj + 3, sj:sj + 3] += e.c_fused * np.eye(3)
+    for (i, j), motion, c in zip(g.pairs, g.motions, g.c_fused):
+        si, sj = 3 * i, 3 * j
+        rel = motion[:3, :3]
+        lap[si:si + 3, sj:sj + 3] -= c * rel.T
+        lap[sj:sj + 3, si:si + 3] -= c * rel
+        lap[si:si + 3, si:si + 3] += c * np.eye(3)
+        lap[sj:sj + 3, sj:sj + 3] += c * np.eye(3)
     vals = np.linalg.eigvalsh(lap)
     print(f"criterion 3: max relative-rotation error {worst:.3e} rad, "
           f"eigs {vals[:3]} vs {vals[3]:.3e}")
@@ -194,12 +188,9 @@ def test_05_gauge_invariance_of_recovered_relative_motions():
         gauge = random_motion(rng)
 
         def solve(poses):
-            edges = tuple(
-                Edge(i, j, compose(noise[k], relative_from_absolute(poses[i], poses[j])),
-                     c_local=0.9)
-                for k, (i, j) in enumerate(pairs)
-            )
-            return transf_sync(PoseGraph.from_edges(n, edges), rounds=2).absolute
+            motions = [compose(noise[k], relative_from_absolute(poses[i], poses[j])).matrix
+                       for k, (i, j) in enumerate(pairs)]
+            return transf_sync(PoseGraph(n, pairs, motions, [0.9] * len(pairs)), rounds=2).absolute
 
         base = solve(truth)
         moved = solve([compose(gauge, m) for m in truth])

@@ -73,10 +73,18 @@ def test_toy_solve_has_what_the_harness_reads():
     graph = result.graph
     assert len(graph.edges) == len(g0.edges)
     assert len(graph.active_edges()) == int(graph.active.sum())
+    # the record views are the graph's rows, value for value
+    for g in (g0, graph):
+        for k, e in enumerate(g.edges):
+            assert (e.i, e.j) == tuple(g.pairs[k])
+            assert np.array_equal(e.motion.matrix, g.motions[k])
+            assert (e.c_local, e.c_global, e.c_fused, e.active) == (
+                g.c_local[k], g.c_global[k], g.c_fused[k], g.active[k])
     assert isinstance(result.translation_rank_deficiency, int)
     assert isinstance(result.rounds_completed, int)
     assert np.isfinite(result.rotation_eigengap)
     assert len(trace.iterations) >= 1
     assert isinstance(result.disconnected, bool)
     rotations = rotation_sync(g0)
-    assert len(translation_sync(g0, rotations)) == 6
+    assert rotations.shape == (6, 3, 3)
+    assert translation_sync(g0, rotations).shape == (6, 3)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mvreg import (
-    Edge,
     PointCloud,
     PoseGraph,
     pairwise_chain_absolute,
@@ -170,9 +169,9 @@ class TestMultiviewCommand:
         assert code == 0
         clouds = [PointCloud(read_ply(f).points, read_features(f.with_suffix(".feat")))
                   for f in sorted(scene.glob("scan_*.ply"))]
-        edges = [Edge(i, j, register_pair(clouds[i], clouds[j]).motion, c_local=1.0)
-                 for i, j in _read_edge_list(scene / "edges.txt")]
-        expected = pairwise_chain_absolute(PoseGraph.from_edges(5, edges))
+        pairs = _read_edge_list(scene / "edges.txt")
+        motions = [register_pair(clouds[i], clouds[j]).motion.matrix for i, j in pairs]
+        expected = pairwise_chain_absolute(PoseGraph(5, pairs, motions, [1.0] * len(pairs)))
         for entry, motion in zip(read_trajectory(est), expected, strict=True):
             assert np.abs(entry.matrix - motion.matrix).max() <= 1e-12
 

@@ -17,7 +17,7 @@ from mvreg import (
     rotation_about_z,
     transform_points,
 )
-from mvreg.geometry import motion_stack, rotation_stack
+from mvreg.geometry import motion_stack
 from mvreg.synthetic import random_motion, random_rotation
 
 
@@ -49,26 +49,33 @@ class TestRotation3:
             r.m[0, 0] = 5.0
 
 
-class TestRotationStack:
+class TestMotionStack:
     def test_matches_single_construction(self):
-        rng = np.random.default_rng(3)
-        stack = np.stack([random_rotation(rng).m for _ in range(7)])
-        rotations = rotation_stack(stack)
-        assert len(rotations) == 7
-        for r, m in zip(rotations, stack):
-            assert isinstance(r, Rotation3)
-            assert np.array_equal(r.m, Rotation3(m).m)
+        rng = np.random.default_rng(5)
+        rotations = np.stack([random_rotation(rng).m for _ in range(5)])
+        translations = rng.normal(size=(5, 3))
+        motions = motion_stack(rotations, translations)
+        assert len(motions) == 5
+        for m, r, t in zip(motions, rotations, translations):
+            assert isinstance(m, RigidMotion) and isinstance(m.rotation, Rotation3)
+            assert np.array_equal(m.rotation.m, Rotation3(r).m)
+            assert np.array_equal(m.matrix, RigidMotion(Rotation3(r), t).matrix)
 
     def test_copies_and_freezes(self):
-        stack = np.stack([np.eye(3), rot_z(40).m])
-        rotations = rotation_stack(stack)
-        stack[0, 0, 0] = 5.0
-        assert rotations[0].m[0, 0] == 1.0
+        rotations = np.stack([np.eye(3), rot_z(40).m])
+        translations = np.ones((2, 3))
+        motions = motion_stack(rotations, translations)
+        rotations[0, 0, 0] = 5.0
+        translations[0, 0] = 5.0
+        assert motions[0].rotation.m[0, 0] == 1.0
+        assert motions[0].translation[0] == 1.0
         with pytest.raises(ValueError):
-            rotations[1].m[0, 0] = 5.0
+            motions[1].rotation.m[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            motions[1].translation[0] = 5.0
 
     def test_empty_stack(self):
-        assert rotation_stack(np.zeros((0, 3, 3))) == []
+        assert motion_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -79,46 +86,23 @@ class TestRotationStack:
             (np.diag([np.inf, 1.0, 1.0]), "finite"),
         ],
     )
-    def test_one_bad_matrix_raises_its_error(self, bad, message):
+    def test_one_bad_rotation_raises_its_error(self, bad, message):
         rng = np.random.default_rng(4)
         stack = np.stack([random_rotation(rng).m for _ in range(6)])
         stack[4] = bad
         with pytest.raises(ValueError, match=message):
-            rotation_stack(stack)
+            motion_stack(stack, np.zeros((6, 3)))
         with pytest.raises(ValueError, match=message):
             Rotation3(bad)
 
-    def test_first_bad_matrix_decides(self):
+    def test_first_bad_rotation_decides(self):
         stack = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3) * 2.0])
         with pytest.raises(ValueError, match="determinant"):
-            rotation_stack(stack)
+            motion_stack(stack, np.zeros((3, 3)))
 
-    def test_rejects_wrong_shape(self):
+    def test_rejects_wrong_rotation_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            rotation_stack(np.eye(3))
-
-
-class TestMotionStack:
-    def test_matches_single_construction(self):
-        rng = np.random.default_rng(5)
-        rotations = np.stack([random_rotation(rng).m for _ in range(5)])
-        translations = rng.normal(size=(5, 3))
-        motions = motion_stack(rotations, translations)
-        assert len(motions) == 5
-        for m, r, t in zip(motions, rotations, translations):
-            assert isinstance(m, RigidMotion)
-            assert np.array_equal(m.matrix, RigidMotion(Rotation3(r), t).matrix)
-
-    def test_copies_and_freezes(self):
-        translations = np.ones((2, 3))
-        motions = motion_stack(np.stack([np.eye(3)] * 2), translations)
-        translations[0, 0] = 5.0
-        assert motions[0].translation[0] == 1.0
-        with pytest.raises(ValueError):
-            motions[1].translation[0] = 5.0
-
-    def test_empty_stack(self):
-        assert motion_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
+            motion_stack(np.eye(3), np.zeros((3, 3)))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -138,11 +122,6 @@ class TestMotionStack:
             motion_stack(rotations, translations)
         with pytest.raises(ValueError, match=message):
             RigidMotion(Rotation3(rotations[4]), bad)
-
-    def test_bad_rotation_raises_its_error(self):
-        rotations = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
-        with pytest.raises(ValueError, match="determinant"):
-            motion_stack(rotations, np.zeros((2, 3)))
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="translations"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mvreg import (
     DuplicateEdge,
-    Edge,
     EmptyResiduals,
     IndexOutOfRange,
     PairwiseFits,
@@ -37,71 +36,63 @@ def pw(motions, confidence=0.9):
 
 
 def chain_graph(n, rng, confidence=0.9):
-    edges = tuple(
-        Edge(k, k + 1, random_motion(rng), c_local=confidence) for k in range(n - 1)
-    )
-    return PoseGraph.from_edges(n, edges)
-
-
-class TestEdge:
-    def test_requires_ordered_endpoints(self):
-        m = RigidMotion.identity()
-        with pytest.raises(ValueError):
-            Edge(2, 1, m, c_local=0.5)
-        with pytest.raises(ValueError):
-            Edge(1, 1, m, c_local=0.5)
-        with pytest.raises(ValueError):
-            Edge(-1, 0, m, c_local=0.5)
-
-    def test_confidence_range(self):
-        m = RigidMotion.identity()
-        with pytest.raises(ValueError):
-            Edge(0, 1, m, c_local=1.5)
-        with pytest.raises(ValueError):
-            Edge(0, 1, m, c_local=0.5, c_global=-0.1)
-
-    def test_fused_defaults_to_local(self):
-        e = Edge(0, 1, RigidMotion.identity(), c_local=0.7)
-        assert e.c_fused == 0.7
-        assert e.c_global == 1.0
-        assert e.active
+    motions = [random_motion(rng).matrix for _ in range(n - 1)]
+    return PoseGraph(n, [(k, k + 1) for k in range(n - 1)], motions, [confidence] * (n - 1))
 
 
 class TestPoseGraph:
+    def test_requires_ordered_endpoints(self):
+        m = RigidMotion.identity().matrix
+        with pytest.raises(ValueError):
+            PoseGraph(3, [(2, 1)], [m], [0.5])
+        with pytest.raises(IndexOutOfRange):
+            PoseGraph(3, [(1, 1)], [m], [0.5])
+        with pytest.raises(IndexOutOfRange):
+            PoseGraph(3, [(-1, 0)], [m], [0.5])
+
+    def test_confidence_range(self):
+        m = RigidMotion.identity().matrix
+        with pytest.raises(ValueError):
+            PoseGraph(2, [(0, 1)], [m], [1.5])
+        with pytest.raises(ValueError):
+            PoseGraph(2, [(0, 1)], [m], [0.5], c_global=[-0.1])
+
+    def test_first_iteration_defaults(self):
+        g = PoseGraph(2, [(0, 1)], [RigidMotion.identity().matrix], [0.7])
+        assert np.array_equal(g.c_fused, [0.7])
+        assert np.array_equal(g.c_global, [1.0])
+        assert np.array_equal(g.active, [True])
+
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):
-            PoseGraph.from_edges(1, ())
+            PoseGraph(1, (), (), ())
 
     def test_rejects_out_of_range_edge(self):
-        e = Edge(0, 5, RigidMotion.identity(), c_local=0.5)
         with pytest.raises(IndexOutOfRange):
-            PoseGraph.from_edges(3, (e,))
+            PoseGraph(3, [(0, 5)], [RigidMotion.identity().matrix], [0.5])
 
     def test_rejects_duplicate_edges(self):
-        m = RigidMotion.identity()
+        m = RigidMotion.identity().matrix
         with pytest.raises(DuplicateEdge):
-            PoseGraph.from_edges(3, (Edge(0, 1, m, c_local=0.5), Edge(0, 1, m, c_local=0.6)))
+            PoseGraph(3, [(0, 1), (0, 1)], [m, m], [0.5, 0.6])
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda m: PoseGraph.from_edges(2, (Edge(0, 1, np.eye(4), c_local=0.5),)),
-            lambda m: PoseGraph.from_edges(2, (Edge(0.0, 1.5, m, c_local=0.5),)),
-            lambda m: PoseGraph.from_edges(3.5, (Edge(0, 1, m, c_local=0.5),)),
-            lambda m: PoseGraph(2, [(0.0, 1.0)], [m.matrix], [0.5], [1.0], [0.5], [True]),
-            lambda m: PoseGraph(2, [(0, 1)], [2.0 * m.matrix], [0.5], [1.0], [0.5], [True]),
+            lambda m: PoseGraph(3.5, [(0, 1)], [m.matrix], [0.5]),
+            lambda m: PoseGraph(2, [(0.0, 1.0)], [m.matrix], [0.5]),
+            lambda m: PoseGraph(2, [(0, 1)], [2.0 * m.matrix], [0.5]),
             lambda m: PoseGraph(2, [(0, 1)], [m.matrix + np.outer(np.eye(4)[3], np.eye(4)[0])],
-                                [0.5], [1.0], [0.5], [True]),
-            lambda m: PoseGraph(2, [(0, 1)], [np.full((4, 4), np.nan)],
-                                [0.5], [1.0], [0.5], [True]),
-            lambda m: PoseGraph(2, [(0, 1)], [m.matrix[:3]], [0.5], [1.0], [0.5], [True]),
-            lambda m: PoseGraph(2, [(1, 0)], [m.matrix], [0.5], [1.0], [0.5], [True]),
-            lambda m: PoseGraph(2, [(0, 1)], [m.matrix], [0.5], [1.0], [np.nan], [True]),
-            lambda m: PoseGraph(2, [(0, 1)], [m.matrix], [0.5], [1.0], [0.5], [0.5]),
+                                [0.5]),
+            lambda m: PoseGraph(2, [(0, 1)], [np.full((4, 4), np.nan)], [0.5]),
+            lambda m: PoseGraph(2, [(0, 1)], [m.matrix[:3]], [0.5]),
+            lambda m: PoseGraph(2, [(1, 0)], [m.matrix], [0.5]),
+            lambda m: PoseGraph(2, [(0, 1)], [m.matrix], [0.5], c_fused=[np.nan]),
+            lambda m: PoseGraph(2, [(0, 1)], [m.matrix], [0.5], active=[0.5]),
         ],
-        ids=["motion-not-rigid-motion", "float-endpoints", "float-node-count",
-             "float-pair-array", "scaled-rotation", "bad-bottom-row", "nan-motion",
-             "motion-shape", "reversed-pair", "nan-confidence", "numeric-active-mask"],
+        ids=["float-node-count", "float-pair-array", "scaled-rotation", "bad-bottom-row",
+             "nan-motion", "motion-shape", "reversed-pair", "nan-confidence",
+             "numeric-active-mask"],
     )
     def test_rejects_malformed_input_at_construction(self, build):
         with pytest.raises(ValueError):
@@ -110,19 +101,17 @@ class TestPoseGraph:
     def test_array_errors_are_typed(self):
         m = random_motion(np.random.default_rng(31)).matrix
         with pytest.raises(IndexOutOfRange):
-            PoseGraph(3, [(1, 1)], [m], [0.5], [1.0], [0.5], [True])
+            PoseGraph(3, [(1, 1)], [m], [0.5])
         with pytest.raises(IndexOutOfRange):
-            PoseGraph(3, [(0, 3)], [m], [0.5], [1.0], [0.5], [True])
+            PoseGraph(3, [(0, 3)], [m], [0.5])
         with pytest.raises(DuplicateEdge):
-            PoseGraph(3, [(0, 1), (1, 2), (0, 1)], [m] * 3, [0.5] * 3, [1.0] * 3, [0.5] * 3,
-                      [True] * 3)
+            PoseGraph(3, [(0, 1), (1, 2), (0, 1)], [m] * 3, [0.5] * 3)
 
     def test_arrays_are_read_only_copies(self):
         rng = np.random.default_rng(32)
         motions = np.stack([random_motion(rng).matrix for _ in range(2)])
         c_local = np.array([0.3, 0.6])
-        g = PoseGraph(3, np.array([[0, 1], [1, 2]]), motions, c_local, np.ones(2), c_local,
-                      np.ones(2, dtype=bool))
+        g = PoseGraph(3, np.array([[0, 1], [1, 2]]), motions, c_local)
         c_local[0] = 0.9
         motions[0] = np.eye(4)
         assert g.c_local[0] == 0.3 and g.c_fused[0] == 0.3
@@ -134,7 +123,10 @@ class TestPoseGraph:
         rng = np.random.default_rng(33)
         g = chain_graph(5, rng)
         g = g.with_rows([1, 3], c_global=[0.25, 0.5], active=[False, True])
-        again = PoseGraph.from_edges(g.node_count, g.edges)
+        again = PoseGraph(g.node_count, [(e.i, e.j) for e in g.edges],
+                          [e.motion.matrix for e in g.edges],
+                          *([getattr(e, name) for e in g.edges]
+                            for name in ("c_local", "c_global", "c_fused", "active")))
         for name in ("pairs", "motions", "c_local", "c_global", "c_fused", "active"):
             assert np.array_equal(getattr(again, name), getattr(g, name))
         e = g.edges[1]
@@ -153,7 +145,7 @@ class TestPoseGraph:
             g.with_rows([0], c_fused=[1.5])
 
     def test_empty_edge_set(self):
-        g = PoseGraph.from_edges(3, ())
+        g = PoseGraph(3, (), (), ())
         assert g.pairs.shape == (0, 2) and g.motions.shape == (0, 4, 4)
         assert g.edges == () and not is_connected(g)
 
@@ -288,14 +280,8 @@ class TestHarmonicFuse:
 class TestPruneAndConnectivity:
     def test_prune_deactivates_below_threshold(self):
         rng = np.random.default_rng(7)
-        m = random_motion(rng)
-        g = PoseGraph.from_edges(
-            3,
-            (
-                Edge(0, 1, m, c_local=0.9, c_fused=0.9),
-                Edge(1, 2, m, c_local=0.2, c_fused=0.2),
-            ),
-        )
+        m = random_motion(rng).matrix
+        g = PoseGraph(3, [(0, 1), (1, 2)], [m, m], [0.9, 0.2])
         pruned = prune_edges(g, 0.5)
         assert pruned.active[0]
         assert not pruned.active[1]
@@ -304,26 +290,21 @@ class TestPruneAndConnectivity:
 
     def test_prune_never_reactivates(self):
         rng = np.random.default_rng(8)
-        m = random_motion(rng)
-        e = Edge(0, 1, m, c_local=0.9, c_fused=0.9, active=False)
-        g = PoseGraph.from_edges(2, (e,))
+        g = PoseGraph(2, [(0, 1)], [random_motion(rng).matrix], [0.9], active=[False])
         assert not prune_edges(g, 0.1).active[0]
 
     def test_prune_threshold_monotone(self):
         rng = np.random.default_rng(9)
-        m = random_motion(rng)
+        m = random_motion(rng).matrix
         confs = rng.uniform(0, 1, 10)
-        edges = tuple(
-            Edge(k, k + 1, m, c_local=c, c_fused=c) for k, c in enumerate(confs)
-        )
-        g = PoseGraph.from_edges(11, edges)
+        g = PoseGraph(11, [(k, k + 1) for k in range(10)], [m] * 10, confs)
         active_counts = [
             len(prune_edges(g, tau).active_edges()) for tau in np.linspace(0, 1, 21)
         ]
         assert all(a >= b for a, b in zip(active_counts, active_counts[1:]))
 
     def test_invalid_threshold(self):
-        g = PoseGraph.from_edges(2, (Edge(0, 1, RigidMotion.identity(), c_local=0.5),))
+        g = PoseGraph(2, [(0, 1)], [RigidMotion.identity().matrix], [0.5])
         with pytest.raises(ValueError):
             prune_edges(g, 1.5)
 
@@ -334,19 +315,14 @@ class TestPruneAndConnectivity:
     def test_missing_link_disconnects(self):
         rng = np.random.default_rng(11)
         m = random_motion(rng)
-        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph(4, [(0, 1), (2, 3)], [m.matrix] * 2, [0.9, 0.9])
         assert not is_connected(g)
 
     def test_inactive_edges_do_not_connect(self):
         rng = np.random.default_rng(12)
         g = chain_graph(5, rng)
-        cut = PoseGraph.from_edges(
-            g.node_count,
-            tuple(
-                e if (e.i, e.j) != (2, 3) else Edge(2, 3, e.motion, e.c_local, active=False)
-                for e in g.edges
-            )
-        )
+        cut = g.with_rows([2], active=[False])
+        assert (cut.pairs[2] == (2, 3)).all()
         assert is_connected(g)
         assert not is_connected(cut)
 
@@ -367,5 +343,5 @@ class TestPruneAndConnectivity:
     def test_isolated_node(self):
         rng = np.random.default_rng(13)
         m = random_motion(rng)
-        g = PoseGraph.from_edges(3, (Edge(0, 1, m, c_local=0.9),))
+        g = PoseGraph(3, [(0, 1)], [m.matrix], [0.9])
         assert not is_connected(g)

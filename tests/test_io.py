@@ -358,13 +358,21 @@ class TestMalformedFiles:
             read_config(p)
 
     def test_config_value_out_of_range(self, tmp_path):
-        p = tmp_path / "e.cfg"
-        p.write_text("tau_p=1.5\n")
-        with pytest.raises(MalformedConfig):
-            read_config(p)
+        for name, text in (("e.cfg", "tau_p=1.5\n"), ("f.cfg", "gamma=0\n")):
+            p = tmp_path / name
+            p.write_text(text)
+            with pytest.raises(MalformedConfig):
+                read_config(p)
 
 
 class TestReadConfig:
+    @pytest.mark.parametrize("field, value", [("gamma", -1.0), ("gamma", 0.0), ("beta", 0.0),
+                                              ("w_thresh", 1.5), ("w_thresh", -0.1),
+                                              ("inner_irls", -3), ("temperature", np.nan)])
+    def test_config_fields_are_range_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+
     def test_overrides_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(

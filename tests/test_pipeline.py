@@ -8,7 +8,6 @@ from mvreg import (
     DegenerateConfiguration,
     DisconnectedInput,
     DuplicateEdge,
-    Edge,
     IndexOutOfRange,
     PipelineConfig,
     PointCloud,
@@ -52,16 +51,18 @@ def gauge_fixed(truth):
     return [compose(g0, m) for m in truth]
 
 
+def chain_graph(truth):
+    """Graph of the consistent relatives along the chain 0-1-...-(n-1)."""
+    k = len(truth) - 1
+    motions = [relative_from_absolute(truth[v], truth[v + 1]).matrix for v in range(k)]
+    return PoseGraph(k + 1, [(v, v + 1) for v in range(k)], motions, [0.9] * k)
+
+
 class TestPairwiseChain:
     def test_consistent_chain_recovers_truth(self):
         rng = np.random.default_rng(3)
         truth = [random_motion(rng) for _ in range(5)]
-        edges = tuple(
-            Edge(k, k + 1, relative_from_absolute(truth[k], truth[k + 1]), c_local=0.9)
-            for k in range(4)
-        )
-        graph = PoseGraph.from_edges(5, edges)
-        absolute = pairwise_chain_absolute(graph)
+        absolute = pairwise_chain_absolute(chain_graph(truth))
         expected = gauge_fixed(truth)
         for a, e in zip(absolute, expected):
             assert np.linalg.norm(a.matrix - e.matrix) < 1e-9
@@ -69,11 +70,7 @@ class TestPairwiseChain:
     def test_anchor_is_identity(self):
         rng = np.random.default_rng(4)
         truth = [random_motion(rng) for _ in range(4)]
-        edges = tuple(
-            Edge(k, k + 1, relative_from_absolute(truth[k], truth[k + 1]), c_local=0.9)
-            for k in range(3)
-        )
-        absolute = pairwise_chain_absolute(PoseGraph.from_edges(4, edges))
+        absolute = pairwise_chain_absolute(chain_graph(truth))
         assert np.array_equal(absolute[0].matrix, np.eye(4))
 
     def test_matches_object_chain_with_tree_edges_in_both_directions(self):
@@ -83,15 +80,15 @@ class TestPairwiseChain:
         # and its edge 3-1 runs against the stored (1, 3) direction
         rng = np.random.default_rng(6)
         pairs = ((0, 1), (0, 3), (1, 3), (0, 2), (2, 4), (1, 4))
-        edges = [Edge(i, j, random_motion(rng), c_local=0.9, active=(i, j) != (0, 1))
-                 for i, j in pairs]
-        motions = {(e.i, e.j): e.motion for e in edges}
+        motions = {pair: random_motion(rng) for pair in pairs}
         expected = [RigidMotion.identity()] * 5
         for v, u in ((3, 0), (2, 0), (1, 3), (4, 2)):
             # measured u -> v, so M_v = M_u . M_uv^-1
             uv = motions[u, v] if u < v else invert(motions[v, u])
             expected[v] = compose(expected[u], invert(uv))
-        absolute = pairwise_chain_absolute(PoseGraph.from_edges(5, edges))
+        graph = PoseGraph(5, pairs, [m.matrix for m in motions.values()], [0.9] * 6,
+                          active=[pair != (0, 1) for pair in pairs])
+        absolute = pairwise_chain_absolute(graph)
         assert all(isinstance(m, RigidMotion) for m in absolute)
         for a, e in zip(absolute, expected, strict=True):
             assert np.abs(a.matrix - e.matrix).max() <= 1e-12
@@ -99,7 +96,7 @@ class TestPairwiseChain:
     def test_disconnected_raises(self):
         rng = np.random.default_rng(5)
         m = random_motion(rng)
-        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph(4, [(0, 1), (2, 3)], [m.matrix] * 2, [0.9, 0.9])
         with pytest.raises(DisconnectedInput):
             pairwise_chain_absolute(g)
 

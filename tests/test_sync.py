@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import mvreg.sync
 from mvreg import (
     DegenerateMatrix,
     DisconnectedGraph,
-    Edge,
     EigenSolverFailure,
     PoseGraph,
     RigidMotion,
@@ -38,14 +38,20 @@ def noise_motion(rng, rot_sigma, trans_sigma):
 
 def graph_from_truth(truth, pairs, confidences=None, rng=None, rot_sigma=0.0, trans_sigma=0.0):
     """Pose graph whose edge (i, j) measures the i -> j relative motion."""
-    edges = []
-    for k, (i, j) in enumerate(pairs):
+    motions = []
+    for i, j in pairs:
         measured = relative_from_absolute(truth[i], truth[j])
         if rot_sigma or trans_sigma:
             measured = compose(noise_motion(rng, rot_sigma, trans_sigma), measured)
-        c = 0.9 if confidences is None else confidences[k]
-        edges.append(Edge(i, j, measured, c_local=c, c_fused=c))
-    return PoseGraph.from_edges(len(truth), tuple(edges))
+        motions.append(measured.matrix)
+    c = [0.9] * len(pairs) if confidences is None else confidences
+    return PoseGraph(len(truth), pairs, motions, c)
+
+
+def subgraph(g, rows):
+    """The graph of the given rows of g, every column kept."""
+    columns = ("pairs", "motions", "c_local", "c_global", "c_fused", "active")
+    return PoseGraph(g.node_count, *(getattr(g, name)[rows] for name in columns))
 
 
 def gauge_fixed(truth):
@@ -116,23 +122,23 @@ def normal_matrix_translations(g, rotations):
     n = g.node_count
     lap = np.zeros((n, n))
     rhs = np.zeros((n, 3))
-    for e in g.active_edges():
-        c = e.c_fused
-        lap[[e.i, e.j], [e.i, e.j]] += c
-        lap[[e.i, e.j], [e.j, e.i]] -= c
-        projected = c * (rotations[e.j].m @ e.motion.translation)
-        rhs[e.i] += projected
-        rhs[e.j] -= projected
+    for (i, j), motion, c in zip(g.pairs[g.active], g.motions[g.active], g.c_fused[g.active]):
+        lap[[i, j], [i, j]] += c
+        lap[[i, j], [j, i]] -= c
+        projected = c * (rotations[j] @ motion[:3, 3])
+        rhs[i] += projected
+        rhs[j] -= projected
     t = (np.linalg.pinv(np.kron(lap, np.eye(3))) @ rhs.ravel()).reshape(n, 3)
     return t - t[0]
 
 
 class TestRotationSync:
     def test_two_nodes_identity_measurement(self):
-        g = PoseGraph.from_edges(2, (Edge(0, 1, RigidMotion.identity(), c_local=0.9),))
+        g = PoseGraph(2, [(0, 1)], [np.eye(4)], [0.9])
         rots = rotation_sync(g)
+        assert rots.shape == (2, 3, 3)
         for r in rots:
-            assert np.linalg.norm(r.m - np.eye(3)) < 1e-9
+            assert np.linalg.norm(r - np.eye(3)) < 1e-9
 
     def test_noise_free_complete_graph(self):
         rng = np.random.default_rng(0)
@@ -150,7 +156,7 @@ class TestRotationSync:
         truth = random_truth(rng, 6)
         g = graph_from_truth(truth, all_pairs(6), rng=rng, rot_sigma=0.02, trans_sigma=0.01)
         rots = rotation_sync(g)
-        assert np.linalg.norm(rots[0].m - np.eye(3)) < 1e-12
+        assert np.linalg.norm(rots[0] - np.eye(3)) < 1e-12
 
     def test_zero_confidence_edge_equals_removed_edge(self):
         rng = np.random.default_rng(2)
@@ -159,17 +165,12 @@ class TestRotationSync:
         noisy = graph_from_truth(truth, pairs, rng=rng, rot_sigma=0.05, trans_sigma=0.02)
         # the same graph, except the last edge carries zero confidence /
         # is absent entirely
-        zeroed = PoseGraph.from_edges(
-            noisy.node_count,
-            tuple(
-                e if k < len(pairs) - 1 else Edge(e.i, e.j, e.motion, c_local=0.0, c_fused=0.0)
-                for k, e in enumerate(noisy.edges)
-            )
-        )
-        removed = PoseGraph.from_edges(5, noisy.edges[:-1])
+        last = len(pairs) - 1
+        zeroed = noisy.with_rows([last], c_local=[0.0], c_fused=[0.0])
+        removed = subgraph(noisy, slice(last))
         rz, rr = rotation_sync(zeroed), rotation_sync(removed)
         for a, b in zip(rz, rr):
-            assert np.linalg.norm(a.m - b.m) < 1e-9
+            assert np.linalg.norm(a - b) < 1e-9
         tz = translation_sync(zeroed, rz)
         tr = translation_sync(removed, rr)
         assert max(np.linalg.norm(a - b) for a, b in zip(tz, tr)) < 1e-9
@@ -183,10 +184,9 @@ class TestRotationSync:
         g = graph_from_truth(truth, all_pairs(8))
         n = g.node_count
         lap = np.zeros((3 * n, 3 * n))
-        for e in g.active_edges():
-            c = e.c_fused
-            rel = e.motion.rotation.m
-            si, sj = 3 * e.i, 3 * e.j
+        for (i, j), motion, c in zip(g.pairs, g.motions, g.c_fused):
+            rel = motion[:3, :3]
+            si, sj = 3 * i, 3 * j
             lap[si:si + 3, sj:sj + 3] -= c * rel.T
             lap[sj:sj + 3, si:si + 3] -= c * rel
             lap[si:si + 3, si:si + 3] += c * np.eye(3)
@@ -201,7 +201,7 @@ class TestRotationSync:
     def test_disconnected_graph_raises(self):
         rng = np.random.default_rng(4)
         m = random_motion(rng)
-        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph(4, [(0, 1), (2, 3)], [m.matrix] * 2, [0.9, 0.9])
         with pytest.raises(DisconnectedGraph):
             rotation_sync(g)
 
@@ -216,8 +216,9 @@ class TestTranslationSync:
         offsets = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 2.0, 3.0]])
         truth = [RigidMotion(Rotation3.identity(), t) for t in offsets]
         g = graph_from_truth(truth, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        rots = [Rotation3.identity()] * 4
+        rots = np.tile(np.eye(3), (4, 1, 1))
         t = translation_sync(g, rots)
+        assert t.shape == (4, 3)
         assert np.allclose(np.array(t), offsets, atol=1e-9)
 
     def test_noise_free_objective_vanishes(self):
@@ -283,12 +284,21 @@ class TestTranslationSync:
         with pytest.raises(DegenerateMatrix, match="translation"):
             mvreg.sync._translations(3, pairs, np.ones((1, 3)), np.array([0.9]), rotations)
 
+    def test_rotations_need_one_matrix_per_node(self):
+        rng = np.random.default_rng(9)
+        g = graph_from_truth(random_truth(rng, 3), all_pairs(3))
+        for bad in (np.eye(3), np.tile(np.eye(3), (2, 1, 1))):
+            with pytest.raises(ValueError, match="3 x 3 rotations"):
+                translation_sync(g, bad)
+            with pytest.raises(ValueError, match="3 x 3 rotations"):
+                translation_objective(g, bad, np.zeros((3, 3)))
+
     def test_disconnected_graph_raises(self):
         rng = np.random.default_rng(9)
         m = random_motion(rng)
-        g = PoseGraph.from_edges(3, (Edge(0, 1, m, c_local=0.9),))
+        g = PoseGraph(3, [(0, 1)], [m.matrix], [0.9])
         with pytest.raises(DisconnectedGraph):
-            translation_sync(g, [Rotation3.identity()] * 3)
+            translation_sync(g, np.tile(np.eye(3), (3, 1, 1)))
 
 
 class TestTransfSync:
@@ -300,7 +310,7 @@ class TestTransfSync:
         g = graph_from_truth(truth, all_pairs(5), rng=rng, rot_sigma=0.04, trans_sigma=0.04)
         g = g.with_rows([2], active=[False], c_global=[0.7])
         result = transf_sync(g, rounds=2)
-        alone = transf_sync(PoseGraph.from_edges(5, g.active_edges()), rounds=2)
+        alone = transf_sync(subgraph(g, g.active), rounds=2)
         assert result.graph.c_global[2] == 0.7 and result.graph.c_fused[2] == g.c_fused[2]
         kept = np.flatnonzero(g.active)
         assert np.array_equal(result.graph.c_global[kept], alone.graph.c_global)
@@ -329,7 +339,7 @@ class TestTransfSync:
         rots = rotation_sync(g)
         trans = translation_sync(g, rots)
         for a, r, t in zip(result.absolute, rots, trans):
-            assert np.linalg.norm(a.rotation.m - r.m) == 0.0
+            assert np.linalg.norm(a.rotation.m - r) == 0.0
             assert np.linalg.norm(a.translation - t) == 0.0
 
     def test_outlier_edges_lose_global_confidence(self):
@@ -338,25 +348,19 @@ class TestTransfSync:
         pairs = all_pairs(10)
         g = graph_from_truth(truth, pairs, rng=rng, rot_sigma=0.01, trans_sigma=0.01)
         n_out = len(pairs) // 5
-        outlier_idx = set(rng.choice(len(pairs), size=n_out, replace=False).tolist())
-        edges = tuple(
-            Edge(e.i, e.j, random_motion(rng, translation_scale=3.0), c_local=e.c_local)
-            if k in outlier_idx
-            else e
-            for k, e in enumerate(g.edges)
-        )
-        result = transf_sync(PoseGraph.from_edges(g.node_count, edges), rounds=4)
-        out_conf = [e.c_global for k, e in enumerate(result.graph.edges) if k in outlier_idx]
-        in_conf = [e.c_global for k, e in enumerate(result.graph.edges) if k not in outlier_idx]
-        assert np.median(out_conf) < 0.5 * np.median(in_conf)
+        outliers = np.sort(rng.choice(len(pairs), size=n_out, replace=False))
+        motions = [random_motion(rng, translation_scale=3.0).matrix for _ in outliers]
+        result = transf_sync(g.with_rows(outliers, motions=motions), rounds=4)
+        c_global = result.graph.c_global
+        inliers = np.setdiff1d(np.arange(len(pairs)), outliers)
+        assert np.median(c_global[outliers]) < 0.5 * np.median(c_global[inliers])
 
     def test_local_confidences_held_fixed(self):
         rng = np.random.default_rng(13)
         truth = random_truth(rng, 5)
         g = graph_from_truth(truth, all_pairs(5), rng=rng, rot_sigma=0.05, trans_sigma=0.05)
         result = transf_sync(g, rounds=3)
-        for before, after in zip(g.edges, result.graph.edges):
-            assert after.c_local == before.c_local
+        assert np.array_equal(result.graph.c_local, g.c_local)
 
     def test_gauge_invariance(self):
         # re-expressing the ground truth in a different world frame leaves
@@ -367,12 +371,9 @@ class TestTransfSync:
         noise = [noise_motion(rng, 0.02, 0.02) for _ in pairs]
 
         def solve(truth):
-            edges = tuple(
-                Edge(i, j, compose(noise[k], relative_from_absolute(truth[i], truth[j])),
-                     c_local=0.9)
-                for k, (i, j) in enumerate(pairs)
-            )
-            return transf_sync(PoseGraph.from_edges(6, edges), rounds=2)
+            motions = [compose(noise[k], relative_from_absolute(truth[i], truth[j])).matrix
+                       for k, (i, j) in enumerate(pairs)]
+            return transf_sync(PoseGraph(6, pairs, motions, [0.9] * len(pairs)), rounds=2)
 
         reference = solve(base_truth)
         for _ in range(5):
@@ -388,16 +389,10 @@ class TestTransfSync:
         rng = np.random.default_rng(15)
         truth = random_truth(rng, 5)
         g = graph_from_truth(truth, all_pairs(5), rng=rng, rot_sigma=0.04, trans_sigma=0.04)
-        halved = PoseGraph.from_edges(
-            g.node_count,
-            tuple(
-                Edge(e.i, e.j, e.motion, c_local=e.c_local, c_fused=0.5 * e.c_fused)
-                for e in g.edges
-            )
-        )
+        halved = replace(g, c_fused=0.5 * g.c_fused)
         ra, rb = rotation_sync(g), rotation_sync(halved)
         for a, b in zip(ra, rb):
-            assert np.linalg.norm(a.m - b.m) < 1e-9
+            assert np.linalg.norm(a - b) < 1e-9
         ta, tb = translation_sync(g, ra), translation_sync(halved, ra)
         assert max(np.linalg.norm(a - b) for a, b in zip(ta, tb)) < 1e-9
 
@@ -442,11 +437,8 @@ class TestTransfSync:
         rng = np.random.default_rng(22)
         truth = random_truth(rng, 6)
         pairs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
-        g = graph_from_truth(truth, pairs)
-        bridge = g.edges[-1]
-        g = PoseGraph.from_edges(
-            g.node_count, g.edges[:-1] + (Edge(2, 3, bridge.motion, c_local=0.0, c_fused=0.9),)
-        )
+        g = graph_from_truth(truth, pairs).with_rows([6], c_local=[0.0])
+        assert g.c_fused[6] == 0.9
         assert transf_sync(g, rounds=1).rounds_completed == 1
         with pytest.raises(DisconnectedGraph):
             transf_sync(g, rounds=2)
@@ -458,10 +450,17 @@ class TestTransfSync:
         with pytest.raises(ValueError):
             transf_sync(g, rounds=0)
 
+    @pytest.mark.parametrize("weights", [{"gamma": 0.0}, {"gamma": -1.0}, {"beta": 0.0}])
+    def test_gamma_and_beta_must_be_positive(self, weights):
+        rng = np.random.default_rng(17)
+        g = graph_from_truth(random_truth(rng, 3), all_pairs(3))
+        with pytest.raises(ValueError, match="positive"):
+            transf_sync(g, **weights)
+
     def test_disconnected_input_raises(self):
         rng = np.random.default_rng(18)
         m = random_motion(rng)
-        g = PoseGraph.from_edges(4, (Edge(0, 1, m, c_local=0.9), Edge(2, 3, m, c_local=0.9)))
+        g = PoseGraph(4, [(0, 1), (2, 3)], [m.matrix] * 2, [0.9, 0.9])
         with pytest.raises(DisconnectedGraph):
             transf_sync(g)
 
@@ -704,9 +703,10 @@ def test_sync_does_not_import_scipy():
         "import numpy as np\n"
         "import mvreg, mvreg.sync\n"
         "mvreg.sync.DENSE_MAX_SIZE = 0\n"
-        "m = mvreg.RigidMotion(mvreg.Rotation3.identity(), np.ones(3))\n"
-        "edges = tuple(mvreg.Edge(i, i + 1, m, c_local=0.9) for i in range(7))\n"
-        "mvreg.transf_sync(mvreg.PoseGraph.from_edges(8, edges))\n"
+        "m = np.eye(4)\n"
+        "m[:3, 3] = 1.0\n"
+        "pairs = [(i, i + 1) for i in range(7)]\n"
+        "mvreg.transf_sync(mvreg.PoseGraph(8, pairs, [m] * 7, [0.9] * 7))\n"
         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
     )
     src = str(Path(mvreg.sync.__file__).resolve().parents[1])
