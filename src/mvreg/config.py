@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -25,11 +27,12 @@ class PipelineConfig:
     connectivity: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        for name in ("outer_iterations", "sync_rounds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.inner_irls < 0:
-            raise ValueError("inner_irls must be >= 0")
+        # a float count would fail later in range(), a float scan index be truncated
+        for name, low in (("outer_iterations", 1), ("sync_rounds", 1), ("inner_irls", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         # `not x > 0` and chained comparisons also reject NaN
         for name in ("temperature", "gamma", "beta"):
             if not getattr(self, name) > 0.0:
@@ -38,6 +41,8 @@ class PipelineConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.connectivity is not None:
+            if not all(isinstance(v, (int, np.integer)) for pair in self.connectivity for v in pair):
+                raise ValueError(f"connectivity must hold integer scan indices, got {self.connectivity!r}")
             canon = tuple(tuple(int(v) for v in pair) for pair in self.connectivity)
             object.__setattr__(self, "connectivity", canon)
 

@@ -5,7 +5,6 @@ active edges per iteration), confidence fusion, and pruning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +13,6 @@ from .config import PipelineConfig
 from .errors import DisconnectedInput, DuplicateEdge, IndexOutOfRange, TooFewClouds
 from .geometry import PointCloud, RigidMotion, motion_stack, relative_motions
 from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges, search_tree
-from .metrics import motion_errors
 
 # register_correspondences, wls_transform, residuals, robust_reweight and
 # local_confidence are not called in this module. They are imported because
@@ -35,50 +33,29 @@ from .sync import SyncResult, transf_sync
 
 @dataclass(frozen=True, eq=False)
 class IterationStats:
-    """Diagnostics recorded after one outer iteration."""
+    """State after one outer iteration: active edges after pruning, whether
+    pruning disconnected the graph, and the sync's read-only (n, 4, 4) poses."""
 
     iteration: int
     active_edges: int
     disconnected: bool
-    mean_rotation_deg: float = math.nan
-    median_rotation_deg: float = math.nan
-    mean_translation_m: float = math.nan
-    median_translation_m: float = math.nan
-    rotation_errors_deg: np.ndarray | None = None
-    translation_errors_m: np.ndarray | None = None
+    poses: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineTrace:
-    """Per-iteration history plus the direct pairwise baseline errors."""
+    """The scan pairs, their measured motions (the initial graph's read-only
+    (m, 4, 4) motions, a row per pair) and each iteration's state. It holds no
+    errors: score poses with motion_errors(relative_motions(poses, pairs), ...).
+    """
 
     pairs: tuple[tuple[int, int], ...]
-    iterations: tuple[IterationStats, ...] = ()
-    pairwise_rotation_errors_deg: np.ndarray | None = None
-    pairwise_translation_errors_m: np.ndarray | None = None
+    motions: np.ndarray
+    iterations: tuple[IterationStats, ...]
 
     @property
     def disconnected(self) -> bool:
         return any(s.disconnected for s in self.iterations)
-
-
-def _stats(iteration, graph, disconnected, pairs, poses, truth_relatives) -> IterationStats:
-    """Diagnostics; errors of the synchronized relatives when the truth is known."""
-    active = int(graph.active.sum())
-    if truth_relatives is None:
-        return IterationStats(iteration, active, disconnected)
-    rot, trans = motion_errors(relative_motions(poses, pairs), truth_relatives)
-    return IterationStats(
-        iteration,
-        active,
-        disconnected,
-        mean_rotation_deg=float(rot.mean()),
-        median_rotation_deg=float(np.median(rot)),
-        mean_translation_m=float(trans.mean()),
-        median_translation_m=float(np.median(trans)),
-        rotation_errors_deg=rot,
-        translation_errors_m=trans,
-    )
 
 
 def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
@@ -160,7 +137,6 @@ def run_multiview_from_correspondences(
     correspondences: dict[tuple[int, int], CorrespondenceSet],
     n: int,
     cfg: PipelineConfig | None = None,
-    ground_truth: list[RigidMotion] | None = None,
 ) -> tuple[SyncResult, PipelineTrace]:
     """Full pipeline on prebuilt correspondence sets, one per scan pair.
 
@@ -183,15 +159,7 @@ def run_multiview_from_correspondences(
     weights = list(fits.weights)
     if not is_connected(graph):
         raise DisconnectedInput("measurement pairs do not connect all clouds")
-
-    trace = PipelineTrace(pairs=pairs)
-    truth_relatives = None
-    if ground_truth is not None:
-        if len(ground_truth) != n:
-            raise ValueError(f"ground truth length {len(ground_truth)} != {n} clouds")
-        truth_relatives = relative_motions(np.stack([m.matrix for m in ground_truth]), pairs)
-        rot, trans = motion_errors(graph.motions, truth_relatives)
-        trace = replace(trace, pairwise_rotation_errors_deg=rot, pairwise_translation_errors_m=trans)
+    measured = graph.motions
 
     stats = []
     for k in range(1, cfg.outer_iterations + 1):
@@ -200,18 +168,17 @@ def run_multiview_from_correspondences(
         graph = prune_edges(graph, cfg.tau_p)
 
         connected = is_connected(graph)
-        stats.append(_stats(k, graph, not connected, pairs, result.poses, truth_relatives))
+        stats.append(IterationStats(k, int(graph.active.sum()), not connected, result.poses))
         if not connected:
             break
 
     final = replace(result, graph=graph, disconnected=not connected)
-    return final, replace(trace, iterations=tuple(stats))
+    return final, PipelineTrace(pairs, measured, tuple(stats))
 
 
 def run_multiview(
     clouds: list[PointCloud],
     cfg: PipelineConfig | None = None,
-    ground_truth: list[RigidMotion] | None = None,
 ) -> tuple[SyncResult, PipelineTrace]:
     """Register n feature-bearing clouds into a common frame.
 
@@ -230,4 +197,4 @@ def run_multiview(
         (i, j): build_correspondences(clouds[i], clouds[j], cfg.temperature)
         for i, j in canonical_pairs(cfg.connectivity, n)
     }
-    return run_multiview_from_correspondences(correspondences, n, cfg, ground_truth)
+    return run_multiview_from_correspondences(correspondences, n, cfg)

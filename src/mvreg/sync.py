@@ -384,8 +384,8 @@ def transf_sync(
     Each round after the first starts its eigensolver from the previous
     round's Ritz panel.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     if not (gamma > 0.0 and beta > 0.0):
         raise ValueError("gamma and beta must be positive")
     n = g.node_count
@@ -412,5 +412,5 @@ def transf_sync(
         rotation_eigengap=eigengap,
         translation_rank_deficiency=3,
         graph=g.with_rows(g.active, c_global=c_global, c_fused=c_fused),
-        rounds_completed=rounds,
+        rounds_completed=int(rounds),
     )

@@ -44,6 +44,8 @@ from mvreg import (
     write_ply,
     write_trajectory,
 )
+from mvreg.geometry import relative_motions
+from mvreg.metrics import motion_errors
 from mvreg.synthetic import (
     generate_scene,
     random_motion,
@@ -225,12 +227,11 @@ def test_07_multiview_refinement_beats_pairwise_baseline(seed):
     )
     cfg = PipelineConfig(connectivity=scene.edges)
     corr = scene_correspondences(scene, cfg.temperature)
-    result, trace = run_multiview_from_correspondences(
-        corr, 30, cfg, ground_truth=list(scene.ground_truth)
-    )
+    result, trace = run_multiview_from_correspondences(corr, 30, cfg)
     elapsed = time.perf_counter() - start
-    pairwise = trace.pairwise_rotation_errors_deg
-    final = trace.iterations[-1].rotation_errors_deg
+    truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), trace.pairs)
+    pairwise, _ = motion_errors(trace.motions, truth)
+    final, _ = motion_errors(relative_motions(trace.iterations[-1].poses, trace.pairs), truth)
     pw_mean = float(np.mean(pairwise))
     fin_mean = float(np.mean(final))
     pw_ecdf = ecdf(pairwise, [10.0])[0]

@@ -368,10 +368,21 @@ class TestMalformedFiles:
 class TestReadConfig:
     @pytest.mark.parametrize("field, value", [("gamma", -1.0), ("gamma", 0.0), ("beta", 0.0),
                                               ("w_thresh", 1.5), ("w_thresh", -0.1),
-                                              ("inner_irls", -3), ("temperature", np.nan)])
+                                              ("inner_irls", -3), ("temperature", np.nan),
+                                              ("outer_iterations", 2.5), ("inner_irls", 2.5),
+                                              ("sync_rounds", 2.5), ("sync_rounds", np.float64(2.0)),
+                                              ("connectivity", ((0, 1.5), (1, 2)))])
     def test_config_fields_are_range_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             PipelineConfig(**{field: value})
+
+    def test_counts_and_indices_accept_numpy_integers(self):
+        cfg = PipelineConfig(outer_iterations=np.int64(2), sync_rounds=np.int32(3),
+                             inner_irls=np.uint8(0), connectivity=np.array([[1, 0], [1, 2]]))
+        counts = (cfg.outer_iterations, cfg.sync_rounds, cfg.inner_irls)
+        assert counts == (2, 3, 0) and all(type(v) is int for v in counts)
+        assert cfg.connectivity == ((1, 0), (1, 2))
+        assert all(type(v) is int for pair in cfg.connectivity for v in pair)
 
     def test_overrides_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from mvreg import (
     transform_points,
 )
 from mvreg.geometry import motion_stack, relative_motions
+from mvreg.metrics import motion_errors
 from mvreg.pairwise import build_correspondences, refit_batch, register_batch
 from mvreg.synthetic import generate_scene, random_motion, scene_correspondences
 
@@ -44,6 +47,13 @@ def shared_scene_clouds(rng, n, points=60):
         PointCloud(transform_points(invert(m), base), base.copy()) for m in truth
     ]
     return clouds, truth
+
+
+def edge_errors(motions, scene, pairs):
+    """Rotation and translation errors of each pair's motion against the
+    scene's true relative motion."""
+    truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), pairs)
+    return motion_errors(motions, truth)
 
 
 def gauge_fixed(truth):
@@ -199,12 +209,6 @@ class TestRunMultiviewBasics:
         absolute = result.absolute
         assert len(calls) == 1 and result.absolute is absolute
 
-    def test_ground_truth_length_validated(self):
-        rng = np.random.default_rng(12)
-        clouds, truth = shared_scene_clouds(rng, 3)
-        with pytest.raises(ValueError):
-            run_multiview(clouds, PipelineConfig(temperature=1e-6), ground_truth=truth[:2])
-
 
 class TestRefinementQuality:
     def test_ten_scan_scene_improves_over_pairwise(self):
@@ -214,12 +218,13 @@ class TestRefinementQuality:
         )
         cfg = PipelineConfig(connectivity=scene.edges)
         corr = scene_correspondences(scene, cfg.temperature)
-        result, trace = run_multiview_from_correspondences(
-            corr, 10, cfg, ground_truth=list(scene.ground_truth)
+        result, trace = run_multiview_from_correspondences(corr, 10, cfg)
+        pairwise, _ = edge_errors(trace.motions, scene, trace.pairs)
+        final, _ = edge_errors(
+            relative_motions(trace.iterations[-1].poses, trace.pairs), scene, trace.pairs
         )
-        final = trace.iterations[-1]
-        assert final.mean_rotation_deg <= np.mean(trace.pairwise_rotation_errors_deg)
-        assert final.mean_rotation_deg < 5.0
+        assert final.mean() <= np.mean(pairwise)
+        assert final.mean() < 5.0
 
     def test_iteration_stats_are_recorded(self):
         scene = generate_scene(
@@ -228,15 +233,21 @@ class TestRefinementQuality:
         )
         cfg = PipelineConfig(connectivity=scene.edges)
         corr = scene_correspondences(scene, cfg.temperature)
-        _, trace = run_multiview_from_correspondences(
-            corr, 6, cfg, ground_truth=list(scene.ground_truth)
-        )
+        result, trace = run_multiview_from_correspondences(corr, 6, cfg)
+        # the trace keeps the measured pairwise motions, read-only, not the refitted ones
+        pairs = tuple(sorted(corr))
+        measured = build_graph(6, pairs, register_batch([corr[p] for p in pairs], cfg)).motions
+        assert trace.pairs == pairs
+        assert trace.motions.tobytes() == measured.tobytes()
+        assert not trace.motions.flags.writeable
+        assert not np.array_equal(trace.motions, result.graph.motions)
         assert [s.iteration for s in trace.iterations] == list(range(1, len(trace.iterations) + 1))
         actives = [s.active_edges for s in trace.iterations]
         assert all(a >= b for a, b in zip(actives, actives[1:]))
         for s in trace.iterations:
-            assert s.rotation_errors_deg is not None
-            assert np.isfinite(s.mean_rotation_deg)
+            assert s.poses.shape == (6, 4, 4)
+            rot, _ = edge_errors(relative_motions(s.poses, trace.pairs), scene, trace.pairs)
+            assert np.isfinite(rot.mean())
 
     def test_aggressive_pruning_reports_last_valid_poses(self):
         # a ring with a pruning threshold no noisy edge can satisfy: pruning
@@ -254,6 +265,9 @@ class TestRefinementQuality:
         assert result.disconnected
         assert trace.disconnected
         assert len(trace.iterations) == 1
+        # the last iteration's poses are the result's, the same read-only array
+        assert trace.iterations[-1].poses.tobytes() == result.poses.tobytes()
+        assert not trace.iterations[-1].poses.flags.writeable
         single = PipelineConfig(
             temperature=1e-6, connectivity=ring, tau_p=0.99, outer_iterations=1
         )
@@ -272,6 +286,9 @@ class TestRefinementQuality:
         assert not result.disconnected
         assert len(trace.iterations) == 4
         assert trace.iterations[-1].active_edges == 5
+        assert trace.iterations[-1].poses.tobytes() == result.poses.tobytes()
+        one, _ = run_multiview(clouds, replace(cfg, outer_iterations=1))
+        assert trace.iterations[0].poses.tobytes() == one.poses.tobytes()
 
 
 class TestFeedbackRefit:

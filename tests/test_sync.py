@@ -447,8 +447,11 @@ class TestTransfSync:
         rng = np.random.default_rng(17)
         truth = random_truth(rng, 3)
         g = graph_from_truth(truth, all_pairs(3))
-        with pytest.raises(ValueError):
-            transf_sync(g, rounds=0)
+        for rounds in (0, 2.5, np.float64(2.0)):
+            with pytest.raises(ValueError, match="rounds"):
+                transf_sync(g, rounds=rounds)
+        completed = transf_sync(g, rounds=np.int64(2)).rounds_completed
+        assert completed == 2 and type(completed) is int
 
     @pytest.mark.parametrize("weights", [{"gamma": 0.0}, {"gamma": -1.0}, {"beta": 0.0}])
     def test_gamma_and_beta_must_be_positive(self, weights):
