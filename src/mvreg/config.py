@@ -41,8 +41,9 @@ class PipelineConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.connectivity is not None:
-            if not all(isinstance(v, (int, np.integer)) for pair in self.connectivity for v in pair):
-                raise ValueError(f"connectivity must hold integer scan indices, got {self.connectivity!r}")
+            if not all(np.shape(pair) == (2,) and all(isinstance(v, (int, np.integer)) for v in pair)
+                       for pair in self.connectivity):
+                raise ValueError(f"connectivity must hold pairs of integer scan indices, got {self.connectivity!r}")
             canon = tuple(tuple(int(v) for v in pair) for pair in self.connectivity)
             object.__setattr__(self, "connectivity", canon)
 

@@ -311,15 +311,39 @@ def _residual_stack(rot, trans, src, dst):
     moved = src @ np.swapaxes(rot, 1, 2)
     moved += trans[:, None, :]
     moved -= dst
-    return np.linalg.norm(moved, axis=2)
+    # x^2 + y^2, then + z^2: the order np.linalg.norm(axis=2) adds in, so
+    # the norms are bit-equal to it, without its squared copy
+    sq = np.square(moved, out=moved)
+    norm = sq[..., 0] + sq[..., 1]
+    norm += sq[..., 2]
+    return np.sqrt(norm, out=norm)
+
+
+def _row_median(a, keepdims: bool = False):
+    """np.median(a, axis=-1), bit for bit, from one sort per row.
+
+    The middle element for odd n, (s[h-1] + s[h]) / 2 for even n, as
+    np.median's mean of the two. NaN sorts last, so a row whose last
+    sorted element is NaN returns that NaN, as np.median does. numpy's
+    vectorised sort beats np.median's partition at the IRLS row lengths.
+    """
+    s = np.sort(a, axis=-1)
+    h = s.shape[-1] // 2
+    med = s[..., h] if s.shape[-1] % 2 else (s[..., h - 1] + s[..., h]) / 2
+    last = s[..., -1]
+    nan = np.isnan(last)
+    if nan.any():
+        med = np.where(nan, last, med)
+    # [()] makes a 0-d result a scalar, as np.median returns for 1-d input
+    return med[..., None] if keepdims else med[()]
 
 
 def mad_scale(r, factor):
     """Robust scale factor * med(|r - med(r)|) of each row of r (along its
     last axis, kept as a length-1 axis), floored at MAD_FLOOR so identical
     residuals do not give a zero scale."""
-    med = np.median(r, axis=-1, keepdims=True)
-    mad = np.median(np.abs(r - med), axis=-1, keepdims=True)
+    med = _row_median(r, keepdims=True)
+    mad = _row_median(np.abs(r - med), keepdims=True)
     return np.maximum(factor * mad, MAD_FLOOR)
 
 
@@ -387,7 +411,7 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
             rows = idx[ok]
             motions[rows, :3, :3], motions[rows, :3, 3] = rot[ok], trans[ok]
             inlier[rows] = np.mean(w[ok] > cfg.w_thresh, axis=1)
-            conf[rows] = local_confidence(inlier[rows], np.median(r[ok], axis=1))
+            conf[rows] = local_confidence(inlier[rows], _row_median(r[ok]))
             for row, k in enumerate(idx):
                 w_out[k] = w[row]
     fits = PairwiseFits(motions, tuple(w_out), inlier, conf, status == _FIT_OK)

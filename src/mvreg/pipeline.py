@@ -133,6 +133,11 @@ def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _is_index_pair(key) -> bool:
+    return (isinstance(key, tuple) and len(key) == 2
+            and all(isinstance(v, (int, np.integer)) for v in key))
+
+
 def run_multiview_from_correspondences(
     correspondences: dict[tuple[int, int], CorrespondenceSet],
     n: int,
@@ -148,9 +153,10 @@ def run_multiview_from_correspondences(
     cfg = cfg or PipelineConfig()
     if n < 3:
         raise TooFewClouds(f"need at least 3 clouds, got {n}")
-    for i, j in correspondences:
-        if not (0 <= i < j < n):
-            raise IndexOutOfRange(f"correspondence key ({i}, {j}) is not a pair with 0 <= i < j < {n}")
+    for key in correspondences:
+        # checked before the IRLS runs: a float index would only fail in build_graph
+        if not (_is_index_pair(key) and 0 <= key[0] < key[1] < n):
+            raise IndexOutOfRange(f"correspondence key {key!r} is not an integer pair with 0 <= i < j < {n}")
     pairs = tuple(sorted(correspondences))
     sets = [correspondences[p] for p in pairs]
 

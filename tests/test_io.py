@@ -371,7 +371,8 @@ class TestReadConfig:
                                               ("inner_irls", -3), ("temperature", np.nan),
                                               ("outer_iterations", 2.5), ("inner_irls", 2.5),
                                               ("sync_rounds", 2.5), ("sync_rounds", np.float64(2.0)),
-                                              ("connectivity", ((0, 1.5), (1, 2)))])
+                                              ("connectivity", ((0, 1.5), (1, 2))),
+                                              ("connectivity", ((0, 1, 2), (1, 2)))])
     def test_config_fields_are_range_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             PipelineConfig(**{field: value})

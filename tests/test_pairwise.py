@@ -40,7 +40,10 @@ from mvreg import (
     wls_transform,
 )
 import mvreg.pairwise as pairwise_mod
+from mvreg.geometry import relative_motions
+from mvreg.graph import build_graph
 from mvreg.pairwise import CONF_MIDPOINT, refit_batch
+from mvreg.sync import transf_sync
 from mvreg.synthetic import random_motion
 
 from conftest import make_feature_cloud
@@ -437,6 +440,74 @@ class TestCorrespondenceKernel:
             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}, timeout=120,
         )
         assert json.loads(out.stdout) == [1, False, True, 2]
+
+
+def bit_equal(a, b) -> bool:
+    """Same type, shape, dtype and bytes: NaN payloads and signed zeros count."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).dtype == np.asarray(b).dtype
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+class TestRobustStatistics:
+    """The sort-based row median and the column-sum residual norm are exact
+    rewrites of np.median and np.linalg.norm."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 127, 128, 2047, 2048])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_row_median_is_bit_equal_to_np_median(self, n, keepdims):
+        rng = np.random.default_rng(n)
+        # distinct, tied and constant rows; 1-d input as cauchy_scale passes it
+        # gives a scalar, or a length-1 axis with keepdims
+        for rows in (rng.random((5, n)), np.round(4.0 * rng.random((5, n))), np.full((2, n), 3.0),
+                     rng.random((2, 3, n)), rng.random(n)):
+            expected = np.median(rows, axis=-1, keepdims=keepdims)
+            assert bit_equal(pairwise_mod._row_median(rows, keepdims=keepdims), expected)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_row_holding_nan_gives_nan(self, n):
+        rows = np.random.default_rng(52).random((3, n))
+        rows[1, 0] = np.nan
+        got = pairwise_mod._row_median(rows)
+        assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+        assert bit_equal(got, np.median(rows, axis=-1))
+        assert bit_equal(pairwise_mod._row_median(rows[1]), np.median(rows[1], axis=-1))
+
+    @pytest.mark.parametrize("m, n", [(32, 128), (2, 2048), (3, 127)])
+    def test_residual_norm_is_bit_equal_to_linalg_norm(self, m, n):
+        rng = np.random.default_rng(m * n)
+        motions = np.stack([random_motion(rng).matrix for _ in range(m)])
+        rot, trans = motions[:, :3, :3], motions[:, :3, 3]
+        src, dst = rng.normal(size=(m, n, 3)), rng.normal(size=(m, n, 3))
+        moved = src @ np.swapaxes(rot, 1, 2) + trans[:, None, :] - dst
+        expected = np.linalg.norm(moved, axis=2)
+        assert bit_equal(pairwise_mod._residual_stack(rot, trans, src, dst), expected)
+
+    def test_ring_solve_calls_no_np_median(self, monkeypatch):
+        # a ring of 8 scans, each linked to the next 2, 64 noisy correspondences an edge
+        rng = np.random.default_rng(53)
+        n = 8
+        poses = np.stack([np.eye(4)] + [random_motion(rng).matrix for _ in range(n - 1)])
+        pairs = tuple(sorted((min(k, (k + d) % n), max(k, (k + d) % n)) for k in range(n) for d in (1, 2)))
+        truth = relative_motions(poses, pairs)
+        sets = []
+        for m in truth:
+            src = rng.uniform(-1.0, 1.0, size=(64, 3))
+            dst = src @ m[:3, :3].T + m[:3, 3] + 0.01 * rng.normal(size=src.shape)
+            sets.append(CorrespondenceSet(src, dst, np.ones(64), np.zeros(64)))
+        calls = []
+        median = np.median
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return median(*args, **kwargs)
+
+        monkeypatch.setattr(np, "median", spy)
+        fits = register_batch(sets)
+        result = transf_sync(build_graph(n, pairs, fits))
+        refit = refit_batch(sets, fits.weights, relative_motions(result.poses, pairs))
+        assert refit.fitted.all()
+        assert calls == []
 
 
 class TestWlsTransform:
