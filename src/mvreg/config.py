@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,3 @@ class PipelineConfig:
                 raise ValueError(f"connectivity must hold pairs of integer scan indices, got {self.connectivity!r}")
             canon = tuple(tuple(int(v) for v in pair) for pair in self.connectivity)
             object.__setattr__(self, "connectivity", canon)
-
-
-CONFIG_FIELD_NAMES = tuple(f.name for f in fields(PipelineConfig))

@@ -104,7 +104,7 @@ class TruncatedPayload(RegistrationError):
 
 
 class MalformedEntry(RegistrationError):
-    """A record in a text file cannot be parsed."""
+    """A record in a file cannot be parsed or holds a non-finite value."""
 
 
 class MalformedConfig(RegistrationError):

@@ -90,42 +90,23 @@ class RigidMotion:
         return mat
 
 
-def motion_stack(rotations, translations) -> list[RigidMotion]:
-    """One RigidMotion per row of a (k, 3, 3) rotation stack and k translations.
+def motion_stack(matrices) -> list[RigidMotion]:
+    """One RigidMotion per row of a (k, 4, 4) stack of rigid motions.
 
-    Rotation3's and RigidMotion's checks run once over all k rows,
-    vectorized. A rotation they flag goes through Rotation3 itself, and a
-    translation they flag (or every one, when the translations do not stack
-    into a (k, 3) array) through RigidMotion, so the first bad row raises the
-    ValueError its own construction would. The objects are then built
-    without checking each one again.
+    The stack is copied once, read-only, and each record's rotation and
+    translation are views of that copy. Nothing is checked: the package
+    passes only stacks it has checked already. RigidMotion.from_matrix is
+    the checked way to build records from outside matrices.
     """
-    rots = np.array(rotations, dtype=np.float64)
-    if rots.ndim != 3 or rots.shape[1:] != (3, 3):
-        raise ValueError(f"rotation stack must have shape (k, 3, 3), got {rots.shape}")
-    for k in np.flatnonzero(non_rotations(rots)):
-        Rotation3(rots[k])
-    if len(translations) != len(rots):
-        raise ValueError(f"got {len(rots)} rotations but {len(translations)} translations")
-    try:
-        stack = np.array(translations, dtype=np.float64)
-    except (TypeError, ValueError):
-        stack = None
-    if stack is not None and stack.shape == (len(rots), 3):
-        flagged = ~np.all(np.isfinite(stack), axis=1)
-    else:
-        flagged = np.ones(len(rots), dtype=bool)
-    for k in np.flatnonzero(flagged):
-        RigidMotion(Rotation3(rots[k]), translations[k])
-    rots.setflags(write=False)
+    stack = np.array(matrices, dtype=np.float64)
     stack.setflags(write=False)
     out = []
-    for r, t in zip(rots, stack):
+    for mat in stack:
         rotation = object.__new__(Rotation3)
-        object.__setattr__(rotation, "m", r)
+        object.__setattr__(rotation, "m", mat[:3, :3])
         m = object.__new__(RigidMotion)
         object.__setattr__(m, "rotation", rotation)
-        object.__setattr__(m, "translation", t)
+        object.__setattr__(m, "translation", mat[:3, 3])
         out.append(m)
     return out
 

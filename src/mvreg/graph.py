@@ -116,7 +116,7 @@ class PoseGraph:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Every row as an Edge record, in storage order."""
-        motions = motion_stack(self.motions[:, :3, :3], self.motions[:, :3, 3])
+        motions = motion_stack(self.motions)
         scalars = (getattr(self, name).tolist() for name in _SCALARS)
         return tuple(Edge(*row) for row in zip(*self.pairs.T.tolist(), motions, *scalars))
 

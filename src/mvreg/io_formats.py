@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dataclass_replace, fields as datac
 
 import numpy as np
 
-from .config import CONFIG_FIELD_NAMES, PipelineConfig
+from .config import PipelineConfig
 from .errors import (
     MalformedConfig,
     MalformedEntry,
@@ -102,17 +102,23 @@ def _parse_ply_header(handle):
 
 
 def _vertex_layout(elements):
-    for name, count, props in elements:
-        if name == "vertex":
-            prop_names = [p[1] for p in props]
-            for coord in ("x", "y", "z"):
-                if coord not in prop_names:
-                    raise MalformedHeader(f"vertex element lacks property '{coord}'")
-                kind = props[prop_names.index(coord)][0]
-                if kind not in ("float", "float32", "double", "float64"):
-                    raise MalformedHeader(f"vertex property '{coord}' must be float or double")
-            return name, count, props
-    raise MalformedHeader("no 'vertex' element declared")
+    """(index, columns): the position of the single vertex element, and the
+    positions of its x, y and z properties, each a float or double."""
+    found = [k for k, (name, _, _) in enumerate(elements) if name == "vertex"]
+    if len(found) != 1:
+        raise MalformedHeader(f"expected one 'vertex' element, found {len(found)}")
+    _, count, props = elements[found[0]]
+    if count == 0:
+        raise MalformedHeader("the vertex element declares 0 rows")
+    names = [name for _, name in props]
+    columns = []
+    for coord in ("x", "y", "z"):
+        if coord not in names:
+            raise MalformedHeader(f"vertex element lacks property '{coord}'")
+        columns.append(names.index(coord))
+        if props[columns[-1]][0] not in ("float", "float32", "double", "float64"):
+            raise MalformedHeader(f"vertex property '{coord}' must be float or double")
+    return found[0], columns
 
 
 def read_ply(path) -> PointCloud:
@@ -122,67 +128,44 @@ def read_ply(path) -> PointCloud:
     """
     with open(path, "rb") as handle:
         is_binary, elements = _parse_ply_header(handle)
-        _vertex_layout(elements)
+        index, columns = _vertex_layout(elements)
         body = handle.read()
+    _, count, props = elements[index]
 
     if is_binary:
-        for name, count, props in elements:
-            if any(kind == "list" for kind, _ in props):
-                raise UnsupportedFormat(
-                    f"binary list property in element '{name}' has no fixed size"
-                )
-        expected = sum(
-            count * sum(np.dtype(_PLY_NUMPY_CODES[kind]).itemsize for kind, _ in props)
-            for name, count, props in elements
-        )
-        if len(body) != expected:
-            raise TruncatedPayload(
-                f"payload holds {len(body)} bytes but the header declares {expected}"
-            )
-        offset = 0
-        points = None
-        for name, count, props in elements:
-            row_dtype = np.dtype(
-                [(f"f{k}", "<" + _PLY_NUMPY_CODES[kind]) for k, (kind, _) in enumerate(props)]
-            )
-            size = count * row_dtype.itemsize
-            if name == "vertex":
-                rows = np.frombuffer(body, dtype=row_dtype, count=count, offset=offset)
-                prop_names = [p[1] for p in props]
-                cols = [rows[f"f{prop_names.index(c)}"].astype(np.float64) for c in ("x", "y", "z")]
-                points = np.column_stack(cols)
-            offset += size
-        return PointCloud(points)
-
-    lines = [ln for ln in body.decode("ascii", errors="replace").splitlines()]
-    cursor = 0
-    points = None
-    for name, count, props in elements:
-        if cursor + count > len(lines):
-            raise TruncatedPayload(
-                f"element '{name}' declares {count} rows but the file ends early"
-            )
-        chunk = lines[cursor:cursor + count]
-        cursor += count
-        if name != "vertex":
-            continue
+        for name, _, element_props in elements:
+            if any(kind == "list" for kind, _ in element_props):
+                raise UnsupportedFormat(f"binary list property in element '{name}' has no fixed size")
+        dtypes = [np.dtype([(f"f{k}", "<" + _PLY_NUMPY_CODES[kind]) for k, (kind, _) in enumerate(p)])
+                  for _, _, p in elements]
+        sizes = [n * dtype.itemsize for (_, n, _), dtype in zip(elements, dtypes)]
+        if len(body) != sum(sizes):
+            raise TruncatedPayload(f"payload holds {len(body)} bytes but the header declares {sum(sizes)}")
+        rows = np.frombuffer(body, dtype=dtypes[index], count=count, offset=sum(sizes[:index]))
+        points = np.column_stack([rows[f"f{k}"].astype(np.float64) for k in columns])
+    else:
+        lines = body.decode("ascii", errors="replace").splitlines()
+        declared = sum(n for _, n, _ in elements)
+        if len(lines) < declared:
+            raise TruncatedPayload(f"the header declares {declared} rows but the file ends after {len(lines)}")
+        if any(line.strip() for line in lines[declared:]):
+            raise TruncatedPayload("file holds data beyond the declared elements")
         if any(kind == "list" for kind, _ in props):
             raise UnsupportedFormat("list properties on the vertex element are not supported")
-        prop_names = [p[1] for p in props]
-        xyz = (prop_names.index("x"), prop_names.index("y"), prop_names.index("z"))
+        start = sum(n for _, n, _ in elements[:index])
         points = np.empty((count, 3))
-        for r, line in enumerate(chunk):
+        for r, line in enumerate(lines[start:start + count]):
             tokens = line.split()
             if len(tokens) != len(props):
                 raise TruncatedPayload(
                     f"vertex row {r} has {len(tokens)} values, expected {len(props)}"
                 )
             try:
-                points[r] = [float(tokens[k]) for k in xyz]
+                points[r] = [float(tokens[k]) for k in columns]
             except ValueError as exc:
                 raise TruncatedPayload(f"vertex row {r} holds a non-numeric value") from exc
-    if any(line.strip() for line in lines[cursor:]):
-        raise TruncatedPayload("file holds data beyond the declared elements")
+    if not np.all(np.isfinite(points)):
+        raise MalformedEntry("vertex coordinates must be finite")
     return PointCloud(points)
 
 
@@ -221,6 +204,8 @@ def read_features(path) -> np.ndarray:
     if actual != expected:
         raise TruncatedPayload(f"payload holds {actual} bytes but the header declares {expected}")
     values = np.frombuffer(data, dtype="<f4", count=n * d, offset=FEATURE_HEADER_BYTES)
+    if not np.all(np.isfinite(values)):
+        raise MalformedEntry("feature values must be finite")
     return values.astype(np.float64).reshape(n, d)
 
 
@@ -320,9 +305,6 @@ def trajectory_from_motions(motions) -> list[TrajectoryEntry]:
     return [TrajectoryEntry(i, i, len(motions), m.matrix) for i, m in enumerate(motions)]
 
 
-_INT_CONFIG_KEYS = {"outer_iterations", "sync_rounds", "inner_irls"}
-
-
 def _parse_connectivity(value: str):
     pairs = []
     for chunk in value.split(","):
@@ -339,6 +321,13 @@ def _parse_connectivity(value: str):
     return tuple(pairs)
 
 
+# each key's parser follows the type of its PipelineConfig field
+_CONFIG_PARSERS = {
+    f.name: _parse_connectivity if f.name == "connectivity" else {"int": int, "float": float}[f.type]
+    for f in dataclass_fields(PipelineConfig)
+}
+
+
 def read_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
     """Flat key=value file; every key must name a PipelineConfig field."""
     overrides = {}
@@ -351,15 +340,10 @@ def read_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
                 raise MalformedConfig(f"line {lineno} is not of the form key=value: '{line}'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_FIELD_NAMES:
+            if key not in _CONFIG_PARSERS:
                 raise MalformedConfig(f"unknown configuration key '{key}' on line {lineno}")
             try:
-                if key == "connectivity":
-                    overrides[key] = _parse_connectivity(value)
-                elif key in _INT_CONFIG_KEYS:
-                    overrides[key] = int(value)
-                else:
-                    overrides[key] = float(value)
+                overrides[key] = _CONFIG_PARSERS[key](value)
             except ValueError as exc:
                 raise MalformedConfig(f"bad value for '{key}' on line {lineno}: '{value}'") from exc
     try:
@@ -370,8 +354,11 @@ def read_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
 
 def voxel_downsample(cloud: PointCloud, cell: float = DEFAULT_VOXEL_CELL) -> PointCloud:
     """Average points (and features) within each occupied voxel of size cell."""
-    if cell <= 0.0:
-        raise ValueError("cell size must be positive")
+    if not 0.0 < cell < np.inf:
+        raise ValueError(f"cell size must be a positive finite number, got {cell}")
+    # voxel indices beyond int64 would all cast to one value and merge every point
+    if not float(np.abs(cloud.points).max()) < 2.0**62 * cell:
+        raise ValueError(f"cell size {cell} is too small for the cloud's coordinates")
     keys = np.floor(cloud.points / cell).astype(np.int64)
     _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     k = counts.shape[0]

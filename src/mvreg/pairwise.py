@@ -133,6 +133,8 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     The distance GEMM is tiled by _matmul_tiles, which keeps each BLAS call
     single-threaded.
     """
+    if not temperature > 0.0:  # also rejects NaN
+        raise ValueError("temperature must be positive")
     n, m = query_features.shape[0], target_features.shape[0]
     rows = max(1, BLOCK_CELLS // m)
     query_sq = np.sum(query_features**2, axis=1)
@@ -237,8 +239,6 @@ def soft_assign(query_feature, target_features, target_points, temperature: floa
         )
     if target_features.shape[0] == 0:
         raise EmptyTarget("soft assignment needs at least one target point")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
     return _soft_targets(query[None, :], target_features, target_points, temperature)[0]
 
 
@@ -253,8 +253,6 @@ def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> C
         raise DimensionMismatch(
             f"feature dimensions differ: {p.features.shape[1]} vs {q.features.shape[1]}"
         )
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
     targets = _soft_targets(p.features, q.features, q.points, temperature)
     n = len(p)
     return CorrespondenceSet(p.points, targets, np.ones(n), np.zeros(n))

@@ -82,7 +82,7 @@ def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
             rot, trans = rot.T, -rot.T @ trans
         poses[v, :3, :3] = poses[u, :3, :3] @ rot
         poses[v, :3, 3] = poses[u, :3, :3] @ trans + poses[u, :3, 3]
-    return tuple(motion_stack(poses[:, :3, :3], poses[:, :3, 3]))
+    return tuple(motion_stack(poses))
 
 
 def _feedback(graph, poses, sets, weights, cfg, first: bool) -> PoseGraph:

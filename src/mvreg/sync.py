@@ -97,7 +97,7 @@ class SyncResult:
 
     @cached_property
     def absolute(self) -> tuple[RigidMotion, ...]:
-        return tuple(motion_stack(self.poses[:, :3, :3], self.poses[:, :3, 3]))
+        return tuple(motion_stack(self.poses))
 
 
 def _active_arrays(g: PoseGraph, rounds: int = 1):

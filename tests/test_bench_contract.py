@@ -3,8 +3,9 @@
 bench/spans.py rebinds the functions named in its WRAPPED_NAMES inside
 mvreg's modules, and bench/harness.py reads attributes of the initial graph
 and of the result a solve returns. bench/test_bench.py runs the benchmark
-itself but is not part of this suite, so these checks catch a rename or a
-dropped attribute here.
+itself, in the same test run (pyproject's testpaths name both tests/ and
+bench/); these checks name each attribute it relies on, so a rename or a
+dropped attribute fails here with the name that went missing.
 """
 
 import importlib

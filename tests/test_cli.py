@@ -225,6 +225,29 @@ class TestMultiviewCommand:
         edges.write_text("# measured pairs\n0 1\n1-2\n\n2\t3\n")
         assert _read_edge_list(edges) == ((0, 1), (1, 2), (2, 3))
 
+    @pytest.mark.parametrize("voxel", ["nan", "inf", "0", "-1"])
+    def test_voxel_must_be_positive_and_finite(self, tmp_path, capsys, voxel):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        code, _, err = run_cli(capsys, "multiview", str(scene), "--voxel", voxel)
+        assert code == 1
+        assert "cell" in err
+
+    @pytest.mark.parametrize("header, body", [
+        ("element vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
+         "element vertex 1\nproperty double x\nproperty double y\nproperty double z\n",
+         "0 0 0\n1 1 1\n"),
+        ("element vertex 0\nproperty double x\nproperty double y\nproperty double z\n", ""),
+        ("element vertex 1\nproperty double x\nproperty double y\nproperty double z\n",
+         "0 nan 0\n"),
+    ])
+    def test_malformed_scan_fails_with_one_error_line(self, tmp_path, capsys, header, body):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        (scene / "scan_001.ply").write_text(f"ply\nformat ascii 1.0\n{header}end_header\n{body}")
+        code, _, err = run_cli(capsys, "multiview", str(scene))
+        assert code == 1
+        assert err.startswith("mvreg: error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_voxel_downsampling_runs(self, tmp_path, capsys):
         scene = self.make_scene_dir(tmp_path, capsys)
         code, _, _ = run_cli(

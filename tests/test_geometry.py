@@ -17,7 +17,9 @@ from mvreg import (
     rotation_about_z,
     transform_points,
 )
-from mvreg.geometry import motion_stack
+import mvreg.pipeline as pipeline_mod
+from mvreg import PoseGraph, pairwise_chain_absolute, transf_sync
+from mvreg.geometry import motion_stack, relative_motions
 from mvreg.synthetic import random_motion, random_rotation
 
 
@@ -30,18 +32,19 @@ class TestRotation3:
         assert np.array_equal(Rotation3.identity().m, np.eye(3))
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not orthonormal"):
             Rotation3(np.eye(3) * 2.0)
 
     def test_rejects_reflection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="determinant"):
             Rotation3(np.diag([1.0, 1.0, -1.0]))
 
     def test_rejects_non_finite(self):
         m = np.eye(3)
         m[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            Rotation3(m)
+        for bad in (m, np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                Rotation3(bad)
 
     def test_matrix_is_read_only(self):
         r = rot_z(30)
@@ -49,12 +52,20 @@ class TestRotation3:
             r.m[0, 0] = 5.0
 
 
+def motion_rows(rotations, translations):
+    """(k, 4, 4) homogeneous stack of k rotations and k translations."""
+    stack = np.tile(np.eye(4), (len(rotations), 1, 1))
+    stack[:, :3, :3] = rotations
+    stack[:, :3, 3] = translations
+    return stack
+
+
 class TestMotionStack:
     def test_matches_single_construction(self):
         rng = np.random.default_rng(5)
         rotations = np.stack([random_rotation(rng).m for _ in range(5)])
         translations = rng.normal(size=(5, 3))
-        motions = motion_stack(rotations, translations)
+        motions = motion_stack(motion_rows(rotations, translations))
         assert len(motions) == 5
         for m, r, t in zip(motions, rotations, translations):
             assert isinstance(m, RigidMotion) and isinstance(m.rotation, Rotation3)
@@ -62,11 +73,10 @@ class TestMotionStack:
             assert np.array_equal(m.matrix, RigidMotion(Rotation3(r), t).matrix)
 
     def test_copies_and_freezes(self):
-        rotations = np.stack([np.eye(3), rot_z(40).m])
-        translations = np.ones((2, 3))
-        motions = motion_stack(rotations, translations)
-        rotations[0, 0, 0] = 5.0
-        translations[0, 0] = 5.0
+        stack = motion_rows(np.stack([np.eye(3), rot_z(40).m]), np.ones((2, 3)))
+        motions = motion_stack(stack)
+        stack[0, 0, 0] = 5.0
+        stack[0, 0, 3] = 5.0
         assert motions[0].rotation.m[0, 0] == 1.0
         assert motions[0].translation[0] == 1.0
         with pytest.raises(ValueError):
@@ -75,57 +85,30 @@ class TestMotionStack:
             motions[1].translation[0] = 5.0
 
     def test_empty_stack(self):
-        assert motion_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
+        assert motion_stack(np.zeros((0, 4, 4))) == []
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            (np.eye(3) * 2.0, "not orthonormal"),
-            (np.diag([1.0, 1.0, -1.0]), "determinant"),
-            (np.full((3, 3), np.nan), "finite"),
-            (np.diag([np.inf, 1.0, 1.0]), "finite"),
-        ],
-    )
-    def test_one_bad_rotation_raises_its_error(self, bad, message):
-        rng = np.random.default_rng(4)
-        stack = np.stack([random_rotation(rng).m for _ in range(6)])
-        stack[4] = bad
-        with pytest.raises(ValueError, match=message):
-            motion_stack(stack, np.zeros((6, 3)))
-        with pytest.raises(ValueError, match=message):
-            Rotation3(bad)
+    def test_package_records_match_their_arrays(self, monkeypatch):
+        # PoseGraph.edges, SyncResult.absolute and pairwise_chain_absolute
+        # view arrays the package checked: each record is that array's row
+        rng = np.random.default_rng(8)
+        truth = np.stack([random_motion(rng).matrix for _ in range(5)])
+        pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)]
+        graph = PoseGraph(5, pairs, relative_motions(truth, pairs), np.ones(len(pairs)))
+        result = transf_sync(graph, rounds=2)
+        chained = []
 
-    def test_first_bad_rotation_decides(self):
-        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3) * 2.0])
-        with pytest.raises(ValueError, match="determinant"):
-            motion_stack(stack, np.zeros((3, 3)))
+        def recording(poses):
+            chained.append(poses)
+            return motion_stack(poses)
 
-    def test_rejects_wrong_rotation_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            motion_stack(np.eye(3), np.zeros((3, 3)))
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            (np.array([np.nan, 0.0, 0.0]), "finite"),
-            (np.array([0.0, np.inf, 0.0]), "finite"),
-            (np.zeros(4), "shape"),
-            (np.zeros((3, 1)), "shape"),
-        ],
-    )
-    def test_one_bad_translation_raises_its_error(self, bad, message):
-        rng = np.random.default_rng(6)
-        rotations = np.stack([random_rotation(rng).m for _ in range(6)])
-        translations = list(rng.normal(size=(6, 3)))
-        translations[4] = bad
-        with pytest.raises(ValueError, match=message):
-            motion_stack(rotations, translations)
-        with pytest.raises(ValueError, match=message):
-            RigidMotion(Rotation3(rotations[4]), bad)
-
-    def test_rejects_count_mismatch(self):
-        with pytest.raises(ValueError, match="translations"):
-            motion_stack(np.stack([np.eye(3)] * 2), np.zeros((3, 3)))
+        monkeypatch.setattr(pipeline_mod, "motion_stack", recording)
+        chain = pairwise_chain_absolute(graph)
+        for records, rows in ((graph.edges, graph.motions), (result.absolute, result.poses),
+                              (chain, chained[0])):
+            matrices = np.stack([getattr(r, "motion", r).matrix for r in records])
+            assert matrices.tobytes() == np.ascontiguousarray(rows).tobytes()
+            for mat in matrices:
+                RigidMotion.from_matrix(mat)  # a checked record of the same matrix exists
 
 
 class TestRigidMotion:
@@ -143,6 +126,19 @@ class TestRigidMotion:
 
     def test_identity(self):
         assert np.array_equal(RigidMotion.identity().matrix, np.eye(4))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([np.nan, 0.0, 0.0]), "finite"),
+            (np.array([0.0, np.inf, 0.0]), "finite"),
+            (np.zeros(4), "shape"),
+            (np.zeros((3, 1)), "shape"),
+        ],
+    )
+    def test_rejects_bad_translation(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            RigidMotion(rot_z(20), bad)
 
 
 class TestPointCloud:

@@ -273,6 +273,54 @@ class TestMalformedFiles:
         with pytest.raises(TruncatedPayload):
             read_ply(p)
 
+    def test_ply_two_vertex_elements_ascii(self, tmp_path):
+        p = tmp_path / "o.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "element vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
+            "end_header\n0 0 0\n1 1 1\n"
+        )
+        with pytest.raises(MalformedHeader, match="one 'vertex' element"):
+            read_ply(p)
+
+    def test_ply_two_vertex_elements_binary(self, tmp_path):
+        # the second vertex element lacks z
+        p = tmp_path / "p.ply"
+        header = (
+            "ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "element vertex 1\nproperty double x\nproperty double y\nend_header\n"
+        )
+        with open(p, "wb") as f:
+            f.write(header.encode())
+            f.write(np.zeros(5, dtype="<f8").tobytes())
+        with pytest.raises(MalformedHeader, match="one 'vertex' element"):
+            read_ply(p)
+
+    def test_ply_empty_vertex_element(self, tmp_path):
+        p = tmp_path / "q.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 0\n"
+            "property double x\nproperty double y\nproperty double z\nend_header\n"
+        )
+        with pytest.raises(MalformedHeader, match="0 rows"):
+            read_ply(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_ply_non_finite_coordinate(self, tmp_path, value, binary):
+        p = tmp_path / "r.ply"
+        write_ply(np.array([[0.0, 1.0, 2.0], [3.0, value, 5.0]]), p, binary=binary)
+        with pytest.raises(MalformedEntry, match="finite"):
+            read_ply(p)
+
+    def test_feat_non_finite_value(self, tmp_path):
+        p = tmp_path / "e.feat"
+        write_features(np.array([[0.0, 1.0], [np.nan, 2.0]]), p)
+        with pytest.raises(MalformedEntry, match="finite"):
+            read_features(p)
+
     def test_feat_bad_magic(self, tmp_path):
         p = tmp_path / "a.feat"
         p.write_bytes(b"FETA" + struct.pack("<III", 1, 1, 0) + b"\x00" * 4)
@@ -400,6 +448,23 @@ class TestReadConfig:
         assert cfg.temperature == 0.01
         assert cfg.sync_rounds == PipelineConfig().sync_rounds
 
+    def test_every_field_parses_to_its_type(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(
+            "outer_iterations=2\nsync_rounds=3\ntau_p=1\ntemperature=0.5\ngamma=2\n"
+            "beta=1\nw_thresh=0\ninner_irls=0\nblend=1\nconnectivity=0-1,1-2\n"
+        )
+        cfg = read_config(p)
+        ints = {"outer_iterations": 2, "sync_rounds": 3, "inner_irls": 0}
+        floats = {"tau_p": 1.0, "temperature": 0.5, "gamma": 2.0, "beta": 1.0,
+                  "w_thresh": 0.0, "blend": 1.0}
+        assert {k: getattr(cfg, k) for k in ints} == ints
+        assert all(type(getattr(cfg, k)) is int for k in ints)
+        assert {k: getattr(cfg, k) for k in floats} == floats
+        assert all(type(getattr(cfg, k)) is float for k in floats)
+        assert cfg.connectivity == ((0, 1), (1, 2))
+        assert set(ints) | set(floats) | {"connectivity"} == set(vars(cfg))
+
     def test_base_config_preserved(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("gamma=2.0\n")
@@ -436,8 +501,11 @@ class TestVoxelDownsample:
         assert np.allclose(np.sort(out.points, axis=0), np.sort(pts, axis=0), atol=1e-12)
 
     def test_invalid_cell(self):
-        with pytest.raises(ValueError):
-            voxel_downsample(PointCloud(np.zeros((1, 3))), cell=0.0)
+        for cell in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="cell"):
+                voxel_downsample(PointCloud(np.zeros((1, 3))), cell=cell)
+        with pytest.raises(ValueError, match="cell"):
+            voxel_downsample(PointCloud(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])), cell=1e-300)
 
     def test_negative_coordinates_bucket_correctly(self):
         # floor-based keys must separate -0.1 and +0.1 at cell 1.0

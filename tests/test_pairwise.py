@@ -108,6 +108,10 @@ class TestSoftAssign:
         with pytest.raises(ValueError):
             soft_assign(np.zeros(2), np.ones((2, 2)), np.ones((2, 3)), 0.0)
 
+    def test_nan_temperature_is_rejected(self):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            soft_assign(np.zeros(2), np.ones((2, 2)), np.ones((2, 3)), float("nan"))
+
     def test_query_must_be_a_vector(self):
         with pytest.raises(DimensionMismatch):
             soft_assign(np.zeros((2, 3)), np.ones((3, 3)), np.ones((3, 3)), 0.1)
@@ -168,6 +172,13 @@ class TestBuildCorrespondences:
         b = PointCloud(rng.normal(size=(5, 3)), rng.normal(size=(5, 7)))
         with pytest.raises(DimensionMismatch):
             build_correspondences(a, b, 0.1)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_temperature_must_be_positive(self, temperature):
+        rng = np.random.default_rng(8)
+        p, q = make_feature_cloud(rng, 5), make_feature_cloud(rng, 5)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            build_correspondences(p, q, temperature)
 
     def test_initial_weights_and_residuals(self):
         rng = np.random.default_rng(7)
