@@ -26,6 +26,10 @@ MAD_FLOOR = 1e-9
 MAD_TO_SIGMA = 1.4826
 # distances per row block of the correspondence kernel: 1 MiB of float64
 BLOCK_CELLS = 1 << 17
+# a kernel block skips the softmax shift while every row's nearest feature
+# distance is at most this many temperatures: each row's largest weight then
+# stays at or above e^-SHIFT_FREE, far from underflow
+SHIFT_FREE = 64.0
 # threads of the correspondence kernel: one per usable CPU
 if hasattr(os, "sched_getaffinity"):
     _THREADS = len(os.sched_getaffinity(0))
@@ -116,12 +120,24 @@ class PairwiseFits:
 def _soft_targets(query_features, target_features, target_points, temperature: float) -> np.ndarray:
     """Softmax-weighted target point for every query row, (N, 3).
 
-    Row k weights target l by exp((d_min - d_kl) / t), normalized over l,
-    where d_kl is the Euclidean feature distance and d_min the row minimum,
-    so no exponent is positive and nothing overflows at small t. Query rows
-    are processed in blocks of about BLOCK_CELLS distances, each written in
-    place into its thread's buffer: extra memory is O(block + N + M) per
-    thread, not N x M.
+    Row k weights target l by exp(-d_kl / t), normalized over l, where d_kl
+    is the Euclidean feature distance. Query rows are processed in blocks of
+    about BLOCK_CELLS distances, each written in place into its thread's
+    buffer: extra memory is O(block + N + M) per thread, not N x M.
+
+    A block takes one GEMM of depth D + 2, [q, |q|^2, 1] [-2 t, 1, |t|^2]^T,
+    which gives every squared distance |q - t|^2 at once, then sqrt, / -t
+    and exp in place. Two passes run only in a block that needs them:
+    - clamping at 0, when rounding made a squared distance of coincident
+      descriptors negative (the block's minimum is taken before the sqrt);
+    - shifting each row by its nearest distance d_min, when some row's
+      d_min exceeds SHIFT_FREE * t. Without the shift the row's largest
+      weight would fall below e^-SHIFT_FREE and underflow at small t; with
+      d_min <= SHIFT_FREE * t it stays far above, and each exponent's
+      rounding error stays below SHIFT_FREE ulp. The shift cancels in the
+      normalization. d_min is the sqrt of the squared minimum, which equals
+      the minimum of the sqrt'ed row because sqrt is monotone and correctly
+      rounded.
 
     The blocks are shared out over _THREADS threads, one per usable CPU:
     the caller's thread and the persistent workers of _pool each take the
@@ -129,18 +145,21 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     slows down takes fewer blocks. Threads write disjoint rows of the
     result. numpy releases the interpreter lock in these ufuncs and GEMMs,
     so the threads overlap. Every block runs the same numpy calls whichever
-    thread runs it, so the targets are bit-identical for any thread count.
-    The distance GEMM is tiled by _matmul_tiles, which keeps each BLAS call
+    thread runs it, and both branches depend on the block's contents only,
+    so the targets are bit-identical for any thread count. The distance
+    GEMM is tiled by _matmul_tiles, which keeps each BLAS call
     single-threaded.
     """
     if not temperature > 0.0:  # also rejects NaN
         raise ValueError("temperature must be positive")
-    n, m = query_features.shape[0], target_features.shape[0]
+    (n, depth), m = query_features.shape, target_features.shape[0]
     rows = max(1, BLOCK_CELLS // m)
     query_sq = np.sum(query_features**2, axis=1)
-    target_sq = np.sum(target_features**2, axis=1)
-    # scaling by -2 is exact, so Q (-2 T)^T equals -2 Q T^T
-    target_t = -2.0 * target_features.T
+    # [-2 T^T; 1; |t|^2]: scaling by -2 is exact, so q (-2 t) equals -2 q.t
+    target_aug = np.empty((depth + 2, m))
+    np.multiply(target_features.T, -2.0, out=target_aug[:depth])
+    target_aug[depth] = 1.0
+    np.sum(target_features**2, axis=1, out=target_aug[depth + 1])
     out = np.empty((n, target_points.shape[1]))
     starts = range(0, n, rows)
     threads = min(_THREADS, len(starts))
@@ -148,19 +167,26 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
 
     def run_blocks() -> None:
         buf = np.empty((min(rows, n), m))
+        query_aug = np.empty((min(rows, n), depth + 2))
+        query_aug[:, depth + 1] = 1.0
         while True:
             with claim:
                 start = next(unclaimed, None)
             if start is None:
                 return
             stop = min(start + rows, n)
-            d = buf[: stop - start]
-            _matmul_tiles(query_features[start:stop], target_t, d)
-            d += query_sq[start:stop, None]
-            d += target_sq
-            np.maximum(d, 0.0, out=d)
+            d, aug = buf[: stop - start], query_aug[: stop - start]
+            aug[:, :depth] = query_features[start:stop]
+            aug[:, depth] = query_sq[start:stop]
+            _matmul_tiles(aug, target_aug, d)
+            nearest = d.min(axis=1, keepdims=True)
+            if nearest.min() < 0.0:
+                np.maximum(d, 0.0, out=d)
+                np.maximum(nearest, 0.0, out=nearest)
             np.sqrt(d, out=d)
-            d -= d.min(axis=1, keepdims=True)
+            np.sqrt(nearest, out=nearest)
+            if nearest.max() > SHIFT_FREE * temperature:
+                d -= nearest
             d /= -temperature
             np.exp(d, out=d)
             out[start:stop] = (d @ target_points) / d.sum(axis=1, keepdims=True)
@@ -185,8 +211,8 @@ def _matmul_tiles(a, b, out) -> None:
     threads, whose spin-wait steals the core the kernel's other thread runs
     on; below that it runs on the calling thread. Split along columns when
     a has fewer rows than b has columns, otherwise along rows. A kernel
-    block holds at most BLOCK_CELLS cells, so inner dimensions up to 3
-    take one call.
+    block holds at most BLOCK_CELLS cells, so its distance GEMM of depth
+    D + 2 takes about (D + 2) / 3 calls, and at least one.
     """
     r, depth = a.shape
     c = b.shape[1]

@@ -41,7 +41,7 @@ n x 4 x 4 poses. Only SyncResult.absolute builds RigidMotion records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,7 +76,7 @@ _WANTED = 4
 
 @dataclass(frozen=True, eq=False)
 class SyncResult:
-    """Absolute poses (node 0 = identity) plus solver diagnostics.
+    """Absolute poses (node 0 = exactly the identity) plus solver diagnostics.
 
     poses is a read-only (n, 4, 4) array whose row i is the absolute motion
     M_i; `absolute` gives the same rows as RigidMotion records, built on
@@ -110,7 +110,7 @@ def _active_arrays(g: PoseGraph, rounds: int = 1):
     from c_local, so with rounds > 1 both must be positive.
     """
     weighted = g.active & (g.c_fused > 0.0) & ((g.c_local > 0.0) | (rounds == 1))
-    if not is_connected(replace(g, active=weighted)):
+    if not is_connected(g._with(active=weighted)):
         raise DisconnectedGraph("active edges of positive confidence do not connect all nodes")
     return g.pairs[g.active], g.motions[g.active], g.c_fused[g.active]
 
@@ -304,7 +304,10 @@ def _rotations(n: int, pairs, rot, c, band, start=None):
     if 2 * np.sum(np.linalg.det(blocks) < 0.0) > n:
         blocks = -blocks
     projected = nearest_rotations(blocks)
-    return projected[0] @ np.swapaxes(projected, 1, 2), eigengap, panel
+    rotations = projected[0] @ np.swapaxes(projected, 1, 2)
+    # row 0 is R_0 R_0^T, the identity only to rounding; node 0 is the anchor
+    rotations[0] = np.eye(3)
+    return rotations, eigengap, panel
 
 
 def _translations(n: int, pairs, trans, c, rotations) -> np.ndarray:

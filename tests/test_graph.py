@@ -19,7 +19,9 @@ from mvreg import (
     is_connected,
     prune_edges,
 )
+import mvreg.graph as graph_mod
 from mvreg.graph import search_tree
+from mvreg.sync import transf_sync
 from mvreg.synthetic import random_motion
 
 
@@ -143,6 +145,49 @@ class TestPoseGraph:
         assert np.array_equal(g.c_fused, [0.9, 0.9, 0.9])
         with pytest.raises(ValueError):
             g.with_rows([0], c_fused=[1.5])
+        with pytest.raises(ValueError, match="writes motions"):
+            g.with_rows([0], pairs=[(0, 2)])
+
+    @pytest.mark.parametrize("name, value", [("motions", np.diag([2.0, 1.0, 1.0, 1.0])),
+                                             ("motions", np.full((4, 4), np.nan)),
+                                             ("c_local", np.nan), ("c_global", -0.1),
+                                             ("c_fused", 1.5)])
+    def test_bad_written_row_raises_the_constructors_error(self, name, value):
+        g = chain_graph(5, np.random.default_rng(35))
+        columns = {key: getattr(g, key).copy()
+                   for key in ("motions", "c_local", "c_global", "c_fused", "active")}
+        columns[name][2] = value
+        with pytest.raises(ValueError) as built:
+            PoseGraph(g.node_count, g.pairs, **columns)
+        # the bad row among good ones, written out of storage order
+        rows = [3, 2, 0]
+        with pytest.raises(ValueError) as written:
+            g.with_rows(rows, **{name: columns[name][rows]})
+        assert type(written.value) is type(built.value)
+        assert str(written.value) == str(built.value)
+        assert str(written.value).startswith("edge (2, 3) has")
+
+    def test_updates_check_only_the_motions_they_write(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        g = chain_graph(7, rng)
+        seen = []
+        check = graph_mod.non_rotations
+
+        def spy(stack):
+            seen.append(stack.copy())
+            return check(stack)
+
+        monkeypatch.setattr(graph_mod, "non_rotations", spy)
+        new = np.stack([random_motion(rng).matrix for _ in range(2)])
+        h = g.with_rows([4, 1], motions=new)
+        # the written rows, in storage order
+        assert len(seen) == 1 and np.array_equal(seen[0], new[::-1, :3, :3])
+        seen.clear()
+        h = prune_edges(h.with_rows([0], c_fused=[0.1]), 0.05)
+        transf_sync(h, rounds=2)
+        assert seen == []
+        PoseGraph(h.node_count, h.pairs, h.motions, h.c_local)
+        assert len(seen) == 1 and np.array_equal(seen[0], h.motions[:, :3, :3])
 
     def test_empty_edge_set(self):
         g = PoseGraph(3, (), (), ())

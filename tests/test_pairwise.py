@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from mvreg.geometry import relative_motions
 from mvreg.graph import build_graph
 from mvreg.pairwise import CONF_MIDPOINT, refit_batch
 from mvreg.sync import transf_sync
-from mvreg.synthetic import random_motion
+from mvreg.synthetic import generate_scene, random_motion
 
 from conftest import make_feature_cloud
 
@@ -200,6 +201,18 @@ def dense_soft_targets(query_features, target_features, target_points, t):
     return (e / e.sum(axis=1, keepdims=True)) @ target_points
 
 
+def explicit_soft_targets(query_features, target_features, target_points, t):
+    """The softmax from explicit feature differences, free of the cancellation
+    in |q|^2 + |t|^2 - 2 q.t; 64 query rows at a time."""
+    out = np.empty((len(query_features), 3))
+    for s in range(0, len(query_features), 64):
+        diff = query_features[s : s + 64, None, :] - target_features[None, :, :]
+        dist = np.sqrt(np.sum(diff**2, axis=2))
+        e = np.exp((dist.min(axis=1, keepdims=True) - dist) / t)
+        out[s : s + 64] = (e @ target_points) / e.sum(axis=1, keepdims=True)
+    return out
+
+
 class TestCorrespondenceKernel:
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("m", [1, 5, 300])
@@ -229,6 +242,77 @@ class TestCorrespondenceKernel:
         assert np.all(np.isfinite(targets))
         assert np.all(targets >= q.points.min(axis=0) - 1e-12)
         assert np.all(targets <= q.points.max(axis=0) + 1e-12)
+
+    def test_negative_squared_distance_is_clamped(self, monkeypatch):
+        # coincident descriptors off the lattice: the GEMM's |q|^2 + |t|^2 -
+        # 2 q.t rounds to a few ulp either side of 0
+        rng = np.random.default_rng(5)
+        points, feats = rng.normal(size=(200, 3)), 10.0 * rng.normal(size=(200, 3))
+        cloud = PointCloud(points, feats)
+        minima, clamped = [], []
+        tiles, maximum = pairwise_mod._matmul_tiles, np.maximum
+
+        def recording_tiles(a, b, out):
+            tiles(a, b, out)
+            minima.append(out.min())
+
+        def recording_maximum(a, b, *args, **kwargs):
+            if kwargs.get("out") is a:
+                clamped.append(a.shape)
+            return maximum(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(pairwise_mod, "_matmul_tiles", recording_tiles)
+        monkeypatch.setattr(np, "maximum", recording_maximum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            targets = {t: build_correspondences(cloud, cloud, t).target_pts for t in (1e-3, 0.02)}
+        monkeypatch.undo()
+        # one block, whose rounded squared distances include a negative one
+        assert len(minima) == 2 and max(minima) < 0.0
+        assert clamped.count((200, 200)) == 2
+        for got in targets.values():
+            assert np.all(np.isfinite(got))
+        # at small t each query's coincident target takes all the weight
+        assert np.abs(targets[1e-3] - points).max() <= 1e-12
+
+    @pytest.mark.parametrize("t, shifts", [(1e-3, True), (0.05, True), (0.1, False), (1.0, False)])
+    def test_block_of_near_and_far_rows_matches_dense_formula(self, t, shifts):
+        # on a 1/8 lattice every distance is exact. The first 32 query rows
+        # coincide with a target (nearest distance 0); the last 32 sit 4 away
+        # from their target along an axis no target uses, so the block shifts
+        # exactly when 4 > SHIFT_FREE * t
+        rng = np.random.default_rng(9)
+        target_feats = np.zeros((64, 4))
+        target_feats[:, :3] = rng.integers(-16, 17, size=(64, 3)) / 8.0
+        query_feats = np.vstack((target_feats[:32], target_feats[32:] + (0.0, 0.0, 0.0, 4.0)))
+        p = PointCloud(rng.normal(size=(64, 3)), query_feats)
+        q = PointCloud(rng.normal(size=(64, 3)), target_feats)
+        nearest = np.sqrt(((query_feats[:, None] - target_feats[None]) ** 2).sum(axis=2)).min(axis=1)
+        assert np.array_equal(nearest, np.repeat([0.0, 4.0], 32))
+        assert (nearest.max() > pairwise_mod.SHIFT_FREE * t) == shifts
+        got = build_correspondences(p, q, t).target_pts
+        expected = dense_soft_targets(p.features, q.features, q.points, t)
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, m, d", [(512, 2048, 3), (256, 1024, 32)])
+    def test_scene_descriptors_match_explicit_differences(self, n, m, d):
+        # descriptors as generate_scene makes them: world coordinates plus
+        # 1 cm noise, lifted to 32 dimensions by an orthonormal map with the
+        # noise spread over every axis, as the d = 32 benchmark does
+        scene = generate_scene(3, m, 0.01, 0.0, seed=d)
+        source, target = scene.clouds[0], scene.clouds[1]
+        feats = [source.features[:n], target.features]
+        if d > 3:
+            rng = np.random.default_rng(d)
+            basis, _ = np.linalg.qr(rng.normal(size=(d, 3)))
+            feats = [f @ basis.T + 0.01 * np.sqrt(3.0 / d) * rng.normal(size=(len(f), d))
+                     for f in feats]
+        p = PointCloud(source.points[:n], feats[0])
+        q = PointCloud(target.points, feats[1])
+        t = PipelineConfig().temperature
+        got = build_correspondences(p, q, t).target_pts
+        expected = explicit_soft_targets(p.features, q.features, q.points, t)
+        assert np.abs(got - expected).max() <= 1e-9
 
     def test_peak_memory_is_bounded(self):
         # the dense formula holds several 4096 x 4096 float64 arrays, 128 MB each
@@ -289,9 +373,9 @@ class TestCorrespondenceKernel:
                 assert np.array_equal(got, results[1][0]), (rows, threads)
                 assert used == min(threads, blocks), (rows, threads)
 
-    # default blocks: 64 x 2048 x 32 tiles into 192 columns, 52 x 2500 x 64
-    # into 118 and 32 x 4096 x 32 into 384, each with a ragged last tile and
-    # a ragged last block
+    # default blocks, at GEMM depth d + 2: 64 x 2048 x 34 tiles into 180
+    # columns, 52 x 2500 x 66 into 114 and 32 x 4096 x 34 into 361, each with
+    # a ragged last tile and a ragged last block
     @pytest.mark.parametrize("n, m, d", [(150, 2048, 32), (161, 2500, 64), (40, 4096, 32)])
     def test_tiled_shapes_are_bit_equal_for_any_thread_count(self, monkeypatch, n, m, d):
         p, q = self.lattice_clouds(n, m, d, [n, m, d])
@@ -301,9 +385,12 @@ class TestCorrespondenceKernel:
         for threads, (got, _) in results.items():
             assert np.array_equal(got, results[1][0]), threads
 
-    @pytest.mark.parametrize("n, m, d", [(4096, 4096, 32), (161, 2500, 64), (2048, 2048, 3),
-                                         (300, 5, 32)])
-    def test_distance_gemm_calls_stay_below_blas_threading(self, monkeypatch, n, m, d):
+    # the distance GEMM has depth d + 2; calls: 128 blocks of 12 column
+    # tiles; 3 blocks of 22 and a 5-row block of 3; 32 blocks of 2; and two
+    # 151- and 149-row blocks of 12 row tiles each
+    @pytest.mark.parametrize("n, m, d, calls", [(4096, 4096, 32, 1536), (161, 2500, 64, 69),
+                                                (2048, 2048, 3, 64), (300, 5, 32, 24)])
+    def test_distance_gemm_calls_stay_below_blas_threading(self, monkeypatch, n, m, d, calls):
         rng = np.random.default_rng(d)
         p = PointCloud(rng.normal(size=(n, 3)), rng.normal(size=(n, d)))
         q = PointCloud(rng.normal(size=(m, 3)), rng.normal(size=(m, d)))
@@ -319,11 +406,9 @@ class TestCorrespondenceKernel:
 
         monkeypatch.setattr(np, "matmul", spy)
         build_correspondences(p, q, 0.02)
-        rows = max(1, pairwise_mod.BLOCK_CELLS // m)
-        assert sum(macs) == n * m * d
+        assert sum(macs) == n * m * (d + 2)
         assert max(macs) <= 3 * pairwise_mod.BLOCK_CELLS
-        if d <= 3:
-            assert len(macs) == -(-n // rows)
+        assert len(macs) == calls
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_block_error_is_raised_after_every_thread_stopped(self, monkeypatch, failing):

@@ -122,6 +122,18 @@ class TestRunMultiviewBasics:
         assert not result.disconnected
         assert len(trace.iterations) == 4
 
+    def test_readme_example_anchor_is_exactly_the_identity(self):
+        # the README's library example, line for line
+        rng = np.random.default_rng(0)
+        base = rng.uniform(-1.0, 1.0, size=(500, 3))
+        truth = [RigidMotion.identity()] + [random_motion(rng) for _ in range(2)]
+        clouds = [PointCloud(transform_points(invert(m), base), base.copy()) for m in truth]
+        result, trace = run_multiview(clouds, PipelineConfig(temperature=1e-6, blend=1.0))
+        assert np.array_equal(result.poses[0], np.eye(4))
+        assert not result.disconnected
+        for it in trace.iterations:
+            assert np.array_equal(it.poses[0], np.eye(4))
+
     def test_noise_free_scans_recover_truth(self):
         rng = np.random.default_rng(7)
         clouds, truth = shared_scene_clouds(rng, 4)

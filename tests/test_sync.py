@@ -156,7 +156,7 @@ class TestRotationSync:
         truth = random_truth(rng, 6)
         g = graph_from_truth(truth, all_pairs(6), rng=rng, rot_sigma=0.02, trans_sigma=0.01)
         rots = rotation_sync(g)
-        assert np.linalg.norm(rots[0] - np.eye(3)) < 1e-12
+        assert np.array_equal(rots[0], np.eye(3))
 
     def test_zero_confidence_edge_equals_removed_edge(self):
         rng = np.random.default_rng(2)
@@ -317,6 +317,15 @@ class TestTransfSync:
         assert np.array_equal(result.graph.c_fused[kept], alone.graph.c_fused)
         for a, b in zip(result.absolute, alone.absolute):
             assert np.array_equal(a.matrix, b.matrix)
+
+    def test_anchor_pose_is_exactly_the_identity(self):
+        # R_0 R_0^T rounds to a few ulp off the identity on this ring
+        rng = np.random.default_rng(17)
+        truth = random_truth(rng, 160)
+        g = graph_from_truth(truth, ring_k_pairs(160, 3), rng=rng, rot_sigma=0.03,
+                             trans_sigma=0.03)
+        for rounds in (1, 4):
+            assert np.array_equal(transf_sync(g, rounds=rounds).poses[0], np.eye(4))
 
     def test_noise_free_poses_are_a_fixed_point(self):
         rng = np.random.default_rng(10)
