@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool, though an int, is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for pairwise registration, synchronization, and the outer loop.
@@ -30,18 +35,19 @@ class PipelineConfig:
         # a float count would fail later in range(), a float scan index be truncated
         for name, low in (("outer_iterations", 1), ("sync_rounds", 1), ("inner_irls", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
             object.__setattr__(self, name, int(value))
-        # `not x > 0` and chained comparisons also reject NaN
+        # chained comparisons also reject NaN; an infinite gamma would turn
+        # the Cauchy reweighting off
         for name in ("temperature", "gamma", "beta"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("tau_p", "w_thresh", "blend"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.connectivity is not None:
-            if not all(np.shape(pair) == (2,) and all(isinstance(v, (int, np.integer)) for v in pair)
+            if not all(np.shape(pair) == (2,) and all(map(is_integer, pair))
                        for pair in self.connectivity):
                 raise ValueError(f"connectivity must hold pairs of integer scan indices, got {self.connectivity!r}")
             canon = tuple(tuple(int(v) for v in pair) for pair in self.connectivity)

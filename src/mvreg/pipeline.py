@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, is_integer
 from .errors import DisconnectedInput, DuplicateEdge, IndexOutOfRange, TooFewClouds
 from .geometry import PointCloud, RigidMotion, motion_stack, relative_motions
 from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges, search_tree
@@ -135,7 +135,7 @@ def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:
 
 def _is_index_pair(key) -> bool:
     return (isinstance(key, tuple) and len(key) == 2
-            and all(isinstance(v, (int, np.integer)) for v in key))
+            and all(map(is_integer, key)))
 
 
 def run_multiview_from_correspondences(

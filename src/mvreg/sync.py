@@ -12,24 +12,30 @@ definite on every graph the solvers accept, so np.linalg.solve solves it
 directly. Node 0 carries the identity.
 
 Only the 4 smallest eigenpairs of the 3n x 3n rotation Laplacian are used
-(the fourth eigenvalue gives the eigengap). Up to DENSE_MAX_SIZE rows a full
-np.linalg.eigh finds them. Larger Laplacians go through shift-invert subspace
-iteration on a band. The nodes are put in reverse Cuthill-McKee order once
-per call; if every edge then joins nodes at most w places apart, L + sigma I
-is block tridiagonal in n // w equal blocks of at least 3w rows. It is
-factored block by block with Cholesky, and each sweep applies its inverse by
-forward and back substitution over the same blocks, then QR and
-Rayleigh-Ritz on a panel of PANEL columns, until the 4 wanted Ritz residuals
-fall below RESIDUAL_TOL * |L|. A ring of 400 nodes, each linked to the next
-3, has w = 8: 50 blocks of 24 rows instead of one 1200 x 1200 factor. A
-graph whose band spans more than half the nodes, such as a star or a
-complete graph, has one block, the dense factor. The first round of
+(the fourth eigenvalue gives the eigengap). The nodes are put in reverse
+Cuthill-McKee order once per call; if every edge then joins nodes at most w
+places apart, L is block tridiagonal in blocks of at least 3w rows, and it
+is built straight from the edge arrays as those blocks only: the diagonal
+blocks and the blocks below them. A ring of 400 nodes, each linked to the
+next 3, has w = 8: 50 blocks of 24 rows instead of one 1200 x 1200 matrix.
+A graph whose band spans more than half the nodes, such as a star or a
+complete graph, has one block, the dense matrix in that order. Up to
+DENSE_MAX_SIZE rows a full np.linalg.eigh finds the eigenpairs, on a dense
+matrix put together from the blocks in node order, entry for entry the one
+an edge-by-edge fill gives. Larger Laplacians go through shift-invert
+subspace iteration on the blocks, and no dense matrix is built unless it
+falls back to the eigh. L + sigma I is factored block by block with
+Cholesky, and each sweep applies its inverse by forward and back
+substitution over the same blocks, then L itself in three batched block
+products, then QR and Rayleigh-Ritz on a panel of PANEL columns, until the 4
+wanted Ritz residuals fall below RESIDUAL_TOL * |L|. The first round of
 transf_sync starts from a fixed-seed panel; later rounds change only the
 edge weights and start from the previous round's Ritz panel, so on that ring
-(benchmark seed 7) the 4 rounds take 10, 7, 5 and 4 sweeps instead of 10
-each. When the observed convergence rate cannot reach the tolerance within
-MAX_SWEEPS sweeps, as on stars and complete graphs whose eigenvalues cluster
-at lambda_4, the full eigh runs after all. numpy is the only dependency.
+(benchmark seeds 7 and 21) the 4 rounds take 10, 7, 5 and 4 sweeps instead
+of 10 each. When the observed convergence rate cannot reach the tolerance
+within MAX_SWEEPS sweeps, as on stars and complete graphs whose eigenvalues
+cluster at lambda_4, and on most rings with a fifth of their edges
+corrupted, the full eigh runs after all. numpy is the only dependency.
 
 The solvers work on the graph's edge arrays (endpoints, relative rotations
 and translations, confidences), restricted once to the active rows, and
@@ -46,6 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import is_integer
 from .errors import DegenerateMatrix, DisconnectedGraph, EigenSolverFailure
 from .geometry import RigidMotion, motion_stack, nearest_rotations, relative_motions
 from .graph import (
@@ -130,9 +137,11 @@ def _band(n: int, pairs) -> tuple[np.ndarray, int]:
     lower node index, so the order depends on the edges alone. A node the
     search has not reached starts a new search. If every edge then joins
     nodes at most `width` places apart, blocks of at least `width`
-    consecutive nodes couple only to their neighbouring blocks. There are
-    n // width blocks of equal size (the last may be smaller), so a graph
-    whose band spans more than half the nodes gets one dense block.
+    consecutive nodes couple only to their neighbouring blocks. The blocks
+    hold ceil(n / (n // width)) nodes each, the last one possibly fewer
+    (_rotation_laplacian pads it), so there are at most n // width of them,
+    and a graph whose band spans more than half the nodes gets one dense
+    block.
     """
     degree = np.bincount(pairs.ravel(), minlength=n).tolist()
 
@@ -165,12 +174,115 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _shift_invert(lap: np.ndarray, shift: float, band=None):
-    """x -> (L + shift I)^-1 x for n x k panels, from one Cholesky factor.
+@dataclass(frozen=True, eq=False)
+class _BandLaplacian:
+    """The 3n x 3n rotation Laplacian as the blocks of its block-tridiagonal
+    form: rows and columns in the band order of _band, cut into equal blocks
+    of b rows, the last one padded with zero rows and columns.
 
-    band = (rows, block) says that L, with its rows and columns taken in the
-    order `rows`, is block tridiagonal in blocks of `block` rows (see _band);
-    without it L is one dense block. The factor is then block bidiagonal:
+    rows[p] is the Laplacian row at band position p. diagonal (nb, b, b)
+    holds the diagonal blocks and lower (nb - 1, b, b) the blocks below them:
+    lower[k] couples block k + 1 (its rows) to block k (its columns), and its
+    transpose is the block above. A panel in band order is an (nb * b, k)
+    array whose padding rows are zero; they stay zero under every operation
+    here, because their rows and columns of L are.
+    """
+
+    rows: np.ndarray
+    diagonal: np.ndarray
+    lower: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Rows of the Laplacian, 3n."""
+        return len(self.rows)
+
+    def to_band(self, x: np.ndarray) -> np.ndarray:
+        """The 3n x k panel x in band order, padded."""
+        count, block, _ = self.diagonal.shape
+        y = np.zeros((count * block, x.shape[1]))
+        y[: self.size] = x[self.rows]
+        return y
+
+    def from_band(self, y: np.ndarray) -> np.ndarray:
+        """The panel y in band order back in node order, without the padding."""
+        x = np.empty((self.size, y.shape[1]))
+        x[self.rows] = y[: self.size]
+        return x
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        """L y for a panel y in band order, in three batched block products."""
+        count, block, _ = self.diagonal.shape
+        y = y.reshape(count, block, -1)
+        out = self.diagonal @ y
+        out[1:] += self.lower @ y[:-1]
+        out[:-1] += np.swapaxes(self.lower, 1, 2) @ y[1:]
+        return out.reshape(count * block, -1)
+
+    def norm(self) -> float:
+        """|L|, the largest absolute row sum."""
+        sums = np.abs(self.diagonal).sum(axis=2)
+        lower = np.abs(self.lower)
+        sums[1:] += lower.sum(axis=2)
+        sums[:-1] += lower.sum(axis=1)
+        return float(sums.max())
+
+    def dense(self) -> np.ndarray:
+        """L as one 3n x 3n array in node order, for np.linalg.eigh."""
+        count, block, _ = self.diagonal.shape
+        full = np.zeros((count, block, count, block))
+        k = np.arange(count)
+        full[k, :, k, :] = self.diagonal
+        full[k[1:], :, k[:-1], :] = self.lower
+        full[k[:-1], :, k[1:], :] = np.swapaxes(self.lower, 1, 2)
+        full = full.reshape(count * block, count * block)
+        lap = np.empty((self.size, self.size))
+        lap[np.ix_(self.rows, self.rows)] = full[: self.size, : self.size]
+        return lap
+
+
+def _rotation_laplacian(n: int, pairs, rot, c, band) -> _BandLaplacian:
+    """The confidence-weighted block Laplacian of the relative rotations, as
+    the blocks of its block-tridiagonal form in the order band = _band(n, pairs).
+
+    Edge (i, j) puts -c R into block row j, column i and -c R^T into block
+    row i, column j, so that the stack of R_i^T blocks spans the null space
+    for consistent measurements; the diagonal holds the weighted degrees.
+    Each 3 x 3 block goes into the diagonal block that holds both band
+    positions of its nodes, or into the block below it when they fall into
+    consecutive blocks, which is as far apart as _band lets them fall.
+    """
+    rows, block = band
+    nodes = block // 3
+    count = -(-n // nodes)
+    order = rows[::3] // 3
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    first, second = position[pairs].T
+    # each edge's 3 x 3 block in the row of its later node in the band order
+    weighted = c[:, None, None] * rot
+    coupling = np.where((second > first)[:, None, None], -weighted, -np.swapaxes(weighted, 1, 2))
+    row_block, row_node = np.divmod(np.maximum(first, second), nodes)
+    column_block, column_node = np.divmod(np.minimum(first, second), nodes)
+    inside = row_block == column_block
+    diagonal = np.zeros((count, nodes, 3, nodes, 3))
+    diagonal[row_block[inside], row_node[inside], :, column_node[inside], :] = coupling[inside]
+    diagonal[row_block[inside], column_node[inside], :, row_node[inside], :] = np.swapaxes(
+        coupling[inside], 1, 2
+    )
+    lower = np.zeros((count - 1, nodes, 3, nodes, 3))
+    lower[column_block[~inside], row_node[~inside], :, column_node[~inside], :] = coupling[~inside]
+    diagonal = diagonal.reshape(count, block, block)
+    degrees = np.zeros(count * nodes)
+    degrees[:n] = _degrees(n, pairs, c)[order]
+    diagonal[:, np.arange(block), np.arange(block)] = np.repeat(degrees, 3).reshape(count, block)
+    return _BandLaplacian(rows, diagonal, lower.reshape(count - 1, block, block))
+
+
+def _shift_invert(lap: _BandLaplacian, shift: float):
+    """y -> (L + shift I)^-1 y for panels in band order, from one Cholesky factor.
+
+    The factor of the block-tridiagonal L + shift I is block bidiagonal:
     each diagonal block is the Cholesky factor of the shifted diagonal block
     of L less the part its coupling to the previous block already accounts
     for. numpy has no triangular solve, so each diagonal block of the factor
@@ -178,75 +290,72 @@ def _shift_invert(lap: np.ndarray, shift: float, band=None):
     subtract the coupling to the block solved before (one matmul), then apply
     the inverse. L itself is not modified.
     """
-    size = lap.shape[0]
-    rows, block = (np.arange(size), size) if band is None else band
-    blocks = [rows[s : s + block] for s in range(0, size, block)]
-    inverses = []
+    count, block, _ = lap.diagonal.shape
+    inverses = np.empty_like(lap.diagonal)
     # couplings[k] is the block of the factor below diagonal block k
-    couplings = []
-    for k, idx in enumerate(blocks):
-        diagonal = lap[np.ix_(idx, idx)]
-        diagonal[np.diag_indices(len(idx))] += shift
+    couplings = np.empty_like(lap.lower)
+    for k in range(count):
+        diagonal = lap.diagonal[k].copy()
+        diagonal[np.diag_indices(block)] += shift
         if k:
-            diagonal -= couplings[-1] @ couplings[-1].T
+            diagonal -= couplings[k - 1] @ couplings[k - 1].T
         try:
             low = np.linalg.cholesky(diagonal)
         except np.linalg.LinAlgError as exc:
             raise EigenSolverFailure(f"Cholesky factorization failed: {exc}") from exc
-        inverses.append(_lower_inverse(low))
-        if k + 1 < len(blocks):
-            couplings.append(lap[np.ix_(blocks[k + 1], idx)] @ inverses[-1].T)
-    starts = range(0, size, block)
+        inverses[k] = _lower_inverse(low)
+        if k + 1 < count:
+            couplings[k] = lap.lower[k] @ inverses[k].T
 
     def solve(x: np.ndarray) -> np.ndarray:
-        y = x[rows]
-        for k, s in enumerate(starts):
+        y = x.reshape(count, block, -1).copy()
+        for k in range(count):
             if k:
-                y[s : s + block] -= couplings[k - 1] @ y[s - block : s]
-            y[s : s + block] = inverses[k] @ y[s : s + block]
-        for k, s in reversed(list(enumerate(starts))):
-            if k < len(couplings):
-                y[s : s + block] -= couplings[k].T @ y[s + block : s + 2 * block]
-            y[s : s + block] = inverses[k].T @ y[s : s + block]
-        out = np.empty_like(y)
-        out[rows] = y
-        return out
+                y[k] -= couplings[k - 1] @ y[k - 1]
+            y[k] = inverses[k] @ y[k]
+        for k in reversed(range(count)):
+            if k + 1 < count:
+                y[k] -= couplings[k].T @ y[k + 1]
+            y[k] = inverses[k].T @ y[k]
+        return y.reshape(count * block, -1)
 
     return solve
 
 
-def _subspace_iteration(lap: np.ndarray, band=None, start=None):
+def _subspace_iteration(lap: _BandLaplacian, start=None):
     """The 4 smallest eigenvalues and eigenvectors of a PSD matrix by
     shift-invert subspace iteration, plus the final Ritz panel, or None when
     it would not converge within MAX_SWEEPS sweeps.
 
-    A sweep applies (L + sigma I)^-1 to the panel (through the band factor of
-    _shift_invert), orthonormalizes it (QR) and rotates it onto its Ritz
-    vectors (eigh of the PANEL x PANEL projection). The panel starts from
-    `start` when given, else from a fixed seed. The residual of the k-th Ritz
-    pair shrinks by about (theta_k + sigma) / (theta_PANEL + sigma) a sweep,
-    so once the fourth pair's rate, extrapolated from its residual, cannot
-    reach RESIDUAL_TOL within MAX_SWEEPS, this gives up at once instead of at
-    the cap.
+    The iteration runs in band order. A sweep applies (L + sigma I)^-1 to the
+    panel (through the band factor of _shift_invert), orthonormalizes it (QR)
+    and rotates it onto its Ritz vectors (eigh of the PANEL x PANEL
+    projection). The panel starts from `start` when given, else from a fixed
+    seed; both, and the results, are in node order. The residual of the k-th
+    Ritz pair shrinks by about (theta_k + sigma) / (theta_PANEL + sigma) a
+    sweep, so once the fourth pair's rate, extrapolated from its residual,
+    cannot reach RESIDUAL_TOL within MAX_SWEEPS, this gives up at once
+    instead of at the cap.
     """
-    size = lap.shape[0]
-    norm = float(np.linalg.norm(lap, np.inf))
+    norm = lap.norm()
     shift = SHIFT * norm
-    solve = _shift_invert(lap, shift, band)
+    solve = _shift_invert(lap, shift)
     # either way the start is a function of the inputs, so the same inputs
     # always give the same result
-    panel = np.random.default_rng(0).standard_normal((size, PANEL)) if start is None else start
+    if start is None:
+        start = np.random.default_rng(0).standard_normal((lap.size, PANEL))
+    panel = lap.to_band(start)
     for sweep in range(1, MAX_SWEEPS + 1):
         basis, _ = np.linalg.qr(solve(panel))
         lap_basis = lap @ basis
         ritz, rotation = np.linalg.eigh(basis.T @ lap_basis)
         panel = basis @ rotation
-        wanted = panel[:, :_WANTED]
         residual = np.linalg.norm(
-            lap_basis @ rotation[:, :_WANTED] - wanted * ritz[:_WANTED], axis=0
+            lap_basis @ rotation[:, :_WANTED] - panel[:, :_WANTED] * ritz[:_WANTED], axis=0
         ).max()
         if residual <= RESIDUAL_TOL * norm:
-            return ritz[:_WANTED], wanted, panel
+            panel = lap.from_band(panel)
+            return ritz[:_WANTED], panel[:, :_WANTED], panel
         rate = (ritz[_WANTED - 1] + shift) / (ritz[-1] + shift)
         if rate >= 1.0:
             return None
@@ -255,34 +364,21 @@ def _subspace_iteration(lap: np.ndarray, band=None, start=None):
     return None
 
 
-def _smallest_eigenpairs(lap: np.ndarray, band=None, start=None):
+def _smallest_eigenpairs(lap: _BandLaplacian, start=None):
     """The 4 smallest eigenvalues (ascending) of the symmetric PSD matrix lap,
-    their eigenvectors as columns, and the Ritz panel of the PANEL smallest:
-    iterative above DENSE_MAX_SIZE rows unless it stalls, else from the full
-    eigh, whose panel is its first PANEL eigenvectors."""
-    if lap.shape[0] > DENSE_MAX_SIZE:
-        found = _subspace_iteration(lap, band, start)
+    their eigenvectors as columns, and the Ritz panel of the PANEL smallest,
+    all in node order: iterative above DENSE_MAX_SIZE rows unless it stalls,
+    else from the full eigh of lap.dense(), whose panel is its first PANEL
+    eigenvectors."""
+    if lap.size > DENSE_MAX_SIZE:
+        found = _subspace_iteration(lap, start)
         if found is not None:
             return found
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(lap)
+        eigenvalues, eigenvectors = np.linalg.eigh(lap.dense())
     except np.linalg.LinAlgError as exc:
         raise EigenSolverFailure(f"symmetric eigendecomposition failed: {exc}") from exc
     return eigenvalues[:_WANTED], eigenvectors[:, :_WANTED], eigenvectors[:, :PANEL].copy()
-
-
-def _rotation_laplacian(n: int, pairs, rot, c) -> np.ndarray:
-    """The 3n x 3n confidence-weighted block Laplacian of the relative rotations."""
-    i, j = pairs.T
-    lap = np.zeros((n, 3, n, 3))
-    # off-diagonal blocks carry c * R^T / c * R so that the stack of
-    # R_i^T blocks spans the nullspace for consistent measurements
-    weighted = c[:, None, None] * rot
-    lap[i, :, j, :] = -np.swapaxes(weighted, 1, 2)
-    lap[j, :, i, :] = -weighted
-    lap = lap.reshape(3 * n, 3 * n)
-    lap[np.diag_indices(3 * n)] = np.repeat(_degrees(n, pairs, c), 3)
-    return lap
 
 
 def _rotations(n: int, pairs, rot, c, band, start=None):
@@ -295,7 +391,7 @@ def _rotations(n: int, pairs, rot, c, band, start=None):
     way only the span of the first three eigenvectors enters the result.
     """
     eigenvalues, eigenvectors, panel = _smallest_eigenpairs(
-        _rotation_laplacian(n, pairs, rot, c), band, start
+        _rotation_laplacian(n, pairs, rot, c, band), start
     )
     eigengap = float(eigenvalues[3] - eigenvalues[2])
     blocks = eigenvectors[:, :3].reshape(n, 3, 3)
@@ -387,10 +483,10 @@ def transf_sync(
     Each round after the first starts its eigensolver from the previous
     round's Ritz panel.
     """
-    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+    if not is_integer(rounds) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
-    if not (gamma > 0.0 and beta > 0.0):
-        raise ValueError("gamma and beta must be positive")
+    if not (0.0 < gamma < np.inf and 0.0 < beta < np.inf):
+        raise ValueError("gamma and beta must be positive and finite")
     n = g.node_count
     pairs, motions, c_fused = _active_arrays(g, rounds)
     c_local = g.c_local[g.active]

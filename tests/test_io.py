@@ -406,7 +406,7 @@ class TestMalformedFiles:
             read_config(p)
 
     def test_config_value_out_of_range(self, tmp_path):
-        for name, text in (("e.cfg", "tau_p=1.5\n"), ("f.cfg", "gamma=0\n")):
+        for name, text in (("e.cfg", "tau_p=1.5\n"), ("f.cfg", "gamma=0\n"), ("g.cfg", "gamma=inf\n")):
             p = tmp_path / name
             p.write_text(text)
             with pytest.raises(MalformedConfig):
@@ -420,7 +420,12 @@ class TestReadConfig:
                                               ("outer_iterations", 2.5), ("inner_irls", 2.5),
                                               ("sync_rounds", 2.5), ("sync_rounds", np.float64(2.0)),
                                               ("connectivity", ((0, 1.5), (1, 2))),
-                                              ("connectivity", ((0, 1, 2), (1, 2)))])
+                                              ("connectivity", ((0, 1, 2), (1, 2))),
+                                              ("sync_rounds", True), ("outer_iterations", True),
+                                              ("inner_irls", False),
+                                              ("connectivity", ((True, 2), (0, 1))),
+                                              ("temperature", np.inf), ("gamma", np.inf),
+                                              ("beta", np.inf)])
     def test_config_fields_are_range_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             PipelineConfig(**{field: value})

@@ -171,7 +171,7 @@ class TestRunMultiviewBasics:
         with pytest.raises(TooFewClouds):
             run_multiview_from_correspondences({(0, 1): c}, 2)
 
-    @pytest.mark.parametrize("key", [(0, 1.5), (0.0, 1), (0, 1, 2), "01"])
+    @pytest.mark.parametrize("key", [(0, 1.5), (0.0, 1), (0, 1, 2), "01", (False, True)])
     def test_non_integer_key_fails_before_any_fit(self, monkeypatch, key):
         rng = np.random.default_rng(12)
         c = CorrespondenceSet(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), np.ones(5), np.zeros(5))

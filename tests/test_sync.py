@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -456,13 +457,16 @@ class TestTransfSync:
         rng = np.random.default_rng(17)
         truth = random_truth(rng, 3)
         g = graph_from_truth(truth, all_pairs(3))
-        for rounds in (0, 2.5, np.float64(2.0)):
+        # True is an int equal to 1, but no count
+        for rounds in (0, 2.5, np.float64(2.0), True):
             with pytest.raises(ValueError, match="rounds"):
                 transf_sync(g, rounds=rounds)
         completed = transf_sync(g, rounds=np.int64(2)).rounds_completed
         assert completed == 2 and type(completed) is int
 
-    @pytest.mark.parametrize("weights", [{"gamma": 0.0}, {"gamma": -1.0}, {"beta": 0.0}])
+    # an infinite gamma would set every c_global to 1: no reweighting at all
+    @pytest.mark.parametrize("weights", [{"gamma": 0.0}, {"gamma": -1.0}, {"beta": 0.0},
+                                         {"gamma": np.inf}, {"beta": np.inf}])
     def test_gamma_and_beta_must_be_positive(self, weights):
         rng = np.random.default_rng(17)
         g = graph_from_truth(random_truth(rng, 3), all_pairs(3))
@@ -511,6 +515,8 @@ def oracle_graph(kind, noisy, seed, uniform=False):
     n, pairs = {
         "ring1": (120, ring_pairs(120)),
         "ring3": (120, ring_k_pairs(120, 3)),
+        # 14 band blocks of 9 nodes: the last one holds 8 and is padded
+        "padded_ring": (125, ring_k_pairs(125, 3)),
         "grid": (400, grid_pairs(20)),
         "star": (60, star_pairs(60)),
         "complete": (30, all_pairs(30)),
@@ -521,6 +527,9 @@ def oracle_graph(kind, noisy, seed, uniform=False):
     confidences = np.full(len(pairs), 0.9) if uniform else rng.uniform(0.05, 1.0, size=len(pairs))
     sigma = 0.03 if noisy else 0.0
     return graph_from_truth(truth, pairs, confidences, rng=rng, rot_sigma=sigma, trans_sigma=sigma)
+
+
+BAND_KINDS = ["ring1", "ring3", "padded_ring", "grid", "star", "complete", "sparse"]
 
 
 def dense_and_iterative(g, monkeypatch):
@@ -538,14 +547,15 @@ def assert_same_solution(a, b, tol=1e-9):
 
 class TestPartialEigensolver:
     @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("kind", ["ring1", "ring3", "grid", "star", "complete"])
+    @pytest.mark.parametrize("kind",
+                             ["ring1", "ring3", "padded_ring", "grid", "star", "complete"])
     def test_matches_full_eigh(self, kind, noisy, iterative, monkeypatch):
         g = oracle_graph(kind, noisy, seed=len(kind) + noisy)
         dense, iter_result = dense_and_iterative(g, monkeypatch)
         assert_same_solution(dense, iter_result)
         # on rings and grids the eigenvalues below lambda_17 are spread enough
         # for the panel: the iteration itself must have converged
-        if kind in ("ring1", "ring3", "grid"):
+        if kind in ("ring1", "ring3", "padded_ring", "grid"):
             assert iterative == [False]
 
     @pytest.mark.parametrize("kind", ["star", "complete"])
@@ -587,13 +597,14 @@ class TestPartialEigensolver:
         solve = mvreg.sync._subspace_iteration
 
         def checking(lap, *args):
-            before = lap.copy()
+            blocks = lap.diagonal.copy(), lap.lower.copy()
+            before = dense_from_blocks(lap)
             values, vectors, panel = solve(lap, *args)
-            assert np.array_equal(lap, before)
+            assert np.array_equal(lap.diagonal, blocks[0]) and np.array_equal(lap.lower, blocks[1])
             tol = 1e-12 * np.linalg.norm(before, np.inf)
             assert np.allclose(values, np.linalg.eigvalsh(before)[:4], rtol=0.0, atol=tol)
             assert np.allclose(vectors.T @ vectors, np.eye(4), rtol=0.0, atol=1e-12)
-            checked.append(lap.shape)
+            checked.append(before.shape)
             return values, vectors, panel
 
         monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 0)
@@ -602,34 +613,142 @@ class TestPartialEigensolver:
         assert checked == [(360, 360)]
 
     def test_cholesky_failure_is_typed(self):
-        lap = -np.eye(60)
+        lap = mvreg.sync._BandLaplacian(np.arange(60), -np.eye(60)[None], np.zeros((0, 60, 60)))
         with pytest.raises(EigenSolverFailure, match="Cholesky"):
             mvreg.sync._subspace_iteration(lap)
 
+    def test_corrupted_ring_falls_back_to_eigh(self, monkeypatch):
+        # with a fifth of the edges measuring random rotations, lambda_4 sits
+        # in a crowded spectrum and the band iteration cannot reach the
+        # tolerance: it must factor once, give up and hand over to the full
+        # eigh, which then gives exactly the forced-eigh solution
+        g = noisy_ring(200, seed=0, corrupted=0.2)
+        assert 3 * g.node_count > mvreg.sync.DENSE_MAX_SIZE
+        _, block = mvreg.sync._band(g.node_count, g.pairs)
+        fell_back, shapes = [], []
+        iterate = mvreg.sync._subspace_iteration
+        cholesky = np.linalg.cholesky
 
-def band_solve_and_reference(kind, shuffled, shift_rel):
-    """The band shift-invert solve of a 16-column panel and the same solve
-    through a dense Cholesky factor, on a noisy graph of the given kind whose
-    node labels are shuffled when `shuffled` is set."""
+        def recording(lap, *args):
+            found = iterate(lap, *args)
+            fell_back.append(found is None)
+            return found
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(mvreg.sync, "_subspace_iteration", recording)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        band = transf_sync(g, rounds=1)
+        assert fell_back == [True]
+        assert shapes == [(block, block)] * (3 * g.node_count // block)
+        monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 10**9)
+        shapes.clear()
+        dense = transf_sync(g, rounds=1)
+        assert fell_back == [True] and shapes == []
+        assert_same_solution(dense, band, tol=0.0)
+
+
+def band_laplacian(kind, shuffled):
+    """The band, the block Laplacian and its edge arrays for a noisy graph of
+    the given kind whose node labels are shuffled when `shuffled` is set, and
+    the random generator that shuffled them."""
     g = oracle_graph(kind, noisy=True, seed=40)
     n = g.node_count
     pairs, motions, c = mvreg.sync._active_arrays(g)
     rng = np.random.default_rng(41)
     if shuffled:
         pairs = rng.permutation(n)[pairs]
-    lap = mvreg.sync._rotation_laplacian(n, pairs, motions[:, :3, :3], c)
-    shift = shift_rel * np.linalg.norm(lap, np.inf)
     band = mvreg.sync._band(n, pairs)
+    lap = mvreg.sync._rotation_laplacian(n, pairs, motions[:, :3, :3], c, band)
+    return band, lap, (n, pairs, motions[:, :3, :3], c), rng
+
+
+def dense_from_blocks(lap):
+    """The 3n x 3n Laplacian in node order, put together block by block from
+    the band blocks of lap."""
+    count, block, _ = lap.diagonal.shape
+    band = np.zeros((count * block, count * block))
+    for k in range(count):
+        rows = slice(k * block, (k + 1) * block)
+        band[rows, rows] = lap.diagonal[k]
+        if k:
+            above = slice((k - 1) * block, k * block)
+            band[rows, above] = lap.lower[k - 1]
+            band[above, rows] = lap.lower[k - 1].T
+    position = np.argsort(lap.rows)
+    return band[np.ix_(position, position)]
+
+
+def edgewise_laplacian(n, pairs, rot, c):
+    """The 3n x 3n rotation Laplacian in node order, filled edge by edge."""
+    lap = np.zeros((3 * n, 3 * n))
+    degrees = np.zeros(n)
+    for (i, j), r, w in zip(pairs, rot, c):
+        lap[3 * i : 3 * i + 3, 3 * j : 3 * j + 3] = -(w * r).T
+        lap[3 * j : 3 * j + 3, 3 * i : 3 * i + 3] = -(w * r)
+        degrees[i] += w
+        degrees[j] += w
+    lap[np.diag_indices(3 * n)] = np.repeat(degrees, 3)
+    return lap
+
+
+def band_solve_and_reference(kind, shuffled, shift_rel):
+    """The band shift-invert solve of a 16-column panel and the same solve
+    through a dense Cholesky factor, on a noisy graph of the given kind whose
+    node labels are shuffled when `shuffled` is set."""
+    band, lap, (n, *_), rng = band_laplacian(kind, shuffled)
+    dense = dense_from_blocks(lap)
+    shift = shift_rel * np.linalg.norm(dense, np.inf)
     x = rng.standard_normal((3 * n, 16))
-    y = mvreg.sync._shift_invert(lap, shift, band)(x)
-    shifted = lap + shift * np.eye(3 * n)
+    y = lap.from_band(mvreg.sync._shift_invert(lap, shift)(lap.to_band(x)))
+    shifted = dense + shift * np.eye(3 * n)
     low = np.linalg.cholesky(shifted)
     return band, shifted, x, y, np.linalg.solve(low.T, np.linalg.solve(low, x))
 
 
+def noisy_ring(n, seed, corrupted=0.0):
+    """A ring of n nodes, each linked to the next 3, with random truth, 0.01
+    noise and random confidences; the given share of its edges measures a
+    random rotation instead."""
+    pairs = ring_k_pairs(n, 3)
+    rng = np.random.default_rng(seed)
+    confidences = rng.uniform(0.05, 1.0, size=len(pairs))
+    g = graph_from_truth(random_truth(rng, n), pairs, confidences, rng=rng,
+                         rot_sigma=0.01, trans_sigma=0.01)
+    motions = g.motions.copy()
+    for e in rng.choice(len(pairs), size=int(corrupted * len(pairs)), replace=False):
+        motions[e, :3, :3] = random_rotation(rng).m
+    return PoseGraph(n, pairs, motions, confidences)
+
+
+class TestBandLaplacian:
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("kind", BAND_KINDS)
+    def test_blocks_hold_the_edgewise_laplacian(self, kind, shuffled):
+        # the eigh path sees exactly the matrix an edge-by-edge fill gives
+        _, lap, edges, _ = band_laplacian(kind, shuffled)
+        expected = edgewise_laplacian(*edges)
+        assert np.array_equal(lap.dense(), expected)
+        assert np.array_equal(dense_from_blocks(lap), expected)
+
+    @pytest.mark.parametrize("kind", BAND_KINDS)
+    def test_product_and_norm_match_the_dense_matrix(self, kind):
+        _, lap, (n, *_), rng = band_laplacian(kind, True)
+        dense = lap.dense()
+        norm = np.linalg.norm(dense, np.inf)
+        assert abs(lap.norm() - norm) <= 1e-15 * norm
+        x = rng.standard_normal((3 * n, 16))
+        product = lap @ lap.to_band(x)
+        assert not product[lap.size :].any()
+        assert np.allclose(lap.from_band(product), dense @ x, rtol=0.0, atol=1e-13 * norm)
+        assert np.array_equal(lap.from_band(lap.to_band(x)), x)
+
+
 class TestBandFactor:
     @pytest.mark.parametrize("shuffled", [False, True])
-    @pytest.mark.parametrize("kind", ["ring1", "ring3", "grid", "star", "complete", "sparse"])
+    @pytest.mark.parametrize("kind", BAND_KINDS)
     def test_matches_dense_cholesky_solve(self, kind, shuffled):
         # at the solver's own shift of 1e-10 |L| the near-null directions are
         # amplified ~1e10 times, and any two correct factorizations differ
@@ -640,11 +759,12 @@ class TestBandFactor:
         # shuffled labels leave reverse Cuthill-McKee the same band to find
         rows, block = band
         assert np.array_equal(np.sort(rows), np.arange(len(rows)))
-        expected_block = {"ring1": 6, "ring3": 24, "grid": 60, "star": 180, "complete": 90}
+        expected_block = {"ring1": 6, "ring3": 24, "padded_ring": 27, "grid": 60, "star": 180,
+                          "complete": 90}
         if kind in expected_block:
             assert block == expected_block[kind]
 
-    @pytest.mark.parametrize("kind", ["ring1", "ring3", "grid", "star", "complete", "sparse"])
+    @pytest.mark.parametrize("kind", BAND_KINDS)
     def test_backward_error_at_solver_shift(self, kind):
         _, shifted, x, y, _ = band_solve_and_reference(kind, True, mvreg.sync.SHIFT)
         residual = np.linalg.norm(shifted @ y - x)
@@ -670,6 +790,18 @@ class TestBandFactor:
         assert block == 24
         assert len(shapes) == 2 * 50
         assert max(max(shape) for shape in shapes) <= block
+
+    def test_ring_sync_builds_no_dense_laplacian(self):
+        # the dense 1200 x 1200 Laplacian alone would take 11.5 MB
+        g = noisy_ring(400, seed=42)
+        transf_sync(g, rounds=1)
+        tracemalloc.start()
+        try:
+            transf_sync(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_warm_start_saves_sweeps(self, iterative, monkeypatch):
         g = oracle_graph("ring3", noisy=True, seed=33)
@@ -697,8 +829,8 @@ class TestBandFactor:
 
         iterate = mvreg.sync._subspace_iteration
 
-        def cold_start(lap, band=None, start=None):
-            return iterate(lap, band)
+        def cold_start(lap, start=None):
+            return iterate(lap)
 
         monkeypatch.setattr(mvreg.sync, "_subspace_iteration", cold_start)
         sweeps.clear()
