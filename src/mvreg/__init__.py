@@ -13,9 +13,7 @@ from .errors import (
     DuplicateEdge,
     EigenSolverFailure,
     EmptyErrors,
-    EmptyPairs,
     EmptyResiduals,
-    EmptyTarget,
     IndexOutOfRange,
     LengthMismatch,
     MalformedConfig,
@@ -33,13 +31,7 @@ from .geometry import (
     PointCloud,
     RigidMotion,
     Rotation3,
-    apply,
-    compose,
-    geodesic_angle,
     invert,
-    project_to_so3,
-    relative_from_absolute,
-    rotation_about_z,
     transform_points,
 )
 from .graph import (
@@ -68,10 +60,7 @@ from .metrics import (
     ROTATION_ECDF_THRESHOLDS_DEG,
     TRANSLATION_ECDF_THRESHOLDS_M,
     ErrorReport,
-    angular_error,
     ecdf,
-    registration_recall,
-    sync_pair_error,
 )
 from .pairwise import (
     CorrespondenceSet,
@@ -84,7 +73,6 @@ from .pairwise import (
     register_pair,
     residuals,
     robust_reweight,
-    soft_assign,
     wls_transform,
 )
 from .pipeline import (
@@ -115,17 +103,16 @@ __version__ = "0.1.0"
 __all__ = [
     "PipelineConfig",
     "RegistrationError",
-    "DegenerateMatrix", "EmptyTarget", "MissingFeatures", "DimensionMismatch",
+    "DegenerateMatrix", "MissingFeatures", "DimensionMismatch",
     "DegenerateConfiguration", "ZeroWeightSum", "DuplicateEdge", "IndexOutOfRange",
     "EmptyResiduals", "DisconnectedGraph", "EigenSolverFailure", "TooFewClouds",
-    "DisconnectedInput", "EmptyErrors", "EmptyPairs", "LengthMismatch",
+    "DisconnectedInput", "EmptyErrors", "LengthMismatch",
     "MalformedHeader", "UnsupportedFormat", "TruncatedPayload", "MalformedEntry",
     "MalformedConfig", "NonRigidMatrix",
     "Rotation3", "RigidMotion", "PointCloud",
-    "compose", "invert", "apply", "transform_points", "project_to_so3",
-    "relative_from_absolute", "geodesic_angle", "rotation_about_z",
+    "invert", "transform_points",
     "CorrespondenceSet", "PairwiseFits", "PairwiseResult",
-    "soft_assign", "build_correspondences", "wls_transform", "residuals",
+    "build_correspondences", "wls_transform", "residuals",
     "robust_reweight", "local_confidence", "register_batch", "register_correspondences",
     "register_pair",
     "Edge", "PoseGraph", "build_graph", "cauchy_scale", "cauchy_global_confidence",
@@ -134,7 +121,7 @@ __all__ = [
     "transf_sync",
     "IterationStats", "PipelineTrace", "pairwise_chain_absolute",
     "run_multiview", "run_multiview_from_correspondences",
-    "angular_error", "ecdf", "registration_recall", "sync_pair_error", "ErrorReport",
+    "ecdf", "ErrorReport",
     "ROTATION_ECDF_THRESHOLDS_DEG", "TRANSLATION_ECDF_THRESHOLDS_M",
     "SyntheticScene", "generate_scene", "scene_correspondences",
     "random_rotation", "random_motion", "rotation_about_axis",

@@ -185,12 +185,12 @@ def _cmd_eval(args) -> int:
         raise LengthMismatch(f"{len(est)} estimated motions vs {len(gt)} reference motions")
     rot_thresholds = (
         _parse_thresholds(args.rot_thresholds)
-        if args.rot_thresholds
+        if args.rot_thresholds is not None
         else ROTATION_ECDF_THRESHOLDS_DEG
     )
     trans_thresholds = (
         _parse_thresholds(args.trans_thresholds)
-        if args.trans_thresholds
+        if args.trans_thresholds is not None
         else TRANSLATION_ECDF_THRESHOLDS_M
     )
     est_m = np.array([e.matrix for e in est]).reshape(-1, 4, 4)
@@ -201,11 +201,14 @@ def _cmd_eval(args) -> int:
     rot_errors, trans_errors = motion_errors(
         np.linalg.solve(est_m[j], est_m[i]), np.linalg.solve(gt_m[j], gt_m[i])
     )
+    # both curves before the first row, so a bad threshold list prints nothing
+    rot_ecdf = ecdf(rot_errors, rot_thresholds)
+    trans_ecdf = ecdf(trans_errors, trans_thresholds)
     print("pairs", rot_errors.size)
     print("rot_thresholds_deg", _fmt(rot_thresholds))
-    print("rot_ecdf", _fmt(ecdf(rot_errors, rot_thresholds)))
+    print("rot_ecdf", _fmt(rot_ecdf))
     print("trans_thresholds_m", _fmt(trans_thresholds))
-    print("trans_ecdf", _fmt(ecdf(trans_errors, trans_thresholds)))
+    print("trans_ecdf", _fmt(trans_ecdf))
     print("rot_mean_deg", _fmt(np.mean(rot_errors)))
     print("rot_median_deg", _fmt(np.median(rot_errors)))
     print("trans_mean_m", _fmt(np.mean(trans_errors)))

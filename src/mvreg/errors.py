@@ -16,10 +16,6 @@ class DegenerateMatrix(RegistrationError):
 # pairwise registration
 
 
-class EmptyTarget(RegistrationError):
-    """Soft assignment requested against an empty target set."""
-
-
 class MissingFeatures(RegistrationError):
     """A point cloud lacks the per-point features an operation needs."""
 
@@ -78,10 +74,6 @@ class DisconnectedInput(RegistrationError):
 
 class EmptyErrors(RegistrationError):
     """ECDF requested for an empty error list."""
-
-
-class EmptyPairs(RegistrationError):
-    """Recall requested for an empty pair list."""
 
 
 class LengthMismatch(RegistrationError):

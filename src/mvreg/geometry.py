@@ -1,4 +1,5 @@
-"""Rigid-motion primitives: rotations, SE(3) elements, point clouds.
+"""Rigid-motion primitives: rotations, SE(3) elements, point clouds, and the
+stack-form SE(3) math the solver runs on (k, 4, 4) and (..., 3, 3) arrays.
 
 Frame convention used throughout the package: the absolute motion M_i maps
 scan-i coordinates into the world frame, and the relative motion M_ij maps
@@ -141,13 +142,6 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def compose(a: RigidMotion, b: RigidMotion) -> RigidMotion:
-    """Motion applying b first, then a: (a . b) x = a(b(x))."""
-    rot = Rotation3(a.rotation.m @ b.rotation.m)
-    trans = a.rotation.m @ b.translation + a.translation
-    return RigidMotion(rot, trans)
-
-
 def invert(m: RigidMotion) -> RigidMotion:
     return RigidMotion(Rotation3(m.rotation.m.T), -m.rotation.m.T @ m.translation)
 
@@ -157,27 +151,15 @@ def transform_points(m: RigidMotion, points: np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=np.float64) @ m.rotation.m.T + m.translation
 
 
-def apply(m: RigidMotion, cloud: PointCloud) -> PointCloud:
-    """Rigidly move a cloud; features ride along unchanged."""
-    return PointCloud(transform_points(m, cloud.points), cloud.features)
-
-
-def project_to_so3(m) -> Rotation3:
-    """Nearest rotation to m under the Frobenius norm.
+def nearest_rotations(m) -> np.ndarray:
+    """Nearest rotation, under the Frobenius norm, to each 3x3 block of a
+    (..., 3, 3) array.
 
     From the SVD m = U S V^T the projection is U diag(1, 1, det(VU^T)) V^T;
     the determinant factor forces a proper rotation instead of a reflection.
-    Raises DegenerateMatrix when m has rank < 2 (two vanishing singular
-    values), where the nearest rotation is not unique.
+    Raises DegenerateMatrix when a block has rank < 2 (two vanishing
+    singular values), where the nearest rotation is not unique.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
-    return Rotation3(nearest_rotations(m))
-
-
-def nearest_rotations(m) -> np.ndarray:
-    """project_to_so3 applied to each 3x3 block of a (..., 3, 3) array."""
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise DegenerateMatrix("matrix has non-finite entries")
@@ -189,14 +171,10 @@ def nearest_rotations(m) -> np.ndarray:
     return u @ vt
 
 
-def relative_from_absolute(mi: RigidMotion, mj: RigidMotion) -> RigidMotion:
-    """Motion taking frame-i coordinates to frame-j coordinates: M_j^-1 * M_i."""
-    return compose(invert(mj), mi)
-
-
 def relative_motions(absolute, pairs) -> np.ndarray:
-    """Stack form of relative_from_absolute: the 4x4 relative M_j^-1 M_i of
-    n x 4 x 4 absolute motions for each pair (i, j) of an m x 2 index array."""
+    """The 4x4 relative M_j^-1 M_i, which takes frame-i coordinates to frame-j
+    coordinates, of n x 4 x 4 absolute motions for each pair (i, j) of an
+    m x 2 index array."""
     a = np.asarray(absolute, dtype=np.float64)
     i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     inv_rot = np.swapaxes(a[j, :3, :3], 1, 2)
@@ -205,17 +183,3 @@ def relative_motions(absolute, pairs) -> np.ndarray:
     rel[:, :3, 3:] = inv_rot @ (a[i, :3, 3:] - a[j, :3, 3:])
     rel[:, 3, 3] = 1.0
     return rel
-
-
-def geodesic_angle(a, b) -> float:
-    """Angle of the rotation a^T b in radians, via the trace formula."""
-    ma = a.m if isinstance(a, Rotation3) else np.asarray(a, dtype=np.float64)
-    mb = b.m if isinstance(b, Rotation3) else np.asarray(b, dtype=np.float64)
-    cos_angle = (np.trace(ma.T @ mb) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
-
-
-def rotation_about_z(angle: float) -> Rotation3:
-    """Rotation by `angle` radians about the +z axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return Rotation3(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))

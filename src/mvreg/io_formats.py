@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, replace as dataclass_replace, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -328,8 +328,9 @@ _CONFIG_PARSERS = {
 }
 
 
-def read_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Flat key=value file; every key must name a PipelineConfig field."""
+def read_config(path) -> PipelineConfig:
+    """Flat key=value file; every key must name a PipelineConfig field, and
+    the keys it omits keep PipelineConfig's defaults."""
     overrides = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -347,7 +348,7 @@ def read_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
             except ValueError as exc:
                 raise MalformedConfig(f"bad value for '{key}' on line {lineno}: '{value}'") from exc
     try:
-        return dataclass_replace(base or PipelineConfig(), **overrides)
+        return PipelineConfig(**overrides)
     except ValueError as exc:
         raise MalformedConfig(str(exc)) from exc
 

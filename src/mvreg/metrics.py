@@ -1,25 +1,17 @@
-"""Evaluation metrics: angular/translation errors, ECDF curves, recall, and
-the gauge-invariant pairwise synchronization error.
+"""Evaluation metrics: rotation/translation errors of stacked motions, ECDF
+curves, and their summary report.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyErrors, EmptyPairs, LengthMismatch
-from .geometry import RigidMotion, geodesic_angle, relative_motions, transform_points
+from .errors import EmptyErrors
 
 ROTATION_ECDF_THRESHOLDS_DEG = (3.0, 5.0, 10.0, 30.0, 45.0)
 TRANSLATION_ECDF_THRESHOLDS_M = (0.05, 0.1, 0.25, 0.5, 0.75)
-DEFAULT_RECALL_RMSE_M = 0.2
-
-
-def angular_error(a, b) -> float:
-    """Geodesic angle between two rotations, in degrees."""
-    return math.degrees(geodesic_angle(a, b))
 
 
 def motion_errors(est, ref) -> tuple[np.ndarray, np.ndarray]:
@@ -40,58 +32,10 @@ def ecdf(errors, thresholds) -> list[float]:
     if values.size == 0:
         raise EmptyErrors("ECDF of an empty error list is undefined")
     thr = np.asarray(thresholds, dtype=np.float64)
-    if np.any(np.diff(thr) < 0):
-        raise ValueError("thresholds must be sorted ascending")
+    # NaN compares false, so it would pass the ascending check on its own
+    if thr.size == 0 or np.isnan(thr).any() or np.any(np.diff(thr) < 0):
+        raise ValueError("thresholds must be non-empty, not NaN and sorted ascending")
     return [float(np.mean(values <= t)) for t in thr]
-
-
-def registration_recall(pairs, rmse_thresh: float = DEFAULT_RECALL_RMSE_M) -> float:
-    """Fraction of pairs whose estimate puts the reference correspondences
-    within an RMSE threshold.
-
-    Each pair is (motion_est, motion_gt, correspondences) where the
-    correspondences are (source_points, target_points) arrays; a pair
-    succeeds when sqrt(mean |est(p) - q|^2) < rmse_thresh.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyPairs("recall of an empty pair list is undefined")
-    successes = 0
-    for motion_est, _motion_gt, correspondences in pairs:
-        src, dst = correspondences
-        src = np.asarray(src, dtype=np.float64)
-        dst = np.asarray(dst, dtype=np.float64)
-        if src.shape[0] < 1 or src.shape != dst.shape:
-            raise ValueError("each pair needs at least one (source, target) correspondence")
-        gap = transform_points(motion_est, src) - dst
-        rmse = math.sqrt(float(np.mean(np.sum(gap**2, axis=1))))
-        if rmse < rmse_thresh:
-            successes += 1
-    return successes / len(pairs)
-
-
-def _pose_array(motions) -> np.ndarray:
-    return np.array([m.matrix for m in motions]).reshape(-1, 4, 4)
-
-
-def sync_pair_error(est, gt: list[RigidMotion]) -> tuple[float, float]:
-    """Mean Frobenius rotation gap and translation gap over all relative pairs.
-
-    Compares relative motions, so the result is invariant to the global gauge
-    of either pose set. `est` may be a SyncResult, whose poses array is read,
-    or a list of motions.
-    """
-    est_poses = est.poses if hasattr(est, "poses") else _pose_array(est)
-    if len(est_poses) != len(gt):
-        raise LengthMismatch(f"{len(est_poses)} estimated poses vs {len(gt)} reference poses")
-    n = len(gt)
-    if n < 2:
-        raise LengthMismatch("need at least 2 poses to compare relative motions")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    gap = relative_motions(est_poses, pairs) - relative_motions(_pose_array(gt), pairs)
-    rot = np.linalg.norm(gap[:, :3, :3], axis=(1, 2))
-    trans = np.linalg.norm(gap[:, :3, 3], axis=1)
-    return float(rot.mean()), float(trans.mean())
 
 
 @dataclass(frozen=True, eq=False)

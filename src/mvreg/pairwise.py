@@ -15,7 +15,6 @@ from .config import PipelineConfig
 from .errors import (
     DegenerateConfiguration,
     DimensionMismatch,
-    EmptyTarget,
     MissingFeatures,
     RegistrationError,
     ZeroWeightSum,
@@ -241,31 +240,6 @@ def _pool(size: int):
 
         _POOL = (key, ThreadPoolExecutor(size, thread_name_prefix="mvreg-kernel"))
     return _POOL[1]
-
-
-def soft_assign(query_feature, target_features, target_points, temperature: float) -> np.ndarray:
-    """Softmax-weighted target coordinate for one query descriptor.
-
-    Weights are exp(-d_l / t) normalized over the targets, where d_l is the
-    Euclidean feature distance; as t -> 0 this converges to the hard nearest
-    neighbor. The max-shifted softmax avoids overflow at small temperatures.
-    """
-    query = np.asarray(query_feature, dtype=np.float64)
-    target_features = np.asarray(target_features, dtype=np.float64)
-    target_points = np.asarray(target_points, dtype=np.float64)
-    if target_features.ndim != 2 or query.shape != target_features.shape[1:]:
-        raise DimensionMismatch(
-            f"query of shape {query.shape} does not match descriptors of shape "
-            f"{target_features.shape}"
-        )
-    if target_points.shape != (target_features.shape[0], 3):
-        raise DimensionMismatch(
-            f"target points of shape {target_points.shape} do not match "
-            f"{target_features.shape[0]} descriptor rows"
-        )
-    if target_features.shape[0] == 0:
-        raise EmptyTarget("soft assignment needs at least one target point")
-    return _soft_targets(query[None, :], target_features, target_points, temperature)[0]
 
 
 def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> CorrespondenceSet:

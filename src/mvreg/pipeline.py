@@ -151,6 +151,9 @@ def run_multiview_from_correspondences(
     corruption).
     """
     cfg = cfg or PipelineConfig()
+    # checked before the IRLS runs, like the keys below: a float n would only fail in PoseGraph
+    if not is_integer(n):
+        raise ValueError(f"scan count must be an integer, got {n!r}")
     if n < 3:
         raise TooFewClouds(f"need at least 3 clouds, got {n}")
     for key in correspondences:

@@ -434,7 +434,11 @@ def _translations(n: int, pairs, trans, c, rotations) -> np.ndarray:
 
 
 def rotation_sync(g: PoseGraph) -> np.ndarray:
-    """Absolute rotations (n x 3 x 3) from the spectral relaxation, node 0 = identity."""
+    """Absolute rotations (n x 3 x 3) from the spectral relaxation, node 0 = identity.
+
+    Equal, bit for bit, to the rotations of transf_sync(g, rounds=1); the
+    benchmark times it on its own as sync.rotation_s, so it stays public.
+    """
     pairs, motions, c = _active_arrays(g)
     n = g.node_count
     return _rotations(n, pairs, motions[:, :3, :3], c, _band(n, pairs))[0]
@@ -450,7 +454,11 @@ def _rotation_array(g: PoseGraph, rotations) -> np.ndarray:
 
 def translation_sync(g: PoseGraph, rotations) -> np.ndarray:
     """Absolute translations (n x 3, node 0 = zero) given the n x 3 x 3
-    synchronized rotations."""
+    synchronized rotations.
+
+    Equal, bit for bit, to the translations of transf_sync(g, rounds=1) given
+    rotation_sync(g); the benchmark times it as sync.translation_s.
+    """
     rotations = _rotation_array(g, rotations)
     pairs, motions, c = _active_arrays(g)
     return _translations(g.node_count, pairs, motions[:, :3, 3], c, rotations)

@@ -16,6 +16,8 @@ from .pairwise import CorrespondenceSet, build_correspondences
 # each scan sees a wedge spanning this many ring steps, so nearby scans
 # overlap strongly and the pose graph keeps redundant cycles
 VISIBILITY_HORIZON = 6
+# a pair of scans sharing at least this fraction of their points is an edge
+MIN_OVERLAP = 0.3
 BASE_POINT_MARGIN = 1.35
 BOX_EXTENTS = (1.0, 1.0, 0.5)
 
@@ -108,7 +110,6 @@ def generate_scene(
     outlier_edge_fraction: float,
     seed: int,
     descriptor_noise: float = 0.01,
-    min_overlap: float = 0.3,
 ) -> SyntheticScene:
     """Deterministic scene with ground-truth poses and labeled edges.
 
@@ -116,7 +117,7 @@ def generate_scene(
     visible from its ring position, expressed in its own frame with Gaussian
     noise sigma. Descriptors are the canonical (world-frame) coordinates plus
     independent per-scan noise, so feature matching is informative without
-    being trivially exact. Pairs sharing at least min_overlap of their points
+    being trivially exact. Pairs sharing at least MIN_OVERLAP of their points
     become edges; for the requested fraction of edges the pair measurement is
     corrupted by a large rigid motion and labeled "outlier".
     """
@@ -163,7 +164,7 @@ def generate_scene(
         set_i = set(base_indices[i].tolist())
         for j in range(i + 1, n_scans):
             shared = len(set_i.intersection(base_indices[j].tolist()))
-            if shared / pts_per_scan >= min_overlap:
+            if shared / pts_per_scan >= MIN_OVERLAP:
                 edges.append((i, j))
     edges = tuple(edges)
 
@@ -193,7 +194,7 @@ def generate_scene(
 
 
 def scene_correspondences(
-    scene: SyntheticScene, temperature: float, apply_corruptions: bool = True
+    scene: SyntheticScene, temperature: float
 ) -> dict[tuple[int, int], CorrespondenceSet]:
     """Correspondence sets for every scene edge.
 
@@ -207,7 +208,7 @@ def scene_correspondences(
     for pair in scene.edges:
         i, j = pair
         corr = build_correspondences(scene.clouds[i], scene.clouds[j], temperature)
-        if apply_corruptions and pair in scene.corruptions:
+        if pair in scene.corruptions:
             rng = np.random.default_rng([scene.seed, i, j])
             perm = rng.permutation(len(corr))
             moved = transform_points(scene.corruptions[pair], corr.target_pts[perm])

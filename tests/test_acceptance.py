@@ -21,19 +21,17 @@ from mvreg import (
     TruncatedPayload,
     UnsupportedFormat,
     cauchy_scale,
+    build_correspondences,
     ecdf,
-    geodesic_angle,
     harmonic_fuse,
     invert,
     read_config,
     read_features,
     read_ply,
     read_trajectory,
-    relative_from_absolute,
     rotation_sync,
     run_multiview,
     run_multiview_from_correspondences,
-    soft_assign,
     transf_sync,
     transform_points,
     translation_objective,
@@ -57,17 +55,18 @@ from conftest import rotation_gap_deg
 
 def complete_noisy_graph(rng, n, rot_sigma=0.05, trans_sigma=0.05, confidences=None):
     from mvreg.synthetic import rotation_about_axis
-    from mvreg import RigidMotion, compose
+    from mvreg import RigidMotion
 
     truth = [random_motion(rng) for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relative = relative_motions(np.stack([m.matrix for m in truth]), pairs)
     motions, c = [], []
-    for i, j in pairs:
+    for rel in relative:
         noise = RigidMotion(
             rotation_about_axis(rng.normal(size=3), rot_sigma * rng.normal()),
             trans_sigma * rng.normal(size=3),
         )
-        motions.append(compose(noise, relative_from_absolute(truth[i], truth[j])).matrix)
+        motions.append(noise.matrix @ rel)
         c.append(rng.uniform(0.1, 1.0) if confidences is None else confidences)
     return PoseGraph(n, pairs, motions, c), truth
 
@@ -122,13 +121,13 @@ def test_03_rotation_sync_exactness_and_eigengap():
     n = 10
     truth = [random_motion(rng) for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    motions = [relative_from_absolute(truth[i], truth[j]).matrix for i, j in pairs]
+    motions = relative_motions(np.stack([m.matrix for m in truth]), pairs)
     g = PoseGraph(n, pairs, motions, [0.9] * len(pairs))
     rotations = rotation_sync(g)
     worst = 0.0
     for (i, j), motion in zip(g.pairs, g.motions):
         rebuilt = rotations[j].T @ rotations[i]
-        worst = max(worst, geodesic_angle(motion[:3, :3], rebuilt))
+        worst = max(worst, np.radians(rotation_gap_deg(motion[:3, :3], rebuilt)))
     lap = np.zeros((3 * n, 3 * n))
     for (i, j), motion, c in zip(g.pairs, g.motions, g.c_fused):
         si, sj = 3 * i, 3 * j
@@ -171,7 +170,7 @@ def test_04_translation_sync_stationarity_100_noisy_graphs():
 
 
 def test_05_gauge_invariance_of_recovered_relative_motions():
-    from mvreg import RigidMotion, compose
+    from mvreg import RigidMotion
     from mvreg.synthetic import rotation_about_axis
 
     rng = np.random.default_rng(105)
@@ -189,17 +188,16 @@ def test_05_gauge_invariance_of_recovered_relative_motions():
         ]
         gauge = random_motion(rng)
 
-        def solve(poses):
-            motions = [compose(noise[k], relative_from_absolute(poses[i], poses[j])).matrix
-                       for k, (i, j) in enumerate(pairs)]
-            return transf_sync(PoseGraph(n, pairs, motions, [0.9] * len(pairs)), rounds=2).absolute
+        noise = np.stack([m.matrix for m in noise])
 
-        base = solve(truth)
-        moved = solve([compose(gauge, m) for m in truth])
-        for i, j in pairs:
-            rel_a = relative_from_absolute(base[i], base[j])
-            rel_b = relative_from_absolute(moved[i], moved[j])
-            worst = max(worst, float(np.linalg.norm(rel_a.matrix - rel_b.matrix)))
+        def solve(poses):
+            motions = noise @ relative_motions(poses, pairs)
+            return transf_sync(PoseGraph(n, pairs, motions, [0.9] * len(pairs)), rounds=2).poses
+
+        truth = np.stack([m.matrix for m in truth])
+        rel_a = relative_motions(solve(truth), pairs)
+        rel_b = relative_motions(solve(gauge.matrix @ truth), pairs)
+        worst = max(worst, float(np.linalg.norm(rel_a - rel_b, axis=(1, 2)).max()))
     print(f"criterion 5: max relative-motion change under re-gauging {worst:.3e}")
     assert worst < 1e-9
 
@@ -208,12 +206,11 @@ def test_06_soft_assignment_hard_limit_1000_queries():
     rng = np.random.default_rng(106)
     feats = rng.normal(size=(100, 16))
     pts = rng.normal(size=(100, 3))
-    worst = 0.0
-    for _ in range(1000):
-        q = rng.normal(size=16)
-        nn = int(np.argmin(np.linalg.norm(feats - q, axis=1)))
-        out = soft_assign(q, feats, pts, temperature=1e-6)
-        worst = max(worst, float(np.linalg.norm(out - pts[nn])))
+    queries = rng.normal(size=(1000, 16))
+    nn = np.argmin(np.linalg.norm(feats[None] - queries[:, None], axis=2), axis=1)
+    source = PointCloud(np.zeros((1000, 3)), queries)
+    out = build_correspondences(source, PointCloud(pts, feats), temperature=1e-6).target_pts
+    worst = float(np.linalg.norm(out - pts[nn], axis=1).max())
     print(f"criterion 6: max deviation from hard nearest neighbour {worst:.3e}")
     assert worst < 1e-9
 

@@ -296,6 +296,20 @@ class TestEvalCommand:
         assert [float(v) for v in kv["rot_ecdf"][0].split()] == [1.0, 1.0]
         assert [float(v) for v in kv["rot_thresholds_deg"][0].split()] == [1.0, 5.0]
 
+    # a NaN, two empty lists, and an unsorted translation list, whose error
+    # comes from the second ECDF
+    @pytest.mark.parametrize("option, value", [("--rot-thresholds", "nan,5"),
+                                               ("--rot-thresholds", ","),
+                                               ("--rot-thresholds", ""),
+                                               ("--trans-thresholds", "0.5,0.1")])
+    def test_bad_thresholds_fail_before_any_row(self, tmp_path, capsys, rng, option, value):
+        a = tmp_path / "a.log"
+        write_trajectory(trajectory_from_motions([random_motion(rng) for _ in range(3)]), a)
+        code, out, err = run_cli(capsys, "eval", "--est", str(a), "--gt", str(a), option, value)
+        assert code == 1
+        assert out == ""
+        assert "thresholds" in err
+
     def test_length_mismatch(self, tmp_path, capsys, rng):
         a, b = tmp_path / "a.log", tmp_path / "b.log"
         write_trajectory(trajectory_from_motions([random_motion(rng) for _ in range(3)]), a)

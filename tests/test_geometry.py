@@ -1,30 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mvreg import (
     DegenerateMatrix,
     PointCloud,
     RigidMotion,
     Rotation3,
-    apply,
-    compose,
-    geodesic_angle,
     invert,
-    project_to_so3,
-    relative_from_absolute,
-    rotation_about_z,
     transform_points,
 )
 import mvreg.pipeline as pipeline_mod
 from mvreg import PoseGraph, pairwise_chain_absolute, transf_sync
-from mvreg.geometry import motion_stack, relative_motions
-from mvreg.synthetic import random_motion, random_rotation
+from mvreg.geometry import motion_stack, nearest_rotations, relative_motions
+from mvreg.metrics import motion_errors
+from mvreg.synthetic import random_motion, random_rotation, rotation_about_axis
 
 
 def rot_z(deg):
-    return rotation_about_z(np.radians(deg))
+    return rotation_about_axis((0, 0, 1), np.radians(deg))
 
 
 class TestRotation3:
@@ -158,64 +151,26 @@ class TestPointCloud:
         assert len(PointCloud(np.zeros((7, 3)))) == 7
 
 
-class TestCompose:
-    def test_identity_neutral(self):
-        rng = np.random.default_rng(1)
-        m = random_motion(rng)
-        assert np.allclose(compose(RigidMotion.identity(), m).matrix, m.matrix, atol=1e-15)
-
+class TestInvert:
     def test_inverse_gives_identity(self):
         rng = np.random.default_rng(2)
         m = random_motion(rng)
-        assert np.linalg.norm(compose(m, invert(m)).matrix - np.eye(4)) < 1e-12
-
-    def test_z_rotations_add(self):
-        a = RigidMotion(rot_z(30), np.array([0.1, 0.0, 0.0]))
-        b = RigidMotion(rot_z(60), np.array([0.0, 0.2, 0.0]))
-        out = compose(a, b)
-        assert np.allclose(out.rotation.m, rot_z(90).m, atol=1e-12)
-        # oracle: brute-force 4x4 homogeneous product
-        assert np.allclose(out.matrix, a.matrix @ b.matrix, atol=1e-12)
-
-    def test_matches_matrix_product_on_random_pairs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a, b = random_motion(rng), random_motion(rng)
-            assert np.allclose(compose(a, b).matrix, a.matrix @ b.matrix, atol=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_closure_random_chain(self, seed):
-        rng = np.random.default_rng(seed)
-        acc = RigidMotion.identity()
-        for _ in range(20):
-            acc = compose(acc, random_motion(rng))
-        r = acc.rotation.m
-        assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-9
-        assert abs(np.linalg.det(r) - 1.0) < 1e-9
+        assert np.linalg.norm(m.matrix @ invert(m).matrix - np.eye(4)) < 1e-12
 
 
-class TestApply:
+class TestTransformPoints:
     def test_identity(self):
         rng = np.random.default_rng(4)
         cloud = PointCloud(rng.normal(size=(10, 3)))
-        assert np.allclose(apply(RigidMotion.identity(), cloud).points, cloud.points)
+        assert np.allclose(transform_points(RigidMotion.identity(), cloud.points), cloud.points)
 
     def test_pure_translation_on_origin(self):
-        cloud = PointCloud(np.zeros((1, 3)))
         m = RigidMotion(Rotation3.identity(), np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(apply(m, cloud).points, [[1.0, 2.0, 3.0]], atol=1e-15)
+        assert np.allclose(transform_points(m, np.zeros((1, 3))), [[1.0, 2.0, 3.0]], atol=1e-15)
 
     def test_z_rotation_of_x_axis(self):
-        cloud = PointCloud(np.array([[1.0, 0.0, 0.0]]))
         m = RigidMotion(rot_z(90), np.zeros(3))
-        assert np.allclose(apply(m, cloud).points, [[0.0, 1.0, 0.0]], atol=1e-12)
-
-    def test_features_ride_along(self):
-        rng = np.random.default_rng(5)
-        cloud = PointCloud(rng.normal(size=(6, 3)), rng.normal(size=(6, 4)))
-        moved = apply(random_motion(rng), cloud)
-        assert np.array_equal(moved.features, cloud.features)
+        assert np.allclose(transform_points(m, [[1.0, 0.0, 0.0]]), [[0.0, 1.0, 0.0]], atol=1e-12)
 
     def test_transform_points_matches_homogeneous(self):
         rng = np.random.default_rng(6)
@@ -225,17 +180,17 @@ class TestApply:
         assert np.allclose(transform_points(m, pts), hom[:, :3], atol=1e-12)
 
 
-class TestProjectToSo3:
+class TestNearestRotations:
     def test_fixed_point_on_rotations(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             r = random_rotation(rng)
-            assert np.linalg.norm(project_to_so3(r.m).m - r.m) < 1e-12
+            assert np.linalg.norm(nearest_rotations(r.m) - r.m) < 1e-12
 
     def test_negative_identity_gives_proper_rotation(self):
-        out = project_to_so3(-np.eye(3))
-        assert abs(np.linalg.det(out.m) - 1.0) < 1e-12
-        assert not np.allclose(out.m, -np.eye(3))
+        out = nearest_rotations(-np.eye(3))
+        assert abs(np.linalg.det(out) - 1.0) < 1e-12
+        assert not np.allclose(out, -np.eye(3))
 
     def test_frobenius_nearest_against_sampled_candidates(self):
         # oracle: no sampled rotation may beat the projection
@@ -243,8 +198,8 @@ class TestProjectToSo3:
         for _ in range(10):
             r = random_rotation(rng)
             noisy = r.m + 0.01 * rng.normal(size=(3, 3))
-            proj = project_to_so3(noisy)
-            best = np.linalg.norm(proj.m - noisy)
+            proj = nearest_rotations(noisy)
+            best = np.linalg.norm(proj - noisy)
             for _ in range(100):
                 cand = random_rotation(rng)
                 assert np.linalg.norm(cand.m - noisy) >= best - 1e-12
@@ -253,42 +208,47 @@ class TestProjectToSo3:
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = rng.normal(size=(3, 3))
-            once = project_to_so3(m).m
-            twice = project_to_so3(once).m
+            once = nearest_rotations(m)
+            twice = nearest_rotations(once)
             assert np.linalg.norm(once - twice) < 1e-12
 
     def test_rank_deficient_raises(self):
         outer = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         with pytest.raises(DegenerateMatrix):
-            project_to_so3(outer)
+            nearest_rotations(outer)
         with pytest.raises(DegenerateMatrix):
-            project_to_so3(np.zeros((3, 3)))
+            nearest_rotations(np.zeros((3, 3)))
 
     def test_non_finite_raises(self):
         m = np.eye(3)
         m[1, 1] = np.inf
         with pytest.raises(DegenerateMatrix):
-            project_to_so3(m)
+            nearest_rotations(m)
 
 
-class TestRelativeFromAbsolute:
+def relative(mi: RigidMotion, mj: RigidMotion) -> np.ndarray:
+    """M_j^-1 M_i through the stack form, as one 4x4 matrix."""
+    return relative_motions(np.stack([mi.matrix, mj.matrix]), [(0, 1)])[0]
+
+
+class TestRelativeMotions:
     def test_equal_absolutes_give_identity(self):
         rng = np.random.default_rng(10)
         m = random_motion(rng)
-        rel = relative_from_absolute(m, m)
-        assert np.linalg.norm(rel.matrix - np.eye(4)) < 1e-12
+        rel = relative(m, m)
+        assert np.linalg.norm(rel - np.eye(4)) < 1e-12
 
     def test_identity_target_returns_source(self):
         rng = np.random.default_rng(11)
         m = random_motion(rng)
-        rel = relative_from_absolute(m, RigidMotion.identity())
-        assert np.allclose(rel.matrix, m.matrix, atol=1e-12)
+        rel = relative(m, RigidMotion.identity())
+        assert np.allclose(rel, m.matrix, atol=1e-12)
 
     def test_matrix_product_oracle(self):
         rng = np.random.default_rng(12)
         mi, mj = random_motion(rng), random_motion(rng)
-        rel = relative_from_absolute(mi, mj)
-        assert np.allclose(rel.matrix, np.linalg.inv(mj.matrix) @ mi.matrix, atol=1e-12)
+        rel = relative(mi, mj)
+        assert np.allclose(rel, np.linalg.inv(mj.matrix) @ mi.matrix, atol=1e-12)
 
     def test_frame_convention_on_points(self):
         # a world point seen in frame i, pushed through M_ij, lands at its
@@ -298,11 +258,19 @@ class TestRelativeFromAbsolute:
         world = rng.normal(size=(15, 3))
         in_i = transform_points(invert(mi), world)
         in_j = transform_points(invert(mj), world)
-        rel = relative_from_absolute(mi, mj)
+        rel = RigidMotion.from_matrix(relative(mi, mj))
         assert np.allclose(transform_points(rel, in_i), in_j, atol=1e-9)
 
 
-class TestGeodesicAngle:
+def geodesic_angle(a, b) -> float:
+    """Angle of the rotation a^T b in radians, through metrics.motion_errors."""
+    ma = a.m if isinstance(a, Rotation3) else a
+    mb = b.m if isinstance(b, Rotation3) else b
+    rot, _ = motion_errors(motion_rows([ma], np.zeros((1, 3))), motion_rows([mb], np.zeros((1, 3))))
+    return float(np.radians(rot[0]))
+
+
+class TestMotionErrorsAngle:
     def test_zero_for_equal(self):
         rng = np.random.default_rng(14)
         r = random_rotation(rng)
@@ -332,5 +300,5 @@ class TestGeodesicAngle:
             assert abs(geodesic_angle(a, b) - geodesic_angle(b, a)) < 1e-9
             assert geodesic_angle(a, c) <= geodesic_angle(a, b) + geodesic_angle(b, c) + 1e-9
 
-    def test_accepts_raw_matrices(self):
+    def test_quarter_turn_of_raw_matrices(self):
         assert abs(geodesic_angle(np.eye(3), rot_z(90).m) - np.pi / 2) < 1e-12

@@ -18,7 +18,6 @@ from mvreg import (
     read_features,
     read_ply,
     read_trajectory,
-    rotation_about_z,
     trajectory_from_motions,
     voxel_downsample,
     write_features,
@@ -469,14 +468,6 @@ class TestReadConfig:
         assert all(type(getattr(cfg, k)) is float for k in floats)
         assert cfg.connectivity == ((0, 1), (1, 2))
         assert set(ints) | set(floats) | {"connectivity"} == set(vars(cfg))
-
-    def test_base_config_preserved(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("gamma=2.0\n")
-        base = PipelineConfig(beta=3.5)
-        cfg = read_config(p, base)
-        assert cfg.gamma == 2.0
-        assert cfg.beta == 3.5
 
     def test_connectivity_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"

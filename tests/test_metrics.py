@@ -3,22 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvreg import (
-    EmptyErrors,
-    EmptyPairs,
-    ErrorReport,
-    LengthMismatch,
-    RigidMotion,
-    Rotation3,
-    angular_error,
-    compose,
-    ecdf,
-    registration_recall,
-    rotation_about_z,
-    sync_pair_error,
-    transform_points,
-)
-from mvreg.synthetic import random_motion
+from mvreg import EmptyErrors, ErrorReport, RigidMotion, Rotation3, ecdf
+from mvreg.metrics import motion_errors
+from mvreg.synthetic import random_motion, rotation_about_axis
+
+
+def angular_error(a: Rotation3, b: Rotation3) -> float:
+    """Rotation error in degrees of motion_errors, for one pair of rotations."""
+    rot, _ = motion_errors([RigidMotion(a, np.zeros(3)).matrix], [RigidMotion(b, np.zeros(3)).matrix])
+    return float(rot[0])
 
 
 class TestAngularError:
@@ -26,7 +19,7 @@ class TestAngularError:
         assert angular_error(Rotation3.identity(), Rotation3.identity()) == 0.0
 
     def test_known_angle(self):
-        a = rotation_about_z(np.radians(25.0))
+        a = rotation_about_axis((0, 0, 1), np.radians(25.0))
         assert abs(angular_error(Rotation3.identity(), a) - 25.0) < 1e-9
 
     def test_symmetry(self):
@@ -47,9 +40,12 @@ class TestEcdf:
         with pytest.raises(EmptyErrors):
             ecdf([], [1.0, 2.0])
 
-    def test_unsorted_thresholds(self):
+    # NaN compares false, so an ascending check alone would let it through
+    @pytest.mark.parametrize("thresholds", [[5.0, 1.0], [np.nan, 5.0], [5.0, np.nan], []],
+                             ids=["descending", "nan_first", "nan_last", "empty"])
+    def test_unsorted_thresholds(self, thresholds):
         with pytest.raises(ValueError):
-            ecdf([1.0], [5.0, 1.0])
+            ecdf([1.0], thresholds)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -69,86 +65,6 @@ class TestEcdf:
         thr = [10.0, 50.0]
         shuffled = list(np.array(errors)[rng.permutation(len(errors))])
         assert ecdf(errors, thr) == ecdf(shuffled, thr)
-
-
-class TestRegistrationRecall:
-    def test_perfect_estimates(self):
-        rng = np.random.default_rng(1)
-        pairs = []
-        for _ in range(5):
-            m = random_motion(rng)
-            src = rng.uniform(-1, 1, size=(20, 3))
-            pairs.append((m, m, (src, transform_points(m, src))))
-        assert registration_recall(pairs) == 1.0
-
-    def test_failed_estimates(self):
-        rng = np.random.default_rng(2)
-        pairs = []
-        for _ in range(4):
-            m = random_motion(rng)
-            src = rng.uniform(-1, 1, size=(20, 3))
-            dst = transform_points(m, src) + 10.0
-            pairs.append((m, m, (src, dst)))
-        assert registration_recall(pairs) == 0.0
-
-    def test_mixed_fraction(self):
-        rng = np.random.default_rng(3)
-        src = rng.uniform(-1, 1, size=(10, 3))
-        good = (RigidMotion.identity(), RigidMotion.identity(), (src, src))
-        bad = (RigidMotion.identity(), RigidMotion.identity(), (src, src + 5.0))
-        assert registration_recall([good, bad, good, bad]) == 0.5
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(4)
-        pairs = []
-        for k in range(6):
-            src = rng.uniform(-1, 1, size=(15, 3))
-            pairs.append((RigidMotion.identity(), RigidMotion.identity(), (src, src + 0.05 * k)))
-        values = [registration_recall(pairs, t) for t in (0.01, 0.1, 0.2, 0.5)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_empty_pairs(self):
-        with pytest.raises(EmptyPairs):
-            registration_recall([])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            registration_recall(
-                [(RigidMotion.identity(), RigidMotion.identity(), (np.zeros((3, 3)), np.zeros((4, 3))))]
-            )
-
-
-class TestSyncPairError:
-    def test_equal_pose_sets(self):
-        rng = np.random.default_rng(5)
-        poses = [random_motion(rng) for _ in range(4)]
-        rot, trans = sync_pair_error(poses, poses)
-        assert rot < 1e-12 and trans < 1e-12
-
-    def test_gauge_invariance(self):
-        rng = np.random.default_rng(6)
-        poses = [random_motion(rng) for _ in range(5)]
-        gauge = random_motion(rng)
-        moved = [compose(gauge, m) for m in poses]
-        rot, trans = sync_pair_error(moved, poses)
-        assert rot < 1e-9 and trans < 1e-9
-
-    def test_quarter_turn_frobenius_gap(self):
-        # relative rotation off by 90 degrees about z: |I - Rz(90)|_F = 2
-        base = [RigidMotion.identity(), RigidMotion.identity()]
-        est = [
-            RigidMotion.identity(),
-            RigidMotion(rotation_about_z(np.radians(90.0)), np.zeros(3)),
-        ]
-        rot, trans = sync_pair_error(est, base)
-        assert abs(rot - 2.0) < 1e-12
-        assert trans == 0.0
-
-    def test_length_mismatch(self):
-        rng = np.random.default_rng(7)
-        poses = [random_motion(rng) for _ in range(3)]
-        with pytest.raises(LengthMismatch):
-            sync_pair_error(poses, poses[:2])
 
 
 class TestErrorReport:

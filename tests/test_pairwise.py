@@ -18,16 +18,12 @@ from mvreg import (
     CorrespondenceSet,
     DegenerateConfiguration,
     DimensionMismatch,
-    EmptyTarget,
     MissingFeatures,
     PipelineConfig,
     PointCloud,
     RigidMotion,
     ZeroWeightSum,
-    apply,
     build_correspondences,
-    compose,
-    geodesic_angle,
     invert,
     local_confidence,
     register_batch,
@@ -35,8 +31,6 @@ from mvreg import (
     register_pair,
     residuals,
     robust_reweight,
-    rotation_about_z,
-    soft_assign,
     transform_points,
     wls_transform,
 )
@@ -45,9 +39,9 @@ from mvreg.geometry import relative_motions
 from mvreg.graph import build_graph
 from mvreg.pairwise import CONF_MIDPOINT, refit_batch
 from mvreg.sync import transf_sync
-from mvreg.synthetic import generate_scene, random_motion
+from mvreg.synthetic import generate_scene, random_motion, rotation_about_axis
 
-from conftest import make_feature_cloud
+from conftest import make_feature_cloud, rotation_gap_deg
 
 
 def make_set(rng, n=50, motion=None, weights=None):
@@ -72,7 +66,14 @@ class TestCorrespondenceSet:
             CorrespondenceSet(np.zeros((3, 3)), np.zeros((4, 3)), np.ones(3), np.zeros(3))
 
 
-class TestSoftAssign:
+def soft_target(query, feats, pts, temperature):
+    """build_correspondences' target for a one-point source cloud whose
+    descriptor is query: the softmax-weighted point of (pts, feats)."""
+    source = PointCloud(np.zeros((1, 3)), np.asarray(query, dtype=np.float64)[None, :])
+    return build_correspondences(source, PointCloud(pts, feats), temperature).target_pts[0]
+
+
+class TestOnePointKernel:
     def test_hard_nearest_neighbor_limit(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(40, 4))
@@ -80,7 +81,7 @@ class TestSoftAssign:
         for _ in range(20):
             q = feats[rng.integers(40)] + 1e-3 * rng.normal(size=4)
             nn = int(np.argmin(np.linalg.norm(feats - q, axis=1)))
-            out = soft_assign(q, feats, pts, temperature=1e-6)
+            out = soft_target(q, feats, pts, temperature=1e-6)
             assert np.linalg.norm(out - pts[nn]) < 1e-9
 
     def test_equidistant_targets_give_midpoint(self):
@@ -88,7 +89,7 @@ class TestSoftAssign:
         pts = np.array([[1.0, 1.0, 0.0], [3.0, -1.0, 2.0]])
         query = np.array([0.0, 5.0])
         for t in (1e-3, 0.1, 1.0, 100.0):
-            out = soft_assign(query, feats, pts, temperature=t)
+            out = soft_target(query, feats, pts, temperature=t)
             assert np.allclose(out, pts.mean(axis=0), atol=1e-9)
 
     def test_hand_computed_softmax(self):
@@ -98,33 +99,8 @@ class TestSoftAssign:
         expected_weights = np.exp([0.0, -1.0, -2.0])
         expected_weights /= expected_weights.sum()
         assert np.allclose(expected_weights, [0.6652, 0.2447, 0.0900], atol=5e-5)
-        out = soft_assign(np.array([0.0]), feats, pts, temperature=1.0)
+        out = soft_target(np.array([0.0]), feats, pts, temperature=1.0)
         assert np.allclose(out, expected_weights @ pts, atol=1e-12)
-
-    def test_empty_target_raises(self):
-        with pytest.raises(EmptyTarget):
-            soft_assign(np.zeros(3), np.zeros((0, 3)), np.zeros((0, 3)), 1.0)
-
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError):
-            soft_assign(np.zeros(2), np.ones((2, 2)), np.ones((2, 3)), 0.0)
-
-    def test_nan_temperature_is_rejected(self):
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            soft_assign(np.zeros(2), np.ones((2, 2)), np.ones((2, 3)), float("nan"))
-
-    def test_query_must_be_a_vector(self):
-        with pytest.raises(DimensionMismatch):
-            soft_assign(np.zeros((2, 3)), np.ones((3, 3)), np.ones((3, 3)), 0.1)
-
-    def test_query_length_must_match_descriptor_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            soft_assign(np.zeros(2), np.ones((3, 3)), np.ones((3, 3)), 0.1)
-
-    @pytest.mark.parametrize("points_shape", [(4, 3), (3, 2)])
-    def test_target_points_must_be_one_row_per_descriptor(self, points_shape):
-        with pytest.raises(DimensionMismatch):
-            soft_assign(np.zeros(3), np.ones((3, 3)), np.ones(points_shape), 0.1)
 
     def test_output_in_convex_hull(self):
         # the result is a convex combination, so each coordinate lies inside
@@ -133,7 +109,7 @@ class TestSoftAssign:
         feats = rng.normal(size=(30, 5))
         pts = rng.normal(size=(30, 3))
         for t in (0.01, 0.3, 3.0):
-            out = soft_assign(rng.normal(size=5), feats, pts, t)
+            out = soft_target(rng.normal(size=5), feats, pts, t)
             assert np.all(out >= pts.min(axis=0) - 1e-12)
             assert np.all(out <= pts.max(axis=0) + 1e-12)
 
@@ -624,10 +600,10 @@ class TestWlsTransform:
     def test_recovers_generator(self):
         rng = np.random.default_rng(10)
         pts = rng.uniform(-1, 1, size=(100, 3))
-        gen = RigidMotion(rotation_about_z(np.radians(30)), np.array([0.1, -0.2, 0.3]))
+        gen = RigidMotion(rotation_about_axis((0, 0, 1), np.radians(30)), np.array([0.1, -0.2, 0.3]))
         c = CorrespondenceSet(pts, transform_points(gen, pts), np.ones(100), np.zeros(100))
         m = wls_transform(c)
-        assert np.degrees(geodesic_angle(m.rotation, gen.rotation)) < 1e-6
+        assert rotation_gap_deg(m.rotation, gen.rotation) < 1e-6
         assert np.linalg.norm(m.translation - gen.translation) < 1e-9
 
     def test_zero_weight_outliers_match_subset_solution(self):
@@ -696,8 +672,8 @@ class TestWlsTransform:
                 transform_points(g, c.source_pts), noisy_targets, c.weights, c.residuals
             )
         )
-        expected = compose(base, invert(g))
-        assert np.linalg.norm(moved.matrix - expected.matrix) < 1e-9
+        expected = base.matrix @ invert(g).matrix
+        assert np.linalg.norm(moved.matrix - expected) < 1e-9
 
     def test_closed_form_optimality(self):
         # oracle: no random motion achieves a lower weighted objective
@@ -818,7 +794,7 @@ class TestRegisterPair:
         # fit maps source into target frame, so registering (cloud -> moved)
         # recovers gen itself
         result = register_pair(cloud, moved, PipelineConfig(temperature=1e-6))
-        assert np.degrees(geodesic_angle(result.motion.rotation, gen.rotation)) < 1e-6
+        assert rotation_gap_deg(result.motion.rotation, gen.rotation) < 1e-6
         assert np.linalg.norm(result.motion.translation - gen.translation) < 1e-9
 
     def test_seventy_thirty_contamination(self):
@@ -831,7 +807,7 @@ class TestRegisterPair:
         targets[:n_in] += 0.005 * rng.normal(size=(n_in, 3))
         corr = CorrespondenceSet(pts, targets, np.ones(n_in + n_out), np.zeros(n_in + n_out))
         result = register_correspondences(corr)
-        assert np.degrees(geodesic_angle(result.motion.rotation, gen.rotation)) < 0.5
+        assert rotation_gap_deg(result.motion.rotation, gen.rotation) < 0.5
 
     def test_pure_outlier_pair_scores_low(self):
         rng = np.random.default_rng(25)

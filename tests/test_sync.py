@@ -16,17 +16,17 @@ from mvreg import (
     PoseGraph,
     RigidMotion,
     Rotation3,
-    compose,
-    geodesic_angle,
     invert,
     is_connected,
-    relative_from_absolute,
     rotation_sync,
     transf_sync,
     translation_objective,
     translation_sync,
 )
+from mvreg.geometry import relative_motions
 from mvreg.synthetic import random_motion, random_rotation, rotation_about_axis
+
+from conftest import rotation_gap_deg
 
 
 def noise_motion(rng, rot_sigma, trans_sigma):
@@ -37,14 +37,15 @@ def noise_motion(rng, rot_sigma, trans_sigma):
     )
 
 
+def stack(motions):
+    return np.stack([m.matrix for m in motions])
+
+
 def graph_from_truth(truth, pairs, confidences=None, rng=None, rot_sigma=0.0, trans_sigma=0.0):
     """Pose graph whose edge (i, j) measures the i -> j relative motion."""
-    motions = []
-    for i, j in pairs:
-        measured = relative_from_absolute(truth[i], truth[j])
-        if rot_sigma or trans_sigma:
-            measured = compose(noise_motion(rng, rot_sigma, trans_sigma), measured)
-        motions.append(measured.matrix)
+    motions = relative_motions(stack(truth), pairs)
+    if rot_sigma or trans_sigma:
+        motions = stack([noise_motion(rng, rot_sigma, trans_sigma) for _ in pairs]) @ motions
     c = [0.9] * len(pairs) if confidences is None else confidences
     return PoseGraph(len(truth), pairs, motions, c)
 
@@ -56,9 +57,8 @@ def subgraph(g, rows):
 
 
 def gauge_fixed(truth):
-    """Ground-truth absolutes re-expressed so node 0 carries the identity."""
-    g0 = invert(truth[0])
-    return [compose(g0, m) for m in truth]
+    """Ground-truth absolutes re-expressed so node 0 carries the identity, (n, 4, 4)."""
+    return invert(truth[0]).matrix @ stack(truth)
 
 
 def all_pairs(n):
@@ -148,9 +148,9 @@ class TestRotationSync:
         rots = rotation_sync(g)
         expected = gauge_fixed(truth)
         worst = max(
-            geodesic_angle(r, e.rotation) for r, e in zip(rots, expected)
+            rotation_gap_deg(r, e[:3, :3]) for r, e in zip(rots, expected)
         )
-        assert worst < 1e-6
+        assert worst < np.degrees(1e-6)
 
     def test_anchor_node_is_identity(self):
         rng = np.random.default_rng(1)
@@ -339,15 +339,29 @@ class TestTransfSync:
             assert np.linalg.norm(a.matrix - b.matrix) < 1e-9
         expected = gauge_fixed(truth)
         for a, e in zip(four.absolute, expected):
-            assert np.linalg.norm(a.matrix - e.matrix) < 1e-6
+            assert np.linalg.norm(a.matrix - e) < 1e-6
 
-    def test_single_round_matches_plain_syncs(self):
+    # 3n = 15 takes the dense eigh; the 160-node ring (3n = 480 rows) the
+    # band subspace iteration, in both transf_sync and rotation_sync
+    @pytest.mark.parametrize("n, pairs, sigma", [(5, all_pairs(5), 0.05),
+                                                 (160, ring_k_pairs(160, 3), 0.03)],
+                             ids=["complete5", "ring160"])
+    def test_single_round_matches_plain_syncs(self, monkeypatch, n, pairs, sigma):
         rng = np.random.default_rng(11)
-        truth = random_truth(rng, 5)
-        g = graph_from_truth(truth, all_pairs(5), rng=rng, rot_sigma=0.05, trans_sigma=0.05)
+        truth = random_truth(rng, n)
+        g = graph_from_truth(truth, pairs, rng=rng, rot_sigma=sigma, trans_sigma=sigma)
+        iterate, converged = mvreg.sync._subspace_iteration, []
+
+        def recording(*args):
+            found = iterate(*args)
+            converged.append(found is not None)
+            return found
+
+        monkeypatch.setattr(mvreg.sync, "_subspace_iteration", recording)
         result = transf_sync(g, rounds=1)
         rots = rotation_sync(g)
         trans = translation_sync(g, rots)
+        assert converged == ([True, True] if 3 * n > mvreg.sync.DENSE_MAX_SIZE else [])
         for a, r, t in zip(result.absolute, rots, trans):
             assert np.linalg.norm(a.rotation.m - r) == 0.0
             assert np.linalg.norm(a.translation - t) == 0.0
@@ -381,14 +395,13 @@ class TestTransfSync:
         noise = [noise_motion(rng, 0.02, 0.02) for _ in pairs]
 
         def solve(truth):
-            motions = [compose(noise[k], relative_from_absolute(truth[i], truth[j])).matrix
-                       for k, (i, j) in enumerate(pairs)]
+            motions = stack(noise) @ relative_motions(stack(truth), pairs)
             return transf_sync(PoseGraph(6, pairs, motions, [0.9] * len(pairs)), rounds=2)
 
         reference = solve(base_truth)
         for _ in range(5):
             gauge = random_motion(rng)
-            moved = [compose(gauge, m) for m in base_truth]
+            moved = [RigidMotion.from_matrix(gauge.matrix @ m.matrix) for m in base_truth]
             shifted = solve(moved)
             for a, b in zip(reference.absolute, shifted.absolute):
                 assert np.linalg.norm(a.matrix - b.matrix) < 1e-9

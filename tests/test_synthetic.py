@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from mvreg import (
-    PipelineConfig,
-    compose,
-    geodesic_angle,
-    invert,
-    register_correspondences,
-    relative_from_absolute,
-)
+from mvreg import PipelineConfig, build_correspondences, invert, register_correspondences
+from mvreg.geometry import relative_motions
 from mvreg.synthetic import generate_scene, scene_correspondences
 
 from conftest import rotation_gap_deg
+
+
+def true_relative(scene, i, j):
+    """The ground-truth relative motion M_j^-1 M_i of scans i and j, 4 x 4."""
+    truth = np.stack([m.matrix for m in scene.ground_truth])
+    return relative_motions(truth, [(i, j)])[0]
 
 
 def assert_scenes_equal(a, b):
@@ -64,7 +64,7 @@ class TestGenerateScene:
     def test_corruption_motions_are_large(self):
         scene = generate_scene(6, 100, 0.01, 0.5, seed=21)
         for motion in scene.corruptions.values():
-            angle = np.degrees(geodesic_angle(motion.rotation, np.eye(3)))
+            angle = rotation_gap_deg(motion.rotation, np.eye(3))
             assert angle >= 89.0
             assert np.linalg.norm(motion.translation) >= 0.5
 
@@ -98,10 +98,10 @@ class TestSceneCorrespondences:
         )
         corr = scene_correspondences(scene, temperature=1e-6)
         for (i, j), c in corr.items():
-            truth = relative_from_absolute(scene.ground_truth[i], scene.ground_truth[j])
+            truth = true_relative(scene, i, j)
             result = register_correspondences(c, EXACT_CFG)
-            assert rotation_gap_deg(result.motion.rotation, truth.rotation) < 1e-6
-            assert np.linalg.norm(result.motion.translation - truth.translation) < 1e-9
+            assert rotation_gap_deg(result.motion.rotation, truth[:3, :3]) < 1e-6
+            assert np.linalg.norm(result.motion.translation - truth[:3, 3]) < 1e-9
 
     def test_noise_free_measurements_compose_around_cycles(self):
         scene = generate_scene(
@@ -117,8 +117,8 @@ class TestSceneCorrespondences:
             for b in range(a + 1, 5):
                 for c in range(b + 1, 5):
                     if {(a, b), (b, c), (a, c)} <= pairs:
-                        loop = compose(invert(fits[(a, c)]), compose(fits[(b, c)], fits[(a, b)]))
-                        assert np.linalg.norm(loop.matrix - np.eye(4)) < 1e-9
+                        loop = invert(fits[(a, c)]).matrix @ fits[(b, c)].matrix @ fits[(a, b)].matrix
+                        assert np.linalg.norm(loop - np.eye(4)) < 1e-9
 
     def test_corrupted_edge_fits_to_wrong_motion(self):
         scene = generate_scene(
@@ -127,27 +127,26 @@ class TestSceneCorrespondences:
         )
         corr = scene_correspondences(scene, temperature=1e-6)
         for pair, label in scene.edge_labels.items():
-            truth = relative_from_absolute(
-                scene.ground_truth[pair[0]], scene.ground_truth[pair[1]]
-            )
+            truth = true_relative(scene, *pair)
             result = register_correspondences(corr[pair], EXACT_CFG)
-            angle = rotation_gap_deg(result.motion.rotation, truth.rotation)
+            angle = rotation_gap_deg(result.motion.rotation, truth[:3, :3])
             if label == "inlier":
                 assert angle < 1e-6
             else:
                 assert angle > 5.0
                 assert result.local_confidence < 0.5
 
-    def test_corruptions_can_be_disabled(self):
+    def test_clouds_stay_clean_under_corruption(self):
+        # corruption lives in scene_correspondences only: the sets that
+        # build_correspondences makes from the scans fit every edge exactly
         scene = generate_scene(
             5, 100, noise_sigma=0.0, outlier_edge_fraction=0.5, seed=31,
             descriptor_noise=0.0,
         )
-        clean = scene_correspondences(scene, temperature=1e-6, apply_corruptions=False)
-        for (i, j), c in clean.items():
-            truth = relative_from_absolute(scene.ground_truth[i], scene.ground_truth[j])
-            result = register_correspondences(c, EXACT_CFG)
-            assert rotation_gap_deg(result.motion.rotation, truth.rotation) < 1e-6
+        for i, j in scene.edges:
+            clean = build_correspondences(scene.clouds[i], scene.clouds[j], temperature=1e-6)
+            result = register_correspondences(clean, EXACT_CFG)
+            assert rotation_gap_deg(result.motion.rotation, true_relative(scene, i, j)[:3, :3]) < 1e-6
 
     def test_correspondences_deterministic(self):
         scene = generate_scene(4, 100, 0.01, 0.3, seed=37)
