@@ -11,7 +11,7 @@ from mvreg import (
 )
 import mvreg.pipeline as pipeline_mod
 from mvreg import PoseGraph, pairwise_chain_absolute, transf_sync
-from mvreg.geometry import motion_stack, nearest_rotations, relative_motions
+from mvreg.geometry import motion_stack, nearest_rotations, non_rotations, relative_motions
 from mvreg.metrics import motion_errors
 from mvreg.synthetic import random_motion, random_rotation, rotation_about_axis
 
@@ -225,6 +225,42 @@ class TestNearestRotations:
         with pytest.raises(DegenerateMatrix):
             nearest_rotations(m)
 
+    def test_stack_matches_each_block(self):
+        rng = np.random.default_rng(30)
+        stack = rng.normal(size=(2, 4, 3, 3))
+        out = nearest_rotations(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 4):
+            assert np.allclose(out[idx], nearest_rotations(stack[idx]), atol=1e-12)
+        assert not non_rotations(out.reshape(-1, 3, 3)).any()
+
+    def test_one_degenerate_block_fails_the_stack(self):
+        rng = np.random.default_rng(31)
+        stack = np.stack([random_rotation(rng).m for _ in range(4)])
+        stack[2] = np.outer([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(DegenerateMatrix):
+            nearest_rotations(stack)
+
+
+class TestNonRotations:
+    def test_rotations_pass(self):
+        rng = np.random.default_rng(32)
+        stack = np.stack([random_rotation(rng).m for _ in range(10)] + [np.eye(3)])
+        assert not non_rotations(stack).any()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.full((3, 3), np.nan),
+         np.diag([np.inf, 1.0, 1.0])],
+        ids=["reflection", "scaled", "nan", "inf"],
+    )
+    def test_flags_exactly_the_blocks_rotation3_rejects(self, bad):
+        rng = np.random.default_rng(33)
+        stack = np.stack([random_rotation(rng).m, bad, np.eye(3)])
+        assert non_rotations(stack).tolist() == [False, True, False]
+        with pytest.raises(ValueError):
+            Rotation3(bad)
+
 
 def relative(mi: RigidMotion, mj: RigidMotion) -> np.ndarray:
     """M_j^-1 M_i through the stack form, as one 4x4 matrix."""
@@ -260,6 +296,42 @@ class TestRelativeMotions:
         in_j = transform_points(invert(mj), world)
         rel = RigidMotion.from_matrix(relative(mi, mj))
         assert np.allclose(transform_points(rel, in_i), in_j, atol=1e-9)
+
+    def test_batch_matches_matrix_product_on_random_pairs(self):
+        rng = np.random.default_rng(18)
+        absolute = np.stack([random_motion(rng).matrix for _ in range(6)])
+        pairs = rng.integers(0, 6, size=(25, 2))
+        rel = relative_motions(absolute, pairs)
+        assert rel.shape == (25, 4, 4)
+        for (i, j), r in zip(pairs, rel):
+            assert np.allclose(r, np.linalg.inv(absolute[j]) @ absolute[i], atol=1e-12)
+
+    def test_chain_closes(self):
+        # M_jk M_ij = M_ik along any chain i -> j -> k
+        rng = np.random.default_rng(19)
+        absolute = np.stack([random_motion(rng).matrix for _ in range(8)])
+        order = rng.permutation(8)
+        steps = relative_motions(absolute, np.column_stack([order[:-1], order[1:]]))
+        chained = np.eye(4)
+        for step in steps:
+            chained = step @ chained
+        direct = relative_motions(absolute, [(order[0], order[-1])])[0]
+        assert np.allclose(chained, direct, atol=1e-12)
+
+    def test_z_rotations_subtract(self):
+        stack = np.stack([RigidMotion(rot_z(deg), np.zeros(3)).matrix for deg in (70.0, 25.0)])
+        rel = relative_motions(stack, [(0, 1), (1, 0)])
+        assert np.allclose(rel[0, :3, :3], rot_z(45.0).m, atol=1e-12)
+        assert np.allclose(rel[1, :3, :3], rot_z(-45.0).m, atol=1e-12)
+
+    def test_gauge_invariance(self):
+        # one world motion applied to every absolute leaves the relatives alone
+        rng = np.random.default_rng(20)
+        absolute = np.stack([random_motion(rng).matrix for _ in range(5)])
+        pairs = [(0, 1), (1, 2), (4, 2), (3, 0)]
+        moved = random_motion(rng, translation_scale=10.0).matrix @ absolute
+        assert np.allclose(relative_motions(moved, pairs), relative_motions(absolute, pairs),
+                           atol=1e-11)
 
 
 def geodesic_angle(a, b) -> float:

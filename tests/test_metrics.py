@@ -28,6 +28,34 @@ class TestAngularError:
         assert abs(angular_error(a, b) - angular_error(b, a)) < 1e-12
 
 
+class TestMotionErrors:
+    def test_translation_error_is_euclidean(self):
+        est = np.tile(np.eye(4), (2, 1, 1))
+        ref = est.copy()
+        est[0, :3, 3] = [3.0, 4.0, 0.0]
+        ref[1, :3, 3] = [1.0, -2.0, 2.0]
+        rot, trans = motion_errors(est, ref)
+        assert rot.tolist() == [0.0, 0.0]
+        assert np.allclose(trans, [5.0, 3.0], atol=1e-15)
+
+    def test_each_error_ignores_the_other_component(self):
+        turned = RigidMotion(rotation_about_axis((1, 0, 0), np.radians(40.0)), np.zeros(3))
+        shifted = RigidMotion(Rotation3.identity(), np.array([0.0, 0.0, 2.0]))
+        rot, trans = motion_errors([turned.matrix, shifted.matrix], np.tile(np.eye(4), (2, 1, 1)))
+        assert abs(rot[0] - 40.0) < 1e-9 and trans[0] == 0.0
+        assert rot[1] == 0.0 and trans[1] == 2.0
+
+    def test_stack_matches_each_row(self):
+        rng = np.random.default_rng(1)
+        est = np.stack([random_motion(rng).matrix for _ in range(7)])
+        ref = np.stack([random_motion(rng).matrix for _ in range(7)])
+        rot, trans = motion_errors(est, ref)
+        assert rot.shape == trans.shape == (7,)
+        for k in range(7):
+            one_rot, one_trans = motion_errors(est[k:k + 1], ref[k:k + 1])
+            assert one_rot[0] == rot[k] and one_trans[0] == trans[k]
+
+
 class TestEcdf:
     def test_documented_example(self):
         values = ecdf([1.0, 4.0, 20.0], [1.0, 3.0, 5.0, 20.0, 45.0])
