@@ -177,6 +177,8 @@ def build_graph(n: int, pairs, fits: PairwiseFits) -> PoseGraph:
 
 def cauchy_scale(residual_values, gamma: float) -> float:
     """Robust scale b = 1.482 * gamma * med(|r - med(r)|), floored at 1e-9."""
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     r = np.asarray(residual_values, dtype=np.float64)
     if r.size == 0:
         raise EmptyResiduals("cannot estimate a scale from zero residuals")
@@ -192,8 +194,8 @@ def cauchy_global_confidence(edge_residual, b: float):
 
     Element-wise on arrays; a scalar residual gives a float.
     """
-    if b <= 0.0:
-        raise ValueError("scale b must be positive")
+    if not 0.0 < b < np.inf:
+        raise ValueError("scale b must be positive and finite")
     r = np.asarray(edge_residual, dtype=np.float64)
     if np.any(r < 0.0):
         raise ValueError("edge residual must be non-negative")
@@ -207,8 +209,8 @@ def harmonic_fuse(c_local, c_global, beta: float):
     result is 0 where both confidences vanish. Element-wise on arrays; scalar
     confidences give a float.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     c_local = np.asarray(c_local, dtype=np.float64)
     c_global = np.asarray(c_global, dtype=np.float64)
     denom = beta**2 * c_global + c_local

@@ -125,8 +125,13 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     buffer: extra memory is O(block + N + M) per thread, not N x M.
 
     A block takes one GEMM of depth D + 2, [q, |q|^2, 1] [-2 t, 1, |t|^2]^T,
-    which gives every squared distance |q - t|^2 at once, then sqrt, / -t
-    and exp in place. Two passes run only in a block that needs them:
+    which gives every squared distance |q - t|^2 at once, then sqrt, a
+    product with -1/t and exp in place, and one tail GEMM with [P, 1], the
+    target points and a column of ones, which gives each row's weighted
+    point sum and its weight sum, the softmax normalizer, together. Only
+    the sqrt uses the hardware divider. -1/t is rounded once per call, as
+    if t were off by at most half an ulp, and each product rounds once, as
+    the division did. Two passes run only in a block that needs them:
     - clamping at 0, when rounding made a squared distance of coincident
       descriptors negative (the block's minimum is taken before the sqrt);
     - shifting each row by its nearest distance d_min, when some row's
@@ -147,10 +152,12 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     thread runs it, and both branches depend on the block's contents only,
     so the targets are bit-identical for any thread count. The distance
     GEMM is tiled by _matmul_tiles, which keeps each BLAS call
-    single-threaded.
+    single-threaded. The tail GEMM takes at most 4 * BLOCK_CELLS = 2^19
+    multiply-adds, a size OpenBLAS runs on the calling thread, so it is
+    one call.
     """
-    if not temperature > 0.0:  # also rejects NaN
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < np.inf:  # also rejects NaN
+        raise ValueError("temperature must be positive and finite")
     (n, depth), m = query_features.shape, target_features.shape[0]
     rows = max(1, BLOCK_CELLS // m)
     query_sq = np.sum(query_features**2, axis=1)
@@ -159,6 +166,11 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     np.multiply(target_features.T, -2.0, out=target_aug[:depth])
     target_aug[depth] = 1.0
     np.sum(target_features**2, axis=1, out=target_aug[depth + 1])
+    scale = -1.0 / temperature
+    # [P, 1]: the tail GEMM's last column is each row's weight sum
+    points_aug = np.empty((m, target_points.shape[1] + 1))
+    points_aug[:, :-1] = target_points
+    points_aug[:, -1] = 1.0
     out = np.empty((n, target_points.shape[1]))
     starts = range(0, n, rows)
     threads = min(_THREADS, len(starts))
@@ -168,13 +180,14 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
         buf = np.empty((min(rows, n), m))
         query_aug = np.empty((min(rows, n), depth + 2))
         query_aug[:, depth + 1] = 1.0
+        acc_buf = np.empty((min(rows, n), points_aug.shape[1]))
         while True:
             with claim:
                 start = next(unclaimed, None)
             if start is None:
                 return
             stop = min(start + rows, n)
-            d, aug = buf[: stop - start], query_aug[: stop - start]
+            d, aug, acc = buf[: stop - start], query_aug[: stop - start], acc_buf[: stop - start]
             aug[:, :depth] = query_features[start:stop]
             aug[:, depth] = query_sq[start:stop]
             _matmul_tiles(aug, target_aug, d)
@@ -186,9 +199,10 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
             np.sqrt(nearest, out=nearest)
             if nearest.max() > SHIFT_FREE * temperature:
                 d -= nearest
-            d /= -temperature
+            d *= scale
             np.exp(d, out=d)
-            out[start:stop] = (d @ target_points) / d.sum(axis=1, keepdims=True)
+            np.matmul(d, points_aug, out=acc)
+            np.divide(acc[:, :-1], acc[:, -1:], out=out[start:stop])
 
     # with one thread the list is empty and no worker is started
     workers = [_pool(threads - 1).submit(run_blocks) for _ in range(threads - 1)]

@@ -250,6 +250,17 @@ class TestCauchyScale:
         with pytest.raises(EmptyResiduals):
             cauchy_scale(np.array([]), 3.0)
 
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.inf])
+    def test_non_positive_or_infinite_gamma_is_rejected(self, gamma):
+        # a negative gamma used to give the 1e-9 floor without a word
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            cauchy_scale([1.0, 2.0, 3.0], gamma)
+
+    def test_nan_gamma_is_rejected(self):
+        # it used to give a NaN scale
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            cauchy_scale([1.0, 2.0, 3.0], np.nan)
+
 
 class TestCauchyGlobalConfidence:
     def test_documented_values(self):
@@ -270,6 +281,12 @@ class TestCauchyGlobalConfidence:
             cauchy_global_confidence(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError):
             cauchy_global_confidence(np.array([1.0, -1e-300, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("b", [np.inf, np.nan])
+    def test_infinite_or_nan_scale_is_rejected(self, b):
+        # an infinite scale used to give confidence 1 to every residual
+        with pytest.raises(ValueError, match="scale b must be positive and finite"):
+            cauchy_global_confidence(0.1, b)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1e6), st.floats(1e-9, 1e3))
@@ -307,6 +324,12 @@ class TestHarmonicFuse:
             harmonic_fuse(0.5, 0.5, 0.0)
         with pytest.raises(ValueError):
             harmonic_fuse(np.array([0.5, 0.2]), np.array([0.5, 0.1]), -1.0)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_nan_or_infinite_beta_is_rejected(self, beta):
+        # a NaN beta used to give a NaN confidence and a RuntimeWarning
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            harmonic_fuse(0.5, 0.5, beta)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -150,7 +151,7 @@ class TestBuildCorrespondences:
         with pytest.raises(DimensionMismatch):
             build_correspondences(a, b, 0.1)
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
     def test_temperature_must_be_positive(self, temperature):
         rng = np.random.default_rng(8)
         p, q = make_feature_cloud(rng, 5), make_feature_cloud(rng, 5)
@@ -309,8 +310,9 @@ class TestCorrespondenceKernel:
         q = PointCloud(rng.normal(size=(m, 3)), rng.integers(-16, 17, size=(m, d)) / 8.0)
         return p, q
 
-    def targets_per_thread_count(self, monkeypatch, p, q):
-        """Targets for 1, 2 and 3 kernel threads, and the threads each used.
+    def targets_per_thread_count(self, monkeypatch, p, q, t=0.02):
+        """Targets at temperature t for 1, 2 and 3 kernel threads, and the
+        threads each used.
 
         Each thread's first block waits until every thread that can get a
         block has one, so all of them take part.
@@ -332,7 +334,7 @@ class TestCorrespondenceKernel:
                 patch.setattr(pairwise_mod, "_THREADS", threads)
                 idents.clear()
                 start = threading.Barrier(min(threads, blocks), timeout=10)
-                results[threads] = (build_correspondences(p, q, 0.02).target_pts, len(idents))
+                results[threads] = (build_correspondences(p, q, t).target_pts, len(idents))
         return results
 
     @pytest.mark.parametrize("n", [1, 7, 300])
@@ -361,30 +363,82 @@ class TestCorrespondenceKernel:
         for threads, (got, _) in results.items():
             assert np.array_equal(got, results[1][0]), threads
 
-    # the distance GEMM has depth d + 2; calls: 128 blocks of 12 column
-    # tiles; 3 blocks of 22 and a 5-row block of 3; 32 blocks of 2; and two
-    # 151- and 149-row blocks of 12 row tiles each
-    @pytest.mark.parametrize("n, m, d, calls", [(4096, 4096, 32, 1536), (161, 2500, 64, 69),
-                                                (2048, 2048, 3, 64), (300, 5, 32, 24)])
-    def test_distance_gemm_calls_stay_below_blas_threading(self, monkeypatch, n, m, d, calls):
+    @staticmethod
+    def blas_calls(monkeypatch, n, m, d):
+        """(depth, multiply-adds) of every np.matmul call of one kernel call."""
         rng = np.random.default_rng(d)
         p = PointCloud(rng.normal(size=(n, 3)), rng.normal(size=(n, d)))
         q = PointCloud(rng.normal(size=(m, 3)), rng.normal(size=(m, d)))
         if m == 5:
             # 151-row blocks of 5 columns split along rows
             monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", 151 * m)
-        macs = []
+        calls = []
         matmul = np.matmul
 
         def spy(a, b, **kwargs):
-            macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+            calls.append((a.shape[1], a.shape[0] * a.shape[1] * b.shape[1]))
             return matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(np, "matmul", spy)
-        build_correspondences(p, q, 0.02)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", spy)
+            build_correspondences(p, q, 0.02)
+        return calls
+
+    # the distance GEMM has depth d + 2; calls: 128 blocks of 12 column
+    # tiles; 3 blocks of 22 and a 5-row block of 3; 32 blocks of 2; and two
+    # 151- and 149-row blocks of 12 row tiles each
+    @pytest.mark.parametrize("n, m, d, calls", [(4096, 4096, 32, 1536), (161, 2500, 64, 69),
+                                                (2048, 2048, 3, 64), (300, 5, 32, 24)])
+    def test_distance_gemm_calls_stay_below_blas_threading(self, monkeypatch, n, m, d, calls):
+        macs = [k for depth, k in self.blas_calls(monkeypatch, n, m, d) if depth == d + 2]
         assert sum(macs) == n * m * (d + 2)
         assert max(macs) <= 3 * pairwise_mod.BLOCK_CELLS
         assert len(macs) == calls
+
+    # the tail GEMM [weights] [P, 1] has depth m and 4 columns, one call per
+    # block: 128 blocks of 32 rows; 3 of 52 and one of 5; 32 of 64; and the
+    # 151- and 149-row blocks. At most 4 * BLOCK_CELLS = 2^19 multiply-adds,
+    # which OpenBLAS runs on the calling thread
+    @pytest.mark.parametrize("n, m, d, blocks", [(4096, 4096, 32, 128), (161, 2500, 64, 4),
+                                                 (2048, 2048, 3, 32), (300, 5, 32, 2)])
+    def test_tail_gemm_is_one_call_per_block_below_blas_threading(self, monkeypatch, n, m, d,
+                                                                  blocks):
+        calls = self.blas_calls(monkeypatch, n, m, d)
+        macs = [k for depth, k in calls if depth == m]
+        # every call is a distance tile or a tail product
+        assert len(macs) + sum(depth == d + 2 for depth, _ in calls) == len(calls)
+        assert sum(macs) == n * m * 4
+        assert max(macs) <= 4 * pairwise_mod.BLOCK_CELLS <= 1 << 19
+        assert len(macs) == blocks
+
+    @pytest.mark.parametrize("d", [3, 32])
+    @pytest.mark.parametrize("t", [100.0, 1e-3])
+    def test_long_rows_match_exactly_summed_softmax(self, monkeypatch, d, t):
+        # 16384 targets per row, 8-row blocks: the weight sum comes from the
+        # tail GEMM's ones column, summed over 16384 terms. The reference
+        # takes explicit differences, shifts each row by its minimum and sums
+        # with math.fsum. The bound, 1.6e-12 m for targets within [0, 30] m,
+        # is 5e-14 relative to the farthest target, about 240 ulp of the
+        # weight sum. t = 100 spreads the
+        # weight over every target; t = 1e-3 puts nearly all of it on the
+        # nearest one or two. Features on a 1/8 lattice make every squared
+        # distance exact, so the bound measures the softmax and its
+        # normalizer, not the cancellation in |q|^2 + |t|^2 - 2 q.t
+        rng = np.random.default_rng([d, 16384])
+        p, q = (PointCloud(rng.uniform(0.0, 30.0, size=(k, 3)),
+                           rng.integers(-16, 17, size=(k, d)) / 8.0) for k in (24, 16384))
+        expected = np.empty((24, 3))
+        for k, feature in enumerate(p.features):
+            dist = np.sqrt(np.sum((q.features - feature) ** 2, axis=1))
+            e = np.exp((dist.min() - dist) / t)
+            total = math.fsum(e)
+            expected[k] = [math.fsum(e * column) / total for column in q.points.T]
+        results = self.targets_per_thread_count(monkeypatch, p, q, t)
+        got = results[1][0]
+        assert np.abs(got - expected).max() <= 1.6e-12
+        for threads, (targets, used) in results.items():
+            assert np.array_equal(targets, got), threads
+            assert used == threads
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_block_error_is_raised_after_every_thread_stopped(self, monkeypatch, failing):
