@@ -70,11 +70,11 @@ class CorrespondenceSet:
         if w.shape != (n,) or r.shape != (n,):
             raise ValueError("weights and residuals must be length-N vectors")
         for name, arr in (("source_pts", src), ("target_pts", dst), ("weights", w), ("residuals", r)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if np.any(w < 0.0) or np.any(w > 1.0):
+        if w.min() < 0.0 or w.max() > 1.0:
             raise ValueError("weights must lie in [0, 1]")
-        if np.any(r < 0.0):
+        if r.min() < 0.0:
             raise ValueError("residuals must be non-negative")
         for name, arr in (("source_pts", src), ("target_pts", dst), ("weights", w), ("residuals", r)):
             arr.setflags(write=False)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import is_integer
 from .geometry import PointCloud, RigidMotion, Rotation3, invert, transform_points
 from .pairwise import CorrespondenceSet, build_correspondences
 
@@ -120,13 +121,25 @@ def generate_scene(
     being trivially exact. Pairs sharing at least MIN_OVERLAP of their points
     become edges; for the requested fraction of edges the pair measurement is
     corrupted by a large rigid motion and labeled "outlier".
+
+    Edges are counted on the scans' base-point indices. Scan i marks its
+    points in a boolean mask over the base points; one gather of that mask at
+    every later scan's indices and a row count give the points each pair
+    (i, j > i) shares. The cost is n - 1 numpy passes over at most
+    (n - 1) x pts_per_scan booleans, in place of n(n - 1)/2 Python set
+    intersections. Edges come out in (i, j) order with i < j. Arguments are
+    checked before any random draw.
     """
-    if n_scans < 3:
-        raise ValueError("need at least 3 scans")
+    if not is_integer(n_scans) or n_scans < 3:
+        raise ValueError(f"n_scans must be an integer >= 3, got {n_scans!r}")
+    if not is_integer(pts_per_scan) or pts_per_scan < 3:
+        raise ValueError(f"pts_per_scan must be an integer >= 3, got {pts_per_scan!r}")
     if not 0.0 <= outlier_edge_fraction <= 1.0:
         raise ValueError("outlier_edge_fraction must lie in [0, 1]")
-    if pts_per_scan < 3:
-        raise ValueError("need at least 3 points per scan")
+    # chained comparisons also reject NaN
+    for name, value in (("noise_sigma", noise_sigma), ("descriptor_noise", descriptor_noise)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     rng = np.random.default_rng(seed)
 
     wedge = min(2.0 * math.pi * VISIBILITY_HORIZON / n_scans, 2.0 * math.pi)
@@ -138,7 +151,7 @@ def generate_scene(
     ground_truth = tuple(random_motion(rng, translation_scale=0.5) for _ in range(n_scans))
 
     clouds = []
-    base_indices = []
+    base_indices = np.empty((n_scans, pts_per_scan), dtype=np.intp)
     for i in range(n_scans):
         center = 2.0 * math.pi * i / n_scans
         distance = _circular_distance(azimuths, center)
@@ -148,24 +161,26 @@ def generate_scene(
         else:
             # wedge undersampled: take everything visible and top up with the
             # nearest points just outside it
-            visible_set = set(visible.tolist())
-            extra = [k for k in np.argsort(distance) if k not in visible_set]
+            order = np.argsort(distance)
+            extra = order[~np.isin(order, visible)]
             chosen = np.concatenate([visible, extra[: pts_per_scan - visible.size]])
-        chosen = np.sort(chosen)
-        world = base_points[chosen]
+        base_indices[i] = np.sort(chosen)
+        world = base_points[base_indices[i]]
         local = transform_points(invert(ground_truth[i]), world)
         local = local + noise_sigma * rng.normal(size=local.shape)
         feats = world + descriptor_noise * rng.normal(size=world.shape)
         clouds.append(PointCloud(local, feats))
-        base_indices.append(chosen)
 
+    # a scan's base indices are distinct, so the points scan j shares with
+    # scan i are the entries of row j that scan i's membership mask marks
+    member = np.zeros(base_count, dtype=bool)
     edges = []
-    for i in range(n_scans):
-        set_i = set(base_indices[i].tolist())
-        for j in range(i + 1, n_scans):
-            shared = len(set_i.intersection(base_indices[j].tolist()))
-            if shared / pts_per_scan >= MIN_OVERLAP:
-                edges.append((i, j))
+    for i in range(n_scans - 1):
+        member[base_indices[i]] = True
+        shared = np.count_nonzero(member[base_indices[i + 1:]], axis=1)
+        member[base_indices[i]] = False
+        later = np.flatnonzero(shared / pts_per_scan >= MIN_OVERLAP)
+        edges.extend((i, i + 1 + int(k)) for k in later)
     edges = tuple(edges)
 
     n_outliers = int(round(outlier_edge_fraction * len(edges)))

@@ -111,6 +111,16 @@ class TestSynthCommand:
         assert len(labels) == n_edges
         assert int(kv["outlier_edges"][0]) == sum("outlier" in l for l in labels)
 
+    @pytest.mark.parametrize("noise", ["-0.01", "nan", "inf"])
+    def test_bad_noise_exits_1_and_writes_nothing(self, tmp_path, capsys, noise):
+        out_dir = tmp_path / "scene"
+        code, out, err = run_cli(capsys, "synth", "--scans", "4", "--pts", "64",
+                                 "--noise", noise, "--out", str(out_dir))
+        assert code == 1
+        assert "noise_sigma must be finite and >= 0" in err
+        assert out == ""
+        assert not out_dir.exists()
+
 
 class TestMultiviewCommand:
     def make_scene_dir(self, tmp_path, capsys, noise="0.0", scans="4"):

@@ -19,6 +19,13 @@ def test_small_sweep_prints_both_ecdf_blocks():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split()[:3] == ["seed", "edges", "iters"]
+    # the solve column times the correspondence kernel too, and scene
+    # generation has its own column
+    assert lines[0].split()[-2:] == ["solve(s)", "gen(s)"]
+    assert "time(s)" not in lines[0]
+    row = lines[1].split()
+    assert len(row) == len(lines[0].split()) - 4  # four headers hold a space
+    assert float(row[-2]) >= 0.0 and float(row[-1]) >= 0.0
     for block in ("rotation ECDF at", "translation ECDF at"):
         starts = [k for k, line in enumerate(lines) if line.startswith(block)]
         assert len(starts) == 1, proc.stdout

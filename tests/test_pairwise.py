@@ -66,6 +66,40 @@ class TestCorrespondenceSet:
         with pytest.raises(ValueError):
             CorrespondenceSet(np.zeros((3, 3)), np.zeros((4, 3)), np.ones(3), np.zeros(3))
 
+    FIELDS = ("source_pts", "target_pts", "weights", "residuals")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_non_finite_entry_names_its_array(self, field, bad):
+        arrays = [np.zeros((4, 3)), np.zeros((4, 3)), np.ones(4), np.zeros(4)]
+        arrays[self.FIELDS.index(field)].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            CorrespondenceSet(*arrays)
+
+    def test_range_messages(self):
+        pts = np.zeros((2, 3))
+        with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
+            CorrespondenceSet(pts, pts, np.array([1.0, -1e-300]), np.zeros(2))
+        with pytest.raises(ValueError, match="residuals must be non-negative"):
+            CorrespondenceSet(pts, pts, np.ones(2), np.array([0.0, -1e-300]))
+        # the interval is closed
+        CorrespondenceSet(pts, pts, np.array([0.0, 1.0]), np.zeros(2))
+
+    def test_stores_read_only_copies(self):
+        rng = np.random.default_rng(3)
+        given = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3)),
+                 rng.uniform(size=5), rng.uniform(size=5)]
+        before = [a.copy() for a in given]
+        c = CorrespondenceSet(*given)
+        for name, arg, old in zip(self.FIELDS, given, before):
+            stored = getattr(c, name)
+            assert arg.flags.writeable
+            assert not stored.flags.writeable
+            assert not np.shares_memory(stored, arg)
+            assert np.array_equal(stored, old)
+            arg[...] = 0.5
+            assert np.array_equal(stored, old)
+
 
 def soft_target(query, feats, pts, temperature):
     """build_correspondences' target for a one-point source cloud whose

@@ -1,9 +1,17 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from mvreg import PipelineConfig, build_correspondences, invert, register_correspondences
 from mvreg.geometry import relative_motions
-from mvreg.synthetic import generate_scene, scene_correspondences
+from mvreg.synthetic import (
+    MIN_OVERLAP,
+    VISIBILITY_HORIZON,
+    generate_scene,
+    scene_correspondences,
+)
 
 from conftest import rotation_gap_deg
 
@@ -81,6 +89,119 @@ class TestGenerateScene:
             generate_scene(4, 2, 0.01, 0.0, seed=0)
         with pytest.raises(ValueError):
             generate_scene(4, 100, 0.01, 1.5, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_scans=30.0), "n_scans must be an integer"),
+        (dict(n_scans=True), "n_scans must be an integer"),
+        (dict(pts_per_scan=64.0), "pts_per_scan must be an integer"),
+        (dict(pts_per_scan=np.float64(64)), "pts_per_scan must be an integer"),
+        (dict(noise_sigma=-0.01), "noise_sigma must be finite and >= 0"),
+        (dict(noise_sigma=np.nan), "noise_sigma must be finite and >= 0"),
+        (dict(noise_sigma=np.inf), "noise_sigma must be finite and >= 0"),
+        (dict(descriptor_noise=-0.01), "descriptor_noise must be finite and >= 0"),
+        (dict(descriptor_noise=np.inf), "descriptor_noise must be finite and >= 0"),
+    ])
+    def test_bad_arguments_raise_before_any_draw(self, monkeypatch, kwargs, message):
+        def no_draws(*args, **kw):
+            raise AssertionError("generate_scene drew before checking its arguments")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        args = dict(n_scans=6, pts_per_scan=64, noise_sigma=0.01,
+                    outlier_edge_fraction=0.2, seed=0) | kwargs
+        with pytest.raises(ValueError, match=message):
+            generate_scene(**args)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        a = generate_scene(np.int64(6), np.int32(64), 0.0, 0.2, seed=4, descriptor_noise=0.0)
+        assert_scenes_equal(a, generate_scene(6, 64, 0.0, 0.2, seed=4, descriptor_noise=0.0))
+
+
+def set_intersection_edges(scene, pts_per_scan):
+    """The pair loop generate_scene used before its membership masks: one
+    Python set intersection per scan pair, kept here as the oracle."""
+    edges = []
+    n = len(scene.base_indices)
+    for i in range(n):
+        set_i = set(scene.base_indices[i].tolist())
+        for j in range(i + 1, n):
+            shared = len(set_i.intersection(scene.base_indices[j].tolist()))
+            if shared / pts_per_scan >= MIN_OVERLAP:
+                edges.append((i, j))
+    return tuple(edges)
+
+
+def outside_wedge_scans(scene):
+    """Scans holding a base point outside their visibility wedge, which only
+    the undersampled-wedge top-up adds."""
+    n = len(scene.clouds)
+    wedge = min(2.0 * math.pi * VISIBILITY_HORIZON / n, 2.0 * math.pi)
+    azimuths = np.arctan2(scene.base_points[:, 1], scene.base_points[:, 0])
+    out = []
+    for i, chosen in enumerate(scene.base_indices):
+        d = np.abs(azimuths[chosen] - 2.0 * math.pi * i / n) % (2.0 * math.pi)
+        if np.any(np.minimum(d, 2.0 * math.pi - d) > wedge / 2.0):
+            out.append(i)
+    return out
+
+
+def scene_digest(scene):
+    """sha256 over the clouds, ground truth, edges and corruption motions."""
+    h = hashlib.sha256()
+    for cloud in scene.clouds:
+        h.update(np.ascontiguousarray(cloud.points, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(cloud.features, dtype="<f8").tobytes())
+    for m in scene.ground_truth:
+        h.update(np.ascontiguousarray(m.matrix, dtype="<f8").tobytes())
+    h.update(np.asarray(scene.edges, dtype="<i8").tobytes())
+    for pair in scene.edges:
+        if pair in scene.corruptions:
+            h.update(np.ascontiguousarray(scene.corruptions[pair].matrix, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# 30 x 32 at seed 1 undersamples the wedges of scans 0-3, so it takes the
+# top-up branch; the other sizes draw every scan from inside its wedge
+TOP_UP = (30, 32, 1)
+
+
+class TestSceneEdges:
+    @pytest.mark.parametrize("n, pts, seed", [
+        (3, 100, 0), (4, 100, 1), (5, 100, 2), (6, 100, 3),  # wedge covers the ring
+        (8, 200, 0), (60, 256, 0),
+        (30, 2048, 0), (30, 2048, 1), (30, 2048, 2),
+        (200, 64, 0),
+        (20, 100, 0),  # scans 9 and 12 share exactly MIN_OVERLAP of their points
+        TOP_UP,
+    ])
+    def test_edges_equal_set_intersection_oracle(self, n, pts, seed):
+        scene = generate_scene(n, pts, 0.01, 0.2, seed=seed)
+        assert scene.edges == set_intersection_edges(scene, pts)
+        assert all(type(i) is int and type(j) is int for i, j in scene.edges)
+        assert len(scene.edges) >= n - 1
+
+    def test_overlap_at_threshold_is_an_edge(self):
+        scene = generate_scene(20, 100, 0.01, 0.2, seed=0)
+        b = scene.base_indices
+        assert np.intersect1d(b[9], b[12]).size / 100 == MIN_OVERLAP
+        assert (9, 12) in scene.edges
+
+    def test_top_up_configuration_takes_the_branch(self):
+        n, pts, seed = TOP_UP
+        scene = generate_scene(n, pts, 0.01, 0.2, seed=seed)
+        assert outside_wedge_scans(scene) == [0, 1, 2, 3]
+        for chosen in scene.base_indices:
+            assert chosen.size == pts and np.unique(chosen).size == pts
+
+    # Both digests were computed before the edge count moved from set
+    # intersections to membership masks: they pin every random draw, the
+    # top-up order and the edge list. They were taken with numpy 2.4's
+    # OpenBLAS on x86-64; another BLAS may round transform_points differently.
+    @pytest.mark.parametrize("n, pts, seed, digest", [
+        (30, 2048, 5, "113937ac987c453eb16a292a0d277a300a384a756e6016470543c243640a73c5"),
+        (*TOP_UP, "79260bdb90d4be9e518ad6092ea8146b13054ab511adc06cb7abb38e001b3aba"),
+    ])
+    def test_golden_scene_digest(self, n, pts, seed, digest):
+        assert scene_digest(generate_scene(n, pts, 0.01, 0.2, seed=seed)) == digest
 
 
 # Exact recovery at sigma = 0 needs pure weight replacement (blend = 1):
