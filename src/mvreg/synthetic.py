@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import is_integer
-from .geometry import PointCloud, RigidMotion, Rotation3, invert, transform_points
+from .geometry import PointCloud, RigidMotion, Rotation3, transform_points
 from .pairwise import CorrespondenceSet, build_correspondences
 
 # each scan sees a wedge spanning this many ring steps, so nearby scans
@@ -21,6 +21,9 @@ VISIBILITY_HORIZON = 6
 MIN_OVERLAP = 0.3
 BASE_POINT_MARGIN = 1.35
 BOX_EXTENTS = (1.0, 1.0, 0.5)
+# per box face: the axis it is normal to, then the axes its u and v span;
+# faces 2k and 2k + 1 sit at +extent/2 and -extent/2 along axis k
+_FACE_AXES = np.array([[0, 1, 2], [0, 1, 2], [1, 0, 2], [1, 0, 2], [2, 0, 1], [2, 0, 1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,30 +81,46 @@ def _corruption_motion(rng: np.random.Generator) -> RigidMotion:
 
 
 def _box_surface_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Points sampled on the surface of an axis-aligned box centered at 0."""
+    """Points sampled on the surface of an axis-aligned box centered at 0.
+
+    A face is drawn per point with probability proportional to its area,
+    then u and v in [-0.5, 0.5) scale the extents of the two axes it spans.
+    One scatter along each row writes the face's fixed coordinate, u and v
+    to their axes.
+    """
+    extents = np.array(BOX_EXTENTS)
     ex, ey, ez = BOX_EXTENTS
     areas = np.array([ey * ez, ey * ez, ex * ez, ex * ez, ex * ey, ex * ey])
     faces = rng.choice(6, size=count, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=count)
     v = rng.uniform(-0.5, 0.5, size=count)
+    axes = _FACE_AXES[faces]
+    offsets = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]) * extents[_FACE_AXES[:, 0]] / 2.0
+    coords = np.empty((count, 3))
+    coords[:, 0] = offsets[faces]
+    coords[:, 1] = u * extents[axes[:, 1]]
+    coords[:, 2] = v * extents[axes[:, 2]]
     pts = np.empty((count, 3))
-    for face in range(6):
-        mask = faces == face
-        axis = face // 2
-        sign = 1.0 if face % 2 == 0 else -1.0
-        extents = np.array(BOX_EXTENTS)
-        coords = np.zeros((int(mask.sum()), 3))
-        others = [a for a in range(3) if a != axis]
-        coords[:, axis] = sign * extents[axis] / 2.0
-        coords[:, others[0]] = u[mask] * extents[others[0]]
-        coords[:, others[1]] = v[mask] * extents[others[1]]
-        pts[mask] = coords
+    np.put_along_axis(pts, axes, coords, axis=1)
     return pts
 
 
 def _circular_distance(a: np.ndarray, b: float) -> np.ndarray:
-    d = np.abs(a - b) % (2.0 * math.pi)
-    return np.minimum(d, 2.0 * math.pi - d)
+    """Angular distance in [0, pi] between azimuths a and one centre b.
+
+    Input domain: a in [-pi, pi] (arctan2 azimuths) and b in [0, 2 pi) (ring
+    centres), so d = |a - b| <= 3 pi < 4 pi. On it the result equals the
+    remainder form min(r, 2 pi - r), r = d % 2 pi, bit for bit. Below 2 pi,
+    r = d and |2 pi - d| = 2 pi - d. From 2 pi up, 2 pi <= d <= 2 (2 pi), so
+    2 pi - d is exact (Sterbenz) and |2 pi - d| is exactly d - 2 pi, which is
+    r (numpy's remainder is fmod for positive operands) and is the minimum
+    of both forms, since it is below pi.
+    """
+    d = np.subtract(a, b)
+    np.abs(d, out=d)
+    wrapped = np.subtract(2.0 * math.pi, d)
+    np.abs(wrapped, out=wrapped)
+    return np.minimum(d, wrapped, out=d)
 
 
 def generate_scene(
@@ -129,6 +148,14 @@ def generate_scene(
     (n - 1) x pts_per_scan booleans, in place of n(n - 1)/2 Python set
     intersections. Edges come out in (i, j) order with i < j. Arguments are
     checked before any random draw.
+
+    The rest is array code with the same draws in the same order: one
+    scatter places the base points on all six box faces, each scan's wedge
+    distance fills two arrays of base-point size in place, with no float
+    remainder (see _circular_distance), and each scan's local points
+    are world @ R + (-R^T t) straight from its ground-truth arrays, so the
+    only Rotation3 and RigidMotion records built are the returned ground
+    truth and corruptions.
     """
     if not is_integer(n_scans) or n_scans < 3:
         raise ValueError(f"n_scans must be an integer >= 3, got {n_scans!r}")
@@ -166,7 +193,11 @@ def generate_scene(
             chosen = np.concatenate([visible, extra[: pts_per_scan - visible.size]])
         base_indices[i] = np.sort(chosen)
         world = base_points[base_indices[i]]
-        local = transform_points(invert(ground_truth[i]), world)
+        # transform_points(invert(M), world) without building the inverse:
+        # its rotation is a copy of R^T, whose transpose has R's values and
+        # layout, and its translation is -R^T t
+        rot, t = ground_truth[i].rotation.m, ground_truth[i].translation
+        local = world @ rot + (-rot.T @ t)
         local = local + noise_sigma * rng.normal(size=local.shape)
         feats = world + descriptor_noise * rng.normal(size=world.shape)
         clouds.append(PointCloud(local, feats))

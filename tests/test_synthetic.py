@@ -4,11 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from mvreg import PipelineConfig, build_correspondences, invert, register_correspondences
-from mvreg.geometry import relative_motions
+import mvreg.synthetic as synthetic_mod
+from mvreg import (
+    PipelineConfig,
+    build_correspondences,
+    invert,
+    register_correspondences,
+    transform_points,
+)
+from mvreg.geometry import RigidMotion, Rotation3, relative_motions
 from mvreg.synthetic import (
+    BOX_EXTENTS,
     MIN_OVERLAP,
     VISIBILITY_HORIZON,
+    _box_surface_points,
+    _circular_distance,
     generate_scene,
     scene_correspondences,
 )
@@ -25,6 +35,10 @@ def true_relative(scene, i, j):
 def assert_scenes_equal(a, b):
     assert a.edges == b.edges
     assert a.edge_labels == b.edge_labels
+    assert np.array_equal(a.base_points, b.base_points)
+    assert len(a.base_indices) == len(b.base_indices)
+    for ia, ib in zip(a.base_indices, b.base_indices):
+        assert np.array_equal(ia, ib)
     for ca, cb in zip(a.clouds, b.clouds):
         assert np.array_equal(ca.points, cb.points)
         assert np.array_equal(ca.features, cb.features)
@@ -116,6 +130,112 @@ class TestGenerateScene:
         assert_scenes_equal(a, generate_scene(6, 64, 0.0, 0.2, seed=4, descriptor_noise=0.0))
 
 
+def reference_circular_distance(a, b):
+    """The remainder form of the wedge distance that generate_scene used
+    before its in-place rewrite, kept here as the oracle."""
+    d = np.abs(a - b) % (2.0 * math.pi)
+    return np.minimum(d, 2.0 * math.pi - d)
+
+
+def reference_box_surface_points(rng, count):
+    """The per-face mask loop that generate_scene used before its single
+    scatter, kept here as the oracle."""
+    ex, ey, ez = BOX_EXTENTS
+    areas = np.array([ey * ez, ey * ez, ex * ez, ex * ez, ex * ey, ex * ey])
+    faces = rng.choice(6, size=count, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=count)
+    v = rng.uniform(-0.5, 0.5, size=count)
+    pts = np.empty((count, 3))
+    for face in range(6):
+        mask = faces == face
+        axis = face // 2
+        sign = 1.0 if face % 2 == 0 else -1.0
+        extents = np.array(BOX_EXTENTS)
+        coords = np.zeros((int(mask.sum()), 3))
+        others = [a for a in range(3) if a != axis]
+        coords[:, axis] = sign * extents[axis] / 2.0
+        coords[:, others[0]] = u[mask] * extents[others[0]]
+        coords[:, others[1]] = v[mask] * extents[others[1]]
+        pts[mask] = coords
+    return pts
+
+
+def same_bits(a, b):
+    """Equal shapes and float64 bit patterns, so -0.0 and +0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSceneHelpers:
+    @pytest.mark.parametrize("n", [3, 7, 30, 400])
+    def test_circular_distance_equals_remainder_form(self, n):
+        xy = np.random.default_rng(n).normal(size=(4096, 2))
+        special = np.array([-math.pi, -0.0, 0.0, math.pi])
+        centres = 2.0 * math.pi * np.arange(n) / n
+        azimuths = np.concatenate([
+            np.arctan2(xy[:, 1], xy[:, 0]),
+            special,
+            np.nextafter(special, np.inf),
+            np.nextafter(special, -np.inf),
+            # |a - b| is exactly 2 pi at these (Sterbenz: b in [pi, 2 pi))
+            centres[centres >= math.pi] - 2.0 * math.pi,
+        ])
+        exact_turns = 0
+        for i in range(n):
+            centre = 2.0 * math.pi * i / n
+            exact_turns += np.count_nonzero(np.abs(azimuths - centre) == 2.0 * math.pi)
+            got = _circular_distance(azimuths, centre)
+            assert same_bits(got, reference_circular_distance(azimuths, centre))
+        assert exact_turns >= n // 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    # at 1, 2 and 7 points some faces get none; 13824 is the 30 x 2048 size
+    @pytest.mark.parametrize("count", [1, 2, 7, 13824])
+    def test_box_surface_points_equal_per_face_loop(self, seed, count):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _box_surface_points(rng, count)
+        assert same_bits(got, reference_box_surface_points(ref_rng, count))
+        # the same draws in the same sizes leave both streams in one state
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("n, pts, sigma, fraction, seed, descriptor_noise", [
+        (3, 50, 0.0, 1.0, 0, 0.0),
+        (6, 100, 0.01, 0.5, 3, 0.01),
+        (8, 200, 0.01, 0.25, 1, 0.0),
+        (30, 32, 0.01, 0.2, 1, 0.01),  # TOP_UP: undersampled wedges
+        (30, 32, 0.0, 0.2, 1, 0.0),
+        (30, 2048, 0.01, 0.2, 7, 0.0),
+        (200, 64, 0.01, 0.2, 2, 0.01),
+    ])
+    def test_scene_equals_scene_from_reference_helpers(
+        self, monkeypatch, n, pts, sigma, fraction, seed, descriptor_noise
+    ):
+        args = (n, pts, sigma, fraction, seed, descriptor_noise)
+        scene = generate_scene(*args)
+        monkeypatch.setattr(synthetic_mod, "_circular_distance", reference_circular_distance)
+        monkeypatch.setattr(synthetic_mod, "_box_surface_points", reference_box_surface_points)
+        assert_scenes_equal(scene, generate_scene(*args))
+
+    def test_noise_free_local_points_equal_the_inverse_transform(self):
+        scene = generate_scene(8, 200, 0.0, 0.25, seed=3)
+        for i, cloud in enumerate(scene.clouds):
+            world = scene.base_points[scene.base_indices[i]]
+            expected = transform_points(invert(scene.ground_truth[i]), world)
+            assert np.array_equal(cloud.points, expected)
+
+    def test_records_are_built_only_for_the_returned_motions(self, monkeypatch):
+        built = {Rotation3: 0, RigidMotion: 0}
+        for cls in built:
+            def counting(self, cls=cls, check=cls.__post_init__):
+                built[cls] += 1
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        scene = generate_scene(30, 256, 0.01, 0.2, seed=2)
+        n_outliers = len(scene.corruptions)
+        assert n_outliers > 0
+        assert built == {Rotation3: 30 + n_outliers, RigidMotion: 30 + n_outliers}
+
+
 def set_intersection_edges(scene, pts_per_scan):
     """The pair loop generate_scene used before its membership masks: one
     Python set intersection per scan pair, kept here as the oracle."""
@@ -138,8 +258,7 @@ def outside_wedge_scans(scene):
     azimuths = np.arctan2(scene.base_points[:, 1], scene.base_points[:, 0])
     out = []
     for i, chosen in enumerate(scene.base_indices):
-        d = np.abs(azimuths[chosen] - 2.0 * math.pi * i / n) % (2.0 * math.pi)
-        if np.any(np.minimum(d, 2.0 * math.pi - d) > wedge / 2.0):
+        if np.any(reference_circular_distance(azimuths[chosen], 2.0 * math.pi * i / n) > wedge / 2.0):
             out.append(i)
     return out
 
