@@ -36,9 +36,11 @@ else:
     _THREADS = os.cpu_count() or 1
 # (process id, worker count) and the ThreadPoolExecutor of _pool
 _POOL = None
-# correspondences per batch of the IRLS kernel: each (m, n, 3) temporary of
-# a batch stays near 100 KB, however many sets are registered
-BATCH_CORRESPONDENCES = 4096
+# correspondences per batch of the IRLS kernel: each coordinate-major
+# (b, 3, n) temporary of a batch stays near 200 KB, however many sets are
+# registered. Larger batches make fewer, longer passes; at 16384 the peak RSS
+# of a 30x2048 synthetic solve rose by 1-2.5 MB, at 8192 it did not
+BATCH_CORRESPONDENCES = 8192
 # fit status of one row of _fit_stack; _fit_error maps a failure to its error
 _FIT_OK, _TOO_FEW, _ZERO_WEIGHT, _COLLINEAR = range(4)
 # local_confidence: logistic steepness and midpoint on the inlier ratio, and
@@ -83,8 +85,6 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return self.source_pts.shape[0]
 
-    def with_weights(self, weights) -> "CorrespondenceSet":
-        return CorrespondenceSet(self.source_pts, self.target_pts, weights, self.residuals)
 
 @dataclass(frozen=True, eq=False)
 class PairwiseResult:
@@ -286,12 +286,13 @@ def _fit_error(status: int, count: int) -> RegistrationError:
 def _fit_stack(src, dst, w):
     """Weighted closed-form rigid fits of m equal-length correspondence sets.
 
-    src and dst are (m, n, 3), w is (m, n). Each row minimizes
-    sum_l w_l |R p_l + t - q_l|^2: weighted centroids, centered coordinates,
-    cross-covariance S = P~^T W Q~, SVD S = U S V^T,
-    R = V diag(1, 1, det(VU^T)) U^T, t = q_bar - R p_bar. Returns rotations
-    (m, 3, 3), translations (m, 3) and a fit status per row; the motion of
-    a failed row is finite but meaningless.
+    src and dst are coordinate-major (m, 3, n) stacks, w is (m, n). Each row
+    minimizes sum_l w_l |R p_l + t - q_l|^2: weighted centroids src @ w,
+    coordinates centred along the last axis, cross-covariance
+    S = P~ W Q~^T, SVD S = U S V^T, R = V diag(1, 1, det(VU^T)) U^T,
+    t = q_bar - R p_bar. Returns rotations (m, 3, 3), translations (m, 3)
+    and a fit status per row; the motion of a failed row is finite but
+    meaningless.
     """
     m, n = w.shape
     status = np.full(m, _FIT_OK, dtype=np.int8)
@@ -302,11 +303,12 @@ def _fit_stack(src, dst, w):
     status[sw <= 0.0] = _ZERO_WEIGHT
     # a unit divisor keeps zero-weight rows finite, so one SVD serves all rows
     sw = np.where(sw > 0.0, sw, 1.0)[:, None]
-    p_bar = (w[:, None, :] @ src)[:, 0] / sw
-    q_bar = (w[:, None, :] @ dst)[:, 0] / sw
-    p_c = src - p_bar[:, None, :]
-    q_c = dst - q_bar[:, None, :]
-    cov = np.swapaxes(p_c, 1, 2) @ (w[:, :, None] * q_c)
+    p_bar = (src @ w[:, :, None])[:, :, 0] / sw
+    q_bar = (dst @ w[:, :, None])[:, :, 0] / sw
+    p_c = src - p_bar[:, :, None]
+    q_c = dst - q_bar[:, :, None]
+    q_c *= w[:, None, :]
+    cov = p_c @ np.swapaxes(q_c, 1, 2)
     u, s, vt = np.linalg.svd(cov)
     collinear = (s[:, 0] == 0.0) | (s[:, 1] <= 1e-12 * s[:, 0])
     status[collinear & (status == _FIT_OK)] = _COLLINEAR
@@ -319,15 +321,19 @@ def _fit_stack(src, dst, w):
 
 
 def _residual_stack(rot, trans, src, dst):
-    """|R p_l + t - q_l| for every correspondence of every row, (m, n)."""
-    moved = src @ np.swapaxes(rot, 1, 2)
-    moved += trans[:, None, :]
+    """|R p_l + t - q_l| for every correspondence of every row, (m, n).
+
+    src and dst are coordinate-major (m, 3, n) stacks.
+    """
+    moved = rot @ src
+    moved += trans[:, :, None]
     moved -= dst
-    # x^2 + y^2, then + z^2: the order np.linalg.norm(axis=2) adds in, so
-    # the norms are bit-equal to it, without its squared copy
+    # x^2 + y^2, then + z^2: the order np.linalg.norm adds in over the
+    # coordinate axis, so the norms are bit-equal to it, without its
+    # squared copy
     sq = np.square(moved, out=moved)
-    norm = sq[..., 0] + sq[..., 1]
-    norm += sq[..., 2]
+    norm = sq[:, 0] + sq[:, 1]
+    norm += sq[:, 2]
     return np.sqrt(norm, out=norm)
 
 
@@ -369,23 +375,26 @@ def _reweight_stack(r, prev, blend: float):
 def _irls_stack(src, dst, w, iterations: int, blend: float, rot=None, trans=None):
     """The inner IRLS loop on m equal-length correspondence sets at once.
 
-    Starts from the weighted fit of w, or from the motions rot, trans when
-    they are given. Each iteration reweights the rows whose fits have not
-    failed from their residuals and re-fits them. w, rot and trans are
-    updated in place; returns rot, trans and the fit status of each row.
+    src and dst are coordinate-major (m, 3, n) stacks. Starts from the
+    weighted fit of w, or from the motions rot, trans when they are given.
+    Each iteration reweights every row from its residuals and re-fits it,
+    and keeps the new weights and motion only where the row was fitted and
+    still is: a failed row stays failed, with the weights and motion it
+    had. w, rot and trans are updated in place; returns rot, trans and the
+    fit status of each row.
     """
     if rot is None:
         rot, trans, status = _fit_stack(src, dst, w)
     else:
         status = np.full(len(w), _FIT_OK, dtype=np.int8)
     for _ in range(iterations):
-        rows = np.flatnonzero(status == _FIT_OK)
-        s, d = src[rows], dst[rows]
-        w_new = _reweight_stack(_residual_stack(rot[rows], trans[rows], s, d), w[rows], blend)
-        rot_new, trans_new, status[rows] = _fit_stack(s, d, w_new)
-        ok = status[rows] == _FIT_OK
-        fitted = rows[ok]
-        rot[fitted], trans[fitted], w[fitted] = rot_new[ok], trans_new[ok], w_new[ok]
+        w_new = _reweight_stack(_residual_stack(rot, trans, src, dst), w, blend)
+        rot_new, trans_new, fit = _fit_stack(src, dst, w_new)
+        status = np.where(status == _FIT_OK, fit, status)
+        ok = status == _FIT_OK
+        np.copyto(rot, rot_new, where=ok[:, None, None])
+        np.copyto(trans, trans_new, where=ok[:, None])
+        np.copyto(w, w_new, where=ok[:, None])
     return rot, trans, status
 
 
@@ -394,10 +403,11 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
 
     Sets are grouped by correspondence count, and each group is walked in
     batches of at most BATCH_CORRESPONDENCES correspondences (at least one
-    set), so the extra memory does not grow with the number of sets.
-    weights[k] are the starting weights of sets[k]; start, when given, is an
-    (m, 4, 4) stack of starting motions. Returns the PairwiseFits of the sets
-    and the fit status of each row.
+    set), so the extra memory does not grow with the number of sets. A
+    batch stacks its sets' transposed points once, into the (b, 3, n)
+    stacks _irls_stack takes. weights[k] are the starting weights of
+    sets[k]; start, when given, is an (m, 4, 4) stack of starting motions.
+    Returns the PairwiseFits of the sets and the fit status of each row.
     """
     m = len(sets)
     groups: dict[int, list[int]] = {}
@@ -411,8 +421,8 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
         step = max(1, BATCH_CORRESPONDENCES // count)
         for first in range(0, len(members), step):
             idx = np.array(members[first : first + step])
-            src = np.stack([sets[k].source_pts for k in idx])
-            dst = np.stack([sets[k].target_pts for k in idx])
+            src = np.stack([sets[k].source_pts.T for k in idx])
+            dst = np.stack([sets[k].target_pts.T for k in idx])
             w = np.stack([weights[k] for k in idx])
             rot = trans = None
             if start is not None:
@@ -437,7 +447,7 @@ def wls_transform(c: CorrespondenceSet) -> RigidMotion:
     S = P~^T W Q~, SVD S = U S V^T, R = V diag(1, 1, det(VU^T)) U^T,
     t = q_bar - R p_bar.
     """
-    rot, trans, status = _fit_stack(c.source_pts[None], c.target_pts[None], c.weights[None])
+    rot, trans, status = _fit_stack(c.source_pts.T[None], c.target_pts.T[None], c.weights[None])
     if status[0] != _FIT_OK:
         raise _fit_error(status[0], len(c))
     return RigidMotion(Rotation3(rot[0]), trans[0])
@@ -446,7 +456,7 @@ def wls_transform(c: CorrespondenceSet) -> RigidMotion:
 def residuals(c: CorrespondenceSet, m: RigidMotion) -> np.ndarray:
     """Per-correspondence distance |R p_l + t - q_l|."""
     return _residual_stack(
-        m.rotation.m[None], m.translation[None], c.source_pts[None], c.target_pts[None]
+        m.rotation.m[None], m.translation[None], c.source_pts.T[None], c.target_pts.T[None]
     )[0]
 
 
@@ -501,7 +511,9 @@ def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> Pair
     motions), blending with the previous weights[k], then re-fits and
     scores the set. A set whose re-fit fails, because its weights collapsed
     onto a degenerate support, gets fitted False, so the caller can keep its
-    previous fit.
+    previous fit. Start motions must be finite and weights finite and in
+    [0, 1], as CorrespondenceSet requires; otherwise ValueError is raised
+    before any fit.
     """
     cfg = cfg or PipelineConfig()
     start = np.asarray(start, dtype=np.float64)
@@ -510,10 +522,20 @@ def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> Pair
             f"need one 4x4 start motion and one weight vector per set, got {start.shape} "
             f"and {len(weights)} for {len(sets)} sets"
         )
+    if not np.isfinite(start).all():
+        raise ValueError("start motions must be finite")
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     for c, w in zip(sets, weights):
         if w.shape != (len(c),):
             raise ValueError(f"weights shape {w.shape} != ({len(c)},) correspondences")
+    # a few sets' weights per check, at most BATCH_CORRESPONDENCES unless one
+    # set is longer, so the check adds no memory that grows with the sets;
+    # min and max carry a NaN, which fails both comparisons
+    step = max(1, BATCH_CORRESPONDENCES // max(map(len, sets), default=1))
+    for first in range(0, len(weights), step):
+        chunk = np.concatenate(weights[first : first + step])
+        if not (0.0 <= chunk.min() and chunk.max() <= 1.0):
+            raise ValueError("weights must be finite and lie in [0, 1]")
     return _irls_edges(sets, weights, cfg, 1, start)[0]
 
 

@@ -633,14 +633,16 @@ class TestRobustStatistics:
         assert bit_equal(got, np.median(rows, axis=-1))
         assert bit_equal(pairwise_mod._row_median(rows[1]), np.median(rows[1], axis=-1))
 
-    @pytest.mark.parametrize("m, n", [(32, 128), (2, 2048), (3, 127)])
+    # (1200, 128): the posegraph-ring400 shape, every edge in one stack
+    @pytest.mark.parametrize("m, n", [(32, 128), (2, 2048), (3, 127), (1200, 128)])
     def test_residual_norm_is_bit_equal_to_linalg_norm(self, m, n):
         rng = np.random.default_rng(m * n)
         motions = np.stack([random_motion(rng).matrix for _ in range(m)])
         rot, trans = motions[:, :3, :3], motions[:, :3, 3]
-        src, dst = rng.normal(size=(m, n, 3)), rng.normal(size=(m, n, 3))
-        moved = src @ np.swapaxes(rot, 1, 2) + trans[:, None, :] - dst
-        expected = np.linalg.norm(moved, axis=2)
+        # coordinate-major (m, 3, n) stacks, as the IRLS kernel holds them
+        src, dst = rng.normal(size=(m, 3, n)), rng.normal(size=(m, 3, n))
+        moved = rot @ src + trans[:, :, None] - dst
+        expected = np.linalg.norm(moved, axis=1)
         assert bit_equal(pairwise_mod._residual_stack(rot, trans, src, dst), expected)
 
     def test_ring_solve_calls_no_np_median(self, monkeypatch):
@@ -921,7 +923,7 @@ class TestRegisterPair:
         for _ in range(4):
             r = residuals(corr, motion)
             weights = robust_reweight(r, weights, blend=0.7)
-            weighted = corr.with_weights(weights)
+            weighted = CorrespondenceSet(corr.source_pts, corr.target_pts, weights, corr.residuals)
             before = float(np.sum(weights * residuals(corr, motion) ** 2))
             motion = wls_transform(weighted)
             after = float(np.sum(weights * residuals(corr, motion) ** 2))
@@ -1077,6 +1079,38 @@ class TestBatchedIrls:
                 register_batch(sets)
             assert type(info.value) is error
 
+    def test_batch_layout_does_not_change_bits(self, monkeypatch):
+        # a set's fit depends on its own rows only, not on which sets share
+        # its batch: register, a refit where every set is fitted, and a refit
+        # where the middle set's weights have collapsed (blend 0 keeps them
+        # at zero, so its row is masked)
+        sets = mixed_sets(np.random.default_rng(48))
+        mid = len(sets) // 2
+        fits = register_batch(sets)
+        collapsed = list(fits.weights)
+        collapsed[mid] = np.zeros(len(sets[mid]))
+        calls = {
+            "register": lambda: register_batch(sets),
+            "refit": lambda: refit_batch(sets, fits.weights, fits.motions),
+            "masked": lambda: refit_batch(sets, collapsed, fits.motions, PipelineConfig(blend=0.0)),
+        }
+        results = {}
+        for batch in self.BATCHES:
+            monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
+            results[batch] = {name: call() for name, call in calls.items()}
+        first = results[self.BATCHES[0]]
+        assert first["refit"].fitted.all()
+        assert np.flatnonzero(~first["masked"].fitted).tolist() == [mid]
+        for batch in self.BATCHES[1:]:
+            for name, got in results[batch].items():
+                want = first[name]
+                assert np.array_equal(got.motions, want.motions), (batch, name)
+                assert np.array_equal(got.inlier_ratio, want.inlier_ratio), (batch, name)
+                assert np.array_equal(got.local_confidence, want.local_confidence), (batch, name)
+                assert np.array_equal(got.fitted, want.fitted), (batch, name)
+                for wg, ww in zip(got.weights, want.weights, strict=True):
+                    assert np.array_equal(wg, ww), (batch, name)
+
     def test_peak_memory_is_bounded(self):
         # 96 sets of 2048 correspondences, the synthetic-30x2048 shape: the
         # output weights take 1.6 MB; one stack of all sets at once peaked at
@@ -1117,7 +1151,7 @@ class TestRefitBatch:
         for k, (c, w, m) in enumerate(zip(sets, prev, start)):
             r = residuals(c, RigidMotion.from_matrix(m))
             w_new = robust_reweight(r, w, cfg.blend)
-            expected = wls_transform(c.with_weights(w_new))
+            expected = wls_transform(CorrespondenceSet(c.source_pts, c.target_pts, w_new, c.residuals))
             assert np.abs(fits.motions[k] - expected.matrix).max() <= 1e-12
             assert np.abs(fits.weights[k] - w_new).max() <= 1e-12
             final = residuals(c, expected)
@@ -1143,13 +1177,30 @@ class TestRefitBatch:
         alone = refit_batch([sets[0], sets[2]], [prev[0], prev[2]], start[[0, 2]], cfg)
         assert np.array_equal(results.motions[[0, 2]], alone.motions)
 
-    def test_shapes_are_validated(self):
+    def test_shapes_are_validated(self, monkeypatch):
         rng = np.random.default_rng(47)
         sets, start = self.make_sets(rng)
         prev = [np.ones(len(c)) for c in sets]
+        # every bad input is rejected before any fit runs
+        monkeypatch.setattr(pairwise_mod, "_irls_edges", None)
         with pytest.raises(ValueError):
             refit_batch(sets, prev, start[:2])
         with pytest.raises(ValueError):
             refit_batch(sets, prev[:2], start)
         with pytest.raises(ValueError):
             refit_batch(sets, [np.ones(3)] + prev[1:], start)
+        # a NaN weight would reach the SVD and a negative one fail a fit
+        # silently; the weights are checked a few sets at a time, so the bad
+        # set is checked alone (batch 1) and among the others (10**9)
+        for batch in (1, 10**9):
+            monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
+            for bad in (np.nan, np.inf, -np.inf, -0.5, 1.5):
+                weights = [w.copy() for w in prev]
+                weights[1][3] = bad
+                with pytest.raises(ValueError, match=r"weights must be finite and lie in \[0, 1\]"):
+                    refit_batch(sets, weights, start)
+        for bad in (np.nan, np.inf, -np.inf):
+            motions = start.copy()
+            motions[2, 0, 3] = bad
+            with pytest.raises(ValueError, match="start motions must be finite"):
+                refit_batch(sets, prev, motions)
