@@ -14,7 +14,6 @@ with split().
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .geometry import PointCloud
 from .graph import build_graph
 from .io_formats import (
     TrajectoryEntry,
+    parse_index_pair,
     read_config,
     read_features,
     read_ply,
@@ -82,18 +82,8 @@ def _cmd_pairwise(args) -> int:
 
 
 def _read_edge_list(path: Path):
-    pairs = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = re.fullmatch(r"([0-9]+)(?:-|\s+)([0-9]+)", line)
-        if match is None:
-            raise ValueError(
-                f"edge line '{line}' is not 'i j' or 'i-j' with scan indices i, j >= 0"
-            )
-        pairs.append((int(match[1]), int(match[2])))
-    return tuple(pairs)
+    lines = [raw.strip() for raw in path.read_text(encoding="utf-8").splitlines()]
+    return tuple(parse_index_pair(s, "edge line") for s in lines if s and not s.startswith("#"))
 
 
 def _scan_paths(directory: Path):
@@ -126,7 +116,6 @@ def _cmd_multiview(args) -> int:
         absolute = result.absolute
         print("mode multiview")
         print("rotation_eigengap", _fmt(result.rotation_eigengap))
-        print("translation_rank_deficiency", result.translation_rank_deficiency)
         print("active_edges", int(result.graph.active.sum()))
         print("disconnected", int(result.disconnected))
     entries = trajectory_from_motions(absolute)
@@ -174,7 +163,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_thresholds(text: str):
+def _parse_thresholds(text: str | None, default):
+    if text is None:
+        return default
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
@@ -183,16 +174,8 @@ def _cmd_eval(args) -> int:
     gt = read_trajectory(args.gt)
     if len(est) != len(gt):
         raise LengthMismatch(f"{len(est)} estimated motions vs {len(gt)} reference motions")
-    rot_thresholds = (
-        _parse_thresholds(args.rot_thresholds)
-        if args.rot_thresholds is not None
-        else ROTATION_ECDF_THRESHOLDS_DEG
-    )
-    trans_thresholds = (
-        _parse_thresholds(args.trans_thresholds)
-        if args.trans_thresholds is not None
-        else TRANSLATION_ECDF_THRESHOLDS_M
-    )
+    rot_thresholds = _parse_thresholds(args.rot_thresholds, ROTATION_ECDF_THRESHOLDS_DEG)
+    trans_thresholds = _parse_thresholds(args.trans_thresholds, TRANSLATION_ECDF_THRESHOLDS_M)
     est_m = np.array([e.matrix for e in est]).reshape(-1, 4, 4)
     gt_m = np.array([e.matrix for e in gt]).reshape(-1, 4, 4)
     # relatives M_j^-1 M_i of every pair i < j; trajectory files may hold

@@ -18,32 +18,29 @@ class PipelineConfig:
 
     Defaults follow the reference operating point: four outer iterations,
     four synchronization rounds per iteration, pruning threshold 0.85.
+    temperature and connectivity say which correspondences to build. Of the
+    two pipelines only run_multiview reads them: run_multiview_from_correspondences
+    takes built sets and ignores both.
     """
 
     outer_iterations: int = 4
     sync_rounds: int = 4
     tau_p: float = 0.85
     temperature: float = 0.02
-    gamma: float = 3.0
-    beta: float = 1.0
-    w_thresh: float = 0.5
-    inner_irls: int = 5
     blend: float = 0.7
     connectivity: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         # a float count would fail later in range(), a float scan index be truncated
-        for name, low in (("outer_iterations", 1), ("sync_rounds", 1), ("inner_irls", 0)):
+        for name in ("outer_iterations", "sync_rounds"):
             value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            if not is_integer(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, int(value))
-        # chained comparisons also reject NaN; an infinite gamma would turn
-        # the Cauchy reweighting off
-        for name in ("temperature", "gamma", "beta"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("tau_p", "w_thresh", "blend"):
+        # chained comparisons also reject NaN
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
+        for name in ("tau_p", "blend"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.connectivity is not None:

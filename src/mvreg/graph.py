@@ -24,6 +24,9 @@ from .geometry import RigidMotion, motion_stack, non_rotations
 from .pairwise import PairwiseFits, mad_scale
 
 CAUCHY_MAD_TO_SIGMA = 1.482
+# the global confidence's Cauchy scale in robust sigmas, and its fusion weight
+GAMMA = 3.0
+BETA = 1.0
 _CONFIDENCES = ("c_local", "c_global", "c_fused")
 # the columns after pairs and motions, and an Edge record's fields after i, j and motion
 _SCALARS = (*_CONFIDENCES, "active")

@@ -8,6 +8,7 @@ are little-endian; text is UTF-8.
 
 from __future__ import annotations
 
+import re
 import struct
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields
@@ -305,25 +306,33 @@ def trajectory_from_motions(motions) -> list[TrajectoryEntry]:
     return [TrajectoryEntry(i, i, len(motions), m.matrix) for i, m in enumerate(motions)]
 
 
+# scan indices and counts are runs of ASCII digits: int() also takes signs, "_" and other scripts
+_INDEX_PAIR = re.compile(r"([0-9]+)(?:-|\s+)([0-9]+)", re.ASCII)
+
+
+def parse_index_pair(text: str, what: str) -> tuple[int, int]:
+    """Scan indices (i, j) from 'i-j' or 'i j': two runs of ASCII digits joined
+    by one '-' or by whitespace. Anything else raises ValueError about `what`."""
+    match = _INDEX_PAIR.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{what} '{text}' is not 'i j' or 'i-j' with scan indices i, j >= 0")
+    return int(match[1]), int(match[2])
+
+
+def _parse_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"'{text}' is not a run of ASCII digits")
+    return int(text)
+
+
 def _parse_connectivity(value: str):
-    pairs = []
-    for chunk in value.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split("-")
-        if len(parts) != 2:
-            raise MalformedConfig(f"connectivity entry '{chunk}' is not of the form i-j")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise MalformedConfig(f"connectivity entry '{chunk}' is not a pair of integers") from exc
-    return tuple(pairs)
+    chunks = [chunk.strip() for chunk in value.split(",")]
+    return tuple(parse_index_pair(c, "connectivity entry") for c in chunks if c)
 
 
 # each key's parser follows the type of its PipelineConfig field
 _CONFIG_PARSERS = {
-    f.name: _parse_connectivity if f.name == "connectivity" else {"int": int, "float": float}[f.type]
+    f.name: _parse_connectivity if f.name == "connectivity" else {"int": _parse_count, "float": float}[f.type]
     for f in dataclass_fields(PipelineConfig)
 }
 
@@ -346,7 +355,7 @@ def read_config(path) -> PipelineConfig:
             try:
                 overrides[key] = _CONFIG_PARSERS[key](value)
             except ValueError as exc:
-                raise MalformedConfig(f"bad value for '{key}' on line {lineno}: '{value}'") from exc
+                raise MalformedConfig(f"bad value for '{key}' on line {lineno}: {exc}") from exc
     try:
         return PipelineConfig(**overrides)
     except ValueError as exc:

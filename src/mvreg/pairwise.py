@@ -41,6 +41,9 @@ _POOL = None
 # registered. Larger batches make fewer, longer passes; at 16384 the peak RSS
 # of a 30x2048 synthetic solve rose by 1-2.5 MB, at 8192 it did not
 BATCH_CORRESPONDENCES = 8192
+# IRLS steps of register_batch, and the weight above which a correspondence is an inlier
+IRLS_ITERATIONS = 5
+INLIER_WEIGHT = 0.5
 # fit status of one row of _fit_stack; _fit_error maps a failure to its error
 _FIT_OK, _TOO_FEW, _ZERO_WEIGHT, _COLLINEAR = range(4)
 # local_confidence: logistic steepness and midpoint on the inlier ratio, and
@@ -52,7 +55,8 @@ CONF_RESIDUAL_SCALE = 0.05
 
 @dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
-    """Paired source/target coordinates with per-pair weights and residuals."""
+    """Paired source/target coordinates with per-pair weights, and residuals
+    that are checked and carried but that no fit reads or writes."""
 
     source_pts: np.ndarray
     target_pts: np.ndarray
@@ -259,7 +263,7 @@ def _pool(size: int):
 def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> CorrespondenceSet:
     """One soft correspondence in q for every point of p.
 
-    Weights start at 1 and residuals at 0; the IRLS loop fills them in.
+    Weights start at 1 and residuals at 0, which no fit reads or writes.
     """
     if p.features is None or q.features is None:
         raise MissingFeatures("both clouds must carry per-point features")
@@ -432,7 +436,7 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
             ok = status[idx] == _FIT_OK
             rows = idx[ok]
             motions[rows, :3, :3], motions[rows, :3, 3] = rot[ok], trans[ok]
-            inlier[rows] = np.mean(w[ok] > cfg.w_thresh, axis=1)
+            inlier[rows] = np.mean(w[ok] > INLIER_WEIGHT, axis=1)
             conf[rows] = local_confidence(inlier[rows], _row_median(r[ok]))
             for row, k in enumerate(idx):
                 w_out[k] = w[row]
@@ -496,7 +500,7 @@ def register_batch(sets, cfg: PipelineConfig | None = None) -> PairwiseFits:
     set in input order is raised, as a loop over the sets would.
     """
     cfg = cfg or PipelineConfig()
-    fits, status = _irls_edges(sets, [c.weights for c in sets], cfg, cfg.inner_irls)
+    fits, status = _irls_edges(sets, [c.weights for c in sets], cfg, IRLS_ITERATIONS)
     if not fits.fitted.all():
         k = int(np.argmin(fits.fitted))
         raise _fit_error(status[k], len(sets[k]))

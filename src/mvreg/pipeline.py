@@ -12,7 +12,7 @@ import numpy as np
 from .config import PipelineConfig, is_integer
 from .errors import DisconnectedInput, DuplicateEdge, IndexOutOfRange, TooFewClouds
 from .geometry import PointCloud, RigidMotion, motion_stack, relative_motions
-from .graph import PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges, search_tree
+from .graph import BETA, PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges, search_tree
 
 # register_correspondences, wls_transform, residuals, robust_reweight and
 # local_confidence are not called in this module. They are imported because
@@ -107,7 +107,7 @@ def _feedback(graph, poses, sets, weights, cfg, first: bool) -> PoseGraph:
     c_local = fits.local_confidence[fits.fitted]
     # on the first pass there is no trustworthy global evidence yet
     c_fused = c_local if first else np.clip(
-        harmonic_fuse(c_local, graph.c_global[rows], cfg.beta), 0.0, 1.0
+        harmonic_fuse(c_local, graph.c_global[rows], BETA), 0.0, 1.0
     )
     return graph.with_rows(rows, motions=fits.motions[fits.fitted], c_local=c_local,
                            c_fused=c_fused)
@@ -148,7 +148,8 @@ def run_multiview_from_correspondences(
     Keys must be distinct pairs (i, j) with i < j. See run_multiview for the
     iteration structure; this entry point exists so callers can supply their
     own correspondences (e.g. from external descriptors or with controlled
-    corruption).
+    corruption). The keys are the scan pairs: cfg.connectivity and
+    cfg.temperature, which only run_multiview reads, have no effect here.
     """
     cfg = cfg or PipelineConfig()
     # checked before the IRLS runs, like the keys below: a float n would only fail in PoseGraph
@@ -172,7 +173,7 @@ def run_multiview_from_correspondences(
 
     stats = []
     for k in range(1, cfg.outer_iterations + 1):
-        result = transf_sync(graph, rounds=cfg.sync_rounds, gamma=cfg.gamma, beta=cfg.beta)
+        result = transf_sync(graph, rounds=cfg.sync_rounds)
         graph = _feedback(result.graph, result.poses, sets, weights, cfg, k == 1)
         graph = prune_edges(graph, cfg.tau_p)
 

@@ -56,6 +56,8 @@ from .config import is_integer
 from .errors import DegenerateMatrix, DisconnectedGraph, EigenSolverFailure
 from .geometry import RigidMotion, motion_stack, nearest_rotations, relative_motions
 from .graph import (
+    BETA,
+    GAMMA,
     PoseGraph,
     cauchy_global_confidence,
     cauchy_scale,
@@ -478,23 +480,20 @@ def translation_objective(g: PoseGraph, rotations, translations) -> float:
     return float(c @ np.sum((rebuilt - motions[:, :3, 3]) ** 2, axis=1))
 
 
-def transf_sync(
-    g: PoseGraph, rounds: int = 4, gamma: float = 3.0, beta: float = 1.0
-) -> SyncResult:
+def transf_sync(g: PoseGraph, rounds: int = 4) -> SyncResult:
     """Alternate synchronization and confidence reweighting for `rounds` rounds.
 
     Each round synchronizes rotations and translations, rebuilds the relative
-    motions, and refreshes the global/fused confidences with a Cauchy weight
-    at a MAD-derived scale. Local confidences are held fixed here; the outer
-    pipeline owns them. Rounds only reweight edges, never deactivate them, so
+    motions, and refreshes the global confidences with a Cauchy weight at a
+    MAD-derived scale (graph.GAMMA) and the fused ones with harmonic_fuse at
+    graph.BETA. Local confidences are held fixed here; the outer pipeline
+    owns them. Rounds only reweight edges, never deactivate them, so
     connectivity is checked once, and the band order computed once, up front.
     Each round after the first starts its eigensolver from the previous
     round's Ritz panel.
     """
     if not is_integer(rounds) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
-    if not (0.0 < gamma < np.inf and 0.0 < beta < np.inf):
-        raise ValueError("gamma and beta must be positive and finite")
     n = g.node_count
     pairs, motions, c_fused = _active_arrays(g, rounds)
     c_local = g.c_local[g.active]
@@ -510,8 +509,8 @@ def transf_sync(
         poses[:, 3, 3] = 1.0
         # per edge, the Frobenius gap between the measured and the rebuilt relative motion
         residuals = np.linalg.norm(motions - relative_motions(poses, pairs), axis=(1, 2))
-        c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals, gamma))
-        c_fused = np.clip(harmonic_fuse(c_local, c_global, beta), 0.0, 1.0)
+        c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals, GAMMA))
+        c_fused = np.clip(harmonic_fuse(c_local, c_global, BETA), 0.0, 1.0)
 
     poses.setflags(write=False)
     return SyncResult(

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mvreg import (
+    MalformedConfig,
     PointCloud,
     PoseGraph,
     pairwise_chain_absolute,
+    read_config,
     read_features,
     read_ply,
     read_trajectory,
@@ -142,6 +144,8 @@ class TestMultiviewCommand:
         assert code == 0
         kv = parse_kv(out)
         assert kv["mode"] == ["multiview"]
+        # the rows that carry information; the rank deficiency is always 3
+        assert set(kv) == {"mode", "rotation_eigengap", "active_edges", "disconnected", "trajectory"}
         assert est.exists()
         assert len(read_trajectory(est)) == 4
 
@@ -234,6 +238,33 @@ class TestMultiviewCommand:
         edges = tmp_path / "edges.txt"
         edges.write_text("# measured pairs\n0 1\n1-2\n\n2\t3\n")
         assert _read_edge_list(edges) == ((0, 1), (1, 2), (2, 3))
+
+    # int() would read 1_0 as 10, +1 as 1 and the Arabic-Indic 3 as 3
+    @pytest.mark.parametrize("line", ["1_0-2", "+1-2", " 1 - 2 ", "\u0663-4"])
+    def test_edge_line_outside_the_pair_grammar_fails(self, tmp_path, capsys, line):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "multiview", str(scene), "--edges", str(edges))
+        assert code == 1
+        assert "edge line" in err and "mode" not in parse_kv(out)
+
+    @pytest.mark.parametrize("text, pair", [("0-1", (0, 1)), ("0 1", (0, 1)), ("0\t1", (0, 1)),
+                                            ("10-002", (10, 2)), ("1_0-2", None), ("+1-2", None),
+                                            (" 1 - 2 ", None), ("\u0663-4", None), ("1--2", None),
+                                            ("1", None)])
+    def test_edge_line_and_connectivity_entry_share_one_grammar(self, tmp_path, text, pair):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"{text}\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"connectivity={text}\n", encoding="utf-8")
+        if pair is None:
+            with pytest.raises(ValueError, match="edge line"):
+                _read_edge_list(edges)
+            with pytest.raises(MalformedConfig):
+                read_config(cfg)
+        else:
+            assert _read_edge_list(edges) == read_config(cfg).connectivity == (pair,)
 
     @pytest.mark.parametrize("voxel", ["nan", "inf", "0", "-1"])
     def test_voxel_must_be_positive_and_finite(self, tmp_path, capsys, voxel):

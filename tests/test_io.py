@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,35 +406,30 @@ class TestMalformedFiles:
             read_config(p)
 
     def test_config_value_out_of_range(self, tmp_path):
-        for name, text in (("e.cfg", "tau_p=1.5\n"), ("f.cfg", "gamma=0\n"), ("g.cfg", "gamma=inf\n")):
-            p = tmp_path / name
-            p.write_text(text)
-            with pytest.raises(MalformedConfig):
-                read_config(p)
+        p = tmp_path / "e.cfg"
+        p.write_text("tau_p=1.5\n")
+        with pytest.raises(MalformedConfig):
+            read_config(p)
 
 
 class TestReadConfig:
-    @pytest.mark.parametrize("field, value", [("gamma", -1.0), ("gamma", 0.0), ("beta", 0.0),
-                                              ("w_thresh", 1.5), ("w_thresh", -0.1),
-                                              ("inner_irls", -3), ("temperature", np.nan),
-                                              ("outer_iterations", 2.5), ("inner_irls", 2.5),
+    @pytest.mark.parametrize("field, value", [("temperature", np.nan),
+                                              ("outer_iterations", 2.5),
                                               ("sync_rounds", 2.5), ("sync_rounds", np.float64(2.0)),
                                               ("connectivity", ((0, 1.5), (1, 2))),
                                               ("connectivity", ((0, 1, 2), (1, 2))),
                                               ("sync_rounds", True), ("outer_iterations", True),
-                                              ("inner_irls", False),
                                               ("connectivity", ((True, 2), (0, 1))),
-                                              ("temperature", np.inf), ("gamma", np.inf),
-                                              ("beta", np.inf)])
+                                              ("temperature", np.inf)])
     def test_config_fields_are_range_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             PipelineConfig(**{field: value})
 
     def test_counts_and_indices_accept_numpy_integers(self):
         cfg = PipelineConfig(outer_iterations=np.int64(2), sync_rounds=np.int32(3),
-                             inner_irls=np.uint8(0), connectivity=np.array([[1, 0], [1, 2]]))
-        counts = (cfg.outer_iterations, cfg.sync_rounds, cfg.inner_irls)
-        assert counts == (2, 3, 0) and all(type(v) is int for v in counts)
+                             connectivity=np.array([[1, 0], [1, 2]]))
+        counts = (cfg.outer_iterations, cfg.sync_rounds)
+        assert counts == (2, 3) and all(type(v) is int for v in counts)
         assert cfg.connectivity == ((1, 0), (1, 2))
         assert all(type(v) is int for pair in cfg.connectivity for v in pair)
 
@@ -455,13 +451,12 @@ class TestReadConfig:
     def test_every_field_parses_to_its_type(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(
-            "outer_iterations=2\nsync_rounds=3\ntau_p=1\ntemperature=0.5\ngamma=2\n"
-            "beta=1\nw_thresh=0\ninner_irls=0\nblend=1\nconnectivity=0-1,1-2\n"
+            "outer_iterations=2\nsync_rounds=3\ntau_p=1\ntemperature=0.5\n"
+            "blend=1\nconnectivity=0-1,1-2\n"
         )
         cfg = read_config(p)
-        ints = {"outer_iterations": 2, "sync_rounds": 3, "inner_irls": 0}
-        floats = {"tau_p": 1.0, "temperature": 0.5, "gamma": 2.0, "beta": 1.0,
-                  "w_thresh": 0.0, "blend": 1.0}
+        ints = {"outer_iterations": 2, "sync_rounds": 3}
+        floats = {"tau_p": 1.0, "temperature": 0.5, "blend": 1.0}
         assert {k: getattr(cfg, k) for k in ints} == ints
         assert all(type(getattr(cfg, k)) is int for k in ints)
         assert {k: getattr(cfg, k) for k in floats} == floats
@@ -474,6 +469,45 @@ class TestReadConfig:
         p.write_text("connectivity=0-1, 1-2 ,2-3\n")
         cfg = read_config(p)
         assert cfg.connectivity == ((0, 1), (1, 2), (2, 3))
+
+    def test_connectivity_takes_the_edge_list_forms(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("connectivity=0 1,1\t2,,10-002\n")
+        assert read_config(p).connectivity == ((0, 1), (1, 2), (10, 2))
+
+    # int() reads 1_0 as 10 and +1 as 1, ignores surrounding blanks and takes
+    # Arabic-Indic or full-width digits; a scan index is a run of ASCII digits
+    @pytest.mark.parametrize("entry", ["1_0-2", "+1-2", " 1 - 2 ", "\u0663-4", "1-\uff12",
+                                       "1--2", "-1-2", "1-2-3", "1", "1-", "0x1-2"])
+    def test_connectivity_entry_must_be_an_ascii_digit_pair(self, tmp_path, entry):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"connectivity=0-1,{entry}\n", encoding="utf-8")
+        with pytest.raises(MalformedConfig, match="bad value for 'connectivity' on line 1"):
+            read_config(p)
+
+    @pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "\uff13", "3.0", "-1", "0x3", ""])
+    def test_integer_key_must_be_ascii_digits(self, tmp_path, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"outer_iterations={value}\n", encoding="utf-8")
+        with pytest.raises(MalformedConfig, match="bad value for 'outer_iterations' on line 1"):
+            read_config(p)
+
+    @pytest.mark.parametrize("key", ["gamma", "beta", "w_thresh", "inner_irls"])
+    def test_confidence_constants_are_not_keys(self, tmp_path, key):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key}=1\n")
+        with pytest.raises(MalformedConfig, match=f"unknown configuration key '{key}'"):
+            read_config(p)
+        with pytest.raises(TypeError):
+            PipelineConfig(**{key: 1})
+
+    def test_readme_config_block_parses(self, tmp_path):
+        # the first fenced block after the README's configuration paragraph
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        start = readme.index("```\n", readme.index("Configuration files are flat")) + 4
+        p = tmp_path / "pipeline.cfg"
+        p.write_text(readme[start : readme.index("```", start)], encoding="utf-8")
+        assert read_config(p).connectivity == ((0, 1), (1, 2), (2, 3), (0, 3))
 
 
 class TestVoxelDownsample:

@@ -929,16 +929,18 @@ class TestRegisterPair:
             after = float(np.sum(weights * residuals(corr, motion) ** 2))
             assert after <= before + 1e-12
 
-    def test_inner_irls_zero_skips_refinement(self):
+    def test_inner_irls_zero_skips_refinement(self, monkeypatch):
         rng = np.random.default_rng(27)
         cloud = make_feature_cloud(rng, 30)
         corr = build_correspondences(cloud, cloud, temperature=1e-6)
-        result = register_correspondences(corr, PipelineConfig(inner_irls=0))
+        monkeypatch.setattr(pairwise_mod, "IRLS_ITERATIONS", 0)
+        result = register_correspondences(corr, PipelineConfig())
         assert np.linalg.norm(result.motion.matrix - np.eye(4)) < 1e-9
 
 
-def reference_register(corr, cfg):
-    """The per-edge IRLS loop, inlined: the oracle for the batched kernel.
+def reference_register(corr, cfg, iterations):
+    """The per-edge IRLS loop of `iterations` steps, inlined: the oracle for
+    the batched kernel.
 
     Returns (motion 4x4, weights), or the error class its fit raises.
     """
@@ -972,7 +974,7 @@ def reference_register(corr, cfg):
     motion = fit(weights)
     if not isinstance(motion, np.ndarray):
         return motion
-    for _ in range(cfg.inner_irls):
+    for _ in range(iterations):
         r = np.linalg.norm(src @ motion[:3, :3].T + motion[:3, 3] - dst, axis=1)
         weights = reweight(r, weights)
         new = fit(weights)
@@ -1006,12 +1008,13 @@ class TestBatchedIrls:
     # every group in a single batch
     BATCHES = (1, 3 * 2048, 2 * 128, 10**9)
 
-    @pytest.mark.parametrize("inner_irls", [0, 1, 5])
+    @pytest.mark.parametrize("iterations", [0, 1, 5])
     @pytest.mark.parametrize("blend", [0.0, 0.7, 1.0])
-    def test_matches_per_edge_reference_in_every_batch_layout(self, monkeypatch, inner_irls, blend):
+    def test_matches_per_edge_reference_in_every_batch_layout(self, monkeypatch, iterations, blend):
         sets = mixed_sets(np.random.default_rng(40))
-        cfg = PipelineConfig(inner_irls=inner_irls, blend=blend)
-        expected = [reference_register(c, cfg) for c in sets]
+        cfg = PipelineConfig(blend=blend)
+        monkeypatch.setattr(pairwise_mod, "IRLS_ITERATIONS", iterations)
+        expected = [reference_register(c, cfg, iterations) for c in sets]
         for batch in self.BATCHES:
             monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
             got = register_batch(sets, cfg)
@@ -1019,7 +1022,7 @@ class TestBatchedIrls:
             for k, (c, (motion, weights)) in enumerate(zip(sets, expected)):
                 assert np.abs(got.motions[k] - motion).max() <= 1e-12, (batch, len(c))
                 assert np.abs(got.weights[k] - weights).max() <= 1e-12, (batch, len(c))
-                assert got.inlier_ratio[k] == float(np.mean(weights > cfg.w_thresh))
+                assert got.inlier_ratio[k] == float(np.mean(weights > pairwise_mod.INLIER_WEIGHT))
         # the single-set record carries the residuals under the final motion
         for c, (motion, _) in zip(sets, expected):
             final = np.linalg.norm(
@@ -1155,7 +1158,7 @@ class TestRefitBatch:
             assert np.abs(fits.motions[k] - expected.matrix).max() <= 1e-12
             assert np.abs(fits.weights[k] - w_new).max() <= 1e-12
             final = residuals(c, expected)
-            delta = float(np.mean(w_new > cfg.w_thresh))
+            delta = float(np.mean(w_new > pairwise_mod.INLIER_WEIGHT))
             conf = local_confidence(delta, float(np.median(final)))
             assert abs(fits.local_confidence[k] - conf) <= 1e-12
 

@@ -29,6 +29,7 @@ from mvreg import (
     transform_points,
 )
 from mvreg.geometry import motion_stack, relative_motions
+from mvreg.graph import BETA
 from mvreg.metrics import motion_errors
 from mvreg.pairwise import build_correspondences, refit_batch, register_batch
 from mvreg.synthetic import generate_scene, random_motion, scene_correspondences
@@ -388,7 +389,7 @@ class TestFeedbackRefit:
         assert refits.fitted.all()
         for k in range(1, 4):
             c_local = refits.local_confidence[k - 1]
-            fused = harmonic_fuse(c_local, graph.c_global[k], cfg.beta)
+            fused = harmonic_fuse(c_local, graph.c_global[k], BETA)
             assert out.c_local[k] == c_local
             assert out.c_fused[k] == min(max(fused, 0.0), 1.0)
             assert np.array_equal(out.motions[k], refits.motions[k - 1])
