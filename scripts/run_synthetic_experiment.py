@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from mvreg import (
-    PipelineConfig,
     ROTATION_ECDF_THRESHOLDS_DEG,
     TRANSLATION_ECDF_THRESHOLDS_M,
     ecdf,
@@ -40,8 +39,7 @@ def run_seed(seed, args):
     )
     t1 = time.perf_counter()
     correspondences = scene_correspondences(scene, temperature=args.temperature)
-    cfg = PipelineConfig(connectivity=scene.edges, temperature=args.temperature)
-    result, trace = run_multiview_from_correspondences(correspondences, args.scans, cfg=cfg)
+    result, trace = run_multiview_from_correspondences(correspondences, args.scans)
     t2 = time.perf_counter()
     # per-edge errors against the true relative motions: of the measured
     # pairwise motions, and of those the last synchronization implies

@@ -53,36 +53,45 @@ CONF_MIDPOINT = 0.3
 CONF_RESIDUAL_SCALE = 0.05
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CorrespondenceSet:
-    """Paired source/target coordinates with per-pair weights, and residuals
-    that are checked and carried but that no fit reads or writes."""
+    """Paired source/target coordinates (N, 3) with per-pair weights in [0, 1].
+
+    Stores read-only copies; constant weights, such as the unit weights a
+    built set starts from, as one element viewed N times (stride 0). The
+    optional residuals are checked (length N, finite, non-negative) and
+    dropped: no fit reads them, and the set has no residuals attribute.
+    """
 
     source_pts: np.ndarray
     target_pts: np.ndarray
     weights: np.ndarray
-    residuals: np.ndarray
 
-    def __post_init__(self):
-        src = np.array(self.source_pts, dtype=np.float64)
-        dst = np.array(self.target_pts, dtype=np.float64)
-        w = np.array(self.weights, dtype=np.float64)
-        r = np.array(self.residuals, dtype=np.float64)
+    def __init__(self, source_pts, target_pts, weights, residuals=None):
+        src = np.array(source_pts, dtype=np.float64)
+        dst = np.array(target_pts, dtype=np.float64)
+        w = np.asarray(weights, dtype=np.float64)
         n = src.shape[0]
+        r = np.zeros(n) if residuals is None else np.asarray(residuals, dtype=np.float64)
         if src.ndim != 2 or src.shape[1] != 3 or n < 1:
             raise ValueError(f"source_pts must be N x 3 with N >= 1, got {src.shape}")
         if dst.shape != src.shape:
             raise ValueError(f"target_pts shape {dst.shape} != source shape {src.shape}")
         if w.shape != (n,) or r.shape != (n,):
             raise ValueError("weights and residuals must be length-N vectors")
-        for name, arr in (("source_pts", src), ("target_pts", dst), ("weights", w), ("residuals", r)):
-            if not np.isfinite(arr).all():
+        # NaN and +-inf carry through min and max
+        w_lo, w_hi, r_lo, r_hi = w.min(), w.max(), r.min(), r.max()
+        finite = (np.isfinite(src).all(), np.isfinite(dst).all(),
+                  -np.inf < w_lo <= w_hi < np.inf, -np.inf < r_lo <= r_hi < np.inf)
+        for name, ok in zip(("source_pts", "target_pts", "weights", "residuals"), finite):
+            if not ok:
                 raise ValueError(f"{name} must be finite")
-        if w.min() < 0.0 or w.max() > 1.0:
+        if w_lo < 0.0 or w_hi > 1.0:
             raise ValueError("weights must lie in [0, 1]")
-        if r.min() < 0.0:
+        if r_lo < 0.0:
             raise ValueError("residuals must be non-negative")
-        for name, arr in (("source_pts", src), ("target_pts", dst), ("weights", w), ("residuals", r)):
+        w = np.ndarray((n,), np.float64, w[:1].copy(), strides=(0,)) if w_lo == w_hi else np.array(w)
+        for name, arr in (("source_pts", src), ("target_pts", dst), ("weights", w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -263,7 +272,7 @@ def _pool(size: int):
 def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> CorrespondenceSet:
     """One soft correspondence in q for every point of p.
 
-    Weights start at 1 and residuals at 0, which no fit reads or writes.
+    Weights start at 1, stored as one element; the set carries no residuals.
     """
     if p.features is None or q.features is None:
         raise MissingFeatures("both clouds must carry per-point features")
@@ -272,8 +281,7 @@ def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> C
             f"feature dimensions differ: {p.features.shape[1]} vs {q.features.shape[1]}"
         )
     targets = _soft_targets(p.features, q.features, q.points, temperature)
-    n = len(p)
-    return CorrespondenceSet(p.points, targets, np.ones(n), np.zeros(n))
+    return CorrespondenceSet(p.points, targets, np.ones(len(p)))
 
 
 def _fit_error(status: int, count: int) -> RegistrationError:
@@ -451,7 +459,9 @@ def wls_transform(c: CorrespondenceSet) -> RigidMotion:
     S = P~^T W Q~, SVD S = U S V^T, R = V diag(1, 1, det(VU^T)) U^T,
     t = q_bar - R p_bar.
     """
-    rot, trans, status = _fit_stack(c.source_pts.T[None], c.target_pts.T[None], c.weights[None])
+    # a contiguous copy of constant weights keeps matmul on its BLAS path
+    w = np.ascontiguousarray(c.weights)[None]
+    rot, trans, status = _fit_stack(c.source_pts.T[None], c.target_pts.T[None], w)
     if status[0] != _FIT_OK:
         raise _fit_error(status[0], len(c))
     return RigidMotion(Rotation3(rot[0]), trans[0])

@@ -258,6 +258,6 @@ def scene_correspondences(
             rng = np.random.default_rng([scene.seed, i, j])
             perm = rng.permutation(len(corr))
             moved = transform_points(scene.corruptions[pair], corr.target_pts[perm])
-            corr = CorrespondenceSet(corr.source_pts, moved, corr.weights, corr.residuals)
+            corr = CorrespondenceSet(corr.source_pts, moved, corr.weights)
         out[pair] = corr
     return out

@@ -25,9 +25,11 @@ from mvreg import (
 from mvreg.synthetic import generate_scene, scene_correspondences
 
 
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up by name
     sys.modules[spec.name] = module
@@ -35,7 +37,7 @@ def _load_spans():
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
 
 
 @pytest.mark.parametrize(
@@ -89,3 +91,16 @@ def test_toy_solve_has_what_the_harness_reads():
     rotations = rotation_sync(g0)
     assert rotations.shape == (6, 3, 3)
     assert translation_sync(g0, rotations).shape == (6, 3)
+
+
+def test_ring_setup_passes_the_residual_argument():
+    # the ring set-up still passes residuals, which CorrespondenceSet checks
+    # and drops: deleting that parameter has to edit this call too
+    workloads = _load("workloads")
+    assert "CorrespondenceSet(src, dst, np.ones(m), np.zeros(m))" in (BENCH / "workloads.py").read_text()
+    inputs = workloads._ring_setup(0, workloads.TOY["posegraph-ring400"], None)
+    sets = inputs.payload["correspondences"]
+    assert len(sets) == len(inputs.edges)
+    for c in sets.values():
+        assert c.weights.strides == (0,) and np.all(c.weights == 1.0)
+        assert not hasattr(c, "residuals")

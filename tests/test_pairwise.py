@@ -66,7 +66,9 @@ class TestCorrespondenceSet:
         with pytest.raises(ValueError):
             CorrespondenceSet(np.zeros((3, 3)), np.zeros((4, 3)), np.ones(3), np.zeros(3))
 
+    # the constructor's arguments; the set stores all but residuals
     FIELDS = ("source_pts", "target_pts", "weights", "residuals")
+    STORED = FIELDS[:3]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", FIELDS)
@@ -91,7 +93,7 @@ class TestCorrespondenceSet:
                  rng.uniform(size=5), rng.uniform(size=5)]
         before = [a.copy() for a in given]
         c = CorrespondenceSet(*given)
-        for name, arg, old in zip(self.FIELDS, given, before):
+        for name, arg, old in zip(self.STORED, given, before):
             stored = getattr(c, name)
             assert arg.flags.writeable
             assert not stored.flags.writeable
@@ -99,6 +101,70 @@ class TestCorrespondenceSet:
             assert np.array_equal(stored, old)
             arg[...] = 0.5
             assert np.array_equal(stored, old)
+
+    def test_constant_weights_store_one_element(self):
+        c = CorrespondenceSet(np.zeros((6, 3)), np.zeros((6, 3)), np.ones(6), np.zeros(6))
+        assert c.weights.shape == (6,) and c.weights.strides == (0,)
+        assert not c.weights.flags.writeable
+        assert np.array_equal(c.weights, np.ones(6))
+        with pytest.raises(AttributeError):
+            c.residuals
+
+    def test_varying_weights_are_copied(self):
+        w = np.linspace(0.0, 1.0, 6)
+        c = CorrespondenceSet(np.zeros((6, 3)), np.zeros((6, 3)), w, np.zeros(6))
+        assert c.weights.strides == (8,)
+        assert not c.weights.flags.writeable
+        assert not np.shares_memory(c.weights, w)
+        assert np.array_equal(c.weights, w)
+
+    def test_unit_weight_sets_stay_small(self):
+        # 1200 sets of 128 correspondences, the posegraph-ring400 shape: the
+        # points take 6144 bytes a set, full weights and residuals 2048 more
+        rng = np.random.default_rng(4)
+        src, dst = rng.normal(size=(128, 3)), rng.normal(size=(128, 3))
+        tracemalloc.start()
+        try:
+            sets = [CorrespondenceSet(src, dst, np.ones(128), np.zeros(128)) for _ in range(1200)]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / len(sets) <= 7200
+
+    def test_compact_weights_fit_as_full_ones(self):
+        # fits read the stored one-element weights as they read N-element
+        # copies, bit for bit: the initial IRLS, one refit step, and the
+        # closed form
+        rng = np.random.default_rng(6)
+        sets = []
+        for n, w in ((40, 1.0), (40, 1.0), (25, 0.7)):
+            c, _ = make_set(rng, n)
+            dst = c.target_pts + 0.01 * rng.normal(size=(n, 3))
+            dst[: n // 5] = rng.uniform(-1.0, 1.0, size=(n // 5, 3))
+            sets.append(CorrespondenceSet(c.source_pts, dst, np.full(n, w)))
+        assert all(c.weights.strides == (0,) for c in sets)
+        full = [np.full(len(c), c.weights[0]) for c in sets]
+        cfg = PipelineConfig()
+        runs = []
+        for weights in ([c.weights for c in sets], full):
+            fits, status = pairwise_mod._irls_edges(sets, weights, cfg, pairwise_mod.IRLS_ITERATIONS)
+            refit, _ = pairwise_mod._irls_edges(sets, weights, cfg, 1, fits.motions)
+            runs.append((fits, status, refit))
+        (fits, status, refit), (fits_full, status_full, refit_full) = runs
+        assert np.array_equal(status, status_full)
+        for got, want in ((fits, fits_full), (refit, refit_full)):
+            assert got.fitted.all()
+            assert np.array_equal(got.motions, want.motions)
+            assert np.array_equal(got.inlier_ratio, want.inlier_ratio)
+            assert np.array_equal(got.local_confidence, want.local_confidence)
+            for wg, ww in zip(got.weights, want.weights, strict=True):
+                assert np.array_equal(wg, ww)
+        for c, w in zip(sets, full):
+            rot, trans, _ = pairwise_mod._fit_stack(
+                c.source_pts.T[None], c.target_pts.T[None], w[None]
+            )
+            got = wls_transform(c).matrix
+            assert np.array_equal(got[:3, :3], rot[0]) and np.array_equal(got[:3, 3], trans[0])
 
 
 def soft_target(query, feats, pts, temperature):
@@ -197,7 +263,7 @@ class TestBuildCorrespondences:
         p, q = make_feature_cloud(rng, 20), make_feature_cloud(rng, 20)
         corr = build_correspondences(p, q, temperature=0.1)
         assert np.all(corr.weights == 1.0)
-        assert np.all(corr.residuals == 0.0)
+        assert not hasattr(corr, "residuals")
 
 
 def dense_soft_targets(query_features, target_features, target_points, t):
@@ -744,7 +810,7 @@ class TestWlsTransform:
         )
         perm = rng.permutation(40)
         shuffled = CorrespondenceSet(
-            noisy.source_pts[perm], noisy.target_pts[perm], noisy.weights[perm], noisy.residuals[perm]
+            noisy.source_pts[perm], noisy.target_pts[perm], noisy.weights[perm]
         )
         a, b = wls_transform(noisy), wls_transform(shuffled)
         # compare matrices directly: arccos is ill conditioned near zero angle
@@ -756,10 +822,10 @@ class TestWlsTransform:
         c, _ = make_set(rng, 30)
         noisy_targets = c.target_pts + 0.01 * rng.normal(size=(30, 3))
         g = random_motion(rng)
-        base = wls_transform(CorrespondenceSet(c.source_pts, noisy_targets, c.weights, c.residuals))
+        base = wls_transform(CorrespondenceSet(c.source_pts, noisy_targets, c.weights))
         moved = wls_transform(
             CorrespondenceSet(
-                transform_points(g, c.source_pts), noisy_targets, c.weights, c.residuals
+                transform_points(g, c.source_pts), noisy_targets, c.weights
             )
         )
         expected = base.matrix @ invert(g).matrix
@@ -923,7 +989,7 @@ class TestRegisterPair:
         for _ in range(4):
             r = residuals(corr, motion)
             weights = robust_reweight(r, weights, blend=0.7)
-            weighted = CorrespondenceSet(corr.source_pts, corr.target_pts, weights, corr.residuals)
+            weighted = CorrespondenceSet(corr.source_pts, corr.target_pts, weights)
             before = float(np.sum(weights * residuals(corr, motion) ** 2))
             motion = wls_transform(weighted)
             after = float(np.sum(weights * residuals(corr, motion) ** 2))
@@ -1140,7 +1206,7 @@ class TestRefitBatch:
         for _ in range(count):
             c, motion = make_set(rng, n)
             noisy = c.target_pts + 0.01 * rng.normal(size=(n, 3))
-            sets.append(CorrespondenceSet(c.source_pts, noisy, c.weights, c.residuals))
+            sets.append(CorrespondenceSet(c.source_pts, noisy, c.weights))
             truths.append(motion.matrix)
         return sets, np.stack(truths)
 
@@ -1154,7 +1220,7 @@ class TestRefitBatch:
         for k, (c, w, m) in enumerate(zip(sets, prev, start)):
             r = residuals(c, RigidMotion.from_matrix(m))
             w_new = robust_reweight(r, w, cfg.blend)
-            expected = wls_transform(CorrespondenceSet(c.source_pts, c.target_pts, w_new, c.residuals))
+            expected = wls_transform(CorrespondenceSet(c.source_pts, c.target_pts, w_new))
             assert np.abs(fits.motions[k] - expected.matrix).max() <= 1e-12
             assert np.abs(fits.weights[k] - w_new).max() <= 1e-12
             final = residuals(c, expected)
