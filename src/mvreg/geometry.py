@@ -129,10 +129,9 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
         if self.features is not None:
             feats = np.array(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != pts.shape[0]:
-                raise ValueError(
-                    f"features must have one row per point, got {feats.shape} for {pts.shape[0]} points"
-                )
+            if feats.ndim != 2 or feats.shape[0] != pts.shape[0] or feats.shape[1] < 1:
+                raise ValueError(f"features must have one row of at least one column per point, "
+                                 f"got {feats.shape} for {pts.shape[0]} points")
             if not np.all(np.isfinite(feats)):
                 raise ValueError("features must be finite")
             feats.setflags(write=False)

@@ -1,12 +1,13 @@
 """Scan graph with per-edge relative motions and confidences.
 
-A PoseGraph keeps one row per edge in read-only arrays, validated once when
-it is built: `pairs` (m x 2, i < j), `motions` (m x 4 x 4, mapping frame-i
-coordinates into frame j), `c_local`, `c_global` and `c_fused` in [0, 1],
-and the `active` mask. The last three default to the first iteration's
-values: c_global 1, c_fused = c_local, every row active. Graphs are
-immutable snapshots: each update returns a new graph, checking only the
-rows it writes, and pruned edges keep their rows. A graph is built from
+A PoseGraph keeps one row per edge in read-only arrays: `pairs` (m x 2,
+i < j), `motions` (m x 4 x 4, mapping frame-i coordinates into frame j),
+`c_local`, `c_global` and `c_fused` in [0, 1], and the `active` mask. The
+last three default to the first iteration's values: c_global 1, c_fused =
+c_local, every row active. A graph is checked once, when the constructor
+builds it. Graphs are immutable snapshots: the solver's own updates
+(synchronization, refit, pruning) each return a new graph and are not
+checked again, and pruned edges keep their rows. A graph is built from
 arrays only; Edge is a read-only view of one row, and `edges` and
 `active_edges()` give the rows as views, built on first use. Reverse
 directions follow from R_ji = R_ij^T, t_ji = -R_ij^T t_ij.
@@ -61,31 +62,6 @@ def _column(values, dtype, shape, name) -> np.ndarray:
     return column
 
 
-def _value_checks(columns) -> list:
-    """(bad rows, error, what) for the motions and confidences among columns:
-    motions must be finite rigid 4x4 matrices, confidences lie in [0, 1]."""
-    checks = []
-    if "motions" in columns:
-        motions = columns["motions"]
-        rigid = (np.isfinite(motions).all(axis=(1, 2)) & ~non_rotations(motions[:, :3, :3])
-                 & (motions[:, 3] == (0.0, 0.0, 0.0, 1.0)).all(axis=1))
-        checks.append((~rigid, ValueError, "has a motion that is not a finite rigid 4x4 matrix"))
-    for name in _CONFIDENCES:
-        if name in columns:
-            c = columns[name]
-            checks.append((~((c >= 0.0) & (c <= 1.0)), ValueError, f"has {name} outside [0, 1]"))
-    return checks
-
-
-def _raise_first(pairs, checks) -> None:
-    """Raise the error of the first failing check, naming the endpoints (the
-    row of pairs) of its first bad row."""
-    for bad, error, what in checks:
-        if bad.any():
-            i, j = pairs[int(np.argmax(bad))]
-            raise error(f"edge ({i}, {j}) {what}")
-
-
 @dataclass(frozen=True, eq=False)
 class PoseGraph:
     """Nodes 0..node_count-1 and at most one edge per unordered pair, a row each.
@@ -117,44 +93,39 @@ class PoseGraph:
         columns["active"] = _column(given["active"], bool, (m,), "active")
         for name in _CONFIDENCES:
             columns[name] = _column(given[name], np.float64, (m,), name)
-        pairs = columns["pairs"]
+        pairs, motions = columns["pairs"], columns["motions"]
         i, j = pairs.T
         repeated = np.ones(m, dtype=bool)
         repeated[np.unique(i * n + j, return_index=True)[1]] = False
-        _raise_first(pairs, [((i < 0) | (i == j) | (j >= n), IndexOutOfRange,
-                              f"is a loop or leaves 0..{n - 1}"),
-                             (i > j, ValueError, "must be stored with i < j"),
-                             (repeated, DuplicateEdge, "is supplied more than once"),
-                             *_value_checks(columns)])
+        rigid = (np.isfinite(motions).all(axis=(1, 2)) & ~non_rotations(motions[:, :3, :3])
+                 & (motions[:, 3] == (0.0, 0.0, 0.0, 1.0)).all(axis=1))
+        # (bad rows, error, what): the first failing check raises, naming its first bad edge
+        checks = [((i < 0) | (i == j) | (j >= n), IndexOutOfRange,
+                   f"is a loop or leaves 0..{n - 1}"),
+                  (i > j, ValueError, "must be stored with i < j"),
+                  (repeated, DuplicateEdge, "is supplied more than once"),
+                  (~rigid, ValueError, "has a motion that is not a finite rigid 4x4 matrix"),
+                  *((~((columns[name] >= 0.0) & (columns[name] <= 1.0)), ValueError,
+                     f"has {name} outside [0, 1]") for name in _CONFIDENCES)]
+        for bad, error, what in checks:
+            if bad.any():
+                raise error(f"edge {tuple(pairs[int(np.argmax(bad))].tolist())} {what}")
         for name, value in columns.items():
             object.__setattr__(self, name, value)
 
-    def with_rows(self, rows, **columns) -> "PoseGraph":
-        """A new graph with the given rows of each named array overwritten.
+    def _with_rows(self, rows, **columns) -> "PoseGraph":
+        """A new graph with the given rows of each named column overwritten.
 
-        Only motions, confidences and active can be written, and only the
-        written rows are checked, with the errors the constructor raises.
+        For the solver's own updates: the new columns are frozen, not checked.
         """
-        if not set(columns) <= {"motions", *_SCALARS}:
-            raise ValueError(f"with_rows writes motions, {', '.join(_SCALARS)} only")
-        changed = {name: getattr(self, name).copy() for name in columns}
-        for name, values in columns.items():
-            changed[name][rows] = values
-        written = np.zeros(len(self.pairs), dtype=bool)
-        written[rows] = True
-        _raise_first(self.pairs[written],
-                     _value_checks({name: c[written] for name, c in changed.items()}))
-        return self._with(**changed)
-
-    def _with(self, **columns) -> "PoseGraph":
-        """This graph with the named columns replaced, frozen but not checked:
-        for updates whose new values the caller has checked."""
         new = object.__new__(PoseGraph)
         for f in fields(self):
             object.__setattr__(new, f.name, getattr(self, f.name))
-        for name, value in columns.items():
-            value.setflags(write=False)
-            object.__setattr__(new, name, value)
+        for name, values in columns.items():
+            column = getattr(self, name).copy()
+            column[rows] = values
+            column.setflags(write=False)
+            object.__setattr__(new, name, column)
         return new
 
     @cached_property
@@ -230,7 +201,7 @@ def prune_edges(g: PoseGraph, tau: float) -> PoseGraph:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    return g._with(active=g.active & ~(g.c_fused < tau))
+    return g._with_rows(g.c_fused < tau, active=False)
 
 
 def search_tree(n: int, pairs, roots=(0,), key=None) -> tuple[list[int], list[int]]:

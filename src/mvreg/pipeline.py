@@ -105,12 +105,13 @@ def _feedback(graph, poses, sets, weights, cfg, first: bool) -> PoseGraph:
     for row in np.flatnonzero(fits.fitted):
         weights[active[row]] = fits.weights[row]
     c_local = fits.local_confidence[fits.fitted]
-    # on the first pass there is no trustworthy global evidence yet
+    # the first pass takes c_fused = c_local and drops the c_global that transf_sync
+    # has just computed over its rounds, so pruning sees c_local alone (ROADMAP item 1)
     c_fused = c_local if first else np.clip(
         harmonic_fuse(c_local, graph.c_global[rows], BETA), 0.0, 1.0
     )
-    return graph.with_rows(rows, motions=fits.motions[fits.fitted], c_local=c_local,
-                           c_fused=c_fused)
+    return graph._with_rows(rows, motions=fits.motions[fits.fitted], c_local=c_local,
+                            c_fused=c_fused)
 
 
 def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:

@@ -119,7 +119,7 @@ def _active_arrays(g: PoseGraph, rounds: int = 1):
     from c_local, so with rounds > 1 both must be positive.
     """
     weighted = g.active & (g.c_fused > 0.0) & ((g.c_local > 0.0) | (rounds == 1))
-    if not is_connected(g._with(active=weighted)):
+    if not is_connected(g._with_rows(~weighted, active=False)):
         raise DisconnectedGraph("active edges of positive confidence do not connect all nodes")
     return g.pairs[g.active], g.motions[g.active], g.c_fused[g.active]
 
@@ -517,6 +517,6 @@ def transf_sync(g: PoseGraph, rounds: int = 4) -> SyncResult:
         poses=poses,
         rotation_eigengap=eigengap,
         translation_rank_deficiency=3,
-        graph=g.with_rows(g.active, c_global=c_global, c_fused=c_fused),
+        graph=g._with_rows(g.active, c_global=c_global, c_fused=c_fused),
         rounds_completed=int(rounds),
     )

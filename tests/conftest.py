@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvreg import PointCloud, RigidMotion, random_motion, random_rotation
+from mvreg import PointCloud, PoseGraph, RigidMotion, random_motion, random_rotation
 
 
 @pytest.fixture
@@ -22,6 +22,16 @@ def make_feature_cloud(rng, n=50, noise=0.0) -> PointCloud:
     pts = rng.uniform(-1.0, 1.0, size=(n, 3))
     feats = pts + noise * rng.normal(size=pts.shape)
     return PointCloud(pts, feats)
+
+
+def rebuilt(g: PoseGraph, rows, **columns) -> PoseGraph:
+    """g rebuilt through the PoseGraph constructor, and so checked, with the
+    given rows of each named column (motions, confidences, active) replaced."""
+    arrays = {name: getattr(g, name).copy()
+              for name in ("motions", "c_local", "c_global", "c_fused", "active")}
+    for name, values in columns.items():
+        arrays[name][rows] = values
+    return PoseGraph(g.node_count, g.pairs, **arrays)
 
 
 def motions_close(a: RigidMotion, b: RigidMotion, tol=1e-9) -> bool:

@@ -289,6 +289,14 @@ class TestMultiviewCommand:
         assert err.startswith("mvreg: error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_descriptors_without_columns_fail_on_the_features(self, tmp_path, capsys):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        for ply_path in scene.glob("scan_*.ply"):
+            write_features(np.zeros((len(read_ply(ply_path)), 0)), ply_path.with_suffix(".feat"))
+        code, _, err = run_cli(capsys, "multiview", str(scene))
+        assert code == 1
+        assert err.startswith("mvreg: error: features") and len(err.splitlines()) == 1
+
     def test_voxel_downsampling_runs(self, tmp_path, capsys):
         scene = self.make_scene_dir(tmp_path, capsys)
         code, _, _ = run_cli(

@@ -147,6 +147,10 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((4, 3)), np.zeros((3, 8)))
 
+    def test_features_need_at_least_one_column(self):
+        with pytest.raises(ValueError, match="features"):
+            PointCloud(np.zeros((4, 3)), np.zeros((4, 0)))
+
     def test_len(self):
         assert len(PointCloud(np.zeros((7, 3)))) == 7
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mvreg
+import mvreg.graph as graph_mod
 import mvreg.pipeline as pipeline_mod
 import mvreg.sync as sync_mod
 from mvreg import (
@@ -34,7 +35,7 @@ from mvreg.metrics import motion_errors
 from mvreg.pairwise import build_correspondences, refit_batch, register_batch
 from mvreg.synthetic import generate_scene, random_motion, scene_correspondences
 
-from conftest import rotation_gap_deg
+from conftest import rebuilt, rotation_gap_deg
 
 
 def shared_scene_clouds(rng, n, points=60):
@@ -239,6 +240,27 @@ class TestRunMultiviewBasics:
         absolute = result.absolute
         assert len(calls) == 1 and result.absolute is absolute
 
+    def test_solve_checks_the_measured_motions_once(self, monkeypatch):
+        # the constructor checks the measured motions; the refits of every
+        # iteration are the solver's own updates and are not checked again
+        rng = np.random.default_rng(23)
+        clouds, _ = shared_scene_clouds(rng, 5)
+        cfg = PipelineConfig(temperature=1e-6, tau_p=0.0, outer_iterations=4)
+        ring = [(k, k + 1) for k in range(4)] + [(0, 4)]
+        sets = {(i, j): build_correspondences(clouds[i], clouds[j], cfg.temperature)
+                for i, j in ring}
+        checked = []
+        check = graph_mod.non_rotations
+
+        def counting(stack):
+            checked.append(len(stack))
+            return check(stack)
+
+        monkeypatch.setattr(graph_mod, "non_rotations", counting)
+        result, trace = run_multiview_from_correspondences(sets, 5, cfg)
+        assert len(trace.iterations) == 4 and not result.disconnected
+        assert checked == [5]
+
 
 class TestRefinementQuality:
     def test_ten_scan_scene_improves_over_pairwise(self):
@@ -255,6 +277,25 @@ class TestRefinementQuality:
         )
         assert final.mean() <= np.mean(pairwise)
         assert final.mean() < 5.0
+
+    @pytest.mark.xfail(raises=AssertionError,
+                       reason="ROADMAP item 1: iteration 1 prunes every edge")
+    def test_default_run_ends_connected_and_better_than_its_first_sync(self):
+        # test_07's seed-0 scene: the outer loop must keep the graph connected
+        # and end with a lower mean rotation error than its first sync
+        scene = generate_scene(
+            n_scans=30, pts_per_scan=2048, noise_sigma=0.01,
+            outlier_edge_fraction=0.2, seed=0,
+        )
+        cfg = PipelineConfig(connectivity=scene.edges)
+        corr = scene_correspondences(scene, cfg.temperature)
+        result, trace = run_multiview_from_correspondences(corr, 30, cfg)
+        assert not result.disconnected
+        first, last = (
+            edge_errors(relative_motions(s.poses, trace.pairs), scene, trace.pairs)[0]
+            for s in (trace.iterations[0], trace.iterations[-1])
+        )
+        assert last.mean() < first.mean()
 
     def test_iteration_stats_are_recorded(self):
         scene = generate_scene(
@@ -381,7 +422,7 @@ class TestFeedbackRefit:
         sets = [build_correspondences(noisy[i], noisy[j], cfg.temperature) for i, j in ring]
         fits = register_batch(sets, cfg)
         synced = transf_sync(build_graph(4, ring, fits))
-        graph = synced.graph.with_rows([0], active=[False])
+        graph = rebuilt(synced.graph, [0], active=[False])
         assert len(set(graph.c_global[1:].tolist())) == 3
         weights = list(fits.weights)
         out = pipeline_mod._feedback(graph, synced.poses, sets, list(weights), cfg, False)
