@@ -1,6 +1,7 @@
 """Pairwise rigid alignment: soft correspondences, weighted closed-form
 least squares, and iteratively reweighted refinement. The IRLS fits many
-sets at once: register_batch and refit_batch return one PairwiseFits.
+sets at once: register_batch, and the outer loop's refit through
+_irls_edges(sets, weights, cfg, 1, start), return one PairwiseFits.
 """
 
 from __future__ import annotations
@@ -418,8 +419,15 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
     set), so the extra memory does not grow with the number of sets. A
     batch stacks its sets' transposed points once, into the (b, 3, n)
     stacks _irls_stack takes. weights[k] are the starting weights of
-    sets[k]; start, when given, is an (m, 4, 4) stack of starting motions.
+    sets[k], in [0, 1]; start, when given, is an (m, 4, 4) stack of finite
+    motions mapping source onto target. Nothing is checked again: sets are
+    checked when built, and _reweight_stack clips every later weight.
     Returns the PairwiseFits of the sets and the fit status of each row.
+
+    With iterations=1 and a start, this is the outer loop's refit step: a
+    set is reweighted from its residuals under start[k], blended with
+    weights[k], re-fitted and scored. A set whose weights collapse onto a
+    degenerate support gets fitted False, so the caller keeps its old fit.
     """
     m = len(sets)
     groups: dict[int, list[int]] = {}
@@ -515,42 +523,6 @@ def register_batch(sets, cfg: PipelineConfig | None = None) -> PairwiseFits:
         k = int(np.argmin(fits.fitted))
         raise _fit_error(status[k], len(sets[k]))
     return fits
-
-
-def refit_batch(sets, weights, start, cfg: PipelineConfig | None = None) -> PairwiseFits:
-    """One IRLS step per correspondence set, from a given motion.
-
-    Reweights each set from its residuals under start[k], an (m, 4, 4) stack
-    of motions mapping source onto target (such as synchronized relative
-    motions), blending with the previous weights[k], then re-fits and
-    scores the set. A set whose re-fit fails, because its weights collapsed
-    onto a degenerate support, gets fitted False, so the caller can keep its
-    previous fit. Start motions must be finite and weights finite and in
-    [0, 1], as CorrespondenceSet requires; otherwise ValueError is raised
-    before any fit.
-    """
-    cfg = cfg or PipelineConfig()
-    start = np.asarray(start, dtype=np.float64)
-    if start.shape != (len(sets), 4, 4) or len(weights) != len(sets):
-        raise ValueError(
-            f"need one 4x4 start motion and one weight vector per set, got {start.shape} "
-            f"and {len(weights)} for {len(sets)} sets"
-        )
-    if not np.isfinite(start).all():
-        raise ValueError("start motions must be finite")
-    weights = [np.asarray(w, dtype=np.float64) for w in weights]
-    for c, w in zip(sets, weights):
-        if w.shape != (len(c),):
-            raise ValueError(f"weights shape {w.shape} != ({len(c)},) correspondences")
-    # a few sets' weights per check, at most BATCH_CORRESPONDENCES unless one
-    # set is longer, so the check adds no memory that grows with the sets;
-    # min and max carry a NaN, which fails both comparisons
-    step = max(1, BATCH_CORRESPONDENCES // max(map(len, sets), default=1))
-    for first in range(0, len(weights), step):
-        chunk = np.concatenate(weights[first : first + step])
-        if not (0.0 <= chunk.min() and chunk.max() <= 1.0):
-            raise ValueError("weights must be finite and lie in [0, 1]")
-    return _irls_edges(sets, weights, cfg, 1, start)[0]
 
 
 def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None = None) -> PairwiseResult:

@@ -19,9 +19,9 @@ from .graph import BETA, PoseGraph, build_graph, harmonic_fuse, is_connected, pr
 # the benchmark's span tracer (bench/spans.py) rebinds them by name here.
 from .pairwise import (  # noqa: F401
     CorrespondenceSet,
+    _irls_edges,
     build_correspondences,
     local_confidence,
-    refit_batch,
     register_batch,
     register_correspondences,
     residuals,
@@ -88,18 +88,15 @@ def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
 def _feedback(graph, poses, sets, weights, cfg, first: bool) -> PoseGraph:
     """One IRLS step per active edge, started from the synchronized relative motion.
 
-    Reweights each edge's correspondences from their aligned residuals,
-    re-fits its motion and local confidence, and fuses that with the global
+    _irls_edges(sets, weights, cfg, 1, start) on the active rows reweights
+    each edge's correspondences from their aligned residuals and re-fits its
+    motion and local confidence, which is then fused with the global
     confidence. An edge whose weights collapse keeps its previous fit.
     sets and weights hold one entry per edge; weights is updated in place.
     """
     active = np.flatnonzero(graph.active)
-    fits = refit_batch(
-        [sets[k] for k in active],
-        [weights[k] for k in active],
-        relative_motions(poses, graph.pairs[active]),
-        cfg,
-    )
+    start = relative_motions(poses, graph.pairs[active])
+    fits = _irls_edges([sets[k] for k in active], [weights[k] for k in active], cfg, 1, start)[0]
     # inactive edges, and bad edges whose weights collapsed, keep their fit
     rows = active[fits.fitted]
     for row in np.flatnonzero(fits.fitted):

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -91,18 +92,19 @@ class SyncResult:
     M_i; `absolute` gives the same rows as RigidMotion records, built on
     first use.
 
-    translation_rank_deficiency is the number of translation unknowns the
-    normal equations leave undetermined. It is always 3, the global shifts
-    that anchoring node 0 removes: transf_sync checks up front that the edges
-    of positive weight connect all nodes, and rejects every other graph.
+    translation_rank_deficiency, a class constant, is the number of
+    translation unknowns the normal equations leave undetermined. It is 3,
+    the global shifts that anchoring node 0 removes: transf_sync checks up
+    front that the edges of positive weight connect all nodes, and rejects
+    every other graph.
     """
 
     poses: np.ndarray
     rotation_eigengap: float
-    translation_rank_deficiency: int
     graph: PoseGraph
     rounds_completed: int = 1
     disconnected: bool = False
+    translation_rank_deficiency: ClassVar[int] = 3
 
     @cached_property
     def absolute(self) -> tuple[RigidMotion, ...]:
@@ -516,7 +518,6 @@ def transf_sync(g: PoseGraph, rounds: int = 4) -> SyncResult:
     return SyncResult(
         poses=poses,
         rotation_eigengap=eigengap,
-        translation_rank_deficiency=3,
         graph=g._with_rows(g.active, c_global=c_global, c_fused=c_fused),
         rounds_completed=int(rounds),
     )

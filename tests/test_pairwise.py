@@ -38,11 +38,16 @@ from mvreg import (
 import mvreg.pairwise as pairwise_mod
 from mvreg.geometry import relative_motions
 from mvreg.graph import build_graph
-from mvreg.pairwise import CONF_MIDPOINT, refit_batch
+from mvreg.pairwise import CONF_MIDPOINT
 from mvreg.sync import transf_sync
 from mvreg.synthetic import generate_scene, random_motion, rotation_about_axis
 
 from conftest import make_feature_cloud, rotation_gap_deg
+
+
+def refit_step(sets, weights, start, cfg=None):
+    """The outer loop's refit: one IRLS step per set from start[k]."""
+    return pairwise_mod._irls_edges(sets, weights, cfg or PipelineConfig(), 1, start)[0]
 
 
 def make_set(rng, n=50, motion=None, weights=None):
@@ -733,7 +738,7 @@ class TestRobustStatistics:
         monkeypatch.setattr(np, "median", spy)
         fits = register_batch(sets)
         result = transf_sync(build_graph(n, pairs, fits))
-        refit = refit_batch(sets, fits.weights, relative_motions(result.poses, pairs))
+        refit = refit_step(sets, fits.weights, relative_motions(result.poses, pairs))
         assert refit.fitted.all()
         assert calls == []
 
@@ -1112,7 +1117,7 @@ class TestBatchedIrls:
             assert np.array_equal(wa, wb)
 
     def test_empty_input(self):
-        for fits in (register_batch([]), refit_batch([], [], np.zeros((0, 4, 4)))):
+        for fits in (register_batch([]), refit_step([], [], np.zeros((0, 4, 4)))):
             assert len(fits) == 0 and fits.weights == ()
             assert fits.motions.shape == (0, 4, 4)
 
@@ -1160,8 +1165,8 @@ class TestBatchedIrls:
         collapsed[mid] = np.zeros(len(sets[mid]))
         calls = {
             "register": lambda: register_batch(sets),
-            "refit": lambda: refit_batch(sets, fits.weights, fits.motions),
-            "masked": lambda: refit_batch(sets, collapsed, fits.motions, PipelineConfig(blend=0.0)),
+            "refit": lambda: refit_step(sets, fits.weights, fits.motions),
+            "masked": lambda: refit_step(sets, collapsed, fits.motions, PipelineConfig(blend=0.0)),
         }
         results = {}
         for batch in self.BATCHES:
@@ -1200,7 +1205,7 @@ class TestBatchedIrls:
         assert peak < 8e6
 
 
-class TestRefitBatch:
+class TestRefitStep:
     def make_sets(self, rng, count=3, n=40):
         sets, truths = [], []
         for _ in range(count):
@@ -1215,7 +1220,7 @@ class TestRefitBatch:
         sets, start = self.make_sets(rng)
         prev = [rng.uniform(0.2, 1.0, len(c)) for c in sets]
         cfg = PipelineConfig(blend=0.7)
-        fits = refit_batch(sets, prev, start, cfg)
+        fits = refit_step(sets, prev, start, cfg)
         assert fits.fitted.all()
         for k, (c, w, m) in enumerate(zip(sets, prev, start)):
             r = residuals(c, RigidMotion.from_matrix(m))
@@ -1238,38 +1243,10 @@ class TestRefitBatch:
             prev[1][:2] = 1.0
         # blend 0 keeps the previous weights, so set 1 cannot be fitted
         cfg = PipelineConfig(blend=0.0)
-        results = refit_batch(sets, prev, start, cfg)
+        results = refit_step(sets, prev, start, cfg)
         assert results.fitted.tolist() == [True, False, True]
         # the failed row holds the identity and no confidence
         assert np.array_equal(results.motions[1], np.eye(4))
         assert results.local_confidence[1] == 0.0
-        alone = refit_batch([sets[0], sets[2]], [prev[0], prev[2]], start[[0, 2]], cfg)
+        alone = refit_step([sets[0], sets[2]], [prev[0], prev[2]], start[[0, 2]], cfg)
         assert np.array_equal(results.motions[[0, 2]], alone.motions)
-
-    def test_shapes_are_validated(self, monkeypatch):
-        rng = np.random.default_rng(47)
-        sets, start = self.make_sets(rng)
-        prev = [np.ones(len(c)) for c in sets]
-        # every bad input is rejected before any fit runs
-        monkeypatch.setattr(pairwise_mod, "_irls_edges", None)
-        with pytest.raises(ValueError):
-            refit_batch(sets, prev, start[:2])
-        with pytest.raises(ValueError):
-            refit_batch(sets, prev[:2], start)
-        with pytest.raises(ValueError):
-            refit_batch(sets, [np.ones(3)] + prev[1:], start)
-        # a NaN weight would reach the SVD and a negative one fail a fit
-        # silently; the weights are checked a few sets at a time, so the bad
-        # set is checked alone (batch 1) and among the others (10**9)
-        for batch in (1, 10**9):
-            monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
-            for bad in (np.nan, np.inf, -np.inf, -0.5, 1.5):
-                weights = [w.copy() for w in prev]
-                weights[1][3] = bad
-                with pytest.raises(ValueError, match=r"weights must be finite and lie in \[0, 1\]"):
-                    refit_batch(sets, weights, start)
-        for bad in (np.nan, np.inf, -np.inf):
-            motions = start.copy()
-            motions[2, 0, 3] = bad
-            with pytest.raises(ValueError, match="start motions must be finite"):
-                refit_batch(sets, prev, motions)

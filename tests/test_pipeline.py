@@ -32,7 +32,7 @@ from mvreg import (
 from mvreg.geometry import motion_stack, relative_motions
 from mvreg.graph import BETA
 from mvreg.metrics import motion_errors
-from mvreg.pairwise import build_correspondences, refit_batch, register_batch
+from mvreg.pairwise import _irls_edges, build_correspondences, register_batch
 from mvreg.synthetic import generate_scene, random_motion, scene_correspondences
 
 from conftest import rebuilt, rotation_gap_deg
@@ -378,24 +378,24 @@ class TestFeedbackRefit:
         cfg = PipelineConfig(temperature=1e-6, connectivity=ring, tau_p=0.0,
                              outer_iterations=1)
         synced = []
-        real_sync, real_refit = pipeline_mod.transf_sync, pipeline_mod.refit_batch
+        real_sync, real_refit = pipeline_mod.transf_sync, pipeline_mod._irls_edges
 
         def sync(graph, **kwargs):
             synced.append(real_sync(graph, **kwargs))
             return synced[-1]
 
-        def collapse(sets, weights, start, cfg):
+        def collapse(sets, weights, cfg, iterations, start):
             n = len(sets[1])
             line = np.outer(np.linspace(0.0, 1.0, n), [1.0, 1.0, 0.0])
             sets = list(sets)
             sets[1] = CorrespondenceSet(line, line, np.ones(n), np.zeros(n))
-            results = real_refit(sets, weights, start, cfg)
+            results, status = real_refit(sets, weights, cfg, iterations, start)
             assert not results.fitted[1]
-            return results
+            return results, status
 
         monkeypatch.setattr(pipeline_mod, "transf_sync", sync)
         normal, _ = run_multiview(noisy, cfg)
-        monkeypatch.setattr(pipeline_mod, "refit_batch", collapse)
+        monkeypatch.setattr(pipeline_mod, "_irls_edges", collapse)
         masked, _ = run_multiview(noisy, cfg)
         before = {(e.i, e.j): e for e in synced[1].graph.edges}
         refitted = {(e.i, e.j): e for e in normal.graph.edges}
@@ -426,7 +426,8 @@ class TestFeedbackRefit:
         assert len(set(graph.c_global[1:].tolist())) == 3
         weights = list(fits.weights)
         out = pipeline_mod._feedback(graph, synced.poses, sets, list(weights), cfg, False)
-        refits = refit_batch(sets[1:], weights[1:], relative_motions(synced.poses, ring[1:]), cfg)
+        start = relative_motions(synced.poses, ring[1:])
+        refits = _irls_edges(sets[1:], weights[1:], cfg, 1, start)[0]
         assert refits.fitted.all()
         for k in range(1, 4):
             c_local = refits.local_confidence[k - 1]
@@ -436,6 +437,33 @@ class TestFeedbackRefit:
             assert np.array_equal(out.motions[k], refits.motions[k - 1])
         for name in ("motions", "c_local", "c_global", "c_fused", "active"):
             assert np.array_equal(getattr(out, name)[0], getattr(graph, name)[0])
+
+    def test_refitted_weights_stay_in_unit_range_across_passes(self):
+        # the refit step rechecks nothing it is given, so the weights each
+        # pass writes back, which the next pass starts from, must stay finite
+        # and in [0, 1]; the inactive row keeps its own vector untouched
+        rng = np.random.default_rng(23)
+        clouds, _ = shared_scene_clouds(rng, 4)
+        noisy = [
+            PointCloud(c.points + 5e-3 * rng.normal(size=c.points.shape), c.features)
+            for c in clouds
+        ]
+        ring = ((0, 1), (0, 3), (1, 2), (2, 3))
+        cfg = PipelineConfig(temperature=1e-6)
+        sets = [build_correspondences(noisy[i], noisy[j], cfg.temperature) for i, j in ring]
+        fits = register_batch(sets, cfg)
+        synced = transf_sync(build_graph(4, ring, fits))
+        graph = rebuilt(synced.graph, [0], active=[False])
+        weights = list(fits.weights)
+        for first in (True, False, False):
+            graph = pipeline_mod._feedback(graph, synced.poses, sets, weights, cfg, first)
+            synced = transf_sync(graph)
+            assert weights[0] is fits.weights[0]
+            for k, w in enumerate(weights):
+                assert w.shape == (len(sets[k]),)
+                assert np.isfinite(w).all()
+                assert w.min() >= 0.0 and w.max() <= 1.0
+        assert all(weights[k] is not fits.weights[k] for k in range(1, 4))
 
 
 class TestPipelineInvariances:

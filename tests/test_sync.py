@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from mvreg import (
     translation_sync,
 )
 from mvreg.geometry import relative_motions
+from mvreg.sync import SyncResult
 from mvreg.synthetic import random_motion, random_rotation, rotation_about_axis
 
 from conftest import rebuilt, rotation_gap_deg
@@ -429,6 +430,15 @@ class TestTransfSync:
         assert type(result.translation_rank_deficiency) is int
         assert not result.disconnected
         assert np.linalg.norm(result.absolute[0].matrix - np.eye(4)) < 1e-12
+
+    def test_rank_deficiency_is_a_class_constant(self):
+        # no constructor argument can set it to anything but 3
+        assert SyncResult.translation_rank_deficiency == 3
+        assert "translation_rank_deficiency" not in {f.name for f in fields(SyncResult)}
+        rng = np.random.default_rng(16)
+        g = graph_from_truth(random_truth(rng, 4), ring_pairs(4))
+        with pytest.raises(TypeError):
+            SyncResult(np.zeros((4, 4, 4)), 1.0, g, translation_rank_deficiency=2)
 
     def test_poses_are_a_read_only_array_behind_absolute(self):
         rng = np.random.default_rng(17)
