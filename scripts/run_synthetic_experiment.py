@@ -2,9 +2,12 @@
 """Seed sweep on synthetic scenes: per-edge errors of the measured pairwise
 motions vs. the synchronized estimates, with rotation/translation ECDFs.
 
-Per seed, solve(s) is the wall time of scene_correspondences (the
-correspondence kernel) plus run_multiview_from_correspondences, the span the
-benchmark times as solve_s; gen(s) is the wall time of generate_scene.
+Per seed, iters is the number of outer iterations run, stop is why the
+loop stopped (the trace's stop_reason), and pruned counts the edges left
+inactive as corrupted/clean, by the scene's edge labels. solve(s) is the
+wall time of scene_correspondences (the correspondence kernel) plus
+run_multiview_from_correspondences, the span the benchmark times as
+solve_s; gen(s) is the wall time of generate_scene.
 
 Usage:
   python3 scripts/run_synthetic_experiment.py --scans 30 --pts 2048 \
@@ -48,11 +51,14 @@ def run_seed(seed, args):
     final_rot, final_trans = motion_errors(
         relative_motions(trace.iterations[-1].poses, trace.pairs), truth
     )
+    inactive = [scene.edge_labels[pair] for pair, active in zip(trace.pairs, result.graph.active)
+                if not active]
     return {
         "seed": seed,
         "edges": len(scene.edges),
         "iterations": len(trace.iterations),
-        "disconnected": result.disconnected,
+        "stop": trace.stop_reason,
+        "pruned": "%d/%d" % (inactive.count("outlier"), inactive.count("inlier")),
         "gen_s": t1 - t0,
         "solve_s": t2 - t1,
         "pairwise_rot": pairwise_rot,
@@ -75,15 +81,15 @@ def main():
     rows = [run_seed(seed, args) for seed in range(args.seeds)]
 
     print(
-        "%-5s %-6s %-5s %-11s %-11s %-11s %-11s %-8s %-8s"
-        % ("seed", "edges", "iters", "pw rot(deg)", "fin rot", "pw trans(m)", "fin trans",
-           "solve(s)", "gen(s)")
+        "%-5s %-6s %-5s %-16s %-7s %-11s %-11s %-11s %-11s %-8s %-8s"
+        % ("seed", "edges", "iters", "stop", "pruned", "pw rot(deg)", "fin rot", "pw trans(m)",
+           "fin trans", "solve(s)", "gen(s)")
     )
     for row in rows:
         print(
-            "%-5d %-6d %-5d %-11.3f %-11.3f %-11.4f %-11.4f %-8.2f %-8.3f"
+            "%-5d %-6d %-5d %-16s %-7s %-11.3f %-11.3f %-11.4f %-11.4f %-8.2f %-8.3f"
             % (
-                row["seed"], row["edges"], row["iterations"],
+                row["seed"], row["edges"], row["iterations"], row["stop"], row["pruned"],
                 float(np.mean(row["pairwise_rot"])), float(np.mean(row["final_rot"])),
                 float(np.mean(row["pairwise_trans"])), float(np.mean(row["final_trans"])),
                 row["solve_s"], row["gen_s"],

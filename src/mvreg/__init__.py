@@ -1,6 +1,6 @@
 """Multi-scan rigid registration: soft-correspondence pairwise alignment,
-spectral motion synchronization over a pose graph, and an iteratively
-reweighted multiview refinement loop.
+spectral motion synchronization over a pose graph, and an outer loop that
+prunes the edges the synchronization finds inconsistent.
 """
 
 from .config import PipelineConfig

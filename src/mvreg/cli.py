@@ -118,6 +118,7 @@ def _cmd_multiview(args) -> int:
         print("rotation_eigengap", _fmt(result.rotation_eigengap))
         print("active_edges", int(result.graph.active.sum()))
         print("disconnected", int(result.disconnected))
+        print("stop_reason", trace.stop_reason)
     entries = trajectory_from_motions(absolute)
     if args.out:
         write_trajectory(entries, args.out)

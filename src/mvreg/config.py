@@ -16,8 +16,9 @@ def is_integer(value) -> bool:
 class PipelineConfig:
     """Knobs for pairwise registration, synchronization, and the outer loop.
 
-    Defaults follow the reference operating point: four outer iterations,
-    four synchronization rounds per iteration, pruning threshold 0.85.
+    Defaults follow the reference operating point: at most four outer
+    iterations, four synchronization rounds per iteration. The pruning
+    threshold is not a knob: graph.PRUNE_RATIO scales it to each graph.
     temperature and connectivity say which correspondences to build. Of the
     two pipelines only run_multiview reads them: run_multiview_from_correspondences
     takes built sets and ignores both.
@@ -25,7 +26,6 @@ class PipelineConfig:
 
     outer_iterations: int = 4
     sync_rounds: int = 4
-    tau_p: float = 0.85
     temperature: float = 0.02
     blend: float = 0.7
     connectivity: tuple[tuple[int, int], ...] | None = None
@@ -40,9 +40,8 @@ class PipelineConfig:
         # chained comparisons also reject NaN
         if not 0.0 < self.temperature < np.inf:
             raise ValueError("temperature must be positive and finite")
-        for name in ("tau_p", "blend"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.blend <= 1.0:
+            raise ValueError("blend must lie in [0, 1]")
         if self.connectivity is not None:
             if not all(np.shape(pair) == (2,) and all(map(is_integer, pair))
                        for pair in self.connectivity):

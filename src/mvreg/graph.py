@@ -6,8 +6,8 @@ i < j), `motions` (m x 4 x 4, mapping frame-i coordinates into frame j),
 last three default to the first iteration's values: c_global 1, c_fused =
 c_local, every row active. A graph is checked once, when the constructor
 builds it. Graphs are immutable snapshots: the solver's own updates
-(synchronization, refit, pruning) each return a new graph and are not
-checked again, and pruned edges keep their rows. A graph is built from
+(synchronization and pruning) each return a new graph and are not checked
+again, and pruned edges keep their rows. A graph is built from
 arrays only; Edge is a read-only view of one row, and `edges` and
 `active_edges()` give the rows as views, built on first use. Reverse
 directions follow from R_ji = R_ij^T, t_ji = -R_ij^T t_ij.
@@ -28,6 +28,9 @@ CAUCHY_MAD_TO_SIGMA = 1.482
 # the global confidence's Cauchy scale in robust sigmas, and its fusion weight
 GAMMA = 3.0
 BETA = 1.0
+# an active edge is pruned when its c_global is below this share of the
+# active edges' median c_global
+PRUNE_RATIO = 0.25
 _CONFIDENCES = ("c_local", "c_global", "c_fused")
 # the columns after pairs and motions, and an Edge record's fields after i, j and motion
 _SCALARS = (*_CONFIDENCES, "active")
@@ -193,15 +196,18 @@ def harmonic_fuse(c_local, c_global, beta: float):
     return _scalar_or_array(np.where(vanished, 0.0, fused))
 
 
-def prune_edges(g: PoseGraph, tau: float) -> PoseGraph:
-    """Deactivate edges whose fused confidence fell below tau.
+def prune_edges(g: PoseGraph) -> PoseGraph:
+    """Deactivate every active edge whose global confidence is below
+    PRUNE_RATIO times the median c_global of the active edges.
 
-    Edges are never deleted, only flagged inactive, so earlier state can be
-    reported after a pruning collapse. Already-inactive edges stay inactive.
+    c_global = 1 / (1 + r/b) is not centred on the median residual, so one
+    fixed threshold cannot fit both a clean graph and a corrupted one. Edges
+    are only flagged inactive, never deleted, and never reactivated.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    return g._with_rows(g.c_fused < tau, active=False)
+    c_global = g.c_global[g.active]
+    if c_global.size == 0:
+        return g
+    return g._with_rows(g.active & (g.c_global < PRUNE_RATIO * np.median(c_global)), active=False)
 
 
 def search_tree(n: int, pairs, roots=(0,), key=None) -> tuple[list[int], list[int]]:

@@ -1,7 +1,6 @@
 """Pairwise rigid alignment: soft correspondences, weighted closed-form
 least squares, and iteratively reweighted refinement. The IRLS fits many
-sets at once: register_batch, and the outer loop's refit through
-_irls_edges(sets, weights, cfg, 1, start), return one PairwiseFits.
+sets at once: register_batch returns one PairwiseFits for all of them.
 """
 
 from __future__ import annotations
@@ -385,21 +384,17 @@ def _reweight_stack(r, prev, blend: float):
     return np.clip(blend * kernel + (1.0 - blend) * prev, 0.0, 1.0)
 
 
-def _irls_stack(src, dst, w, iterations: int, blend: float, rot=None, trans=None):
+def _irls_stack(src, dst, w, iterations: int, blend: float):
     """The inner IRLS loop on m equal-length correspondence sets at once.
 
     src and dst are coordinate-major (m, 3, n) stacks. Starts from the
-    weighted fit of w, or from the motions rot, trans when they are given.
-    Each iteration reweights every row from its residuals and re-fits it,
-    and keeps the new weights and motion only where the row was fitted and
-    still is: a failed row stays failed, with the weights and motion it
-    had. w, rot and trans are updated in place; returns rot, trans and the
-    fit status of each row.
+    weighted fit of w. Each iteration reweights every row from its
+    residuals and re-fits it, and keeps the new weights and motion only
+    where the row was fitted and still is: a failed row stays failed, with
+    the weights and motion it had. w is updated in place; returns the
+    rotations, translations and fit status of each row.
     """
-    if rot is None:
-        rot, trans, status = _fit_stack(src, dst, w)
-    else:
-        status = np.full(len(w), _FIT_OK, dtype=np.int8)
+    rot, trans, status = _fit_stack(src, dst, w)
     for _ in range(iterations):
         w_new = _reweight_stack(_residual_stack(rot, trans, src, dst), w, blend)
         rot_new, trans_new, fit = _fit_stack(src, dst, w_new)
@@ -411,7 +406,7 @@ def _irls_stack(src, dst, w, iterations: int, blend: float, rot=None, trans=None
     return rot, trans, status
 
 
-def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None):
+def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int):
     """_irls_stack over many correspondence sets, plus each set's score.
 
     Sets are grouped by correspondence count, and each group is walked in
@@ -419,15 +414,10 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
     set), so the extra memory does not grow with the number of sets. A
     batch stacks its sets' transposed points once, into the (b, 3, n)
     stacks _irls_stack takes. weights[k] are the starting weights of
-    sets[k], in [0, 1]; start, when given, is an (m, 4, 4) stack of finite
-    motions mapping source onto target. Nothing is checked again: sets are
-    checked when built, and _reweight_stack clips every later weight.
-    Returns the PairwiseFits of the sets and the fit status of each row.
-
-    With iterations=1 and a start, this is the outer loop's refit step: a
-    set is reweighted from its residuals under start[k], blended with
-    weights[k], re-fitted and scored. A set whose weights collapse onto a
-    degenerate support gets fitted False, so the caller keeps its old fit.
+    sets[k], in [0, 1]. Nothing is checked again: sets are checked when
+    built, and _reweight_stack clips every later weight. Returns the
+    PairwiseFits of the sets and the fit status of each row; a set whose
+    weights leave a degenerate support gets fitted False.
     """
     m = len(sets)
     groups: dict[int, list[int]] = {}
@@ -444,10 +434,7 @@ def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int, start=None)
             src = np.stack([sets[k].source_pts.T for k in idx])
             dst = np.stack([sets[k].target_pts.T for k in idx])
             w = np.stack([weights[k] for k in idx])
-            rot = trans = None
-            if start is not None:
-                rot, trans = start[idx, :3, :3], start[idx, :3, 3]
-            rot, trans, status[idx] = _irls_stack(src, dst, w, iterations, cfg.blend, rot, trans)
+            rot, trans, status[idx] = _irls_stack(src, dst, w, iterations, cfg.blend)
             r = _residual_stack(rot, trans, src, dst)
             ok = status[idx] == _FIT_OK
             rows = idx[ok]

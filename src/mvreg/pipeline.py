@@ -1,6 +1,6 @@
-"""Outer refinement loop: pairwise registration of all pairs in one batch,
-pose-graph synchronization, pre-alignment feedback (one batched refit of the
-active edges per iteration), confidence fusion, and pruning.
+"""The outer loop: pairwise registration of all pairs in one batch,
+then pose-graph synchronization alternating with pruning of the edges that
+the cycles find inconsistent, until an iteration prunes nothing.
 """
 
 from __future__ import annotations
@@ -11,15 +11,16 @@ import numpy as np
 
 from .config import PipelineConfig, is_integer
 from .errors import DisconnectedInput, DuplicateEdge, IndexOutOfRange, TooFewClouds
-from .geometry import PointCloud, RigidMotion, motion_stack, relative_motions
-from .graph import BETA, PoseGraph, build_graph, harmonic_fuse, is_connected, prune_edges, search_tree
+from .geometry import PointCloud, RigidMotion, motion_stack
+from .graph import PoseGraph, build_graph, is_connected, prune_edges, search_tree
 
-# register_correspondences, wls_transform, residuals, robust_reweight and
-# local_confidence are not called in this module. They are imported because
-# the benchmark's span tracer (bench/spans.py) rebinds them by name here.
+# harmonic_fuse, local_confidence, register_correspondences, wls_transform,
+# residuals and robust_reweight are not called in this module. They are
+# imported because the benchmark's span tracer (bench/spans.py) rebinds them
+# by name here.
+from .graph import harmonic_fuse  # noqa: F401
 from .pairwise import (  # noqa: F401
     CorrespondenceSet,
-    _irls_edges,
     build_correspondences,
     local_confidence,
     register_batch,
@@ -44,18 +45,18 @@ class IterationStats:
 
 @dataclass(frozen=True, eq=False)
 class PipelineTrace:
-    """The scan pairs, their measured motions (the initial graph's read-only
-    (m, 4, 4) motions, a row per pair) and each iteration's state. It holds no
-    errors: score poses with motion_errors(relative_motions(poses, pairs), ...).
+    """The scan pairs, their measured motions (the graph's read-only (m, 4, 4)
+    motions, a row per pair), each iteration's state and why the loop
+    stopped: `converged` (an iteration pruned nothing), `pruning_collapse`
+    (pruning disconnected the graph) or `completed` (every outer iteration
+    ran and pruned). It holds no errors: score poses with
+    motion_errors(relative_motions(poses, pairs), ...).
     """
 
     pairs: tuple[tuple[int, int], ...]
     motions: np.ndarray
     iterations: tuple[IterationStats, ...]
-
-    @property
-    def disconnected(self) -> bool:
-        return any(s.disconnected for s in self.iterations)
+    stop_reason: str
 
 
 def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
@@ -83,32 +84,6 @@ def pairwise_chain_absolute(graph: PoseGraph) -> tuple[RigidMotion, ...]:
         poses[v, :3, :3] = poses[u, :3, :3] @ rot
         poses[v, :3, 3] = poses[u, :3, :3] @ trans + poses[u, :3, 3]
     return tuple(motion_stack(poses))
-
-
-def _feedback(graph, poses, sets, weights, cfg, first: bool) -> PoseGraph:
-    """One IRLS step per active edge, started from the synchronized relative motion.
-
-    _irls_edges(sets, weights, cfg, 1, start) on the active rows reweights
-    each edge's correspondences from their aligned residuals and re-fits its
-    motion and local confidence, which is then fused with the global
-    confidence. An edge whose weights collapse keeps its previous fit.
-    sets and weights hold one entry per edge; weights is updated in place.
-    """
-    active = np.flatnonzero(graph.active)
-    start = relative_motions(poses, graph.pairs[active])
-    fits = _irls_edges([sets[k] for k in active], [weights[k] for k in active], cfg, 1, start)[0]
-    # inactive edges, and bad edges whose weights collapsed, keep their fit
-    rows = active[fits.fitted]
-    for row in np.flatnonzero(fits.fitted):
-        weights[active[row]] = fits.weights[row]
-    c_local = fits.local_confidence[fits.fitted]
-    # the first pass takes c_fused = c_local and drops the c_global that transf_sync
-    # has just computed over its rounds, so pruning sees c_local alone (ROADMAP item 1)
-    c_fused = c_local if first else np.clip(
-        harmonic_fuse(c_local, graph.c_global[rows], BETA), 0.0, 1.0
-    )
-    return graph._with_rows(rows, motions=fits.motions[fits.fitted], c_local=c_local,
-                            c_fused=c_fused)
 
 
 def canonical_pairs(connectivity, n: int) -> tuple[tuple[int, int], ...]:
@@ -160,28 +135,26 @@ def run_multiview_from_correspondences(
         if not (_is_index_pair(key) and 0 <= key[0] < key[1] < n):
             raise IndexOutOfRange(f"correspondence key {key!r} is not an integer pair with 0 <= i < j < {n}")
     pairs = tuple(sorted(correspondences))
-    sets = [correspondences[p] for p in pairs]
-
-    fits = register_batch(sets, cfg)
-    graph = build_graph(n, pairs, fits)
-    weights = list(fits.weights)
+    graph = build_graph(n, pairs, register_batch([correspondences[p] for p in pairs], cfg))
     if not is_connected(graph):
         raise DisconnectedInput("measurement pairs do not connect all clouds")
-    measured = graph.motions
 
     stats = []
+    stop = "completed"
     for k in range(1, cfg.outer_iterations + 1):
         result = transf_sync(graph, rounds=cfg.sync_rounds)
-        graph = _feedback(result.graph, result.poses, sets, weights, cfg, k == 1)
-        graph = prune_edges(graph, cfg.tau_p)
-
-        connected = is_connected(graph)
-        stats.append(IterationStats(k, int(graph.active.sum()), not connected, result.poses))
-        if not connected:
+        graph = prune_edges(result.graph)
+        active = int(graph.active.sum())
+        if active == int(result.graph.active.sum()):
+            stop = "converged"
+        elif not is_connected(graph):
+            stop = "pruning_collapse"
+        stats.append(IterationStats(k, active, stop == "pruning_collapse", result.poses))
+        if stop != "completed":
             break
 
-    final = replace(result, graph=graph, disconnected=not connected)
-    return final, PipelineTrace(pairs, measured, tuple(stats))
+    final = replace(result, graph=graph, disconnected=stop == "pruning_collapse")
+    return final, PipelineTrace(pairs, graph.motions, tuple(stats), stop)
 
 
 def run_multiview(
@@ -191,11 +164,13 @@ def run_multiview(
     """Register n feature-bearing clouds into a common frame.
 
     Registers every pair (or the pairs listed in cfg.connectivity), builds the
-    pose graph, then iterates: synchronize, pre-align each pair with the
-    synchronized relative motion, reweight correspondences from the aligned
-    residuals, re-fit pair motions and confidences, fuse with the global
-    confidences, and prune weak edges. Stops early and returns the last valid
-    synchronization if pruning disconnects the graph.
+    pose graph, then iterates: synchronize, which refreshes each edge's global
+    confidence from its cycle-consistency residual, and prune the edges whose
+    global confidence falls below graph.PRUNE_RATIO times the active edges'
+    median. The pairwise fits are not redone. Stops at the first iteration
+    that prunes nothing, and returns that synchronization; if pruning
+    disconnects the graph, stops and returns the last synchronization, made
+    on the connected graph, with `disconnected` set.
     """
     cfg = cfg or PipelineConfig()
     n = len(clouds)

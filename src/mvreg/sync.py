@@ -488,11 +488,10 @@ def transf_sync(g: PoseGraph, rounds: int = 4) -> SyncResult:
     Each round synchronizes rotations and translations, rebuilds the relative
     motions, and refreshes the global confidences with a Cauchy weight at a
     MAD-derived scale (graph.GAMMA) and the fused ones with harmonic_fuse at
-    graph.BETA. Local confidences are held fixed here; the outer pipeline
-    owns them. Rounds only reweight edges, never deactivate them, so
-    connectivity is checked once, and the band order computed once, up front.
-    Each round after the first starts its eigensolver from the previous
-    round's Ritz panel.
+    graph.BETA; local confidences are only read. Rounds only reweight edges,
+    never deactivate them, so connectivity is checked once, and the band
+    order computed once, up front. Each round after the first starts its
+    eigensolver from the previous round's Ritz panel.
     """
     if not is_integer(rounds) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")

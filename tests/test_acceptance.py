@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import mvreg.graph as graph_mod
 from mvreg import (
     CorrespondenceSet,
     MalformedConfig,
@@ -260,23 +261,26 @@ def test_09_harmonic_fusion_bounded_by_inputs():
     assert np.all(fused <= hi)
 
 
-def test_10_pruning_collapse_returns_last_connected_poses():
+def test_10_pruning_collapse_returns_last_connected_poses(monkeypatch):
     rng = np.random.default_rng(110)
     base = rng.uniform(-1.0, 1.0, size=(60, 3))
     truth = [random_motion(rng) for _ in range(6)]
     clouds = []
     for m in truth:
         # express the shared points in each scan frame, with mild noise so
-        # every confidence lands below the aggressive pruning threshold
+        # the edges' global confidences differ
         local = transform_points(invert(m), base) + 5e-3 * rng.normal(size=base.shape)
         clouds.append(PointCloud(local, base.copy()))
     ring = tuple((k, (k + 1) % 6) for k in range(6))
-    cfg = PipelineConfig(temperature=1e-6, connectivity=ring, tau_p=0.99)
+    # a ratio of 1 prunes the edges below the median, half the ring's six,
+    # which disconnects it
+    monkeypatch.setattr(graph_mod, "PRUNE_RATIO", 1.0)
+    cfg = PipelineConfig(temperature=1e-6, connectivity=ring)
     result, trace = run_multiview(clouds, cfg)
     result2, _ = run_multiview(clouds, cfg)
     one_iteration, _ = run_multiview(
         clouds,
-        PipelineConfig(temperature=1e-6, connectivity=ring, tau_p=0.99, outer_iterations=1),
+        PipelineConfig(temperature=1e-6, connectivity=ring, outer_iterations=1),
     )
     print(
         f"criterion 10: disconnected={result.disconnected}, "
@@ -284,6 +288,7 @@ def test_10_pruning_collapse_returns_last_connected_poses():
     )
     assert result.disconnected
     assert trace.iterations[-1].disconnected
+    assert trace.stop_reason == "pruning_collapse"
     # deterministic, and identical to the poses of the last connected sync
     for a, b, c in zip(result.absolute, result2.absolute, one_iteration.absolute):
         assert np.array_equal(a.matrix, b.matrix)
@@ -364,7 +369,7 @@ def test_11_io_round_trips_and_malformed_corpus(tmp_path):
         ("nan.log", b"0 0 1\nnan 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", read_trajectory, MalformedEntry),
         ("unknown_key.cfg", b"not_a_field=3\n", read_config, MalformedConfig),
         ("no_equals.cfg", b"outer_iterations 4\n", read_config, MalformedConfig),
-        ("bad_value.cfg", b"tau_p=high\n", read_config, MalformedConfig),
+        ("bad_value.cfg", b"blend=high\n", read_config, MalformedConfig),
     ]
     assert len(corpus) >= 10
     for name, payload, reader, expected in corpus:

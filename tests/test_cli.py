@@ -145,7 +145,9 @@ class TestMultiviewCommand:
         kv = parse_kv(out)
         assert kv["mode"] == ["multiview"]
         # the rows that carry information; the rank deficiency is always 3
-        assert set(kv) == {"mode", "rotation_eigengap", "active_edges", "disconnected", "trajectory"}
+        assert set(kv) == {"mode", "rotation_eigengap", "active_edges", "disconnected",
+                           "stop_reason", "trajectory"}
+        assert kv["stop_reason"] == ["converged"]
         assert est.exists()
         assert len(read_trajectory(est)) == 4
 

@@ -23,8 +23,12 @@ def test_small_sweep_prints_both_ecdf_blocks():
     # generation has its own column
     assert lines[0].split()[-2:] == ["solve(s)", "gen(s)"]
     assert "time(s)" not in lines[0]
+    assert lines[0].split()[3:5] == ["stop", "pruned"]
     row = lines[1].split()
     assert len(row) == len(lines[0].split()) - 4  # four headers hold a space
+    assert row[3] in ("converged", "pruning_collapse", "completed")
+    # pruned edges as corrupted/clean
+    assert all(part.isdigit() for part in row[4].split("/")) and row[4].count("/") == 1
     assert float(row[-2]) >= 0.0 and float(row[-1]) >= 0.0
     for block in ("rotation ECDF at", "translation ECDF at"):
         starts = [k for k, line in enumerate(lines) if line.startswith(block)]

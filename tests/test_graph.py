@@ -174,7 +174,7 @@ class TestPoseGraph:
         # the solver's own updates write motions and confidences unchecked
         h = g._with_rows([4, 1], motions=new)
         assert np.array_equal(h.motions[[4, 1]], new)
-        h = prune_edges(h._with_rows([0], c_fused=[0.1]), 0.05)
+        h = prune_edges(h._with_rows([0], c_global=[0.3]))
         transf_sync(h, rounds=2)
         assert seen == []
         PoseGraph(h.node_count, h.pairs, h.motions, h.c_local)
@@ -338,34 +338,42 @@ class TestHarmonicFuse:
 
 class TestPruneAndConnectivity:
     def test_prune_deactivates_below_threshold(self):
+        # median 0.8, so the threshold is 0.25 * 0.8 = 0.2; c_local plays no part
         rng = np.random.default_rng(7)
         m = random_motion(rng).matrix
-        g = PoseGraph(3, [(0, 1), (1, 2)], [m, m], [0.9, 0.2])
-        pruned = prune_edges(g, 0.5)
-        assert pruned.active[0]
-        assert not pruned.active[1]
+        g = PoseGraph(4, [(0, 1), (1, 2), (2, 3)], [m] * 3, [0.1, 0.9, 0.9],
+                      c_global=[0.9, 0.19, 0.8])
+        pruned = prune_edges(g)
+        assert pruned.active.tolist() == [True, False, True]
+        assert prune_edges(rebuilt(g, [1], c_global=[0.2])).active.all()
         # edges are retained in the structure even when inactive
-        assert len(pruned.edges) == 2
+        assert len(pruned.edges) == 3
 
     def test_prune_never_reactivates(self):
         rng = np.random.default_rng(8)
         g = PoseGraph(2, [(0, 1)], [random_motion(rng).matrix], [0.9], active=[False])
-        assert not prune_edges(g, 0.1).active[0]
+        assert not prune_edges(g).active[0]
 
-    def test_prune_threshold_monotone(self):
+    def test_inactive_edges_do_not_move_the_median(self):
+        # the active median is 0.8 (threshold 0.2); over every row it would be
+        # 0.1 (threshold 0.025), which would keep edge (1, 2)
+        rng = np.random.default_rng(10)
+        m = random_motion(rng).matrix
+        g = PoseGraph(5, [(k, k + 1) for k in range(4)], [m] * 4, [0.9] * 4,
+                      c_global=[0.8, 0.1, 0.1, 0.05], active=[True, True, False, False])
+        assert prune_edges(g).active.tolist() == [True, False, False, False]
+
+    def test_prune_threshold_monotone(self, monkeypatch):
         rng = np.random.default_rng(9)
         m = random_motion(rng).matrix
         confs = rng.uniform(0, 1, 10)
-        g = PoseGraph(11, [(k, k + 1) for k in range(10)], [m] * 10, confs)
-        active_counts = [
-            len(prune_edges(g, tau).active_edges()) for tau in np.linspace(0, 1, 21)
-        ]
+        g = PoseGraph(11, [(k, k + 1) for k in range(10)], [m] * 10, [0.9] * 10, c_global=confs)
+        active_counts = []
+        for ratio in np.linspace(0, 1, 21):
+            monkeypatch.setattr(graph_mod, "PRUNE_RATIO", ratio)
+            active_counts.append(int(prune_edges(g).active.sum()))
+        assert active_counts[0] == 10 and active_counts[-1] == 5
         assert all(a >= b for a, b in zip(active_counts, active_counts[1:]))
-
-    def test_invalid_threshold(self):
-        g = PoseGraph(2, [(0, 1)], [RigidMotion.identity().matrix], [0.5])
-        with pytest.raises(ValueError):
-            prune_edges(g, 1.5)
 
     def test_chain_is_connected(self):
         rng = np.random.default_rng(10)

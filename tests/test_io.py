@@ -407,7 +407,7 @@ class TestMalformedFiles:
 
     def test_config_value_out_of_range(self, tmp_path):
         p = tmp_path / "e.cfg"
-        p.write_text("tau_p=1.5\n")
+        p.write_text("blend=1.5\n")
         with pytest.raises(MalformedConfig):
             read_config(p)
 
@@ -439,24 +439,24 @@ class TestReadConfig:
             "# experiment configuration\n"
             "\n"
             "outer_iterations = 2\n"
-            "tau_p=0.5\n"
+            "blend=0.5\n"
             "temperature = 0.01\n"
         )
         cfg = read_config(p)
         assert cfg.outer_iterations == 2
-        assert cfg.tau_p == 0.5
+        assert cfg.blend == 0.5
         assert cfg.temperature == 0.01
         assert cfg.sync_rounds == PipelineConfig().sync_rounds
 
     def test_every_field_parses_to_its_type(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(
-            "outer_iterations=2\nsync_rounds=3\ntau_p=1\ntemperature=0.5\n"
+            "outer_iterations=2\nsync_rounds=3\ntemperature=0.5\n"
             "blend=1\nconnectivity=0-1,1-2\n"
         )
         cfg = read_config(p)
         ints = {"outer_iterations": 2, "sync_rounds": 3}
-        floats = {"tau_p": 1.0, "temperature": 0.5, "blend": 1.0}
+        floats = {"temperature": 0.5, "blend": 1.0}
         assert {k: getattr(cfg, k) for k in ints} == ints
         assert all(type(getattr(cfg, k)) is int for k in ints)
         assert {k: getattr(cfg, k) for k in floats} == floats
@@ -500,6 +500,15 @@ class TestReadConfig:
             read_config(p)
         with pytest.raises(TypeError):
             PipelineConfig(**{key: 1})
+
+    def test_deleted_pruning_threshold_is_not_a_key(self, tmp_path):
+        # the old fixed threshold must fail, not take on the ratio's meaning
+        p = tmp_path / "run.cfg"
+        p.write_text("tau_p=0.85\n")
+        with pytest.raises(MalformedConfig, match="unknown configuration key 'tau_p'"):
+            read_config(p)
+        with pytest.raises(TypeError):
+            PipelineConfig(tau_p=0.85)
 
     def test_readme_config_block_parses(self, tmp_path):
         # the first fenced block after the README's configuration paragraph

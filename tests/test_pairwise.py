@@ -45,9 +45,9 @@ from mvreg.synthetic import generate_scene, random_motion, rotation_about_axis
 from conftest import make_feature_cloud, rotation_gap_deg
 
 
-def refit_step(sets, weights, start, cfg=None):
-    """The outer loop's refit: one IRLS step per set from start[k]."""
-    return pairwise_mod._irls_edges(sets, weights, cfg or PipelineConfig(), 1, start)[0]
+def one_step(sets, weights, cfg=None):
+    """The fits of _irls_edges with one IRLS step from the given weights."""
+    return pairwise_mod._irls_edges(sets, weights, cfg or PipelineConfig(), 1)[0]
 
 
 def make_set(rng, n=50, motion=None, weights=None):
@@ -138,7 +138,7 @@ class TestCorrespondenceSet:
 
     def test_compact_weights_fit_as_full_ones(self):
         # fits read the stored one-element weights as they read N-element
-        # copies, bit for bit: the initial IRLS, one refit step, and the
+        # copies, bit for bit: the initial IRLS, one IRLS step, and the
         # closed form
         rng = np.random.default_rng(6)
         sets = []
@@ -153,8 +153,7 @@ class TestCorrespondenceSet:
         runs = []
         for weights in ([c.weights for c in sets], full):
             fits, status = pairwise_mod._irls_edges(sets, weights, cfg, pairwise_mod.IRLS_ITERATIONS)
-            refit, _ = pairwise_mod._irls_edges(sets, weights, cfg, 1, fits.motions)
-            runs.append((fits, status, refit))
+            runs.append((fits, status, one_step(sets, weights, cfg)))
         (fits, status, refit), (fits_full, status_full, refit_full) = runs
         assert np.array_equal(status, status_full)
         for got, want in ((fits, fits_full), (refit, refit_full)):
@@ -737,9 +736,8 @@ class TestRobustStatistics:
 
         monkeypatch.setattr(np, "median", spy)
         fits = register_batch(sets)
-        result = transf_sync(build_graph(n, pairs, fits))
-        refit = refit_step(sets, fits.weights, relative_motions(result.poses, pairs))
-        assert refit.fitted.all()
+        transf_sync(build_graph(n, pairs, fits))
+        assert one_step(sets, fits.weights).fitted.all()
         assert calls == []
 
 
@@ -1117,7 +1115,7 @@ class TestBatchedIrls:
             assert np.array_equal(wa, wb)
 
     def test_empty_input(self):
-        for fits in (register_batch([]), refit_step([], [], np.zeros((0, 4, 4)))):
+        for fits in (register_batch([]), one_step([], [])):
             assert len(fits) == 0 and fits.weights == ()
             assert fits.motions.shape == (0, 4, 4)
 
@@ -1155,9 +1153,9 @@ class TestBatchedIrls:
 
     def test_batch_layout_does_not_change_bits(self, monkeypatch):
         # a set's fit depends on its own rows only, not on which sets share
-        # its batch: register, a refit where every set is fitted, and a refit
-        # where the middle set's weights have collapsed (blend 0 keeps them
-        # at zero, so its row is masked)
+        # its batch: register, one step from the fitted weights where every
+        # set is fitted, and one where the middle set's weights have
+        # collapsed (blend 0 keeps them at zero, so its row is masked)
         sets = mixed_sets(np.random.default_rng(48))
         mid = len(sets) // 2
         fits = register_batch(sets)
@@ -1165,15 +1163,15 @@ class TestBatchedIrls:
         collapsed[mid] = np.zeros(len(sets[mid]))
         calls = {
             "register": lambda: register_batch(sets),
-            "refit": lambda: refit_step(sets, fits.weights, fits.motions),
-            "masked": lambda: refit_step(sets, collapsed, fits.motions, PipelineConfig(blend=0.0)),
+            "step": lambda: one_step(sets, fits.weights),
+            "masked": lambda: one_step(sets, collapsed, PipelineConfig(blend=0.0)),
         }
         results = {}
         for batch in self.BATCHES:
             monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
             results[batch] = {name: call() for name, call in calls.items()}
         first = results[self.BATCHES[0]]
-        assert first["refit"].fitted.all()
+        assert first["step"].fitted.all()
         assert np.flatnonzero(~first["masked"].fitted).tolist() == [mid]
         for batch in self.BATCHES[1:]:
             for name, got in results[batch].items():
@@ -1184,6 +1182,24 @@ class TestBatchedIrls:
                 assert np.array_equal(got.fitted, want.fitted), (batch, name)
                 for wg, ww in zip(got.weights, want.weights, strict=True):
                     assert np.array_equal(wg, ww), (batch, name)
+
+    @pytest.mark.parametrize("collapse", ["zero", "two_points"])
+    def test_collapsed_weights_are_masked(self, collapse):
+        rng = np.random.default_rng(46)
+        sets = [make_set(rng, 40)[0] for _ in range(3)]
+        prev = [np.ones(len(c)) for c in sets]
+        prev[1] = np.zeros(len(sets[1]))
+        if collapse == "two_points":
+            prev[1][:2] = 1.0
+        # blend 0 keeps the previous weights, so set 1 cannot be fitted
+        cfg = PipelineConfig(blend=0.0)
+        results = one_step(sets, prev, cfg)
+        assert results.fitted.tolist() == [True, False, True]
+        # the failed row holds the identity and no confidence
+        assert np.array_equal(results.motions[1], np.eye(4))
+        assert results.local_confidence[1] == 0.0
+        alone = one_step([sets[0], sets[2]], [prev[0], prev[2]], cfg)
+        assert np.array_equal(results.motions[[0, 2]], alone.motions)
 
     def test_peak_memory_is_bounded(self):
         # 96 sets of 2048 correspondences, the synthetic-30x2048 shape: the
@@ -1203,50 +1219,3 @@ class TestBatchedIrls:
             tracemalloc.stop()
         assert len(results) == 96
         assert peak < 8e6
-
-
-class TestRefitStep:
-    def make_sets(self, rng, count=3, n=40):
-        sets, truths = [], []
-        for _ in range(count):
-            c, motion = make_set(rng, n)
-            noisy = c.target_pts + 0.01 * rng.normal(size=(n, 3))
-            sets.append(CorrespondenceSet(c.source_pts, noisy, c.weights))
-            truths.append(motion.matrix)
-        return sets, np.stack(truths)
-
-    def test_matches_one_reference_step(self):
-        rng = np.random.default_rng(45)
-        sets, start = self.make_sets(rng)
-        prev = [rng.uniform(0.2, 1.0, len(c)) for c in sets]
-        cfg = PipelineConfig(blend=0.7)
-        fits = refit_step(sets, prev, start, cfg)
-        assert fits.fitted.all()
-        for k, (c, w, m) in enumerate(zip(sets, prev, start)):
-            r = residuals(c, RigidMotion.from_matrix(m))
-            w_new = robust_reweight(r, w, cfg.blend)
-            expected = wls_transform(CorrespondenceSet(c.source_pts, c.target_pts, w_new))
-            assert np.abs(fits.motions[k] - expected.matrix).max() <= 1e-12
-            assert np.abs(fits.weights[k] - w_new).max() <= 1e-12
-            final = residuals(c, expected)
-            delta = float(np.mean(w_new > pairwise_mod.INLIER_WEIGHT))
-            conf = local_confidence(delta, float(np.median(final)))
-            assert abs(fits.local_confidence[k] - conf) <= 1e-12
-
-    @pytest.mark.parametrize("collapse", ["zero", "two_points"])
-    def test_collapsed_weights_are_masked(self, collapse):
-        rng = np.random.default_rng(46)
-        sets, start = self.make_sets(rng)
-        prev = [np.ones(len(c)) for c in sets]
-        prev[1] = np.zeros(len(sets[1]))
-        if collapse == "two_points":
-            prev[1][:2] = 1.0
-        # blend 0 keeps the previous weights, so set 1 cannot be fitted
-        cfg = PipelineConfig(blend=0.0)
-        results = refit_step(sets, prev, start, cfg)
-        assert results.fitted.tolist() == [True, False, True]
-        # the failed row holds the identity and no confidence
-        assert np.array_equal(results.motions[1], np.eye(4))
-        assert results.local_confidence[1] == 0.0
-        alone = refit_step([sets[0], sets[2]], [prev[0], prev[2]], start[[0, 2]], cfg)
-        assert np.array_equal(results.motions[[0, 2]], alone.motions)

@@ -21,7 +21,6 @@ from mvreg import (
     TooFewClouds,
     ZeroWeightSum,
     build_graph,
-    harmonic_fuse,
     invert,
     pairwise_chain_absolute,
     run_multiview,
@@ -30,12 +29,11 @@ from mvreg import (
     transform_points,
 )
 from mvreg.geometry import motion_stack, relative_motions
-from mvreg.graph import BETA
 from mvreg.metrics import motion_errors
-from mvreg.pairwise import _irls_edges, build_correspondences, register_batch
+from mvreg.pairwise import build_correspondences, register_batch
 from mvreg.synthetic import generate_scene, random_motion, scene_correspondences
 
-from conftest import rebuilt, rotation_gap_deg
+from conftest import rotation_gap_deg
 
 
 def shared_scene_clouds(rng, n, points=60):
@@ -125,7 +123,8 @@ class TestRunMultiviewBasics:
         for m in result.absolute:
             assert np.linalg.norm(m.matrix - np.eye(4)) < 1e-9
         assert not result.disconnected
-        assert len(trace.iterations) == 4
+        # nothing to prune, so the loop stops after its first iteration
+        assert len(trace.iterations) == 1 and trace.stop_reason == "converged"
 
     def test_readme_example_anchor_is_exactly_the_identity(self):
         # the README's library example, line for line
@@ -136,6 +135,7 @@ class TestRunMultiviewBasics:
         result, trace = run_multiview(clouds, PipelineConfig(temperature=1e-6, blend=1.0))
         assert np.array_equal(result.poses[0], np.eye(4))
         assert not result.disconnected
+        assert trace.stop_reason == "converged"
         for it in trace.iterations:
             assert np.array_equal(it.poses[0], np.eye(4))
 
@@ -241,14 +241,12 @@ class TestRunMultiviewBasics:
         assert len(calls) == 1 and result.absolute is absolute
 
     def test_solve_checks_the_measured_motions_once(self, monkeypatch):
-        # the constructor checks the measured motions; the refits of every
-        # iteration are the solver's own updates and are not checked again
-        rng = np.random.default_rng(23)
-        clouds, _ = shared_scene_clouds(rng, 5)
-        cfg = PipelineConfig(temperature=1e-6, tau_p=0.0, outer_iterations=4)
-        ring = [(k, k + 1) for k in range(4)] + [(0, 4)]
-        sets = {(i, j): build_correspondences(clouds[i], clouds[j], cfg.temperature)
-                for i, j in ring}
+        # the constructor checks the measured motions; the syncs and prunings
+        # of every iteration are the solver's own updates and are not checked
+        # again. Iteration 1 prunes the scene's 2 corrupted edges of 10
+        scene = generate_scene(5, 150, 0.01, 0.2, 3)
+        cfg = PipelineConfig(connectivity=scene.edges)
+        sets = scene_correspondences(scene, cfg.temperature)
         checked = []
         check = graph_mod.non_rotations
 
@@ -258,8 +256,21 @@ class TestRunMultiviewBasics:
 
         monkeypatch.setattr(graph_mod, "non_rotations", counting)
         result, trace = run_multiview_from_correspondences(sets, 5, cfg)
-        assert len(trace.iterations) == 4 and not result.disconnected
-        assert checked == [5]
+        assert [s.active_edges for s in trace.iterations] == [8, 8]
+        assert trace.stop_reason == "converged" and not result.disconnected
+        assert checked == [10]
+
+
+@pytest.fixture(scope="module")
+def seed0_run():
+    """test_07's seed-0 scene and its default run."""
+    scene = generate_scene(
+        n_scans=30, pts_per_scan=2048, noise_sigma=0.01,
+        outlier_edge_fraction=0.2, seed=0,
+    )
+    cfg = PipelineConfig(connectivity=scene.edges)
+    corr = scene_correspondences(scene, cfg.temperature)
+    return (scene, *run_multiview_from_correspondences(corr, 30, cfg))
 
 
 class TestRefinementQuality:
@@ -278,24 +289,49 @@ class TestRefinementQuality:
         assert final.mean() <= np.mean(pairwise)
         assert final.mean() < 5.0
 
-    @pytest.mark.xfail(raises=AssertionError,
-                       reason="ROADMAP item 1: iteration 1 prunes every edge")
-    def test_default_run_ends_connected_and_better_than_its_first_sync(self):
-        # test_07's seed-0 scene: the outer loop must keep the graph connected
-        # and end with a lower mean rotation error than its first sync
-        scene = generate_scene(
-            n_scans=30, pts_per_scan=2048, noise_sigma=0.01,
-            outlier_edge_fraction=0.2, seed=0,
-        )
-        cfg = PipelineConfig(connectivity=scene.edges)
-        corr = scene_correspondences(scene, cfg.temperature)
-        result, trace = run_multiview_from_correspondences(corr, 30, cfg)
+    def test_default_run_ends_connected_and_better_than_its_first_sync(self, seed0_run):
+        # the outer loop must keep the graph connected and end with a lower
+        # mean rotation error than its first sync
+        scene, result, trace = seed0_run
         assert not result.disconnected
         first, last = (
             edge_errors(relative_motions(s.poses, trace.pairs), scene, trace.pairs)[0]
             for s in (trace.iterations[0], trace.iterations[-1])
         )
         assert last.mean() < first.mean()
+
+    def test_default_run_prunes_exactly_the_corrupted_edges(self, seed0_run):
+        scene, result, trace = seed0_run
+        inactive = [pair for pair, active in zip(trace.pairs, result.graph.active) if not active]
+        assert sorted(inactive) == sorted(scene.corruptions)
+        assert trace.stop_reason == "converged"
+
+    def test_clean_scene_converges_on_its_first_sync(self):
+        # nothing to prune: the loop stops after one iteration, and its poses
+        # are those of one synchronization of the first fits, bit for bit
+        scene = generate_scene(
+            n_scans=8, pts_per_scan=200, noise_sigma=0.01,
+            outlier_edge_fraction=0.0, seed=4,
+        )
+        cfg = PipelineConfig(connectivity=scene.edges)
+        corr = scene_correspondences(scene, cfg.temperature)
+        result, trace = run_multiview_from_correspondences(corr, 8, cfg)
+        pairs = tuple(sorted(corr))
+        graph = build_graph(8, pairs, register_batch([corr[p] for p in pairs], cfg))
+        assert trace.stop_reason == "converged" and len(trace.iterations) == 1
+        assert result.graph.active.all() and not result.disconnected
+        assert result.poses.tobytes() == transf_sync(graph, rounds=cfg.sync_rounds).poses.tobytes()
+
+    def test_last_iteration_that_prunes_completes(self):
+        # one outer iteration that prunes the scene's 2 corrupted edges: the
+        # loop runs out, and the result is that sync with the pruned graph
+        scene = generate_scene(5, 150, 0.01, 0.2, 3)
+        cfg = PipelineConfig(connectivity=scene.edges, outer_iterations=1)
+        result, trace = run_multiview_from_correspondences(
+            scene_correspondences(scene, cfg.temperature), 5, cfg)
+        assert trace.stop_reason == "completed" and not result.disconnected
+        assert int(result.graph.active.sum()) == trace.iterations[0].active_edges == 8
+        assert trace.iterations[0].poses is result.poses
 
     def test_iteration_stats_are_recorded(self):
         scene = generate_scene(
@@ -305,13 +341,14 @@ class TestRefinementQuality:
         cfg = PipelineConfig(connectivity=scene.edges)
         corr = scene_correspondences(scene, cfg.temperature)
         result, trace = run_multiview_from_correspondences(corr, 6, cfg)
-        # the trace keeps the measured pairwise motions, read-only, not the refitted ones
+        # the trace keeps the measured pairwise motions, read-only, which no
+        # iteration changes
         pairs = tuple(sorted(corr))
         measured = build_graph(6, pairs, register_batch([corr[p] for p in pairs], cfg)).motions
         assert trace.pairs == pairs
         assert trace.motions.tobytes() == measured.tobytes()
         assert not trace.motions.flags.writeable
-        assert not np.array_equal(trace.motions, result.graph.motions)
+        assert np.array_equal(trace.motions, result.graph.motions)
         assert [s.iteration for s in trace.iterations] == list(range(1, len(trace.iterations) + 1))
         actives = [s.active_edges for s in trace.iterations]
         assert all(a >= b for a, b in zip(actives, actives[1:]))
@@ -320,10 +357,11 @@ class TestRefinementQuality:
             rot, _ = edge_errors(relative_motions(s.poses, trace.pairs), scene, trace.pairs)
             assert np.isfinite(rot.mean())
 
-    def test_aggressive_pruning_reports_last_valid_poses(self):
-        # a ring with a pruning threshold no noisy edge can satisfy: pruning
-        # disconnects the graph immediately and the first synchronization is
-        # reported with the flag set
+    def test_aggressive_pruning_reports_last_valid_poses(self, monkeypatch):
+        # a ring with a pruning ratio of 1, which prunes the half of its noisy
+        # edges below the median: pruning disconnects the graph immediately
+        # and the first synchronization is reported with the flag set
+        monkeypatch.setattr(graph_mod, "PRUNE_RATIO", 1.0)
         rng = np.random.default_rng(13)
         clouds, _ = shared_scene_clouds(rng, 6)
         noisy = [
@@ -331,139 +369,34 @@ class TestRefinementQuality:
             for c in clouds
         ]
         ring = tuple((k, (k + 1) % 6) for k in range(6))
-        strict = PipelineConfig(temperature=1e-6, connectivity=ring, tau_p=0.99)
+        strict = PipelineConfig(temperature=1e-6, connectivity=ring)
         result, trace = run_multiview(noisy, strict)
         assert result.disconnected
-        assert trace.disconnected
+        assert trace.stop_reason == "pruning_collapse"
         assert len(trace.iterations) == 1
         # the last iteration's poses are the result's, the same read-only array
         assert trace.iterations[-1].poses.tobytes() == result.poses.tobytes()
         assert not trace.iterations[-1].poses.flags.writeable
-        single = PipelineConfig(
-            temperature=1e-6, connectivity=ring, tau_p=0.99, outer_iterations=1
-        )
+        single = PipelineConfig(temperature=1e-6, connectivity=ring, outer_iterations=1)
         result_one, _ = run_multiview(noisy, single)
         for a, b in zip(result.absolute, result_one.absolute):
             assert np.array_equal(a.matrix, b.matrix)
 
-    def test_noise_free_ring_survives_aggressive_pruning(self):
-        # with exact measurements every confidence stays near 1, so even a
-        # 0.99 threshold keeps the ring intact through all iterations
+    def test_noise_free_ring_survives_aggressive_pruning(self, monkeypatch):
+        # with exact measurements every global confidence stays near 1, so
+        # even a 0.99 ratio prunes nothing and the ring converges intact
+        monkeypatch.setattr(graph_mod, "PRUNE_RATIO", 0.99)
         rng = np.random.default_rng(14)
         clouds, _ = shared_scene_clouds(rng, 5)
         ring = tuple((k, (k + 1) % 5) for k in range(5))
-        cfg = PipelineConfig(temperature=1e-6, connectivity=ring, tau_p=0.99)
+        cfg = PipelineConfig(temperature=1e-6, connectivity=ring)
         result, trace = run_multiview(clouds, cfg)
         assert not result.disconnected
-        assert len(trace.iterations) == 4
+        assert trace.stop_reason == "converged" and len(trace.iterations) == 1
         assert trace.iterations[-1].active_edges == 5
         assert trace.iterations[-1].poses.tobytes() == result.poses.tobytes()
         one, _ = run_multiview(clouds, replace(cfg, outer_iterations=1))
         assert trace.iterations[0].poses.tobytes() == one.poses.tobytes()
-
-
-class TestFeedbackRefit:
-    def test_collapsed_edge_keeps_its_previous_fit(self, monkeypatch):
-        # the refit of edge (0, 3), the second in sorted pair order, sees a
-        # collinear support and fails: that
-        # edge keeps its motion and confidences from the synchronized graph,
-        # while the other edges take the same refits as in a normal run
-        rng = np.random.default_rng(18)
-        clouds, _ = shared_scene_clouds(rng, 4)
-        noisy = [
-            PointCloud(c.points + 5e-3 * rng.normal(size=c.points.shape), c.features)
-            for c in clouds
-        ]
-        ring = ((0, 1), (1, 2), (2, 3), (0, 3))
-        cfg = PipelineConfig(temperature=1e-6, connectivity=ring, tau_p=0.0,
-                             outer_iterations=1)
-        synced = []
-        real_sync, real_refit = pipeline_mod.transf_sync, pipeline_mod._irls_edges
-
-        def sync(graph, **kwargs):
-            synced.append(real_sync(graph, **kwargs))
-            return synced[-1]
-
-        def collapse(sets, weights, cfg, iterations, start):
-            n = len(sets[1])
-            line = np.outer(np.linspace(0.0, 1.0, n), [1.0, 1.0, 0.0])
-            sets = list(sets)
-            sets[1] = CorrespondenceSet(line, line, np.ones(n), np.zeros(n))
-            results, status = real_refit(sets, weights, cfg, iterations, start)
-            assert not results.fitted[1]
-            return results, status
-
-        monkeypatch.setattr(pipeline_mod, "transf_sync", sync)
-        normal, _ = run_multiview(noisy, cfg)
-        monkeypatch.setattr(pipeline_mod, "_irls_edges", collapse)
-        masked, _ = run_multiview(noisy, cfg)
-        before = {(e.i, e.j): e for e in synced[1].graph.edges}
-        refitted = {(e.i, e.j): e for e in normal.graph.edges}
-        for e in masked.graph.edges:
-            expected = before[(e.i, e.j)] if (e.i, e.j) == (0, 3) else refitted[(e.i, e.j)]
-            assert np.abs(e.motion.matrix - expected.motion.matrix).max() <= 1e-12
-            for name in ("c_local", "c_global", "c_fused"):
-                assert abs(getattr(e, name) - getattr(expected, name)) <= 1e-12
-        # the mask matters: a normal refit moves edge (0, 3)
-        assert abs(refitted[(0, 3)].c_local - before[(0, 3)].c_local) > 1e-6
-
-    def test_later_pass_fuses_each_refitted_row_with_its_own_global_confidence(self):
-        # edge (0, 1) is inactive, so rows 1..3 are refitted: each fuses its
-        # new local confidence with the c_global of its own row, and row 0
-        # keeps everything it had
-        rng = np.random.default_rng(19)
-        clouds, _ = shared_scene_clouds(rng, 4)
-        noisy = [
-            PointCloud(c.points + 5e-3 * rng.normal(size=c.points.shape), c.features)
-            for c in clouds
-        ]
-        ring = ((0, 1), (0, 3), (1, 2), (2, 3))
-        cfg = PipelineConfig(temperature=1e-6)
-        sets = [build_correspondences(noisy[i], noisy[j], cfg.temperature) for i, j in ring]
-        fits = register_batch(sets, cfg)
-        synced = transf_sync(build_graph(4, ring, fits))
-        graph = rebuilt(synced.graph, [0], active=[False])
-        assert len(set(graph.c_global[1:].tolist())) == 3
-        weights = list(fits.weights)
-        out = pipeline_mod._feedback(graph, synced.poses, sets, list(weights), cfg, False)
-        start = relative_motions(synced.poses, ring[1:])
-        refits = _irls_edges(sets[1:], weights[1:], cfg, 1, start)[0]
-        assert refits.fitted.all()
-        for k in range(1, 4):
-            c_local = refits.local_confidence[k - 1]
-            fused = harmonic_fuse(c_local, graph.c_global[k], BETA)
-            assert out.c_local[k] == c_local
-            assert out.c_fused[k] == min(max(fused, 0.0), 1.0)
-            assert np.array_equal(out.motions[k], refits.motions[k - 1])
-        for name in ("motions", "c_local", "c_global", "c_fused", "active"):
-            assert np.array_equal(getattr(out, name)[0], getattr(graph, name)[0])
-
-    def test_refitted_weights_stay_in_unit_range_across_passes(self):
-        # the refit step rechecks nothing it is given, so the weights each
-        # pass writes back, which the next pass starts from, must stay finite
-        # and in [0, 1]; the inactive row keeps its own vector untouched
-        rng = np.random.default_rng(23)
-        clouds, _ = shared_scene_clouds(rng, 4)
-        noisy = [
-            PointCloud(c.points + 5e-3 * rng.normal(size=c.points.shape), c.features)
-            for c in clouds
-        ]
-        ring = ((0, 1), (0, 3), (1, 2), (2, 3))
-        cfg = PipelineConfig(temperature=1e-6)
-        sets = [build_correspondences(noisy[i], noisy[j], cfg.temperature) for i, j in ring]
-        fits = register_batch(sets, cfg)
-        synced = transf_sync(build_graph(4, ring, fits))
-        graph = rebuilt(synced.graph, [0], active=[False])
-        weights = list(fits.weights)
-        for first in (True, False, False):
-            graph = pipeline_mod._feedback(graph, synced.poses, sets, weights, cfg, first)
-            synced = transf_sync(graph)
-            assert weights[0] is fits.weights[0]
-            for k, w in enumerate(weights):
-                assert w.shape == (len(sets[k]),)
-                assert np.isfinite(w).all()
-                assert w.min() >= 0.0 and w.max() <= 1.0
-        assert all(weights[k] is not fits.weights[k] for k in range(1, 4))
 
 
 class TestPipelineInvariances:
