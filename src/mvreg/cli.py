@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import LengthMismatch, RegistrationError
+from .errors import LengthMismatch, MalformedEntry, RegistrationError
 from .geometry import PointCloud
 from .graph import build_graph
 from .io_formats import (
@@ -170,18 +170,26 @@ def _parse_thresholds(text: str | None, default):
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+def _read_poses(path) -> np.ndarray:
+    """The absolute poses of a trajectory file, (n, 4, 4); entry k must read 'k k n'."""
+    entries = read_trajectory(path)
+    n = len(entries)
+    for k, e in enumerate(entries):
+        if (e.i, e.j, e.n) != (k, k, n):
+            raise MalformedEntry(f"{path}: entry {k} is ({e.i}, {e.j}, {e.n}), not the pose ({k}, {k}, {n})")
+    return np.array([e.matrix for e in entries]).reshape(-1, 4, 4)
+
+
 def _cmd_eval(args) -> int:
-    est = read_trajectory(args.est)
-    gt = read_trajectory(args.gt)
-    if len(est) != len(gt):
-        raise LengthMismatch(f"{len(est)} estimated motions vs {len(gt)} reference motions")
+    est_m = _read_poses(args.est)
+    gt_m = _read_poses(args.gt)
+    if len(est_m) != len(gt_m):
+        raise LengthMismatch(f"{len(est_m)} estimated motions vs {len(gt_m)} reference motions")
     rot_thresholds = _parse_thresholds(args.rot_thresholds, ROTATION_ECDF_THRESHOLDS_DEG)
     trans_thresholds = _parse_thresholds(args.trans_thresholds, TRANSLATION_ECDF_THRESHOLDS_M)
-    est_m = np.array([e.matrix for e in est]).reshape(-1, 4, 4)
-    gt_m = np.array([e.matrix for e in gt]).reshape(-1, 4, 4)
     # relatives M_j^-1 M_i of every pair i < j; trajectory files may hold
     # slightly non-rigid matrices, so invert them in general
-    j, i = np.tril_indices(len(est), -1)
+    j, i = np.tril_indices(len(est_m), -1)
     rot_errors, trans_errors = motion_errors(
         np.linalg.solve(est_m[j], est_m[i]), np.linalg.solve(gt_m[j], gt_m[i])
     )

@@ -143,12 +143,9 @@ class PoseGraph:
 
 
 def build_graph(n: int, pairs, fits: PairwiseFits) -> PoseGraph:
-    """Graph on n nodes of the pairs (i, j), i < j, and their fits, one row each,
-    with PoseGraph's first-iteration confidences. Every row of fits must be
-    fitted, as register_batch returns them.
+    """Graph on n nodes of the pairs (i, j), i < j, and their fits from
+    register_batch, one row each, with PoseGraph's first-iteration confidences.
     """
-    if not np.all(fits.fitted):
-        raise ValueError("every pair needs a fitted motion")
     return PoseGraph(n, pairs, fits.motions, fits.local_confidence)
 
 

@@ -306,7 +306,7 @@ def trajectory_from_motions(motions) -> list[TrajectoryEntry]:
     return [TrajectoryEntry(i, i, len(motions), m.matrix) for i, m in enumerate(motions)]
 
 
-# scan indices and counts are runs of ASCII digits: int() also takes signs, "_" and other scripts
+# scan indices are runs of ASCII digits: int() also takes signs, "_" and other scripts
 _INDEX_PAIR = re.compile(r"([0-9]+)(?:-|\s+)([0-9]+)", re.ASCII)
 
 
@@ -319,28 +319,22 @@ def parse_index_pair(text: str, what: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-def _parse_count(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"'{text}' is not a run of ASCII digits")
-    return int(text)
-
-
 def _parse_connectivity(value: str):
     chunks = [chunk.strip() for chunk in value.split(",")]
     return tuple(parse_index_pair(c, "connectivity entry") for c in chunks if c)
 
 
-# each key's parser follows the type of its PipelineConfig field
+# every PipelineConfig field but connectivity is a float
 _CONFIG_PARSERS = {
-    f.name: _parse_connectivity if f.name == "connectivity" else {"int": _parse_count, "float": float}[f.type]
+    f.name: _parse_connectivity if f.name == "connectivity" else float
     for f in dataclass_fields(PipelineConfig)
 }
 
 
 def read_config(path) -> PipelineConfig:
-    """Flat key=value file; every key must name a PipelineConfig field, and
-    the keys it omits keep PipelineConfig's defaults."""
-    overrides = {}
+    """Flat key=value file; every key must name a PipelineConfig field, at
+    most once, and the keys it omits keep PipelineConfig's defaults."""
+    overrides, key_lines = {}, {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -352,6 +346,9 @@ def read_config(path) -> PipelineConfig:
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_PARSERS:
                 raise MalformedConfig(f"unknown configuration key '{key}' on line {lineno}")
+            if key in key_lines:
+                raise MalformedConfig(f"key '{key}' on line {lineno} repeats line {key_lines[key]}")
+            key_lines[key] = lineno
             try:
                 overrides[key] = _CONFIG_PARSERS[key](value)
             except ValueError as exc:

@@ -115,18 +115,17 @@ class PairwiseFits:
     """Fits of m correspondence sets, one row per set in input order.
 
     motions (m, 4, 4), each set's final weights, inlier_ratio and
-    local_confidence (m,). A row whose fit failed has fitted False, the
-    identity motion and zero scores.
+    local_confidence (m,). register_batch returns one only when every fit
+    succeeded.
     """
 
     motions: np.ndarray
     weights: tuple
     inlier_ratio: np.ndarray
     local_confidence: np.ndarray
-    fitted: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.fitted)
+        return len(self.motions)
 
 
 def _soft_targets(query_features, target_features, target_points, temperature: float) -> np.ndarray:
@@ -384,67 +383,21 @@ def _reweight_stack(r, prev, blend: float):
     return np.clip(blend * kernel + (1.0 - blend) * prev, 0.0, 1.0)
 
 
-def _irls_stack(src, dst, w, iterations: int, blend: float):
+def _irls_stack(src, dst, w, blend: float):
     """The inner IRLS loop on m equal-length correspondence sets at once.
 
     src and dst are coordinate-major (m, 3, n) stacks. Starts from the
-    weighted fit of w. Each iteration reweights every row from its
-    residuals and re-fits it, and keeps the new weights and motion only
-    where the row was fitted and still is: a failed row stays failed, with
-    the weights and motion it had. w is updated in place; returns the
-    rotations, translations and fit status of each row.
+    weighted fit of w, then runs IRLS_ITERATIONS steps, each of which
+    reweights every row from its residuals and re-fits it. A row's status
+    stays failed once a fit of it failed. Returns the rotations,
+    translations, final weights and fit status of each row.
     """
     rot, trans, status = _fit_stack(src, dst, w)
-    for _ in range(iterations):
-        w_new = _reweight_stack(_residual_stack(rot, trans, src, dst), w, blend)
-        rot_new, trans_new, fit = _fit_stack(src, dst, w_new)
+    for _ in range(IRLS_ITERATIONS):
+        w = _reweight_stack(_residual_stack(rot, trans, src, dst), w, blend)
+        rot, trans, fit = _fit_stack(src, dst, w)
         status = np.where(status == _FIT_OK, fit, status)
-        ok = status == _FIT_OK
-        np.copyto(rot, rot_new, where=ok[:, None, None])
-        np.copyto(trans, trans_new, where=ok[:, None])
-        np.copyto(w, w_new, where=ok[:, None])
-    return rot, trans, status
-
-
-def _irls_edges(sets, weights, cfg: PipelineConfig, iterations: int):
-    """_irls_stack over many correspondence sets, plus each set's score.
-
-    Sets are grouped by correspondence count, and each group is walked in
-    batches of at most BATCH_CORRESPONDENCES correspondences (at least one
-    set), so the extra memory does not grow with the number of sets. A
-    batch stacks its sets' transposed points once, into the (b, 3, n)
-    stacks _irls_stack takes. weights[k] are the starting weights of
-    sets[k], in [0, 1]. Nothing is checked again: sets are checked when
-    built, and _reweight_stack clips every later weight. Returns the
-    PairwiseFits of the sets and the fit status of each row; a set whose
-    weights leave a degenerate support gets fitted False.
-    """
-    m = len(sets)
-    groups: dict[int, list[int]] = {}
-    for k, c in enumerate(sets):
-        groups.setdefault(len(c), []).append(k)
-    motions = np.tile(np.eye(4), (m, 1, 1))
-    status = np.empty(m, dtype=np.int8)
-    inlier, conf = np.zeros(m), np.zeros(m)
-    w_out = [None] * m
-    for count, members in groups.items():
-        step = max(1, BATCH_CORRESPONDENCES // count)
-        for first in range(0, len(members), step):
-            idx = np.array(members[first : first + step])
-            src = np.stack([sets[k].source_pts.T for k in idx])
-            dst = np.stack([sets[k].target_pts.T for k in idx])
-            w = np.stack([weights[k] for k in idx])
-            rot, trans, status[idx] = _irls_stack(src, dst, w, iterations, cfg.blend)
-            r = _residual_stack(rot, trans, src, dst)
-            ok = status[idx] == _FIT_OK
-            rows = idx[ok]
-            motions[rows, :3, :3], motions[rows, :3, 3] = rot[ok], trans[ok]
-            inlier[rows] = np.mean(w[ok] > INLIER_WEIGHT, axis=1)
-            conf[rows] = local_confidence(inlier[rows], _row_median(r[ok]))
-            for row, k in enumerate(idx):
-                w_out[k] = w[row]
-    fits = PairwiseFits(motions, tuple(w_out), inlier, conf, status == _FIT_OK)
-    return fits, status
+    return rot, trans, w, status
 
 
 def wls_transform(c: CorrespondenceSet) -> RigidMotion:
@@ -501,15 +454,42 @@ def local_confidence(inlier_ratio, median_residual):
 def register_batch(sets, cfg: PipelineConfig | None = None) -> PairwiseFits:
     """register_correspondences on many correspondence sets at once.
 
-    Rows come in input order. When fits fail, the error of the first failing
-    set in input order is raised, as a loop over the sets would.
+    Each set starts from its own weights. Sets are grouped by
+    correspondence count, and each group is walked in batches of at most
+    BATCH_CORRESPONDENCES correspondences (at least one set), so the extra
+    memory does not grow with the number of sets. A batch stacks its sets'
+    transposed points once, into the (b, 3, n) stacks _irls_stack takes.
+    Nothing is checked again: sets are checked when built, and
+    _reweight_stack clips every later weight. Rows come in input order.
+    When fits fail, the error of the first failing set in input order is
+    raised, as a loop over the sets would.
     """
     cfg = cfg or PipelineConfig()
-    fits, status = _irls_edges(sets, [c.weights for c in sets], cfg, IRLS_ITERATIONS)
-    if not fits.fitted.all():
-        k = int(np.argmin(fits.fitted))
-        raise _fit_error(status[k], len(sets[k]))
-    return fits
+    m = len(sets)
+    groups: dict[int, list[int]] = {}
+    for k, c in enumerate(sets):
+        groups.setdefault(len(c), []).append(k)
+    motions = np.tile(np.eye(4), (m, 1, 1))
+    status = np.empty(m, dtype=np.int8)
+    inlier, conf = np.empty(m), np.empty(m)
+    w_out = [None] * m
+    for count, members in groups.items():
+        step = max(1, BATCH_CORRESPONDENCES // count)
+        for first in range(0, len(members), step):
+            idx = np.array(members[first : first + step])
+            src = np.stack([sets[k].source_pts.T for k in idx])
+            dst = np.stack([sets[k].target_pts.T for k in idx])
+            w = np.stack([sets[k].weights for k in idx])
+            rot, trans, w, status[idx] = _irls_stack(src, dst, w, cfg.blend)
+            motions[idx, :3, :3], motions[idx, :3, 3] = rot, trans
+            inlier[idx] = np.mean(w > INLIER_WEIGHT, axis=1)
+            conf[idx] = local_confidence(inlier[idx], _row_median(_residual_stack(rot, trans, src, dst)))
+            for row, k in enumerate(idx):
+                w_out[k] = w[row]
+    failed = np.flatnonzero(status != _FIT_OK)
+    if failed.size:
+        raise _fit_error(status[failed[0]], len(sets[failed[0]]))
+    return PairwiseFits(motions, tuple(w_out), inlier, conf)
 
 
 def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None = None) -> PairwiseResult:

@@ -31,6 +31,9 @@ from .pairwise import (  # noqa: F401
 )
 from .sync import SyncResult, transf_sync
 
+# at most this many synchronize-and-prune iterations
+OUTER_ITERATIONS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class IterationStats:
@@ -141,8 +144,8 @@ def run_multiview_from_correspondences(
 
     stats = []
     stop = "completed"
-    for k in range(1, cfg.outer_iterations + 1):
-        result = transf_sync(graph, rounds=cfg.sync_rounds)
+    for k in range(1, OUTER_ITERATIONS + 1):
+        result = transf_sync(graph)
         graph = prune_edges(result.graph)
         active = int(graph.active.sum())
         if active == int(result.graph.active.sum()):
@@ -170,7 +173,8 @@ def run_multiview(
     median. The pairwise fits are not redone. Stops at the first iteration
     that prunes nothing, and returns that synchronization; if pruning
     disconnects the graph, stops and returns the last synchronization, made
-    on the connected graph, with `disconnected` set.
+    on the connected graph, with `disconnected` set; otherwise stops after
+    OUTER_ITERATIONS iterations, each a transf_sync of its default rounds.
     """
     cfg = cfg or PipelineConfig()
     n = len(clouds)

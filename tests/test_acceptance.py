@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mvreg.graph as graph_mod
+import mvreg.pipeline as pipeline_mod
 from mvreg import (
     CorrespondenceSet,
     MalformedConfig,
@@ -278,10 +279,8 @@ def test_10_pruning_collapse_returns_last_connected_poses(monkeypatch):
     cfg = PipelineConfig(temperature=1e-6, connectivity=ring)
     result, trace = run_multiview(clouds, cfg)
     result2, _ = run_multiview(clouds, cfg)
-    one_iteration, _ = run_multiview(
-        clouds,
-        PipelineConfig(temperature=1e-6, connectivity=ring, outer_iterations=1),
-    )
+    monkeypatch.setattr(pipeline_mod, "OUTER_ITERATIONS", 1)
+    one_iteration, _ = run_multiview(clouds, cfg)
     print(
         f"criterion 10: disconnected={result.disconnected}, "
         f"iterations={len(trace.iterations)}, active={trace.iterations[-1].active_edges}"
@@ -368,7 +367,7 @@ def test_11_io_round_trips_and_malformed_corpus(tmp_path):
         ("bad_bottom.log", b"0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 1 1\n", read_trajectory, MalformedEntry),
         ("nan.log", b"0 0 1\nnan 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", read_trajectory, MalformedEntry),
         ("unknown_key.cfg", b"not_a_field=3\n", read_config, MalformedConfig),
-        ("no_equals.cfg", b"outer_iterations 4\n", read_config, MalformedConfig),
+        ("no_equals.cfg", b"blend 0.5\n", read_config, MalformedConfig),
         ("bad_value.cfg", b"blend=high\n", read_config, MalformedConfig),
     ]
     assert len(corpus) >= 10

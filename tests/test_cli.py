@@ -11,6 +11,7 @@ from mvreg import (
     read_ply,
     read_trajectory,
     register_pair,
+    TrajectoryEntry,
     transform_points,
     write_features,
     write_ply,
@@ -194,7 +195,7 @@ class TestMultiviewCommand:
     def test_config_file_is_honored(self, tmp_path, capsys):
         scene = self.make_scene_dir(tmp_path, capsys)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("outer_iterations=1\nsync_rounds=1\ntemperature=1e-6\n")
+        cfg.write_text("blend=1.0\ntemperature=1e-6\n")
         code, out, _ = run_cli(
             capsys, "multiview", str(scene), "--config", str(cfg), "--out",
             str(tmp_path / "est.log"),
@@ -360,6 +361,26 @@ class TestEvalCommand:
         assert code == 1
         assert out == ""
         assert "thresholds" in err
+
+    # a log of the relative motions (0, 1), (0, 2), (1, 2), as 3DMatch's
+    # gt.log holds them; the absolute poses out of order, each with its own
+    # index; a count that is not the file's; and one pair entry after two
+    # poses: none lists the poses 0..n-1 in order
+    @pytest.mark.parametrize("metadata, first_bad", [
+        ([(0, 1, 3), (0, 2, 3), (1, 2, 3)], 0),
+        ([(2, 2, 3), (0, 0, 3), (1, 1, 3)], 0),
+        ([(0, 0, 4), (1, 1, 4), (2, 2, 4)], 0),
+        ([(0, 0, 3), (1, 1, 3), (1, 2, 3)], 2),
+    ])
+    def test_entries_must_be_absolute_poses_in_order(self, tmp_path, capsys, rng, metadata, first_bad):
+        motions = [random_motion(rng).matrix for _ in range(3)]
+        good, bad = tmp_path / "good.log", tmp_path / "bad.log"
+        write_trajectory([TrajectoryEntry(k, k, 3, m) for k, m in enumerate(motions)], good)
+        write_trajectory([TrajectoryEntry(i, j, n, motions[i]) for i, j, n in metadata], bad)
+        for est, gt in ((bad, good), (good, bad)):
+            code, out, err = run_cli(capsys, "eval", "--est", str(est), "--gt", str(gt))
+            assert code == 1 and out == ""
+            assert f"{bad}: entry {first_bad} is {metadata[first_bad]}" in err
 
     def test_length_mismatch(self, tmp_path, capsys, rng):
         a, b = tmp_path / "a.log", tmp_path / "b.log"

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ def pw(motions, confidence=0.9):
         weights=(np.ones(n),) * m,
         inlier_ratio=np.ones(m),
         local_confidence=np.full(m, confidence),
-        fitted=np.ones(m, dtype=bool),
     )
 
 
@@ -213,13 +211,6 @@ class TestBuildGraph:
             build_graph(3, [(0, 3)], pw([random_motion(rng)]))
         with pytest.raises(IndexOutOfRange):
             build_graph(3, [(1, 1)], pw([random_motion(rng)]))
-
-    def test_unfitted_row_is_rejected(self):
-        rng = np.random.default_rng(6)
-        fits = pw([random_motion(rng), random_motion(rng)])
-        fits = replace(fits, fitted=np.array([True, False]))
-        with pytest.raises(ValueError, match="fitted"):
-            build_graph(3, [(0, 1), (1, 2)], fits)
 
 
 class TestCauchyScale:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -46,8 +47,12 @@ from conftest import make_feature_cloud, rotation_gap_deg
 
 
 def one_step(sets, weights, cfg=None):
-    """The fits of _irls_edges with one IRLS step from the given weights."""
-    return pairwise_mod._irls_edges(sets, weights, cfg or PipelineConfig(), 1)[0]
+    """register_batch's fits after one IRLS step, each set rebuilt to start
+    from its weights in `weights`."""
+    rebuilt = [CorrespondenceSet(c.source_pts, c.target_pts, w) for c, w in zip(sets, weights, strict=True)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairwise_mod, "IRLS_ITERATIONS", 1)
+        return register_batch(rebuilt, cfg)
 
 
 def make_set(rng, n=50, motion=None, weights=None):
@@ -138,8 +143,7 @@ class TestCorrespondenceSet:
 
     def test_compact_weights_fit_as_full_ones(self):
         # fits read the stored one-element weights as they read N-element
-        # copies, bit for bit: the initial IRLS, one IRLS step, and the
-        # closed form
+        # copies, bit for bit: the IRLS, one IRLS step, and the closed form
         rng = np.random.default_rng(6)
         sets = []
         for n, w in ((40, 1.0), (40, 1.0), (25, 0.7)):
@@ -149,15 +153,18 @@ class TestCorrespondenceSet:
             sets.append(CorrespondenceSet(c.source_pts, dst, np.full(n, w)))
         assert all(c.weights.strides == (0,) for c in sets)
         full = [np.full(len(c), c.weights[0]) for c in sets]
-        cfg = PipelineConfig()
+        # the constructor would store the constant copies as one element again
+        full_sets = [copy.copy(c) for c in sets]
+        for c, w in zip(full_sets, full):
+            object.__setattr__(c, "weights", w)
         runs = []
-        for weights in ([c.weights for c in sets], full):
-            fits, status = pairwise_mod._irls_edges(sets, weights, cfg, pairwise_mod.IRLS_ITERATIONS)
-            runs.append((fits, status, one_step(sets, weights, cfg)))
-        (fits, status, refit), (fits_full, status_full, refit_full) = runs
-        assert np.array_equal(status, status_full)
+        for variant in (sets, full_sets):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pairwise_mod, "IRLS_ITERATIONS", 1)
+                step = register_batch(variant)
+            runs.append((register_batch(variant), step))
+        (fits, refit), (fits_full, refit_full) = runs
         for got, want in ((fits, fits_full), (refit, refit_full)):
-            assert got.fitted.all()
             assert np.array_equal(got.motions, want.motions)
             assert np.array_equal(got.inlier_ratio, want.inlier_ratio)
             assert np.array_equal(got.local_confidence, want.local_confidence)
@@ -737,7 +744,7 @@ class TestRobustStatistics:
         monkeypatch.setattr(np, "median", spy)
         fits = register_batch(sets)
         transf_sync(build_graph(n, pairs, fits))
-        assert one_step(sets, fits.weights).fitted.all()
+        assert len(one_step(sets, fits.weights)) == len(sets)
         assert calls == []
 
 
@@ -1087,7 +1094,7 @@ class TestBatchedIrls:
         for batch in self.BATCHES:
             monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
             got = register_batch(sets, cfg)
-            assert len(got) == len(sets) and got.fitted.all()
+            assert len(got) == len(sets)
             for k, (c, (motion, weights)) in enumerate(zip(sets, expected)):
                 assert np.abs(got.motions[k] - motion).max() <= 1e-12, (batch, len(c))
                 assert np.abs(got.weights[k] - weights).max() <= 1e-12, (batch, len(c))
@@ -1153,53 +1160,26 @@ class TestBatchedIrls:
 
     def test_batch_layout_does_not_change_bits(self, monkeypatch):
         # a set's fit depends on its own rows only, not on which sets share
-        # its batch: register, one step from the fitted weights where every
-        # set is fitted, and one where the middle set's weights have
-        # collapsed (blend 0 keeps them at zero, so its row is masked)
+        # its batch: register, and one step from the fitted weights
         sets = mixed_sets(np.random.default_rng(48))
-        mid = len(sets) // 2
         fits = register_batch(sets)
-        collapsed = list(fits.weights)
-        collapsed[mid] = np.zeros(len(sets[mid]))
         calls = {
             "register": lambda: register_batch(sets),
             "step": lambda: one_step(sets, fits.weights),
-            "masked": lambda: one_step(sets, collapsed, PipelineConfig(blend=0.0)),
         }
         results = {}
         for batch in self.BATCHES:
             monkeypatch.setattr(pairwise_mod, "BATCH_CORRESPONDENCES", batch)
             results[batch] = {name: call() for name, call in calls.items()}
         first = results[self.BATCHES[0]]
-        assert first["step"].fitted.all()
-        assert np.flatnonzero(~first["masked"].fitted).tolist() == [mid]
         for batch in self.BATCHES[1:]:
             for name, got in results[batch].items():
                 want = first[name]
                 assert np.array_equal(got.motions, want.motions), (batch, name)
                 assert np.array_equal(got.inlier_ratio, want.inlier_ratio), (batch, name)
                 assert np.array_equal(got.local_confidence, want.local_confidence), (batch, name)
-                assert np.array_equal(got.fitted, want.fitted), (batch, name)
                 for wg, ww in zip(got.weights, want.weights, strict=True):
                     assert np.array_equal(wg, ww), (batch, name)
-
-    @pytest.mark.parametrize("collapse", ["zero", "two_points"])
-    def test_collapsed_weights_are_masked(self, collapse):
-        rng = np.random.default_rng(46)
-        sets = [make_set(rng, 40)[0] for _ in range(3)]
-        prev = [np.ones(len(c)) for c in sets]
-        prev[1] = np.zeros(len(sets[1]))
-        if collapse == "two_points":
-            prev[1][:2] = 1.0
-        # blend 0 keeps the previous weights, so set 1 cannot be fitted
-        cfg = PipelineConfig(blend=0.0)
-        results = one_step(sets, prev, cfg)
-        assert results.fitted.tolist() == [True, False, True]
-        # the failed row holds the identity and no confidence
-        assert np.array_equal(results.motions[1], np.eye(4))
-        assert results.local_confidence[1] == 0.0
-        alone = one_step([sets[0], sets[2]], [prev[0], prev[2]], cfg)
-        assert np.array_equal(results.motions[[0, 2]], alone.motions)
 
     def test_peak_memory_is_bounded(self):
         # 96 sets of 2048 correspondences, the synthetic-30x2048 shape: the

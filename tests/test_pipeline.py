@@ -1,5 +1,4 @@
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,13 +319,14 @@ class TestRefinementQuality:
         graph = build_graph(8, pairs, register_batch([corr[p] for p in pairs], cfg))
         assert trace.stop_reason == "converged" and len(trace.iterations) == 1
         assert result.graph.active.all() and not result.disconnected
-        assert result.poses.tobytes() == transf_sync(graph, rounds=cfg.sync_rounds).poses.tobytes()
+        assert result.poses.tobytes() == transf_sync(graph).poses.tobytes()
 
-    def test_last_iteration_that_prunes_completes(self):
+    def test_last_iteration_that_prunes_completes(self, monkeypatch):
         # one outer iteration that prunes the scene's 2 corrupted edges: the
         # loop runs out, and the result is that sync with the pruned graph
+        monkeypatch.setattr(pipeline_mod, "OUTER_ITERATIONS", 1)
         scene = generate_scene(5, 150, 0.01, 0.2, 3)
-        cfg = PipelineConfig(connectivity=scene.edges, outer_iterations=1)
+        cfg = PipelineConfig(connectivity=scene.edges)
         result, trace = run_multiview_from_correspondences(
             scene_correspondences(scene, cfg.temperature), 5, cfg)
         assert trace.stop_reason == "completed" and not result.disconnected
@@ -377,8 +377,8 @@ class TestRefinementQuality:
         # the last iteration's poses are the result's, the same read-only array
         assert trace.iterations[-1].poses.tobytes() == result.poses.tobytes()
         assert not trace.iterations[-1].poses.flags.writeable
-        single = PipelineConfig(temperature=1e-6, connectivity=ring, outer_iterations=1)
-        result_one, _ = run_multiview(noisy, single)
+        monkeypatch.setattr(pipeline_mod, "OUTER_ITERATIONS", 1)
+        result_one, _ = run_multiview(noisy, strict)
         for a, b in zip(result.absolute, result_one.absolute):
             assert np.array_equal(a.matrix, b.matrix)
 
@@ -395,7 +395,8 @@ class TestRefinementQuality:
         assert trace.stop_reason == "converged" and len(trace.iterations) == 1
         assert trace.iterations[-1].active_edges == 5
         assert trace.iterations[-1].poses.tobytes() == result.poses.tobytes()
-        one, _ = run_multiview(clouds, replace(cfg, outer_iterations=1))
+        monkeypatch.setattr(pipeline_mod, "OUTER_ITERATIONS", 1)
+        one, _ = run_multiview(clouds, cfg)
         assert trace.iterations[0].poses.tobytes() == one.poses.tobytes()
 
 

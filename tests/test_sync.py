@@ -487,6 +487,14 @@ class TestTransfSync:
         completed = transf_sync(g, rounds=np.int64(2)).rounds_completed
         assert completed == 2 and type(completed) is int
 
+    def test_default_is_four_rounds(self):
+        # the count the pipeline's outer loop runs, once PipelineConfig.sync_rounds
+        rng = np.random.default_rng(17)
+        g = graph_from_truth(random_truth(rng, 3), all_pairs(3))
+        default = transf_sync(g)
+        assert default.rounds_completed == 4
+        assert default.poses.tobytes() == transf_sync(g, rounds=4).poses.tobytes()
+
     def test_disconnected_input_raises(self):
         rng = np.random.default_rng(18)
         m = random_motion(rng)
