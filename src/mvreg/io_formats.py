@@ -37,6 +37,16 @@ _PLY_NUMPY_CODES = {
     "float": "f4", "float32": "f4", "double": "f8", "float64": "f8",
 }
 
+# numbers in text are ASCII: float() and int() also take "_" and other scripts' digits
+_NUMBER = re.compile(r"(?ai)[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)")
+
+
+def _parse_number(text: str, kind=float):
+    """kind(text) for text in the ASCII number grammar, else ValueError."""
+    if _NUMBER.fullmatch(text) is None:
+        raise ValueError(f"'{text}' is not an ASCII number")
+    return kind(text)
+
 
 def _parse_ply_header(handle):
     """Returns (is_binary, elements) where each element is
@@ -74,7 +84,7 @@ def _parse_ply_header(handle):
             if len(tokens) != 3:
                 raise MalformedHeader(f"malformed element line: '{line}'")
             try:
-                count = int(tokens[2])
+                count = _parse_number(tokens[2], int)
             except ValueError as exc:
                 raise MalformedHeader(f"non-integer element count in '{line}'") from exc
             if count < 0:
@@ -162,7 +172,7 @@ def read_ply(path) -> PointCloud:
                     f"vertex row {r} has {len(tokens)} values, expected {len(props)}"
                 )
             try:
-                points[r] = [float(tokens[k]) for k in columns]
+                points[r] = [_parse_number(tokens[k]) for k in columns]
             except ValueError as exc:
                 raise TruncatedPayload(f"vertex row {r} holds a non-numeric value") from exc
     if not np.all(np.isfinite(points)):
@@ -253,7 +263,7 @@ def read_trajectory(path) -> list[TrajectoryEntry]:
         if len(meta) != 3:
             raise MalformedEntry(f"expected metadata line 'i j n', got '{lines[cursor]}'")
         try:
-            i, j, n = (int(tok) for tok in meta)
+            i, j, n = (_parse_number(tok, int) for tok in meta)
         except ValueError as exc:
             raise MalformedEntry(f"non-integer metadata in '{lines[cursor]}'") from exc
         if cursor + 5 > len(lines):
@@ -266,7 +276,7 @@ def read_trajectory(path) -> list[TrajectoryEntry]:
                     f"matrix row {r} of entry ({i}, {j}, {n}) has {len(tokens)} values, expected 4"
                 )
             try:
-                rows.append([float(tok) for tok in tokens])
+                rows.append([_parse_number(tok) for tok in tokens])
             except ValueError as exc:
                 raise MalformedEntry(
                     f"non-numeric matrix value in entry ({i}, {j}, {n})"
@@ -326,7 +336,7 @@ def _parse_connectivity(value: str):
 
 # every PipelineConfig field but connectivity is a float
 _CONFIG_PARSERS = {
-    f.name: _parse_connectivity if f.name == "connectivity" else float
+    f.name: _parse_connectivity if f.name == "connectivity" else _parse_number
     for f in dataclass_fields(PipelineConfig)
 }
 

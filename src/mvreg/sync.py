@@ -8,8 +8,8 @@ weighted least-squares problem that asks the relative translations rebuilt
 from the absolutes to match the measured ones; its normal equations are the
 scalar weighted graph Laplacian with one right-hand side per coordinate.
 With node 0 anchored at the origin that Laplacian is symmetric positive
-definite on every graph the solvers accept, so np.linalg.solve solves it
-directly. Node 0 carries the identity.
+definite on every graph the solvers accept, and one Cholesky factor on the
+band below solves it. Node 0 carries the identity.
 
 Only the 4 smallest eigenpairs of the 3n x 3n rotation Laplacian are used
 (the fourth eigenvalue gives the eigengap). The nodes are put in reverse
@@ -35,7 +35,9 @@ edge weights and start from the previous round's Ritz panel, so on that ring
 of 10 each. When the observed convergence rate cannot reach the tolerance
 within MAX_SWEEPS sweeps, as on stars and complete graphs whose eigenvalues
 cluster at lambda_4, and on most rings with a fifth of their edges
-corrupted, the full eigh runs after all. numpy is the only dependency.
+corrupted, the full eigh runs after all. The translations factor their
+scalar Laplacian on the same band, with 1 x 1 node blocks and no shift.
+numpy is the only dependency.
 
 The solvers work on the graph's edge arrays (endpoints, relative rotations
 and translations, confidences), restricted once to the active rows, and
@@ -143,7 +145,7 @@ def _band(n: int, pairs) -> tuple[np.ndarray, int]:
     nodes at most `width` places apart, blocks of at least `width`
     consecutive nodes couple only to their neighbouring blocks. The blocks
     hold ceil(n / (n // width)) nodes each, the last one possibly fewer
-    (_rotation_laplacian pads it), so there are at most n // width of them,
+    (_band_laplacian pads it), so there are at most n // width of them,
     and a graph whose band spans more than half the nodes gets one dense
     block.
     """
@@ -180,16 +182,17 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _BandLaplacian:
-    """The 3n x 3n rotation Laplacian as the blocks of its block-tridiagonal
+    """A Laplacian with d x d node blocks (the 3n x 3n rotation one, or the
+    scalar one of the translations) as the blocks of its block-tridiagonal
     form: rows and columns in the band order of _band, cut into equal blocks
-    of b rows, the last one padded with zero rows and columns.
+    of b rows, the last one padded with the identity's rows and columns.
 
     rows[p] is the Laplacian row at band position p. diagonal (nb, b, b)
     holds the diagonal blocks and lower (nb - 1, b, b) the blocks below them:
     lower[k] couples block k + 1 (its rows) to block k (its columns), and its
     transpose is the block above. A panel in band order is an (nb * b, k)
     array whose padding rows are zero; they stay zero under every operation
-    here, because their rows and columns of L are.
+    here, because the padding rows and columns of L are the identity's.
     """
 
     rows: np.ndarray
@@ -198,11 +201,11 @@ class _BandLaplacian:
 
     @property
     def size(self) -> int:
-        """Rows of the Laplacian, 3n."""
+        """Rows of the Laplacian, d n."""
         return len(self.rows)
 
     def to_band(self, x: np.ndarray) -> np.ndarray:
-        """The 3n x k panel x in band order, padded."""
+        """The d n x k panel x in band order, padded."""
         count, block, _ = self.diagonal.shape
         y = np.zeros((count * block, x.shape[1]))
         y[: self.size] = x[self.rows]
@@ -224,15 +227,15 @@ class _BandLaplacian:
         return out.reshape(count * block, -1)
 
     def norm(self) -> float:
-        """|L|, the largest absolute row sum."""
+        """|L|, the largest absolute row sum outside the padding."""
         sums = np.abs(self.diagonal).sum(axis=2)
         lower = np.abs(self.lower)
         sums[1:] += lower.sum(axis=2)
         sums[:-1] += lower.sum(axis=1)
-        return float(sums.max())
+        return float(sums.ravel()[: self.size].max())
 
     def dense(self) -> np.ndarray:
-        """L as one 3n x 3n array in node order, for np.linalg.eigh."""
+        """L as one d n x d n array in node order, for np.linalg.eigh."""
         count, block, _ = self.diagonal.shape
         full = np.zeros((count, block, count, block))
         k = np.arange(count)
@@ -245,41 +248,42 @@ class _BandLaplacian:
         return lap
 
 
-def _rotation_laplacian(n: int, pairs, rot, c, band) -> _BandLaplacian:
-    """The confidence-weighted block Laplacian of the relative rotations, as
-    the blocks of its block-tridiagonal form in the order band = _band(n, pairs).
+def _band_laplacian(n: int, pairs, blocks, degrees, band) -> _BandLaplacian:
+    """The weighted Laplacian with d x d node blocks, as the blocks of its
+    block-tridiagonal form in the node order of band = _band(n, pairs).
 
-    Edge (i, j) puts -c R into block row j, column i and -c R^T into block
-    row i, column j, so that the stack of R_i^T blocks spans the null space
-    for consistent measurements; the diagonal holds the weighted degrees.
-    Each 3 x 3 block goes into the diagonal block that holds both band
-    positions of its nodes, or into the block below it when they fall into
-    consecutive blocks, which is as far apart as _band lets them fall.
+    Edge e = (i, j) puts -blocks[e] (d x d) into block row j, column i and
+    its transpose into block row i, column j; node i's diagonal block is
+    degrees[i] I. Each block goes into the diagonal block that holds both
+    band positions of its nodes, or into the block below it when they fall
+    into consecutive blocks, which is as far apart as _band lets them fall.
     """
     rows, block = band
     nodes = block // 3
+    d = blocks.shape[1]
+    block = d * nodes
     count = -(-n // nodes)
     order = rows[::3] // 3
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     first, second = position[pairs].T
-    # each edge's 3 x 3 block in the row of its later node in the band order
-    weighted = c[:, None, None] * rot
-    coupling = np.where((second > first)[:, None, None], -weighted, -np.swapaxes(weighted, 1, 2))
+    # each edge's block in the row of its later node in the band order
+    coupling = np.where((second > first)[:, None, None], -blocks, -np.swapaxes(blocks, 1, 2))
     row_block, row_node = np.divmod(np.maximum(first, second), nodes)
     column_block, column_node = np.divmod(np.minimum(first, second), nodes)
     inside = row_block == column_block
-    diagonal = np.zeros((count, nodes, 3, nodes, 3))
+    diagonal = np.zeros((count, nodes, d, nodes, d))
     diagonal[row_block[inside], row_node[inside], :, column_node[inside], :] = coupling[inside]
     diagonal[row_block[inside], column_node[inside], :, row_node[inside], :] = np.swapaxes(
         coupling[inside], 1, 2
     )
-    lower = np.zeros((count - 1, nodes, 3, nodes, 3))
+    lower = np.zeros((count - 1, nodes, d, nodes, d))
     lower[column_block[~inside], row_node[~inside], :, column_node[~inside], :] = coupling[~inside]
     diagonal = diagonal.reshape(count, block, block)
-    degrees = np.zeros(count * nodes)
-    degrees[:n] = _degrees(n, pairs, c)[order]
-    diagonal[:, np.arange(block), np.arange(block)] = np.repeat(degrees, 3).reshape(count, block)
+    padded = np.ones(count * nodes)
+    padded[:n] = degrees[order]
+    diagonal[:, np.arange(block), np.arange(block)] = np.repeat(padded, d).reshape(count, block)
+    rows = (d * order[:, None] + np.arange(d)).ravel()
     return _BandLaplacian(rows, diagonal, lower.reshape(count - 1, block, block))
 
 
@@ -394,9 +398,10 @@ def _rotations(n: int, pairs, rot, c, band, start=None):
     shift-invert subspace iteration on the band of _band otherwise. Either
     way only the span of the first three eigenvectors enters the result.
     """
-    eigenvalues, eigenvectors, panel = _smallest_eigenpairs(
-        _rotation_laplacian(n, pairs, rot, c, band), start
-    )
+    # edge (i, j) puts -c R into block row j, column i, so that the stack of
+    # R_i^T blocks spans the null space for consistent measurements
+    lap = _band_laplacian(n, pairs, c[:, None, None] * rot, _degrees(n, pairs, c), band)
+    eigenvalues, eigenvectors, panel = _smallest_eigenpairs(lap, start)
     eigengap = float(eigenvalues[3] - eigenvalues[2])
     blocks = eigenvectors[:, :3].reshape(n, 3, 3)
     # eigenvectors are sign-ambiguous; pick the global sign under which most
@@ -410,7 +415,7 @@ def _rotations(n: int, pairs, rot, c, band, start=None):
     return rotations, eigengap, panel
 
 
-def _translations(n: int, pairs, trans, c, rotations) -> np.ndarray:
+def _translations(n: int, pairs, trans, c, rotations, band) -> np.ndarray:
     """Least-squares translations (n x 3, t_0 = 0) given synchronized rotations.
 
     Minimizes sum_e c_e |R_j^T (t_i - t_j) - t_e|^2 over the absolute
@@ -418,23 +423,26 @@ def _translations(n: int, pairs, trans, c, rotations) -> np.ndarray:
     L T = B with L the scalar weighted graph Laplacian acting on each
     coordinate. L annihilates global shifts, so fixing t_0 = 0 leaves
     L[1:, 1:] T[1:] = B[1:]; row 0 then holds too, because the rows of L, and
-    those of B, add up to zero. When the edges of positive weight connect all
-    nodes, as every caller checks first, L[1:, 1:] is symmetric positive
-    definite and the solve is direct; a singular one raises DegenerateMatrix.
+    those of B, add up to zero. With node 0's row and column of L made the
+    identity's and B's row 0 zero, one block Cholesky factor on
+    band = _band(n, pairs) solves it. That matrix is positive definite when
+    the edges of positive weight connect all nodes, as every caller checks
+    first; a failed factorization raises DegenerateMatrix.
     """
     i, j = pairs.T
-    lap = np.zeros((n, n))
-    lap[i, j] = -c
-    lap[j, i] = -c
-    lap[np.diag_indices(n)] = _degrees(n, pairs, c)
     projected = c[:, None] * np.einsum("kab,kb->ka", rotations[j], trans)
     rhs = np.zeros((n, 3))
     np.add.at(rhs, pairs.ravel(), np.stack((projected, -projected), axis=1).reshape(-1, 3))
+    rhs[0] = 0.0
+    degrees = _degrees(n, pairs, c)
+    degrees[0] = 1.0
+    free = np.where((pairs != 0).all(axis=1), c, 0.0)
+    lap = _band_laplacian(n, pairs, free[:, None, None], degrees, band)
     try:
-        solution = np.linalg.solve(lap[1:, 1:], rhs[1:])
-    except np.linalg.LinAlgError as exc:
+        solve = _shift_invert(lap, 0.0)
+    except EigenSolverFailure as exc:
         raise DegenerateMatrix(f"anchored translation Laplacian is singular: {exc}") from exc
-    return np.vstack((np.zeros(3), solution))
+    return lap.from_band(solve(lap.to_band(rhs)))
 
 
 def rotation_sync(g: PoseGraph) -> np.ndarray:
@@ -465,7 +473,8 @@ def translation_sync(g: PoseGraph, rotations) -> np.ndarray:
     """
     rotations = _rotation_array(g, rotations)
     pairs, motions, c = _active_arrays(g)
-    return _translations(g.node_count, pairs, motions[:, :3, 3], c, rotations)
+    n = g.node_count
+    return _translations(n, pairs, motions[:, :3, 3], c, rotations, _band(n, pairs))
 
 
 def translation_objective(g: PoseGraph, rotations, translations) -> float:
@@ -506,7 +515,7 @@ def transf_sync(g: PoseGraph, rounds: int = 4) -> SyncResult:
         )
         poses = np.zeros((n, 4, 4))
         poses[:, :3, :3] = rotations
-        poses[:, :3, 3] = _translations(n, pairs, motions[:, :3, 3], c_fused, rotations)
+        poses[:, :3, 3] = _translations(n, pairs, motions[:, :3, 3], c_fused, rotations, band)
         poses[:, 3, 3] = 1.0
         # per edge, the Frobenius gap between the measured and the rebuilt relative motion
         residuals = np.linalg.norm(motions - relative_motions(poses, pairs), axis=(1, 2))

@@ -5,12 +5,14 @@ from mvreg import (
     MalformedConfig,
     PointCloud,
     PoseGraph,
+    PipelineConfig,
     pairwise_chain_absolute,
     read_config,
     read_features,
     read_ply,
     read_trajectory,
     register_pair,
+    run_multiview,
     TrajectoryEntry,
     transform_points,
     write_features,
@@ -196,11 +198,16 @@ class TestMultiviewCommand:
         scene = self.make_scene_dir(tmp_path, capsys)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("blend=1.0\ntemperature=1e-6\n")
-        code, out, _ = run_cli(
-            capsys, "multiview", str(scene), "--config", str(cfg), "--out",
-            str(tmp_path / "est.log"),
-        )
+        est = tmp_path / "est.log"
+        code, out, _ = run_cli(capsys, "multiview", str(scene), "--config", str(cfg), "--out", str(est))
         assert code == 0
+        clouds = [PointCloud(read_ply(f).points, read_features(f.with_suffix(".feat")))
+                  for f in sorted(scene.glob("scan_*.ply"))]
+        written = np.array([entry.matrix for entry in read_trajectory(est)])
+        configured = run_multiview(clouds, PipelineConfig(blend=1.0, temperature=1e-6))[0]
+        assert np.array_equal(written, configured.poses)
+        # a CLI that ignored --config would write the default run's poses
+        assert np.abs(written - run_multiview(clouds)[0].poses).max() > 1e-6
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "multiview", str(tmp_path))

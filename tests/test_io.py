@@ -375,6 +375,33 @@ class TestMalformedFiles:
         with pytest.raises(MalformedEntry):
             read_trajectory(p)
 
+    # float() and int() read 1_0 as 10 and take the digits of other scripts;
+    # numbers in the text formats are ASCII
+    @pytest.mark.parametrize("meta, row", [("\u0660 \u0660 \u0661", "1 0 0 0"),
+                                           ("0 0 1_0", "1 0 0 0"), ("0 0 1", "1 0 0 0_0"),
+                                           ("0 0 1", "1 0 0 \u0660")])
+    def test_trajectory_numbers_must_be_ascii(self, tmp_path, meta, row):
+        p = tmp_path / "g.log"
+        p.write_text(f"{meta}\n{row}\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", encoding="utf-8")
+        with pytest.raises(MalformedEntry, match="non-integer metadata|non-numeric matrix value"):
+            read_trajectory(p)
+
+    # the body is decoded as ASCII, which turns other scripts' digits into U+FFFD
+    @pytest.mark.parametrize("row", ["1_0 0 0", "0 0 2_5e-1"])
+    def test_ply_ascii_row_numbers_must_be_ascii(self, tmp_path, row):
+        p = tmp_path / "s.ply"
+        p.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+                     f"property double y\nproperty double z\nend_header\n{row}\n", encoding="utf-8")
+        with pytest.raises(TruncatedPayload, match="vertex row 0 holds a non-numeric value"):
+            read_ply(p)
+
+    def test_ply_element_count_must_be_ascii(self, tmp_path):
+        p = tmp_path / "t.ply"
+        p.write_text("ply\nformat ascii 1.0\nelement vertex 1_0\nproperty double x\n"
+                     "property double y\nproperty double z\nend_header\n0 0 0\n")
+        with pytest.raises(MalformedHeader, match="non-integer element count"):
+            read_ply(p)
+
     def test_trajectory_bad_bottom_row(self, tmp_path):
         p = tmp_path / "f.log"
         p.write_text("0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0.5 1\n")
@@ -468,6 +495,23 @@ class TestReadConfig:
         p.write_text(f"connectivity=0-1,{entry}\n", encoding="utf-8")
         with pytest.raises(MalformedConfig, match="bad value for 'connectivity' on line 1"):
             read_config(p)
+
+    # float() reads 0_02 as 2.0 and the Arabic-Indic 0.5 as 0.5
+    @pytest.mark.parametrize("line", ["temperature=0_02", "blend=\u0660.\u0665",
+                                      "temperature=\uff11", "blend=1_0e-1"])
+    def test_config_floats_must_be_ascii(self, tmp_path, line):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{line}\n", encoding="utf-8")
+        key = line.partition("=")[0]
+        with pytest.raises(MalformedConfig, match=f"bad value for '{key}' on line 1.*ASCII"):
+            read_config(p)
+
+    @pytest.mark.parametrize("text, value", [("2e-2", 0.02), ("+.5", 0.5), ("1.", 1.0),
+                                             ("0.7E0", 0.7)])
+    def test_config_floats_take_the_ascii_forms(self, tmp_path, text, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"blend={text}\n")
+        assert read_config(p).blend == value
 
     @pytest.mark.parametrize("key, first, second", [("temperature", "0.5", "0.02"),
                                                    ("blend", "1.0", "0.5"),

@@ -284,7 +284,8 @@ class TestTranslationSync:
         pairs = np.array([[0, 1]])
         rotations = np.tile(np.eye(3), (3, 1, 1))
         with pytest.raises(DegenerateMatrix, match="translation"):
-            mvreg.sync._translations(3, pairs, np.ones((1, 3)), np.array([0.9]), rotations)
+            mvreg.sync._translations(3, pairs, np.ones((1, 3)), np.array([0.9]), rotations,
+                                     mvreg.sync._band(3, pairs))
 
     def test_rotations_need_one_matrix_per_node(self):
         rng = np.random.default_rng(9)
@@ -592,6 +593,8 @@ class TestPartialEigensolver:
 
         def counting(lap, shift, *args):
             inverse = solve(lap, shift, *args)
+            if lap.size != 3 * g.node_count:
+                return inverse
 
             def counted(x):
                 calls.append(1)
@@ -643,10 +646,13 @@ class TestPartialEigensolver:
         # with a fifth of the edges measuring random rotations, lambda_4 sits
         # in a crowded spectrum and the band iteration cannot reach the
         # tolerance: it must factor once, give up and hand over to the full
-        # eigh, which then gives exactly the forced-eigh solution
+        # eigh, which then gives exactly the forced-eigh solution; the
+        # translations factor the scalar Laplacian on the same band either way
         g = noisy_ring(200, seed=0, corrupted=0.2)
         assert 3 * g.node_count > mvreg.sync.DENSE_MAX_SIZE
         _, block = mvreg.sync._band(g.node_count, g.pairs)
+        count = 3 * g.node_count // block
+        translation_factor = [(block // 3, block // 3)] * count
         fell_back, shapes = [], []
         iterate = mvreg.sync._subspace_iteration
         cholesky = np.linalg.cholesky
@@ -664,11 +670,11 @@ class TestPartialEigensolver:
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         band = transf_sync(g, rounds=1)
         assert fell_back == [True]
-        assert shapes == [(block, block)] * (3 * g.node_count // block)
+        assert shapes == [(block, block)] * count + translation_factor
         monkeypatch.setattr(mvreg.sync, "DENSE_MAX_SIZE", 10**9)
         shapes.clear()
         dense = transf_sync(g, rounds=1)
-        assert fell_back == [True] and shapes == []
+        assert fell_back == [True] and shapes == translation_factor
         assert_same_solution(dense, band, tol=0.0)
 
     @pytest.mark.xfail(raises=DegenerateMatrix,
@@ -689,7 +695,8 @@ def band_laplacian(kind, shuffled):
     if shuffled:
         pairs = rng.permutation(n)[pairs]
     band = mvreg.sync._band(n, pairs)
-    lap = mvreg.sync._rotation_laplacian(n, pairs, motions[:, :3, :3], c, band)
+    degrees = mvreg.sync._degrees(n, pairs, c)
+    lap = mvreg.sync._band_laplacian(n, pairs, c[:, None, None] * motions[:, :3, :3], degrees, band)
     return band, lap, (n, pairs, motions[:, :3, :3], c), rng
 
 
@@ -734,6 +741,24 @@ def band_solve_and_reference(kind, shuffled, shift_rel):
     shifted = dense + shift * np.eye(3 * n)
     low = np.linalg.cholesky(shifted)
     return band, shifted, x, y, np.linalg.solve(low.T, np.linalg.solve(low, x))
+
+
+def dense_anchored_translations(g, rotations):
+    """Reference translations from the n x n weighted Laplacian of the
+    active edges, less node 0's row and column, solved directly by
+    np.linalg.solve, with t_0 = 0."""
+    n = g.node_count
+    pairs, motions, c = g.pairs[g.active], g.motions[g.active], g.c_fused[g.active]
+    i, j = pairs.T
+    lap = np.zeros((n, n))
+    np.add.at(lap, (i, j), -c)
+    np.add.at(lap, (j, i), -c)
+    lap[np.diag_indices(n)] = -lap.sum(axis=1)
+    projected = c[:, None] * np.einsum("kab,kb->ka", rotations[j], motions[:, :3, 3])
+    rhs = np.zeros((n, 3))
+    np.add.at(rhs, i, projected)
+    np.add.at(rhs, j, -projected)
+    return np.vstack((np.zeros(3), np.linalg.solve(lap[1:, 1:], rhs[1:])))
 
 
 def noisy_ring(n, seed, corrupted=0.0):
@@ -798,6 +823,16 @@ class TestBandFactor:
         residual = np.linalg.norm(shifted @ y - x)
         assert residual <= 1e-14 * np.linalg.norm(shifted, np.inf) * np.linalg.norm(y)
 
+    @pytest.mark.parametrize("kind", BAND_KINDS)
+    def test_translations_match_dense_anchored_solve(self, kind):
+        # the padding rows of padded_ring's last block hold a unit diagonal,
+        # without which the unshifted factor would fail
+        g = oracle_graph(kind, noisy=True, seed=40)
+        rotations = rotation_sync(g)
+        t = translation_sync(g, rotations)
+        assert np.max(np.abs(t - dense_anchored_translations(g, rotations))) <= 1e-9
+        assert not t[0].any()
+
     def test_ring_factor_never_exceeds_one_band_block(self, monkeypatch):
         n = 400
         pairs = ring_k_pairs(n, 3)
@@ -816,8 +851,9 @@ class TestBandFactor:
         transf_sync(g, rounds=2)
         _, block = mvreg.sync._band(n, np.array(pairs))
         assert block == 24
-        assert len(shapes) == 2 * 50
-        assert max(max(shape) for shape in shapes) <= block
+        # each round factors the rotation Laplacian, then the scalar one of
+        # the translations, in 50 blocks of 8 nodes each
+        assert shapes == ([(24, 24)] * 50 + [(8, 8)] * 50) * 2
 
     def test_ring_sync_builds_no_dense_laplacian(self):
         # the dense 1200 x 1200 Laplacian alone would take 11.5 MB
@@ -831,6 +867,23 @@ class TestBandFactor:
             tracemalloc.stop()
         assert peak < 6e6
 
+    def test_ring_of_2000_builds_no_dense_laplacian(self):
+        # the dense anchored 2000 x 2000 translation Laplacian alone would
+        # take 32 MB
+        g = noisy_ring(2000, seed=42)
+        tracemalloc.start()
+        try:
+            result = transf_sync(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        # the last round's translations, given its rotations, solve the
+        # normal equations weighted by the confidences the third round left
+        weighted = transf_sync(g, rounds=3).graph
+        expected = dense_anchored_translations(weighted, result.poses[:, :3, :3])
+        assert np.max(np.abs(result.poses[:, :3, 3] - expected)) <= 1e-9
+
     def test_warm_start_saves_sweeps(self, iterative, monkeypatch):
         g = oracle_graph("ring3", noisy=True, seed=33)
         sweeps = []
@@ -838,6 +891,8 @@ class TestBandFactor:
 
         def counting(lap, shift, *args):
             inverse = solve(lap, shift, *args)
+            if lap.size != 3 * g.node_count:
+                return inverse
             sweeps.append(0)
 
             def counted(x):
