@@ -9,9 +9,20 @@ wall time of scene_correspondences (the correspondence kernel) plus
 run_multiview_from_correspondences, the span the benchmark times as
 solve_s; gen(s) is the wall time of generate_scene.
 
+Seeds run from --first-seed, 200 by default: the tests, the benchmark and
+earlier probes use seeds 0-14 and 100-105.
+
+--budget adds an error budget: the mean rotation and translation error on
+the scene's clean edges of each stage that can lose accuracy. oracle
+fits the points each pair truly shares (the scans' common base points),
+kernel fits the correspondence kernel's sets, both by register_batch as
+the loop does; first sync and final are the relative motions the loop's
+first and last synchronizations imply. Per seed, then over the clean
+edges of all seeds.
+
 Usage:
   python3 scripts/run_synthetic_experiment.py --scans 30 --pts 2048 \
-      --noise 0.01 --outliers 0.2 --seeds 5
+      --noise 0.01 --outliers 0.2 --seeds 5 --budget
 """
 
 import argparse
@@ -22,8 +33,10 @@ import numpy as np
 from mvreg import (
     ROTATION_ECDF_THRESHOLDS_DEG,
     TRANSLATION_ECDF_THRESHOLDS_M,
+    CorrespondenceSet,
     ecdf,
     generate_scene,
+    register_batch,
     run_multiview_from_correspondences,
     scene_correspondences,
 )
@@ -53,6 +66,7 @@ def run_seed(seed, args):
     )
     inactive = [scene.edge_labels[pair] for pair, active in zip(trace.pairs, result.graph.active)
                 if not active]
+    budget = error_budget(scene, correspondences, trace) if args.budget else None
     return {
         "seed": seed,
         "edges": len(scene.edges),
@@ -65,7 +79,29 @@ def run_seed(seed, args):
         "pairwise_trans": pairwise_trans,
         "final_rot": final_rot,
         "final_trans": final_trans,
+        "budget": budget,
     }
+
+
+def oracle_correspondences(scene, i, j):
+    """The points scans i and j share, in each scan's frame, weight 1."""
+    _, rows_i, rows_j = np.intersect1d(scene.base_indices[i], scene.base_indices[j],
+                                       assume_unique=True, return_indices=True)
+    return CorrespondenceSet(scene.clouds[i].points[rows_i], scene.clouds[j].points[rows_j],
+                             np.ones(len(rows_i)))
+
+
+def error_budget(scene, correspondences, trace):
+    """(rotation, translation) errors on the clean edges of each stage."""
+    clean = [pair for pair in trace.pairs if scene.edge_labels[pair] == "inlier"]
+    truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), clean)
+    stages = {
+        "oracle": register_batch([oracle_correspondences(scene, *pair) for pair in clean]).motions,
+        "kernel": register_batch([correspondences[pair] for pair in clean]).motions,
+        "first sync": relative_motions(trace.iterations[0].poses, clean),
+        "final": relative_motions(trace.iterations[-1].poses, clean),
+    }
+    return {name: motion_errors(motions, truth) for name, motions in stages.items()}
 
 
 def main():
@@ -75,10 +111,13 @@ def main():
     parser.add_argument("--noise", type=float, default=0.01)
     parser.add_argument("--outliers", type=float, default=0.2)
     parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--first-seed", type=int, default=200)
     parser.add_argument("--temperature", type=float, default=0.02)
+    parser.add_argument("--budget", action="store_true",
+                        help="print the error of each stage on the clean edges")
     args = parser.parse_args()
 
-    rows = [run_seed(seed, args) for seed in range(args.seeds)]
+    rows = [run_seed(seed, args) for seed in range(args.first_seed, args.first_seed + args.seeds)]
 
     print(
         "%-5s %-6s %-5s %-16s %-7s %-11s %-11s %-11s %-11s %-8s %-8s"
@@ -107,6 +146,16 @@ def main():
     print("  pairwise ", ["%.3f" % v for v in ecdf(pw_trans, TRANSLATION_ECDF_THRESHOLDS_M)])
     print("  final    ", ["%.3f" % v for v in ecdf(fin_trans, TRANSLATION_ECDF_THRESHOLDS_M)])
 
+    if args.budget:
+        stages = list(rows[0]["budget"])
+        pooled = {k: [np.concatenate([row["budget"][k][axis] for row in rows]) for axis in (0, 1)]
+                  for k in stages}
+        print("\nerror budget on clean edges: mean rotation (deg) / translation (m)")
+        print("%-5s" % "seed" + "".join(" %-16s" % k for k in stages))
+        for label, errors in [(str(row["seed"]), row["budget"]) for row in rows] + [("all", pooled)]:
+            print("%-5s" % label + "".join(
+                " %-16s" % ("%.3f/%.4f" % (np.mean(errors[k][0]), np.mean(errors[k][1])))
+                for k in stages))
 
 if __name__ == "__main__":
     main()

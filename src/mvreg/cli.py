@@ -26,6 +26,7 @@ from .geometry import PointCloud
 from .graph import build_graph
 from .io_formats import (
     TrajectoryEntry,
+    _parse_number,
     parse_index_pair,
     read_config,
     read_features,
@@ -164,10 +165,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def ascii_float(text: str) -> float:
+    """A float option, in the ASCII number grammar of the text readers."""
+    return _parse_number(text)
+
+
+def ascii_int(text: str) -> int:
+    """An integer option, in the ASCII number grammar of the text readers."""
+    return _parse_number(text, int)
+
+
 def _parse_thresholds(text: str | None, default):
     if text is None:
         return default
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return tuple(_parse_number(tok.strip()) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ValueError(f"thresholds: {exc}") from None
 
 
 def _read_poses(path) -> np.ndarray:
@@ -219,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="target PLY file")
     p.add_argument("--features", nargs=2, metavar=("SRC", "DST"),
                    help="descriptor files for source and target")
-    p.add_argument("--temperature", type=float, default=PipelineConfig().temperature,
+    p.add_argument("--temperature", type=ascii_float, default=PipelineConfig().temperature,
                    help="softmax temperature for correspondence weighting")
     p.set_defaults(func=_cmd_pairwise)
 
@@ -228,20 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--edges", help="file with one 'i j' scan pair per line")
     p.add_argument("--out", help="write the absolute trajectory to this file")
-    p.add_argument("--voxel", type=float, default=None,
+    p.add_argument("--voxel", type=ascii_float, default=None,
                    help="voxel size for downsampling before registration")
     p.add_argument("--pairwise-only", action="store_true",
                    help="chain pairwise estimates along a spanning tree instead of synchronizing")
     p.set_defaults(func=_cmd_multiview)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("--scans", type=int, default=10)
-    p.add_argument("--pts", type=int, default=512)
-    p.add_argument("--noise", type=float, default=0.01)
-    p.add_argument("--outliers", type=float, default=0.0,
+    p.add_argument("--scans", type=ascii_int, default=10)
+    p.add_argument("--pts", type=ascii_int, default=512)
+    p.add_argument("--noise", type=ascii_float, default=0.01)
+    p.add_argument("--outliers", type=ascii_float, default=0.0,
                    help="fraction of scan pairs labelled as corrupted; only labels.txt and "
                         "corruptions.log record them, the scan files stay clean")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 

@@ -1,6 +1,7 @@
-"""Pairwise rigid alignment: soft correspondences, weighted closed-form
-least squares, and iteratively reweighted refinement. The IRLS fits many
-sets at once: register_batch returns one PairwiseFits for all of them.
+"""Pairwise rigid alignment: soft correspondences of the mutual nearest
+neighbours in descriptor space, weighted closed-form least squares, and
+iteratively reweighted refinement. The IRLS fits many sets at once:
+register_batch returns one PairwiseFits for all of them.
 """
 
 from __future__ import annotations
@@ -128,22 +129,106 @@ class PairwiseFits:
         return len(self.motions)
 
 
+def _distance_blocks(query_features, target_features, visit, thread_state):
+    """Squared feature distances |q - t|^2 of every query row to every
+    target, one row block at a time, on the kernel threads.
+
+    Each block of about BLOCK_CELLS distances is written in place into its
+    thread's buffer by one GEMM of depth D + 2, [q, |q|^2, 1] [-2 t, 1, |t|^2]^T,
+    and handed to visit(start, stop, d, state), which may overwrite d.
+    Each thread makes its state once, by thread_state(rows), rows the most
+    rows a block holds; the states of all threads are returned. Extra
+    memory is O(block + N + M) per thread, not N x M.
+
+    The blocks are shared out over _THREADS threads, one per usable CPU:
+    the caller's thread and the persistent workers of _pool each take the
+    next unclaimed block until none is left, so a thread that other load
+    slows down takes fewer blocks. numpy releases the interpreter lock in
+    its ufuncs and GEMMs, so the threads overlap. A block's distances do
+    not depend on which thread computes it. The GEMM is tiled by
+    _matmul_tiles, which keeps each BLAS call single-threaded. An error in
+    any block is raised once every thread has stopped.
+    """
+    (n, depth), m = query_features.shape, target_features.shape[0]
+    rows = max(1, BLOCK_CELLS // m)
+    query_sq = np.sum(query_features**2, axis=1)
+    # [-2 T^T; 1; |t|^2]: scaling by -2 is exact, so q (-2 t) equals -2 q.t
+    target_aug = np.empty((depth + 2, m))
+    np.multiply(target_features.T, -2.0, out=target_aug[:depth])
+    target_aug[depth] = 1.0
+    np.sum(target_features**2, axis=1, out=target_aug[depth + 1])
+    starts = range(0, n, rows)
+    threads = min(_THREADS, len(starts))
+    unclaimed, claim = iter(starts), threading.Lock()
+
+    def run_blocks():
+        buf = np.empty((min(rows, n), m))
+        state = thread_state(len(buf))
+        query_aug = np.empty((min(rows, n), depth + 2))
+        query_aug[:, depth + 1] = 1.0
+        while True:
+            with claim:
+                start = next(unclaimed, None)
+            if start is None:
+                return state
+            stop = min(start + rows, n)
+            d, aug = buf[: stop - start], query_aug[: stop - start]
+            aug[:, :depth] = query_features[start:stop]
+            aug[:, depth] = query_sq[start:stop]
+            _matmul_tiles(aug, target_aug, d)
+            visit(start, stop, d, state)
+
+    # with one thread the list is empty and no worker is started
+    workers = [_pool(threads - 1).submit(run_blocks) for _ in range(threads - 1)]
+    try:
+        states = [run_blocks()]
+    finally:
+        # no worker may still write into the caller's arrays once this call has returned
+        for w in workers:
+            w.exception()
+    return states + [w.result() for w in workers]
+
+
+def _reciprocal_rows(query_features, target_features) -> np.ndarray:
+    """Indices of the query rows that are mutual nearest neighbours, sorted.
+
+    Row k is kept when its smallest squared distance d_kj, at its first
+    nearest target j, is no larger than column j's smallest: k is then a
+    nearest query of j. Each block records its rows' argmin and minimum;
+    each thread keeps a running column minimum, and the threads' minima are
+    combined with np.minimum. Min is exact, so the kept rows do not depend
+    on the thread count or block order. Rows tied at a column's minimum are
+    all kept. The row holding the smallest distance of all is always kept,
+    so at least one row is. A squared distance that rounding made negative
+    counts as 0, as in _soft_targets.
+    """
+    n, m = query_features.shape[0], target_features.shape[0]
+    nearest, row_min = np.empty(n, dtype=np.intp), np.empty(n)
+
+    def visit(start, stop, d, col_min):
+        arg = d.argmin(axis=1)
+        nearest[start:stop] = arg
+        row_min[start:stop] = d[np.arange(stop - start), arg]
+        np.minimum(col_min, d.min(axis=0), out=col_min)
+
+    col_min = np.minimum.reduce(_distance_blocks(
+        query_features, target_features, visit, lambda rows: np.full(m, np.inf)))
+    kept = np.maximum(row_min, 0.0) <= np.maximum(col_min, 0.0)[nearest]
+    return np.flatnonzero(kept)
+
+
 def _soft_targets(query_features, target_features, target_points, temperature: float) -> np.ndarray:
     """Softmax-weighted target point for every query row, (N, 3).
 
     Row k weights target l by exp(-d_kl / t), normalized over l, where d_kl
-    is the Euclidean feature distance. Query rows are processed in blocks of
-    about BLOCK_CELLS distances, each written in place into its thread's
-    buffer: extra memory is O(block + N + M) per thread, not N x M.
-
-    A block takes one GEMM of depth D + 2, [q, |q|^2, 1] [-2 t, 1, |t|^2]^T,
-    which gives every squared distance |q - t|^2 at once, then sqrt, a
-    product with -1/t and exp in place, and one tail GEMM with [P, 1], the
-    target points and a column of ones, which gives each row's weighted
-    point sum and its weight sum, the softmax normalizer, together. Only
-    the sqrt uses the hardware divider. -1/t is rounded once per call, as
-    if t were off by at most half an ulp, and each product rounds once, as
-    the division did. Two passes run only in a block that needs them:
+    is the Euclidean feature distance. Each block of squared distances from
+    _distance_blocks takes sqrt, a product with -1/t and exp in place, and
+    one tail GEMM with [P, 1], the target points and a column of ones,
+    which gives each row's weighted point sum and its weight sum, the
+    softmax normalizer, together. Only the sqrt uses the hardware divider.
+    -1/t is rounded once per call, as if t were off by at most half an ulp,
+    and each product rounds once, as the division did. Two passes run only
+    in a block that needs them:
     - clamping at 0, when rounding made a squared distance of coincident
       descriptors negative (the block's minimum is taken before the sqrt);
     - shifting each row by its nearest distance d_min, when some row's
@@ -155,77 +240,39 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
       the minimum of the sqrt'ed row because sqrt is monotone and correctly
       rounded.
 
-    The blocks are shared out over _THREADS threads, one per usable CPU:
-    the caller's thread and the persistent workers of _pool each take the
-    next unclaimed block until none is left, so a thread that other load
-    slows down takes fewer blocks. Threads write disjoint rows of the
-    result. numpy releases the interpreter lock in these ufuncs and GEMMs,
-    so the threads overlap. Every block runs the same numpy calls whichever
-    thread runs it, and both branches depend on the block's contents only,
-    so the targets are bit-identical for any thread count. The distance
-    GEMM is tiled by _matmul_tiles, which keeps each BLAS call
-    single-threaded. The tail GEMM takes at most 4 * BLOCK_CELLS = 2^19
-    multiply-adds, a size OpenBLAS runs on the calling thread, so it is
-    one call.
+    Threads write disjoint rows of the result. Every block runs the same
+    numpy calls whichever thread runs it, and both branches depend on the
+    block's contents only, so the targets are bit-identical for any thread
+    count. The tail GEMM takes at most 4 * BLOCK_CELLS = 2^19
+    multiply-adds, a size OpenBLAS runs on the calling thread, so it is one
+    call.
     """
     if not 0.0 < temperature < np.inf:  # also rejects NaN
         raise ValueError("temperature must be positive and finite")
-    (n, depth), m = query_features.shape, target_features.shape[0]
-    rows = max(1, BLOCK_CELLS // m)
-    query_sq = np.sum(query_features**2, axis=1)
-    # [-2 T^T; 1; |t|^2]: scaling by -2 is exact, so q (-2 t) equals -2 q.t
-    target_aug = np.empty((depth + 2, m))
-    np.multiply(target_features.T, -2.0, out=target_aug[:depth])
-    target_aug[depth] = 1.0
-    np.sum(target_features**2, axis=1, out=target_aug[depth + 1])
     scale = -1.0 / temperature
     # [P, 1]: the tail GEMM's last column is each row's weight sum
-    points_aug = np.empty((m, target_points.shape[1] + 1))
+    points_aug = np.empty((target_points.shape[0], target_points.shape[1] + 1))
     points_aug[:, :-1] = target_points
     points_aug[:, -1] = 1.0
-    out = np.empty((n, target_points.shape[1]))
-    starts = range(0, n, rows)
-    threads = min(_THREADS, len(starts))
-    unclaimed, claim = iter(starts), threading.Lock()
+    out = np.empty((query_features.shape[0], target_points.shape[1]))
 
-    def run_blocks() -> None:
-        buf = np.empty((min(rows, n), m))
-        query_aug = np.empty((min(rows, n), depth + 2))
-        query_aug[:, depth + 1] = 1.0
-        acc_buf = np.empty((min(rows, n), points_aug.shape[1]))
-        while True:
-            with claim:
-                start = next(unclaimed, None)
-            if start is None:
-                return
-            stop = min(start + rows, n)
-            d, aug, acc = buf[: stop - start], query_aug[: stop - start], acc_buf[: stop - start]
-            aug[:, :depth] = query_features[start:stop]
-            aug[:, depth] = query_sq[start:stop]
-            _matmul_tiles(aug, target_aug, d)
-            nearest = d.min(axis=1, keepdims=True)
-            if nearest.min() < 0.0:
-                np.maximum(d, 0.0, out=d)
-                np.maximum(nearest, 0.0, out=nearest)
-            np.sqrt(d, out=d)
-            np.sqrt(nearest, out=nearest)
-            if nearest.max() > SHIFT_FREE * temperature:
-                d -= nearest
-            d *= scale
-            np.exp(d, out=d)
-            np.matmul(d, points_aug, out=acc)
-            np.divide(acc[:, :-1], acc[:, -1:], out=out[start:stop])
+    def visit(start, stop, d, acc_buf):
+        acc = acc_buf[: stop - start]
+        nearest = d.min(axis=1, keepdims=True)
+        if nearest.min() < 0.0:
+            np.maximum(d, 0.0, out=d)
+            np.maximum(nearest, 0.0, out=nearest)
+        np.sqrt(d, out=d)
+        np.sqrt(nearest, out=nearest)
+        if nearest.max() > SHIFT_FREE * temperature:
+            d -= nearest
+        d *= scale
+        np.exp(d, out=d)
+        np.matmul(d, points_aug, out=acc)
+        np.divide(acc[:, :-1], acc[:, -1:], out=out[start:stop])
 
-    # with one thread the list is empty and no worker is started
-    workers = [_pool(threads - 1).submit(run_blocks) for _ in range(threads - 1)]
-    try:
-        run_blocks()
-    finally:
-        # no worker may still write into out once this call has returned
-        for w in workers:
-            w.exception()
-    for w in workers:
-        w.result()
+    _distance_blocks(query_features, target_features, visit,
+                     lambda rows: np.empty((rows, points_aug.shape[1])))
     return out
 
 
@@ -269,9 +316,13 @@ def _pool(size: int):
 
 
 def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> CorrespondenceSet:
-    """One soft correspondence in q for every point of p.
+    """One soft correspondence in q per reciprocal point of p.
 
-    Weights start at 1, stored as one element; the set carries no residuals.
+    A point of p is reciprocal when its nearest point of q in descriptor
+    space has it as a nearest point of p (_reciprocal_rows); at least one
+    is. Its target is the softmax-weighted point of q (_soft_targets). The
+    set's rows are p's reciprocal points in p's order. Weights start at 1,
+    stored as one element; the set carries no residuals.
     """
     if p.features is None or q.features is None:
         raise MissingFeatures("both clouds must carry per-point features")
@@ -279,8 +330,9 @@ def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> C
         raise DimensionMismatch(
             f"feature dimensions differ: {p.features.shape[1]} vs {q.features.shape[1]}"
         )
-    targets = _soft_targets(p.features, q.features, q.points, temperature)
-    return CorrespondenceSet(p.points, targets, np.ones(len(p)))
+    kept = _reciprocal_rows(p.features, q.features)
+    targets = _soft_targets(p.features[kept], q.features, q.points, temperature)
+    return CorrespondenceSet(p.points[kept], targets, np.ones(len(kept)))
 
 
 def _fit_error(status: int, count: int) -> RegistrationError:
@@ -501,7 +553,9 @@ def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None
 
 
 def register_pair(p: PointCloud, q: PointCloud, cfg: PipelineConfig | None = None) -> PairwiseResult:
-    """Soft correspondences followed by IRLS-refined weighted alignment."""
+    """One soft correspondence per reciprocal point of p (build_correspondences),
+    followed by IRLS-refined weighted alignment; the inlier ratio is over
+    those points."""
     cfg = cfg or PipelineConfig()
     corr = build_correspondences(p, q, cfg.temperature)
     return register_correspondences(corr, cfg)

@@ -166,8 +166,10 @@ def run_multiview(
 ) -> tuple[SyncResult, PipelineTrace]:
     """Register n feature-bearing clouds into a common frame.
 
-    Registers every pair (or the pairs listed in cfg.connectivity), builds the
-    pose graph, then iterates: synchronize, which refreshes each edge's global
+    Registers every pair (or the pairs listed in cfg.connectivity) from one
+    soft correspondence per reciprocal point (build_correspondences); a pair
+    with fewer than 3 raises DegenerateConfiguration. Then builds the pose
+    graph and iterates: synchronize, which refreshes each edge's global
     confidence from its cycle-consistency residual, and prune the edges whose
     global confidence falls below graph.PRUNE_RATIO times the active edges'
     median. The pairwise fits are not redone. Stops at the first iteration

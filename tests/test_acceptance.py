@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mvreg.graph as graph_mod
+import mvreg.pairwise as pairwise_mod
 import mvreg.pipeline as pipeline_mod
 from mvreg import (
     CorrespondenceSet,
@@ -209,12 +210,19 @@ def test_06_soft_assignment_hard_limit_1000_queries():
     feats = rng.normal(size=(100, 16))
     pts = rng.normal(size=(100, 3))
     queries = rng.normal(size=(1000, 16))
-    nn = np.argmin(np.linalg.norm(feats[None] - queries[:, None], axis=2), axis=1)
-    source = PointCloud(np.zeros((1000, 3)), queries)
-    out = build_correspondences(source, PointCloud(pts, feats), temperature=1e-6).target_pts
+    dist = np.linalg.norm(feats[None] - queries[:, None], axis=2)
+    nn = np.argmin(dist, axis=1)
+    out = pairwise_mod._soft_targets(queries, feats, pts, 1e-6)
     worst = float(np.linalg.norm(out - pts[nn], axis=1).max())
     print(f"criterion 6: max deviation from hard nearest neighbour {worst:.3e}")
     assert worst < 1e-9
+    # build_correspondences keeps the rows that are their nearest target's
+    # nearest query, with those rows' targets
+    kept = np.flatnonzero(dist[np.arange(1000), nn] <= dist.min(axis=0)[nn])
+    source = PointCloud(np.arange(3000.0).reshape(1000, 3), queries)
+    corr = build_correspondences(source, PointCloud(pts, feats), temperature=1e-6)
+    assert np.array_equal(corr.source_pts, source.points[kept])
+    assert float(np.linalg.norm(corr.target_pts - out[kept], axis=1).max()) < 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

@@ -92,6 +92,20 @@ class TestPairwiseCommand:
         assert code == 1
         assert "error" in err
 
+    def test_temperature_takes_ascii_numbers_only(self, tmp_path, capsys, rng):
+        pts = rng.uniform(-1, 1, size=(20, 3))
+        src, dst = tmp_path / "a.ply", tmp_path / "b.ply"
+        write_ply(PointCloud(pts), src)
+        write_ply(PointCloud(pts), dst)
+        # an underscore separator and Arabic-Indic or fullwidth digits
+        for value in ("1_0", "٠.٥", "１"):
+            code, out, err = run_cli(capsys, "pairwise", str(src), str(dst), "--temperature", value)
+            assert code == 2 and out == "", value
+            assert "--temperature" in err
+        for value in ("2e-2", "+.5", "1.", "0.7E0"):
+            code, out, _ = run_cli(capsys, "pairwise", str(src), str(dst), "--temperature", value)
+            assert code == 0 and len(parse_kv(out)["motion"][0].split()) == 16, value
+
 
 class TestSynthCommand:
     def test_writes_scene_files(self, tmp_path, capsys):
@@ -125,6 +139,33 @@ class TestSynthCommand:
         assert "noise_sigma must be finite and >= 0" in err
         assert out == ""
         assert not out_dir.exists()
+
+    # each form int() or float() would take: "1_0" read as 10, "٦٤" as 64
+    @pytest.mark.parametrize("option, value", [
+        ("--scans", "1_0"), ("--scans", "٤"), ("--pts", "٦٤"), ("--pts", "6_4"),
+        ("--noise", "0_01"), ("--noise", "٠.٠١"), ("--outliers", "0_2"), ("--outliers", "٠"),
+        ("--seed", "1_0"), ("--seed", "３"),
+    ])
+    def test_numbers_must_be_ascii(self, tmp_path, capsys, option, value):
+        out_dir = tmp_path / "scene"
+        args = {"--scans": "4", "--pts": "64", "--noise": "0.01", "--outliers": "0", "--seed": "0"}
+        args[option] = value
+        code, out, err = run_cli(capsys, "synth", *[t for kv in args.items() for t in kv],
+                                 "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert option in err
+        assert not out_dir.exists()
+
+    def test_ascii_number_forms_parse(self, tmp_path, capsys):
+        out_dir = tmp_path / "scene"
+        code, out, _ = run_cli(
+            capsys, "synth", "--scans", "+4", "--pts", "064", "--noise", "5e-3",
+            "--outliers", ".25", "--seed", "3", "--out", str(out_dir),
+        )
+        assert code == 0
+        kv = parse_kv(out)
+        assert int(kv["scans"][0]) == 4
+        assert all(len(read_ply(path)) == 64 for path in out_dir.glob("scan_*.ply"))
 
 
 class TestMultiviewCommand:
@@ -283,6 +324,17 @@ class TestMultiviewCommand:
         assert code == 1
         assert "cell" in err
 
+    def test_voxel_takes_ascii_numbers_only(self, tmp_path, capsys):
+        scene = self.make_scene_dir(tmp_path, capsys)
+        for value in ("0_08", "٠.٠٨"):
+            code, out, err = run_cli(capsys, "multiview", str(scene), "--voxel", value)
+            assert code == 2 and out == "", value
+            assert "--voxel" in err
+        for value in ("8e-2", "+.08"):
+            code, _, _ = run_cli(capsys, "multiview", str(scene), "--voxel", value,
+                                 "--out", str(tmp_path / "est.log"))
+            assert code == 0, value
+
     @pytest.mark.parametrize("header, body", [
         ("element vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
          "element vertex 1\nproperty double x\nproperty double y\nproperty double z\n",
@@ -368,6 +420,29 @@ class TestEvalCommand:
         assert code == 1
         assert out == ""
         assert "thresholds" in err
+
+    # "0_1" read as 1, "٥" as 5
+    @pytest.mark.parametrize("option, value", [("--rot-thresholds", "٥,1_0"),
+                                               ("--rot-thresholds", "1,１０"),
+                                               ("--trans-thresholds", "0_1"),
+                                               ("--trans-thresholds", "0.05,٠.١")])
+    def test_thresholds_must_be_ascii(self, tmp_path, capsys, rng, option, value):
+        a = tmp_path / "a.log"
+        write_trajectory(trajectory_from_motions([random_motion(rng) for _ in range(3)]), a)
+        code, out, err = run_cli(capsys, "eval", "--est", str(a), "--gt", str(a), option, value)
+        assert code == 1
+        assert out == ""
+        assert "thresholds" in err and "ASCII" in err
+
+    def test_thresholds_take_the_ascii_forms(self, tmp_path, capsys, rng):
+        a = tmp_path / "a.log"
+        write_trajectory(trajectory_from_motions([random_motion(rng) for _ in range(3)]), a)
+        code, out, _ = run_cli(capsys, "eval", "--est", str(a), "--gt", str(a),
+                               "--rot-thresholds", "1e0, +5.", "--trans-thresholds", ".01,0.5E0")
+        assert code == 0
+        kv = parse_kv(out)
+        assert [float(v) for v in kv["rot_thresholds_deg"][0].split()] == [1.0, 5.0]
+        assert [float(v) for v in kv["trans_thresholds_m"][0].split()] == [0.01, 0.5]
 
     # a log of the relative motions (0, 1), (0, 2), (1, 2), as 3DMatch's
     # gt.log holds them; the absolute poses out of order, each with its own

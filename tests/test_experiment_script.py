@@ -36,3 +36,25 @@ def test_small_sweep_prints_both_ecdf_blocks():
         start = starts[0]
         assert lines[start + 1].split()[0] == "pairwise"
         assert lines[start + 2].split()[0] == "final"
+
+
+def test_budget_prints_each_stage_per_seed_and_over_all_seeds():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / "run_synthetic_experiment.py"),
+         "--scans", "6", "--pts", "64", "--seeds", "2", "--first-seed", "300", "--budget"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:3]] == ["300", "301"]
+    start = lines.index("error budget on clean edges: mean rotation (deg) / translation (m)")
+    assert lines[start + 1].split() == ["seed", "oracle", "kernel", "first", "sync", "final"]
+    rows = [line.split() for line in lines[start + 2 :]]
+    assert [row[0] for row in rows] == ["300", "301", "all"]
+    for row in rows:
+        assert len(row) == 5
+        for cell in row[1:]:
+            rot, trans = (float(v) for v in cell.split("/"))
+            assert 0.0 <= rot < 180.0 and trans >= 0.0

@@ -301,6 +301,18 @@ def explicit_soft_targets(query_features, target_features, target_points, t):
     return out
 
 
+def mutual_rows(query_features, target_features):
+    """The mutual nearest neighbours by brute force: row k is kept when its
+    first nearest target j, by explicit np.linalg.norm differences, has no
+    query nearer than k. 64 query rows at a time."""
+    dist = np.vstack([
+        np.linalg.norm(query_features[s : s + 64, None, :] - target_features[None, :, :], axis=2)
+        for s in range(0, len(query_features), 64)
+    ])
+    nearest = dist.argmin(axis=1)
+    return np.flatnonzero(dist[np.arange(len(dist)), nearest] <= dist.min(axis=0)[nearest])
+
+
 class TestCorrespondenceKernel:
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("m", [1, 5, 300])
@@ -312,11 +324,12 @@ class TestCorrespondenceKernel:
         rng = np.random.default_rng([n, m, d])
         p = PointCloud(rng.normal(size=(n, 3)), rng.integers(-16, 17, size=(n, d)) / 8.0)
         q = PointCloud(rng.normal(size=(m, 3)), rng.integers(-16, 17, size=(m, d)) / 8.0)
+        kept = mutual_rows(p.features, q.features)
         # one-row blocks, a ragged last block, a single block
         for rows in (1, n // 2 + 1, n):
             monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", rows * m)
             for t in (1e-6, 0.02, 1.0, 100.0):
-                expected = dense_soft_targets(p.features, q.features, q.points, t)
+                expected = dense_soft_targets(p.features, q.features, q.points, t)[kept]
                 got = build_correspondences(p, q, t).target_pts
                 assert np.abs(got - expected).max() <= 1e-12, (rows, t)
                 assert np.array_equal(got, build_correspondences(p, q, t).target_pts)
@@ -355,8 +368,11 @@ class TestCorrespondenceKernel:
             warnings.simplefilter("error", RuntimeWarning)
             targets = {t: build_correspondences(cloud, cloud, t).target_pts for t in (1e-3, 0.02)}
         monkeypatch.undo()
-        # one block, whose rounded squared distances include a negative one
-        assert len(minima) == 2 and max(minima) < 0.0
+        # one block per pass, the reciprocal and the softmax pass of each
+        # call, whose rounded squared distances include a negative one
+        assert len(minima) == 4 and max(minima) < 0.0
+        # every row is its coincident target's nearest query and is kept
+        assert np.array_equal(mutual_rows(feats, feats), np.arange(200))
         assert clamped.count((200, 200)) == 2
         for got in targets.values():
             assert np.all(np.isfinite(got))
@@ -379,7 +395,8 @@ class TestCorrespondenceKernel:
         assert np.array_equal(nearest, np.repeat([0.0, 4.0], 32))
         assert (nearest.max() > pairwise_mod.SHIFT_FREE * t) == shifts
         got = build_correspondences(p, q, t).target_pts
-        expected = dense_soft_targets(p.features, q.features, q.points, t)
+        kept = mutual_rows(p.features, q.features)
+        expected = dense_soft_targets(p.features, q.features, q.points, t)[kept]
         assert np.abs(got - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n, m, d", [(512, 2048, 3), (256, 1024, 32)])
@@ -399,7 +416,8 @@ class TestCorrespondenceKernel:
         q = PointCloud(target.points, feats[1])
         t = PipelineConfig().temperature
         got = build_correspondences(p, q, t).target_pts
-        expected = explicit_soft_targets(p.features, q.features, q.points, t)
+        kept = mutual_rows(p.features, q.features)
+        expected = explicit_soft_targets(p.features, q.features, q.points, t)[kept]
         assert np.abs(got - expected).max() <= 1e-9
 
     def test_peak_memory_is_bounded(self):
@@ -423,30 +441,44 @@ class TestCorrespondenceKernel:
 
     def targets_per_thread_count(self, monkeypatch, p, q, t=0.02):
         """Targets at temperature t for 1, 2 and 3 kernel threads, and the
-        threads each used.
+        threads each pass of each call used: the reciprocal pass over p's
+        rows, then the softmax pass over the kept rows.
 
-        Each thread's first block waits until every thread that can get a
-        block has one, so all of them take part.
+        In each pass, each thread's first block waits until every thread
+        that can get a block of that pass has one, so all of them take part.
         """
-        idents = set()
-        tiles = pairwise_mod._matmul_tiles
+        passes = []
+        tiles, blocks_of = pairwise_mod._matmul_tiles, pairwise_mod._distance_blocks
         results = {}
 
-        def recording(a, b, out):
+        def recording_blocks(query, target, visit, thread_state):
+            blocks = -(-len(query) // max(1, pairwise_mod.BLOCK_CELLS // len(target)))
+            passes.append((set(), threading.Barrier(min(threads, blocks), timeout=10)))
+            return blocks_of(query, target, visit, thread_state)
+
+        def recording_tiles(a, b, out):
+            idents, start = passes[-1]
             if threading.get_ident() not in idents:
                 idents.add(threading.get_ident())
                 start.wait()
             tiles(a, b, out)
 
-        blocks = -(-len(p) // max(1, pairwise_mod.BLOCK_CELLS // len(q)))
         with monkeypatch.context() as patch:
-            patch.setattr(pairwise_mod, "_matmul_tiles", recording)
+            patch.setattr(pairwise_mod, "_matmul_tiles", recording_tiles)
+            patch.setattr(pairwise_mod, "_distance_blocks", recording_blocks)
             for threads in (1, 2, 3):
                 patch.setattr(pairwise_mod, "_THREADS", threads)
-                idents.clear()
-                start = threading.Barrier(min(threads, blocks), timeout=10)
-                results[threads] = (build_correspondences(p, q, t).target_pts, len(idents))
+                passes.clear()
+                got = build_correspondences(p, q, t).target_pts
+                results[threads] = (got, [len(idents) for idents, _ in passes])
         return results
+
+    @staticmethod
+    def pass_blocks(p, q):
+        """Blocks of the reciprocal pass and of the softmax pass."""
+        rows = max(1, pairwise_mod.BLOCK_CELLS // len(q))
+        kept = len(mutual_rows(p.features, q.features))
+        return [-(-len(p) // rows), -(-kept // rows)]
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("m", [1, 5, 300])
@@ -457,10 +489,10 @@ class TestCorrespondenceKernel:
         for rows in (1, n // 2 + 1, n):
             monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", rows * m)
             results = self.targets_per_thread_count(monkeypatch, p, q)
-            blocks = -(-n // rows)
+            blocks = self.pass_blocks(p, q)
             for threads, (got, used) in results.items():
                 assert np.array_equal(got, results[1][0]), (rows, threads)
-                assert used == min(threads, blocks), (rows, threads)
+                assert used == [min(threads, b) for b in blocks], (rows, threads)
 
     # default blocks, at GEMM depth d + 2: 64 x 2048 x 34 tiles into 180
     # columns, 52 x 2500 x 66 into 114 and 32 x 4096 x 34 into 361, each with
@@ -469,14 +501,16 @@ class TestCorrespondenceKernel:
     def test_tiled_shapes_are_bit_equal_for_any_thread_count(self, monkeypatch, n, m, d):
         p, q = self.lattice_clouds(n, m, d, [n, m, d])
         results = self.targets_per_thread_count(monkeypatch, p, q)
-        expected = dense_soft_targets(p.features, q.features, q.points, 0.02)
+        kept = mutual_rows(p.features, q.features)
+        expected = dense_soft_targets(p.features, q.features, q.points, 0.02)[kept]
         assert np.abs(results[1][0] - expected).max() <= 1e-12
         for threads, (got, _) in results.items():
             assert np.array_equal(got, results[1][0]), threads
 
     @staticmethod
     def blas_calls(monkeypatch, n, m, d):
-        """(depth, multiply-adds) of every np.matmul call of one kernel call."""
+        """(depth, multiply-adds) of every np.matmul call of one kernel call,
+        and the number of rows it kept."""
         rng = np.random.default_rng(d)
         p = PointCloud(rng.normal(size=(n, 3)), rng.normal(size=(n, d)))
         q = PointCloud(rng.normal(size=(m, 3)), rng.normal(size=(m, d)))
@@ -492,33 +526,43 @@ class TestCorrespondenceKernel:
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "matmul", spy)
-            build_correspondences(p, q, 0.02)
-        return calls
+            kept = len(build_correspondences(p, q, 0.02))
+        return calls, kept
 
-    # the distance GEMM has depth d + 2; calls: 128 blocks of 12 column
-    # tiles; 3 blocks of 22 and a 5-row block of 3; 32 blocks of 2; and two
-    # 151- and 149-row blocks of 12 row tiles each
-    @pytest.mark.parametrize("n, m, d, calls", [(4096, 4096, 32, 1536), (161, 2500, 64, 69),
-                                                (2048, 2048, 3, 64), (300, 5, 32, 24)])
-    def test_distance_gemm_calls_stay_below_blas_threading(self, monkeypatch, n, m, d, calls):
-        macs = [k for depth, k in self.blas_calls(monkeypatch, n, m, d) if depth == d + 2]
-        assert sum(macs) == n * m * (d + 2)
+    # the distance GEMM has depth d + 2 and runs in both passes, over the n
+    # rows and then over the kept ones. Calls of the first pass: 128 blocks
+    # of 12 column tiles; 3 blocks of 22 and a 5-row block of 3; 32 blocks
+    # of 2; and two 151- and 149-row blocks of 12 row tiles each. Of the
+    # second: 26 blocks of 12 and an 8-row block of 3; a 52-row block of 22
+    # and a 31-row block of 14; 15 blocks of 2 and a 17-row block of 1; and
+    # one 3-row block of 1
+    @pytest.mark.parametrize("n, m, d, kept, calls", [
+        (4096, 4096, 32, 840, 1536 + 315), (161, 2500, 64, 83, 69 + 36),
+        (2048, 2048, 3, 977, 64 + 31), (300, 5, 32, 3, 24 + 1),
+    ])
+    def test_distance_gemm_calls_stay_below_blas_threading(self, monkeypatch, n, m, d, kept,
+                                                           calls):
+        got, got_kept = self.blas_calls(monkeypatch, n, m, d)
+        macs = [k for depth, k in got if depth == d + 2]
+        assert got_kept == kept
+        assert sum(macs) == (n + kept) * m * (d + 2)
         assert max(macs) <= 3 * pairwise_mod.BLOCK_CELLS
         assert len(macs) == calls
 
     # the tail GEMM [weights] [P, 1] has depth m and 4 columns, one call per
-    # block: 128 blocks of 32 rows; 3 of 52 and one of 5; 32 of 64; and the
-    # 151- and 149-row blocks. At most 4 * BLOCK_CELLS = 2^19 multiply-adds,
-    # which OpenBLAS runs on the calling thread
-    @pytest.mark.parametrize("n, m, d, blocks", [(4096, 4096, 32, 128), (161, 2500, 64, 4),
-                                                 (2048, 2048, 3, 32), (300, 5, 32, 2)])
+    # block of the softmax pass over the kept rows: 26 blocks of 32 rows and
+    # one of 8; blocks of 52 and 31; 15 of 64 and one of 17; and one of 3.
+    # At most 4 * BLOCK_CELLS = 2^19 multiply-adds, which OpenBLAS runs on
+    # the calling thread
+    @pytest.mark.parametrize("n, m, d, blocks", [(4096, 4096, 32, 27), (161, 2500, 64, 2),
+                                                 (2048, 2048, 3, 16), (300, 5, 32, 1)])
     def test_tail_gemm_is_one_call_per_block_below_blas_threading(self, monkeypatch, n, m, d,
                                                                   blocks):
-        calls = self.blas_calls(monkeypatch, n, m, d)
+        calls, kept = self.blas_calls(monkeypatch, n, m, d)
         macs = [k for depth, k in calls if depth == m]
         # every call is a distance tile or a tail product
         assert len(macs) + sum(depth == d + 2 for depth, _ in calls) == len(calls)
-        assert sum(macs) == n * m * 4
+        assert sum(macs) == kept * m * 4
         assert max(macs) <= 4 * pairwise_mod.BLOCK_CELLS <= 1 << 19
         assert len(macs) == blocks
 
@@ -546,10 +590,12 @@ class TestCorrespondenceKernel:
             expected[k] = [math.fsum(e * column) / total for column in q.points.T]
         results = self.targets_per_thread_count(monkeypatch, p, q, t)
         got = results[1][0]
-        assert np.abs(got - expected).max() <= 1.6e-12
+        kept = mutual_rows(p.features, q.features)
+        assert np.abs(got - expected[kept]).max() <= 1.6e-12
+        blocks = self.pass_blocks(p, q)
         for threads, (targets, used) in results.items():
             assert np.array_equal(targets, got), threads
-            assert used == threads
+            assert used == [min(threads, b) for b in blocks], threads
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_block_error_is_raised_after_every_thread_stopped(self, monkeypatch, failing):
@@ -677,6 +723,76 @@ class TestCorrespondenceKernel:
             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}, timeout=120,
         )
         assert json.loads(out.stdout) == [1, False, True, 2]
+
+
+class TestReciprocalRows:
+    """build_correspondences keeps the mutual nearest neighbours only."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("m", [1, 5, 300])
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_kept_rows_match_brute_force_in_every_block_layout(self, monkeypatch, n, m, d):
+        # on a 1/8 lattice every squared distance is exact and ties are
+        # common, so both sides see the same ties
+        p, q = TestCorrespondenceKernel.lattice_clouds(n, m, d, [n, m, d])
+        expected = mutual_rows(p.features, q.features)
+        # one-row blocks, a ragged last block, a single block
+        for rows in (1, n // 2 + 1, n):
+            monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", rows * m)
+            assert np.array_equal(pairwise_mod._reciprocal_rows(p.features, q.features), expected)
+            corr = build_correspondences(p, q, 0.02)
+            assert np.array_equal(corr.source_pts, p.points[expected]), rows
+            assert np.array_equal(corr.weights, np.ones(len(expected)))
+
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    def test_queries_tied_at_a_column_minimum_are_all_kept(self, monkeypatch, rows):
+        # three copies of target 5's descriptor, in different blocks when
+        # blocks are short, and one copy of target 9's moved off it: every
+        # copy is a nearest query of target 5, the moved one is not target
+        # 9's nearest while target 9 itself is a query too
+        rng = np.random.default_rng(60)
+        target = rng.integers(-16, 17, size=(20, 4)) / 8.0
+        query = rng.integers(-16, 17, size=(12, 4)) / 8.0 + 5.0
+        query[[1, 6, 11]] = target[5]
+        query[3] = target[9] + (0.0, 0.0, 0.0, 0.125)
+        query[8] = target[9]
+        monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", rows * 20)
+        kept = pairwise_mod._reciprocal_rows(query, target)
+        assert {1, 6, 8, 11} <= set(kept.tolist()) and 3 not in kept
+        assert np.array_equal(kept, mutual_rows(query, target))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 50), (50, 1), (40, 30)])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_a_set_is_never_empty(self, n, m, offset):
+        # queries far from every target share one nearest target, so one
+        # row is kept: the row holding the smallest distance of all
+        rng = np.random.default_rng([n, m])
+        p = PointCloud(rng.normal(size=(n, 3)), rng.normal(size=(n, 8)) + offset)
+        q = PointCloud(rng.normal(size=(m, 3)), rng.normal(size=(m, 8)))
+        corr = build_correspondences(p, q, 0.02)
+        dist = np.linalg.norm(p.features[:, None] - q.features[None], axis=2)
+        closest = np.unravel_index(dist.argmin(), dist.shape)[0]
+        assert len(corr) >= 1
+        assert closest in pairwise_mod._reciprocal_rows(p.features, q.features)
+        if offset:
+            assert len(corr) == 1
+
+    def test_kept_rows_and_targets_are_bit_equal_for_one_and_two_threads(self, monkeypatch):
+        # scene descriptors, off any lattice, in 8-row blocks on two threads
+        scene = generate_scene(3, 512, 0.01, 0.0, seed=61)
+        p, q = scene.clouds[0], scene.clouds[1]
+        monkeypatch.setattr(pairwise_mod, "BLOCK_CELLS", 8 * 512)
+        out = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(pairwise_mod, "_THREADS", threads)
+            out[threads] = (pairwise_mod._reciprocal_rows(p.features, q.features),
+                            build_correspondences(p, q, 0.02))
+        (kept_1, corr_1), (kept_2, corr_2) = out[1], out[2]
+        assert 0 < len(kept_1) < len(p)
+        assert np.array_equal(kept_1, kept_2)
+        assert np.array_equal(corr_1.source_pts, p.points[kept_1])
+        assert np.array_equal(corr_1.source_pts, corr_2.source_pts)
+        assert np.array_equal(corr_1.target_pts, corr_2.target_pts)
 
 
 def bit_equal(a, b) -> bool:
@@ -1113,6 +1229,29 @@ class TestBatchedIrls:
             alone = register_correspondences(c)
             assert np.abs(alone.motion.matrix - batched.motions[k]).max() <= 1e-12
             assert abs(alone.local_confidence - batched.local_confidence[k]) <= 1e-12
+
+    def test_sets_of_distinct_lengths_match_their_single_set_fits(self):
+        # reciprocal correspondence sets differ in length from pair to pair,
+        # so each length group holds one set: clean, noisy and 30 % outlier
+        # sets, in shuffled order
+        rng = np.random.default_rng(49)
+        sets = []
+        for k, n in enumerate((3, 5, 17, 128, 129, 700, 2048)):
+            src = rng.uniform(-1.0, 1.0, size=(n, 3))
+            dst = transform_points(random_motion(rng), src)
+            if k % 2:
+                dst += 0.01 * rng.normal(size=dst.shape)
+                bad = rng.random(n) < 0.3
+                dst[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), 3))
+            sets.append(CorrespondenceSet(src, dst, np.ones(n)))
+        sets = [sets[k] for k in rng.permutation(len(sets))]
+        fits = register_batch(sets)
+        for k, c in enumerate(sets):
+            alone = register_batch([c])
+            assert bit_equal(fits.motions[k], alone.motions[0]), len(c)
+            assert bit_equal(fits.weights[k], alone.weights[0]), len(c)
+            assert bit_equal(fits.inlier_ratio[k], alone.inlier_ratio[0]), len(c)
+            assert bit_equal(fits.local_confidence[k], alone.local_confidence[0]), len(c)
 
     def test_repeated_calls_are_bit_identical(self):
         sets = mixed_sets(np.random.default_rng(42), counts=(4, 128))

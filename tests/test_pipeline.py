@@ -209,6 +209,25 @@ class TestRunMultiviewBasics:
             run_multiview_from_correspondences(corr, 3)
         assert type(info.value) is error
 
+    @pytest.mark.parametrize("kept", [1, 2])
+    def test_pair_with_too_few_reciprocal_rows_fails_typed(self, kept):
+        # scan 1's descriptors are all equal, so every query of scan 0 has
+        # target 0 as its nearest and only the nearest queries of scan 0,
+        # `kept` copies of one descriptor, are reciprocal. The other pairs
+        # keep every row
+        rng = np.random.default_rng(18)
+        base = rng.uniform(-1.0, 1.0, size=(30, 3))
+        feats = base.copy()
+        feats[:kept] = (0.0, 0.0, 5.0)
+        clouds = [PointCloud(base, feats), PointCloud(base, np.full((30, 3), (0.0, 0.0, 6.0))),
+                  PointCloud(base, base.copy())]
+        sets = {pair: build_correspondences(clouds[pair[0]], clouds[pair[1]], 0.02)
+                for pair in ((0, 1), (0, 2), (1, 2))}
+        assert len(sets[(0, 1)]) == kept and len(sets[(1, 2)]) == 30
+        with pytest.raises(DegenerateConfiguration,
+                           match=f"^need at least 3 correspondences, got {kept}$"):
+            run_multiview(clouds)
+
     def test_repeated_connectivity_pair_fails_before_any_correspondences(self, monkeypatch):
         rng = np.random.default_rng(9)
         clouds, _ = shared_scene_clouds(rng, 4)
