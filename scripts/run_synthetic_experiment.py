@@ -4,7 +4,7 @@ motions vs. the synchronized estimates, with rotation/translation ECDFs.
 
 Per seed, iters is the number of outer iterations run, stop is why the
 loop stopped (the trace's stop_reason), and pruned counts the edges left
-inactive as corrupted/clean, by the scene's edge labels. solve(s) is the
+inactive as corrupted/clean, by the scene's corruptions. solve(s) is the
 wall time of scene_correspondences (the correspondence kernel) plus
 run_multiview_from_correspondences, the span the benchmark times as
 solve_s; gen(s) is the wall time of generate_scene.
@@ -59,20 +59,21 @@ def run_seed(seed, args):
     t2 = time.perf_counter()
     # per-edge errors against the true relative motions: of the measured
     # pairwise motions, and of those the last synchronization implies
-    truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), trace.pairs)
-    pairwise_rot, pairwise_trans = motion_errors(trace.motions, truth)
+    pairs = list(map(tuple, result.graph.pairs.tolist()))
+    truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), pairs)
+    pairwise_rot, pairwise_trans = motion_errors(result.graph.motions, truth)
     final_rot, final_trans = motion_errors(
-        relative_motions(trace.iterations[-1].poses, trace.pairs), truth
+        relative_motions(trace.iterations[-1].poses, pairs), truth
     )
-    inactive = [scene.edge_labels[pair] for pair, active in zip(trace.pairs, result.graph.active)
-                if not active]
-    budget = error_budget(scene, correspondences, trace) if args.budget else None
+    inactive = [pair in scene.corruptions
+                for pair, active in zip(pairs, result.graph.active) if not active]
+    budget = error_budget(scene, correspondences, pairs, trace) if args.budget else None
     return {
         "seed": seed,
         "edges": len(scene.edges),
         "iterations": len(trace.iterations),
         "stop": trace.stop_reason,
-        "pruned": "%d/%d" % (inactive.count("outlier"), inactive.count("inlier")),
+        "pruned": "%d/%d" % (inactive.count(True), inactive.count(False)),
         "gen_s": t1 - t0,
         "solve_s": t2 - t1,
         "pairwise_rot": pairwise_rot,
@@ -91,9 +92,9 @@ def oracle_correspondences(scene, i, j):
                              np.ones(len(rows_i)))
 
 
-def error_budget(scene, correspondences, trace):
+def error_budget(scene, correspondences, pairs, trace):
     """(rotation, translation) errors on the clean edges of each stage."""
-    clean = [pair for pair in trace.pairs if scene.edge_labels[pair] == "inlier"]
+    clean = [pair for pair in pairs if pair not in scene.corruptions]
     truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), clean)
     stages = {
         "oracle": register_batch([oracle_correspondences(scene, *pair) for pair in clean]).motions,

@@ -152,7 +152,8 @@ def _cmd_synth(args) -> int:
     if scene.corruptions:
         with open(out / "labels.txt", "w", encoding="utf-8") as handle:
             for i, j in scene.edges:
-                handle.write(f"{i} {j} {scene.edge_labels[(i, j)]}\n")
+                label = "outlier" if (i, j) in scene.corruptions else "inlier"
+                handle.write(f"{i} {j} {label}\n")
         n = len(scene.clouds)
         corruption_entries = [
             TrajectoryEntry(i, j, n, m.matrix) for (i, j), m in scene.corruptions.items()
@@ -160,7 +161,7 @@ def _cmd_synth(args) -> int:
         write_trajectory(corruption_entries, out / "corruptions.log")
     print("scans", len(scene.clouds))
     print("edges", len(scene.edges))
-    print("outlier_edges", sum(1 for label in scene.edge_labels.values() if label == "outlier"))
+    print("outlier_edges", len(scene.corruptions))
     print("directory", out)
     return 0
 

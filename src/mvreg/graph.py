@@ -25,9 +25,8 @@ from .geometry import RigidMotion, motion_stack, non_rotations
 from .pairwise import PairwiseFits, mad_scale
 
 CAUCHY_MAD_TO_SIGMA = 1.482
-# the global confidence's Cauchy scale in robust sigmas, and its fusion weight
+# the global confidence's Cauchy scale in robust sigmas
 GAMMA = 3.0
-BETA = 1.0
 # an active edge is pruned when its c_global is below this share of the
 # active edges' median c_global
 PRUNE_RATIO = 0.25
@@ -149,14 +148,12 @@ def build_graph(n: int, pairs, fits: PairwiseFits) -> PoseGraph:
     return PoseGraph(n, pairs, fits.motions, fits.local_confidence)
 
 
-def cauchy_scale(residual_values, gamma: float) -> float:
-    """Robust scale b = 1.482 * gamma * med(|r - med(r)|), floored at 1e-9."""
-    if not 0.0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
+def cauchy_scale(residual_values) -> float:
+    """Robust scale b = 1.482 * GAMMA * med(|r - med(r)|), floored at 1e-9."""
     r = np.asarray(residual_values, dtype=np.float64)
     if r.size == 0:
         raise EmptyResiduals("cannot estimate a scale from zero residuals")
-    return float(mad_scale(r.ravel(), CAUCHY_MAD_TO_SIGMA * gamma)[0])
+    return float(mad_scale(r.ravel(), CAUCHY_MAD_TO_SIGMA * GAMMA)[0])
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -176,20 +173,17 @@ def cauchy_global_confidence(edge_residual, b: float):
     return _scalar_or_array(1.0 / (1.0 + r / b))
 
 
-def harmonic_fuse(c_local, c_global, beta: float):
-    """Weighted harmonic mean (1 + b^2) c_g c_l / (b^2 c_g + c_l).
+def harmonic_fuse(c_local, c_global):
+    """Harmonic mean 2 c_g c_l / (c_g + c_l) of the two confidences.
 
-    beta balances the two terms; beta = 1 is the plain harmonic mean. The
-    result is 0 where both confidences vanish. Element-wise on arrays; scalar
-    confidences give a float.
+    The result is 0 where both confidences vanish. Element-wise on arrays;
+    scalar confidences give a float.
     """
-    if not 0.0 < beta < np.inf:
-        raise ValueError("beta must be positive and finite")
     c_local = np.asarray(c_local, dtype=np.float64)
     c_global = np.asarray(c_global, dtype=np.float64)
-    denom = beta**2 * c_global + c_local
+    denom = c_global + c_local
     vanished = denom == 0.0
-    fused = (1.0 + beta**2) * c_global * c_local / np.where(vanished, 1.0, denom)
+    fused = 2.0 * c_global * c_local / np.where(vanished, 1.0, denom)
     return _scalar_or_array(np.where(vanished, 0.0, fused))
 
 

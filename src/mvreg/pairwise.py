@@ -102,11 +102,11 @@ class CorrespondenceSet:
 
 @dataclass(frozen=True, eq=False)
 class PairwiseResult:
-    """Outcome of registering one scan pair."""
+    """Outcome of registering one scan pair. The residuals under the final
+    motion are residuals(corr, result.motion)."""
 
     motion: RigidMotion
     weights: np.ndarray
-    residuals: np.ndarray
     inlier_ratio: float
     local_confidence: float
 
@@ -221,7 +221,8 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     """Softmax-weighted target point for every query row, (N, 3).
 
     Row k weights target l by exp(-d_kl / t), normalized over l, where d_kl
-    is the Euclidean feature distance. Each block of squared distances from
+    is the Euclidean feature distance and t > 0 is finite, as
+    build_correspondences checks. Each block of squared distances from
     _distance_blocks takes sqrt, a product with -1/t and exp in place, and
     one tail GEMM with [P, 1], the target points and a column of ones,
     which gives each row's weighted point sum and its weight sum, the
@@ -247,8 +248,6 @@ def _soft_targets(query_features, target_features, target_points, temperature: f
     multiply-adds, a size OpenBLAS runs on the calling thread, so it is one
     call.
     """
-    if not 0.0 < temperature < np.inf:  # also rejects NaN
-        raise ValueError("temperature must be positive and finite")
     scale = -1.0 / temperature
     # [P, 1]: the tail GEMM's last column is each row's weight sum
     points_aug = np.empty((target_points.shape[0], target_points.shape[1] + 1))
@@ -324,6 +323,8 @@ def build_correspondences(p: PointCloud, q: PointCloud, temperature: float) -> C
     set's rows are p's reciprocal points in p's order. Weights start at 1,
     stored as one element; the set carries no residuals.
     """
+    if not 0.0 < temperature < np.inf:  # also rejects NaN
+        raise ValueError("temperature must be positive and finite")
     if p.features is None or q.features is None:
         raise MissingFeatures("both clouds must carry per-point features")
     if p.features.shape[1] != q.features.shape[1]:
@@ -548,8 +549,8 @@ def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None
     """Run the inner IRLS loop on an existing correspondence set."""
     fits = register_batch([corr], cfg)
     motion = RigidMotion.from_matrix(fits.motions[0])
-    return PairwiseResult(motion, fits.weights[0], residuals(corr, motion),
-                          float(fits.inlier_ratio[0]), float(fits.local_confidence[0]))
+    return PairwiseResult(motion, fits.weights[0], float(fits.inlier_ratio[0]),
+                          float(fits.local_confidence[0]))
 
 
 def register_pair(p: PointCloud, q: PointCloud, cfg: PipelineConfig | None = None) -> PairwiseResult:

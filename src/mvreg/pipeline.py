@@ -37,27 +37,23 @@ OUTER_ITERATIONS = 4
 
 @dataclass(frozen=True, eq=False)
 class IterationStats:
-    """State after one outer iteration: active edges after pruning, whether
-    pruning disconnected the graph, and the sync's read-only (n, 4, 4) poses."""
+    """State after one outer iteration: active edges after pruning and the
+    sync's read-only (n, 4, 4) poses."""
 
-    iteration: int
     active_edges: int
-    disconnected: bool
     poses: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineTrace:
-    """The scan pairs, their measured motions (the graph's read-only (m, 4, 4)
-    motions, a row per pair), each iteration's state and why the loop
-    stopped: `converged` (an iteration pruned nothing), `pruning_collapse`
-    (pruning disconnected the graph) or `completed` (every outer iteration
-    ran and pruned). It holds no errors: score poses with
-    motion_errors(relative_motions(poses, pairs), ...).
+    """Each iteration's state, in order, and why the loop stopped:
+    `converged` (an iteration pruned nothing), `pruning_collapse` (pruning
+    disconnected the graph) or `completed` (every outer iteration ran and
+    pruned). The scan pairs and their measured motions are the result
+    graph's `pairs` and `motions`. It holds no errors: score poses with
+    motion_errors(relative_motions(poses, graph.pairs), ...).
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    motions: np.ndarray
     iterations: tuple[IterationStats, ...]
     stop_reason: str
 
@@ -144,7 +140,7 @@ def run_multiview_from_correspondences(
 
     stats = []
     stop = "completed"
-    for k in range(1, OUTER_ITERATIONS + 1):
+    for _ in range(OUTER_ITERATIONS):
         result = transf_sync(graph)
         graph = prune_edges(result.graph)
         active = int(graph.active.sum())
@@ -152,12 +148,12 @@ def run_multiview_from_correspondences(
             stop = "converged"
         elif not is_connected(graph):
             stop = "pruning_collapse"
-        stats.append(IterationStats(k, active, stop == "pruning_collapse", result.poses))
+        stats.append(IterationStats(active, result.poses))
         if stop != "completed":
             break
 
     final = replace(result, graph=graph, disconnected=stop == "pruning_collapse")
-    return final, PipelineTrace(pairs, graph.motions, tuple(stats), stop)
+    return final, PipelineTrace(tuple(stats), stop)
 
 
 def run_multiview(

@@ -59,8 +59,6 @@ from .config import is_integer
 from .errors import DegenerateMatrix, DisconnectedGraph, EigenSolverFailure
 from .geometry import RigidMotion, motion_stack, nearest_rotations, relative_motions
 from .graph import (
-    BETA,
-    GAMMA,
     PoseGraph,
     cauchy_global_confidence,
     cauchy_scale,
@@ -134,9 +132,8 @@ def _degrees(n: int, pairs, c) -> np.ndarray:
 
 
 def _band(n: int, pairs) -> tuple[np.ndarray, int]:
-    """The rows of the 3n x 3n rotation Laplacian in reverse Cuthill-McKee
-    order of the nodes, and the rows per block of the block-tridiagonal form
-    that order gives it.
+    """The nodes in reverse Cuthill-McKee order, and the nodes per block of
+    the block-tridiagonal form that order gives the Laplacians.
 
     Cuthill-McKee is a breadth-first search from a node of least degree that
     visits each node's neighbours by increasing degree; every tie goes to the
@@ -159,8 +156,7 @@ def _band(n: int, pairs) -> tuple[np.ndarray, int]:
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     width = int(np.abs(np.diff(position[pairs], axis=1)).max(initial=1))
-    count = n // width
-    return (3 * order[:, None] + np.arange(3)).ravel(), 3 * -(-n // count)
+    return order, -(-n // (n // width))
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -258,12 +254,10 @@ def _band_laplacian(n: int, pairs, blocks, degrees, band) -> _BandLaplacian:
     band positions of its nodes, or into the block below it when they fall
     into consecutive blocks, which is as far apart as _band lets them fall.
     """
-    rows, block = band
-    nodes = block // 3
+    order, nodes = band
     d = blocks.shape[1]
     block = d * nodes
     count = -(-n // nodes)
-    order = rows[::3] // 3
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     first, second = position[pairs].T
@@ -496,10 +490,10 @@ def transf_sync(g: PoseGraph, rounds: int = 4) -> SyncResult:
 
     Each round synchronizes rotations and translations, rebuilds the relative
     motions, and refreshes the global confidences with a Cauchy weight at a
-    MAD-derived scale (graph.GAMMA) and the fused ones with harmonic_fuse at
-    graph.BETA; local confidences are only read. Rounds only reweight edges,
-    never deactivate them, so connectivity is checked once, and the band
-    order computed once, up front. Each round after the first starts its
+    MAD-derived scale (cauchy_scale) and the fused ones as their harmonic
+    mean with the local ones (harmonic_fuse), which are only read. Rounds
+    only reweight edges, never deactivate them, so connectivity is checked
+    once, and the band order computed once, up front. Each round after the first starts its
     eigensolver from the previous round's Ritz panel.
     """
     if not is_integer(rounds) or rounds < 1:
@@ -519,8 +513,8 @@ def transf_sync(g: PoseGraph, rounds: int = 4) -> SyncResult:
         poses[:, 3, 3] = 1.0
         # per edge, the Frobenius gap between the measured and the rebuilt relative motion
         residuals = np.linalg.norm(motions - relative_motions(poses, pairs), axis=(1, 2))
-        c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals, GAMMA))
-        c_fused = np.clip(harmonic_fuse(c_local, c_global, BETA), 0.0, 1.0)
+        c_global = cauchy_global_confidence(residuals, cauchy_scale(residuals))
+        c_fused = np.clip(harmonic_fuse(c_local, c_global), 0.0, 1.0)
 
     poses.setflags(write=False)
     return SyncResult(

@@ -28,12 +28,13 @@ _FACE_AXES = np.array([[0, 1, 2], [0, 1, 2], [1, 0, 2], [1, 0, 2], [2, 0, 1], [2
 
 @dataclass(frozen=True, eq=False)
 class SyntheticScene:
-    """Scans with known poses plus labels for corrupted pair measurements."""
+    """Scans with known poses and their overlap edges. corruptions maps each
+    corrupted edge, in edge order, to the wrong motion its measurement is
+    displaced by; an edge is an outlier exactly when it is a key there."""
 
     clouds: tuple[PointCloud, ...]
     ground_truth: tuple[RigidMotion, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_labels: dict
     corruptions: dict
     base_points: np.ndarray
     base_indices: tuple[np.ndarray, ...]
@@ -131,7 +132,7 @@ def generate_scene(
     seed: int,
     descriptor_noise: float = 0.01,
 ) -> SyntheticScene:
-    """Deterministic scene with ground-truth poses and labeled edges.
+    """Deterministic scene with ground-truth poses and corrupted edges.
 
     Each scan samples pts_per_scan points from the wedge of the box surface
     visible from its ring position, expressed in its own frame with Gaussian
@@ -139,7 +140,7 @@ def generate_scene(
     independent per-scan noise, so feature matching is informative without
     being trivially exact. Pairs sharing at least MIN_OVERLAP of their points
     become edges; for the requested fraction of edges the pair measurement is
-    corrupted by a large rigid motion and labeled "outlier".
+    corrupted by a large rigid motion, recorded in scene.corruptions.
 
     Edges are counted on the scans' base-point indices. Scan i marks its
     points in a boolean mask over the base points; one gather of that mask at
@@ -215,23 +216,16 @@ def generate_scene(
     edges = tuple(edges)
 
     n_outliers = int(round(outlier_edge_fraction * len(edges)))
-    outlier_positions = set(
+    outlier_positions = sorted(
         rng.choice(len(edges), size=n_outliers, replace=False).tolist()
-    ) if n_outliers else set()
-    edge_labels = {}
-    corruptions = {}
-    for k, pair in enumerate(edges):
-        if k in outlier_positions:
-            edge_labels[pair] = "outlier"
-            corruptions[pair] = _corruption_motion(rng)
-        else:
-            edge_labels[pair] = "inlier"
+    ) if n_outliers else []
+    # the corruption motions are drawn in ascending edge position
+    corruptions = {edges[k]: _corruption_motion(rng) for k in outlier_positions}
 
     return SyntheticScene(
         clouds=tuple(clouds),
         ground_truth=ground_truth,
         edges=edges,
-        edge_labels=edge_labels,
         corruptions=corruptions,
         base_points=base_points,
         base_indices=tuple(base_indices),
@@ -244,11 +238,12 @@ def scene_correspondences(
 ) -> dict[tuple[int, int], CorrespondenceSet]:
     """Correspondence sets for every scene edge.
 
-    Edges labeled "outlier" model a failed matching stage: the target rows
-    are permuted so no correspondence is real, then displaced by the scene's
-    drawn corruption motion. The fitted pair measurement comes out as a
-    random large motion while the pair's own statistics (weights, inlier
-    ratio) reflect the failure, as they would for a real mismatched pair.
+    Corrupted edges, the keys of scene.corruptions, model a failed matching
+    stage: the target rows are permuted so no correspondence is real, then
+    displaced by the scene's drawn corruption motion. The fitted pair
+    measurement comes out as a random large motion while the pair's own
+    statistics (weights, inlier ratio) reflect the failure, as they would
+    for a real mismatched pair.
     """
     out = {}
     for pair in scene.edges:

@@ -236,9 +236,10 @@ def test_07_multiview_refinement_beats_pairwise_baseline(seed):
     corr = scene_correspondences(scene, cfg.temperature)
     result, trace = run_multiview_from_correspondences(corr, 30, cfg)
     elapsed = time.perf_counter() - start
-    truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), trace.pairs)
-    pairwise, _ = motion_errors(trace.motions, truth)
-    final, _ = motion_errors(relative_motions(trace.iterations[-1].poses, trace.pairs), truth)
+    pairs = result.graph.pairs
+    truth = relative_motions(np.stack([m.matrix for m in scene.ground_truth]), pairs)
+    pairwise, _ = motion_errors(result.graph.motions, truth)
+    final, _ = motion_errors(relative_motions(trace.iterations[-1].poses, pairs), truth)
     pw_mean = float(np.mean(pairwise))
     fin_mean = float(np.mean(final))
     pw_ecdf = ecdf(pairwise, [10.0])[0]
@@ -253,7 +254,7 @@ def test_07_multiview_refinement_beats_pairwise_baseline(seed):
 
 
 def test_08_cauchy_scale_hand_computed_value():
-    value = cauchy_scale(np.array([1.0, 2.0, 3.0, 4.0, 100.0]), 3.0)
+    value = cauchy_scale(np.array([1.0, 2.0, 3.0, 4.0, 100.0]))
     print(f"criterion 8: cauchy_scale = {value!r}")
     assert value == 4.446
 
@@ -264,7 +265,7 @@ def test_09_harmonic_fusion_bounded_by_inputs():
     c_global = rng.uniform(0.0, 1.0, 100_000)
     lo = np.minimum(c_local, c_global)
     hi = np.maximum(c_local, c_global)
-    fused = np.array([harmonic_fuse(a, b, 1.0) for a, b in zip(c_local, c_global)])
+    fused = np.array([harmonic_fuse(a, b) for a, b in zip(c_local, c_global)])
     print(f"criterion 9: fused range [{fused.min():.4f}, {fused.max():.4f}] over 1e5 samples")
     assert np.all(fused >= lo)
     assert np.all(fused <= hi)
@@ -294,7 +295,6 @@ def test_10_pruning_collapse_returns_last_connected_poses(monkeypatch):
         f"iterations={len(trace.iterations)}, active={trace.iterations[-1].active_edges}"
     )
     assert result.disconnected
-    assert trace.iterations[-1].disconnected
     assert trace.stop_reason == "pruning_collapse"
     # deterministic, and identical to the poses of the last connected sync
     for a, b, c in zip(result.absolute, result2.absolute, one_iteration.absolute):

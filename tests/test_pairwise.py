@@ -263,10 +263,15 @@ class TestBuildCorrespondences:
             build_correspondences(a, b, 0.1)
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
-    def test_temperature_must_be_positive(self, temperature):
+    def test_temperature_must_be_positive(self, monkeypatch, temperature):
+        # checked before the distance kernel runs
+        def no_kernel(*args):
+            raise AssertionError("the distance kernel ran")
+
+        monkeypatch.setattr(pairwise_mod, "_distance_blocks", no_kernel)
         rng = np.random.default_rng(8)
         p, q = make_feature_cloud(rng, 5), make_feature_cloud(rng, 5)
-        with pytest.raises(ValueError, match="temperature must be positive"):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
             build_correspondences(p, q, temperature)
 
     def test_initial_weights_and_residuals(self):
@@ -1215,12 +1220,13 @@ class TestBatchedIrls:
                 assert np.abs(got.motions[k] - motion).max() <= 1e-12, (batch, len(c))
                 assert np.abs(got.weights[k] - weights).max() <= 1e-12, (batch, len(c))
                 assert got.inlier_ratio[k] == float(np.mean(weights > pairwise_mod.INLIER_WEIGHT))
-        # the single-set record carries the residuals under the final motion
+        # the residuals under the single-set record's final motion
         for c, (motion, _) in zip(sets, expected):
             final = np.linalg.norm(
                 c.source_pts @ motion[:3, :3].T + motion[:3, 3] - c.target_pts, axis=1
             )
-            assert np.abs(register_correspondences(c, cfg).residuals - final).max() <= 1e-12
+            got = residuals(c, register_correspondences(c, cfg).motion)
+            assert np.abs(got - final).max() <= 1e-12
 
     def test_single_set_matches_its_batched_result(self):
         sets = mixed_sets(np.random.default_rng(41), counts=(64,), per_count=6)

@@ -300,10 +300,9 @@ class TestRefinementQuality:
         cfg = PipelineConfig(connectivity=scene.edges)
         corr = scene_correspondences(scene, cfg.temperature)
         result, trace = run_multiview_from_correspondences(corr, 10, cfg)
-        pairwise, _ = edge_errors(trace.motions, scene, trace.pairs)
-        final, _ = edge_errors(
-            relative_motions(trace.iterations[-1].poses, trace.pairs), scene, trace.pairs
-        )
+        pairs = result.graph.pairs
+        pairwise, _ = edge_errors(result.graph.motions, scene, pairs)
+        final, _ = edge_errors(relative_motions(trace.iterations[-1].poses, pairs), scene, pairs)
         assert final.mean() <= np.mean(pairwise)
         assert final.mean() < 5.0
 
@@ -312,15 +311,16 @@ class TestRefinementQuality:
         # mean rotation error than its first sync
         scene, result, trace = seed0_run
         assert not result.disconnected
+        pairs = result.graph.pairs
         first, last = (
-            edge_errors(relative_motions(s.poses, trace.pairs), scene, trace.pairs)[0]
+            edge_errors(relative_motions(s.poses, pairs), scene, pairs)[0]
             for s in (trace.iterations[0], trace.iterations[-1])
         )
         assert last.mean() < first.mean()
 
     def test_default_run_prunes_exactly_the_corrupted_edges(self, seed0_run):
         scene, result, trace = seed0_run
-        inactive = [pair for pair, active in zip(trace.pairs, result.graph.active) if not active]
+        inactive = [tuple(pair) for pair in result.graph.pairs[~result.graph.active].tolist()]
         assert sorted(inactive) == sorted(scene.corruptions)
         assert trace.stop_reason == "converged"
 
@@ -360,20 +360,18 @@ class TestRefinementQuality:
         cfg = PipelineConfig(connectivity=scene.edges)
         corr = scene_correspondences(scene, cfg.temperature)
         result, trace = run_multiview_from_correspondences(corr, 6, cfg)
-        # the trace keeps the measured pairwise motions, read-only, which no
-        # iteration changes
+        # the result graph keeps the sorted pairs and the measured pairwise
+        # motions, read-only, which no iteration changes
         pairs = tuple(sorted(corr))
         measured = build_graph(6, pairs, register_batch([corr[p] for p in pairs], cfg)).motions
-        assert trace.pairs == pairs
-        assert trace.motions.tobytes() == measured.tobytes()
-        assert not trace.motions.flags.writeable
-        assert np.array_equal(trace.motions, result.graph.motions)
-        assert [s.iteration for s in trace.iterations] == list(range(1, len(trace.iterations) + 1))
+        assert tuple(map(tuple, result.graph.pairs.tolist())) == pairs
+        assert result.graph.motions.tobytes() == measured.tobytes()
+        assert not result.graph.motions.flags.writeable
         actives = [s.active_edges for s in trace.iterations]
         assert all(a >= b for a, b in zip(actives, actives[1:]))
         for s in trace.iterations:
             assert s.poses.shape == (6, 4, 4)
-            rot, _ = edge_errors(relative_motions(s.poses, trace.pairs), scene, trace.pairs)
+            rot, _ = edge_errors(relative_motions(s.poses, pairs), scene, pairs)
             assert np.isfinite(rot.mean())
 
     def test_aggressive_pruning_reports_last_valid_poses(self, monkeypatch):

@@ -650,7 +650,8 @@ class TestPartialEigensolver:
         # translations factor the scalar Laplacian on the same band either way
         g = noisy_ring(200, seed=0, corrupted=0.2)
         assert 3 * g.node_count > mvreg.sync.DENSE_MAX_SIZE
-        _, block = mvreg.sync._band(g.node_count, g.pairs)
+        _, nodes = mvreg.sync._band(g.node_count, g.pairs)
+        block = 3 * nodes
         count = 3 * g.node_count // block
         translation_factor = [(block // 3, block // 3)] * count
         fell_back, shapes = [], []
@@ -810,7 +811,8 @@ class TestBandFactor:
         band, _, _, y, expected = band_solve_and_reference(kind, shuffled, 1e-3)
         assert np.linalg.norm(y - expected) <= 1e-9 * np.linalg.norm(expected)
         # shuffled labels leave reverse Cuthill-McKee the same band to find
-        rows, block = band
+        order, nodes = band
+        rows, block = (3 * order[:, None] + np.arange(3)).ravel(), 3 * nodes
         assert np.array_equal(np.sort(rows), np.arange(len(rows)))
         expected_block = {"ring1": 6, "ring3": 24, "padded_ring": 27, "grid": 60, "star": 180,
                           "complete": 90}
@@ -849,8 +851,8 @@ class TestBandFactor:
 
         monkeypatch.setattr(np.linalg, "cholesky", recording)
         transf_sync(g, rounds=2)
-        _, block = mvreg.sync._band(n, np.array(pairs))
-        assert block == 24
+        _, nodes = mvreg.sync._band(n, np.array(pairs))
+        assert 3 * nodes == 24
         # each round factors the rotation Laplacian, then the scalar one of
         # the translations, in 50 blocks of 8 nodes each
         assert shapes == ([(24, 24)] * 50 + [(8, 8)] * 50) * 2

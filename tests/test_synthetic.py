@@ -34,7 +34,6 @@ def true_relative(scene, i, j):
 
 def assert_scenes_equal(a, b):
     assert a.edges == b.edges
-    assert a.edge_labels == b.edge_labels
     assert np.array_equal(a.base_points, b.base_points)
     assert len(a.base_indices) == len(b.base_indices)
     for ia, ib in zip(a.base_indices, b.base_indices):
@@ -67,21 +66,19 @@ class TestGenerateScene:
         for cloud in scene.clouds:
             assert cloud.points.shape == (120, 3)
             assert cloud.features.shape == (120, 3)
-        assert set(scene.edge_labels) == set(scene.edges)
-        assert set(scene.edge_labels.values()) <= {"inlier", "outlier"}
-        assert set(scene.corruptions) == {
-            p for p, label in scene.edge_labels.items() if label == "outlier"
-        }
+        # the corrupted edges, in edge order
+        assert list(scene.corruptions) == [p for p in scene.edges if p in scene.corruptions]
+        assert scene.corruptions
 
     def test_outlier_fraction_is_respected(self):
         scene = generate_scene(8, 100, 0.01, 0.25, seed=9)
-        n_out = sum(1 for v in scene.edge_labels.values() if v == "outlier")
+        n_out = len(scene.corruptions)
         assert n_out == round(0.25 * len(scene.edges))
 
     def test_all_edges_corrupted_at_fraction_one(self):
         scene = generate_scene(3, 50, 0.0, 1.0, seed=2)
         assert len(scene.edges) >= 2
-        assert all(v == "outlier" for v in scene.edge_labels.values())
+        assert list(scene.corruptions) == list(scene.edges)
 
     def test_corruption_motions_are_large(self):
         scene = generate_scene(6, 100, 0.01, 0.5, seed=21)
@@ -366,11 +363,11 @@ class TestSceneCorrespondences:
             descriptor_noise=0.0,
         )
         corr = scene_correspondences(scene, temperature=1e-6)
-        for pair, label in scene.edge_labels.items():
+        for pair in scene.edges:
             truth = true_relative(scene, *pair)
             result = register_correspondences(corr[pair], EXACT_CFG)
             angle = rotation_gap_deg(result.motion.rotation, truth[:3, :3])
-            if label == "inlier":
+            if pair not in scene.corruptions:
                 assert angle < 1e-6
             else:
                 assert angle > 5.0
