@@ -65,7 +65,6 @@ from .metrics import (
 from .pairwise import (
     CorrespondenceSet,
     PairwiseFits,
-    PairwiseResult,
     build_correspondences,
     local_confidence,
     register_batch,
@@ -111,7 +110,7 @@ __all__ = [
     "MalformedConfig", "NonRigidMatrix",
     "Rotation3", "RigidMotion", "PointCloud",
     "invert", "transform_points",
-    "CorrespondenceSet", "PairwiseFits", "PairwiseResult",
+    "CorrespondenceSet", "PairwiseFits",
     "build_correspondences", "wls_transform", "residuals",
     "robust_reweight", "local_confidence", "register_batch", "register_correspondences",
     "register_pair",

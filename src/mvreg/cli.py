@@ -25,7 +25,6 @@ from .errors import LengthMismatch, MalformedEntry, RegistrationError
 from .geometry import PointCloud
 from .graph import build_graph
 from .io_formats import (
-    TrajectoryEntry,
     _parse_number,
     parse_index_pair,
     read_config,
@@ -75,10 +74,10 @@ def _cmd_pairwise(args) -> int:
     src = _load_cloud(Path(args.source), feats[0], None)
     dst = _load_cloud(Path(args.target), feats[1], None)
     cfg = replace(PipelineConfig(), temperature=args.temperature)
-    result = register_pair(src, dst, cfg)
-    print("motion", _fmt(result.motion.matrix.ravel()))
-    print("inlier_ratio", _fmt(result.inlier_ratio))
-    print("local_confidence", _fmt(result.local_confidence))
+    fits = register_pair(src, dst, cfg)
+    print("motion", _fmt(fits.motions[0].ravel()))
+    print("inlier_ratio", _fmt(fits.inlier_ratio[0]))
+    print("local_confidence", _fmt(fits.local_confidence[0]))
     return 0
 
 
@@ -88,10 +87,20 @@ def _read_edge_list(path: Path):
 
 
 def _scan_paths(directory: Path):
-    paths = sorted(directory.glob("scan_*.ply"))
-    if not paths:
+    """The scan_<k>.ply files of directory in the numeric order of k, a run
+    of ASCII digits: scan_2 comes before scan_10, scan_999 before scan_1000."""
+    numbered = {}
+    for path in sorted(directory.glob("scan_*.ply")):
+        digits = path.name[len("scan_"):-len(".ply")]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{path}: the scan number after 'scan_' must be ASCII digits")
+        k = int(digits)
+        if k in numbered:
+            raise ValueError(f"{path} and {numbered[k]} have the same scan number {k}")
+        numbered[k] = path
+    if not numbered:
         raise FileNotFoundError(f"no scan_*.ply files in {directory}")
-    return paths
+    return [numbered[k] for k in sorted(numbered)]
 
 
 def _cmd_multiview(args) -> int:
@@ -137,7 +146,7 @@ def _cmd_synth(args) -> int:
         n_scans=args.scans,
         pts_per_scan=args.pts,
         noise_sigma=args.noise,
-        outlier_edge_fraction=args.outliers,
+        outlier_edge_fraction=0.0,
         seed=args.seed,
     )
     out = Path(args.out)
@@ -149,19 +158,8 @@ def _cmd_synth(args) -> int:
     with open(out / "edges.txt", "w", encoding="utf-8") as handle:
         for i, j in scene.edges:
             handle.write(f"{i} {j}\n")
-    if scene.corruptions:
-        with open(out / "labels.txt", "w", encoding="utf-8") as handle:
-            for i, j in scene.edges:
-                label = "outlier" if (i, j) in scene.corruptions else "inlier"
-                handle.write(f"{i} {j} {label}\n")
-        n = len(scene.clouds)
-        corruption_entries = [
-            TrajectoryEntry(i, j, n, m.matrix) for (i, j), m in scene.corruptions.items()
-        ]
-        write_trajectory(corruption_entries, out / "corruptions.log")
     print("scans", len(scene.clouds))
     print("edges", len(scene.edges))
-    print("outlier_edges", len(scene.corruptions))
     print("directory", out)
     return 0
 
@@ -249,13 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chain pairwise estimates along a spanning tree instead of synchronizing")
     p.set_defaults(func=_cmd_multiview)
 
-    p = sub.add_parser("synth", help="generate a synthetic scene")
+    p = sub.add_parser("synth", help="write a synthetic scene's clean scans, gt.log and edges.txt")
     p.add_argument("--scans", type=ascii_int, default=10)
     p.add_argument("--pts", type=ascii_int, default=512)
     p.add_argument("--noise", type=ascii_float, default=0.01)
-    p.add_argument("--outliers", type=ascii_float, default=0.0,
-                   help="fraction of scan pairs labelled as corrupted; only labels.txt and "
-                        "corruptions.log record them, the scan files stay clean")
     p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)

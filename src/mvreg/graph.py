@@ -156,35 +156,30 @@ def cauchy_scale(residual_values) -> float:
     return float(mad_scale(r.ravel(), CAUCHY_MAD_TO_SIGMA * GAMMA)[0])
 
 
-def _scalar_or_array(values: np.ndarray):
-    return float(values) if values.ndim == 0 else values
-
-
 def cauchy_global_confidence(edge_residual, b: float):
     """Cauchy weight 1 / (1 + r/b) of consistency residuals at scale b.
 
-    Element-wise on arrays; a scalar residual gives a float.
+    Element-wise on arrays.
     """
     if not 0.0 < b < np.inf:
         raise ValueError("scale b must be positive and finite")
     r = np.asarray(edge_residual, dtype=np.float64)
     if np.any(r < 0.0):
         raise ValueError("edge residual must be non-negative")
-    return _scalar_or_array(1.0 / (1.0 + r / b))
+    return 1.0 / (1.0 + r / b)
 
 
 def harmonic_fuse(c_local, c_global):
     """Harmonic mean 2 c_g c_l / (c_g + c_l) of the two confidences.
 
-    The result is 0 where both confidences vanish. Element-wise on arrays;
-    scalar confidences give a float.
+    The result is 0 where both confidences vanish. Element-wise on arrays.
     """
     c_local = np.asarray(c_local, dtype=np.float64)
     c_global = np.asarray(c_global, dtype=np.float64)
     denom = c_global + c_local
     vanished = denom == 0.0
     fused = 2.0 * c_global * c_local / np.where(vanished, 1.0, denom)
-    return _scalar_or_array(np.where(vanished, 0.0, fused))
+    return np.where(vanished, 0.0, fused)
 
 
 def prune_edges(g: PoseGraph) -> PoseGraph:

@@ -28,7 +28,6 @@ from .geometry import PointCloud
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_HEADER_BYTES = 16
-DEFAULT_VOXEL_CELL = 0.025
 
 _PLY_NUMPY_CODES = {
     "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
@@ -369,8 +368,9 @@ def read_config(path) -> PipelineConfig:
         raise MalformedConfig(str(exc)) from exc
 
 
-def voxel_downsample(cloud: PointCloud, cell: float = DEFAULT_VOXEL_CELL) -> PointCloud:
-    """Average points (and features) within each occupied voxel of size cell."""
+def voxel_downsample(cloud: PointCloud, cell: float) -> PointCloud:
+    """Average points (and features) within each occupied voxel of edge
+    length cell, positive and finite."""
     if not 0.0 < cell < np.inf:
         raise ValueError(f"cell size must be a positive finite number, got {cell}")
     # voxel indices beyond int64 would all cast to one value and merge every point

@@ -40,10 +40,8 @@ def ecdf(errors, thresholds) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class ErrorReport:
-    """Per-edge errors with their ECDF values and summary statistics."""
+    """ECDF values and summary statistics of per-edge errors."""
 
-    rotation_errors_deg: np.ndarray
-    translation_errors_m: np.ndarray
     rotation_thresholds_deg: tuple[float, ...]
     translation_thresholds_m: tuple[float, ...]
     ecdf_rotation: tuple[float, ...]
@@ -63,8 +61,6 @@ class ErrorReport:
         rot = np.asarray(rotation_errors_deg, dtype=np.float64)
         trans = np.asarray(translation_errors_m, dtype=np.float64)
         return ErrorReport(
-            rotation_errors_deg=rot,
-            translation_errors_m=trans,
             rotation_thresholds_deg=tuple(rotation_thresholds_deg),
             translation_thresholds_m=tuple(translation_thresholds_m),
             ecdf_rotation=tuple(ecdf(rot, rotation_thresholds_deg)),

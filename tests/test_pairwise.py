@@ -1069,9 +1069,9 @@ class TestRegisterPair:
     def test_exact_copy_registers_to_identity(self):
         rng = np.random.default_rng(22)
         cloud = make_feature_cloud(rng, 40)
-        result = register_pair(cloud, cloud, PipelineConfig(temperature=1e-6))
-        assert np.linalg.norm(result.motion.matrix - np.eye(4)) < 1e-9
-        assert result.inlier_ratio == 1.0
+        fits = register_pair(cloud, cloud, PipelineConfig(temperature=1e-6))
+        assert np.linalg.norm(fits.motions[0] - np.eye(4)) < 1e-9
+        assert fits.inlier_ratio[0] == 1.0
 
     def test_noise_free_pair_recovers_generator(self):
         rng = np.random.default_rng(23)
@@ -1080,9 +1080,9 @@ class TestRegisterPair:
         moved = PointCloud(transform_points(gen, cloud.points), cloud.features)
         # fit maps source into target frame, so registering (cloud -> moved)
         # recovers gen itself
-        result = register_pair(cloud, moved, PipelineConfig(temperature=1e-6))
-        assert rotation_gap_deg(result.motion.rotation, gen.rotation) < 1e-6
-        assert np.linalg.norm(result.motion.translation - gen.translation) < 1e-9
+        fits = register_pair(cloud, moved, PipelineConfig(temperature=1e-6))
+        assert rotation_gap_deg(fits.motions[0][:3, :3], gen.rotation) < 1e-6
+        assert np.linalg.norm(fits.motions[0][:3, 3] - gen.translation) < 1e-9
 
     def test_seventy_thirty_contamination(self):
         rng = np.random.default_rng(24)
@@ -1093,17 +1093,17 @@ class TestRegisterPair:
         targets[n_in:] = rng.uniform(-1, 1, size=(n_out, 3))
         targets[:n_in] += 0.005 * rng.normal(size=(n_in, 3))
         corr = CorrespondenceSet(pts, targets, np.ones(n_in + n_out), np.zeros(n_in + n_out))
-        result = register_correspondences(corr)
-        assert rotation_gap_deg(result.motion.rotation, gen.rotation) < 0.5
+        fits = register_correspondences(corr)
+        assert rotation_gap_deg(fits.motions[0][:3, :3], gen.rotation) < 0.5
 
     def test_pure_outlier_pair_scores_low(self):
         rng = np.random.default_rng(25)
         pts = rng.uniform(-1, 1, size=(100, 3))
         targets = rng.uniform(-1, 1, size=(100, 3))
         corr = CorrespondenceSet(pts, targets, np.ones(100), np.zeros(100))
-        result = register_correspondences(corr)
-        assert result.inlier_ratio < 0.3
-        assert result.local_confidence < 0.5
+        fits = register_correspondences(corr)
+        assert fits.inlier_ratio[0] < 0.3
+        assert fits.local_confidence[0] < 0.5
 
     def test_objective_descent_across_irls(self):
         # with the weights of any iteration held fixed, the following wls
@@ -1131,8 +1131,8 @@ class TestRegisterPair:
         cloud = make_feature_cloud(rng, 30)
         corr = build_correspondences(cloud, cloud, temperature=1e-6)
         monkeypatch.setattr(pairwise_mod, "IRLS_ITERATIONS", 0)
-        result = register_correspondences(corr, PipelineConfig())
-        assert np.linalg.norm(result.motion.matrix - np.eye(4)) < 1e-9
+        fits = register_correspondences(corr, PipelineConfig())
+        assert np.linalg.norm(fits.motions[0] - np.eye(4)) < 1e-9
 
 
 def reference_register(corr, cfg, iterations):
@@ -1220,12 +1220,12 @@ class TestBatchedIrls:
                 assert np.abs(got.motions[k] - motion).max() <= 1e-12, (batch, len(c))
                 assert np.abs(got.weights[k] - weights).max() <= 1e-12, (batch, len(c))
                 assert got.inlier_ratio[k] == float(np.mean(weights > pairwise_mod.INLIER_WEIGHT))
-        # the residuals under the single-set record's final motion
+        # the residuals under the single-set fit's final motion
         for c, (motion, _) in zip(sets, expected):
             final = np.linalg.norm(
                 c.source_pts @ motion[:3, :3].T + motion[:3, 3] - c.target_pts, axis=1
             )
-            got = residuals(c, register_correspondences(c, cfg).motion)
+            got = residuals(c, RigidMotion.from_matrix(register_correspondences(c, cfg).motions[0]))
             assert np.abs(got - final).max() <= 1e-12
 
     def test_single_set_matches_its_batched_result(self):
@@ -1233,8 +1233,8 @@ class TestBatchedIrls:
         batched = register_batch(sets)
         for k, c in enumerate(sets):
             alone = register_correspondences(c)
-            assert np.abs(alone.motion.matrix - batched.motions[k]).max() <= 1e-12
-            assert abs(alone.local_confidence - batched.local_confidence[k]) <= 1e-12
+            assert np.abs(alone.motions[0] - batched.motions[k]).max() <= 1e-12
+            assert abs(alone.local_confidence[0] - batched.local_confidence[k]) <= 1e-12
 
     def test_sets_of_distinct_lengths_match_their_single_set_fits(self):
         # reciprocal correspondence sets differ in length from pair to pair,

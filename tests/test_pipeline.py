@@ -324,6 +324,21 @@ class TestRefinementQuality:
         assert sorted(inactive) == sorted(scene.corruptions)
         assert trace.stop_reason == "converged"
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "on a pruning_collapse the run returns a sync that still holds corrupted edges: "
+        "iteration 2's prune of the last 5 of 19 corrupted edges also cuts 1 clean edge and "
+        "disconnects the graph, so the run returns iteration 2's sync at 5.36 deg mean error"))
+    def test_collapsing_prune_of_the_last_corrupted_edges_ends_accurate(self):
+        # the benchmark's synthetic instance 511297916, solved as the benchmark
+        # does; its synthetic median error is about 0.31 deg, so the bound,
+        # 1 deg over the scene's 96 edges, leaves room for noise but not for
+        # corrupted edges left in the sync
+        scene = generate_scene(30, 2048, 0.01, 0.2, 511297916)
+        result, _ = run_multiview_from_correspondences(scene_correspondences(scene, 0.02), 30)
+        pairs = np.array(scene.edges)
+        rot, _ = edge_errors(relative_motions(result.poses, pairs), scene, pairs)
+        assert rot.mean() < 1.0
+
     def test_clean_scene_converges_on_its_first_sync(self):
         # nothing to prune: the loop stops after one iteration, and its poses
         # are those of one synchronization of the first fits, bit for bit

@@ -336,9 +336,9 @@ class TestSceneCorrespondences:
         corr = scene_correspondences(scene, temperature=1e-6)
         for (i, j), c in corr.items():
             truth = true_relative(scene, i, j)
-            result = register_correspondences(c, EXACT_CFG)
-            assert rotation_gap_deg(result.motion.rotation, truth[:3, :3]) < 1e-6
-            assert np.linalg.norm(result.motion.translation - truth[:3, 3]) < 1e-9
+            motion = register_correspondences(c, EXACT_CFG).motions[0]
+            assert rotation_gap_deg(motion[:3, :3], truth[:3, :3]) < 1e-6
+            assert np.linalg.norm(motion[:3, 3] - truth[:3, 3]) < 1e-9
 
     def test_noise_free_measurements_compose_around_cycles(self):
         scene = generate_scene(
@@ -347,7 +347,8 @@ class TestSceneCorrespondences:
         )
         corr = scene_correspondences(scene, temperature=1e-6)
         fits = {
-            pair: register_correspondences(c, EXACT_CFG).motion for pair, c in corr.items()
+            pair: RigidMotion.from_matrix(register_correspondences(c, EXACT_CFG).motions[0])
+            for pair, c in corr.items()
         }
         pairs = set(fits)
         for a in range(5):
@@ -365,13 +366,13 @@ class TestSceneCorrespondences:
         corr = scene_correspondences(scene, temperature=1e-6)
         for pair in scene.edges:
             truth = true_relative(scene, *pair)
-            result = register_correspondences(corr[pair], EXACT_CFG)
-            angle = rotation_gap_deg(result.motion.rotation, truth[:3, :3])
+            fits = register_correspondences(corr[pair], EXACT_CFG)
+            angle = rotation_gap_deg(fits.motions[0][:3, :3], truth[:3, :3])
             if pair not in scene.corruptions:
                 assert angle < 1e-6
             else:
                 assert angle > 5.0
-                assert result.local_confidence < 0.5
+                assert fits.local_confidence[0] < 0.5
 
     def test_clouds_stay_clean_under_corruption(self):
         # corruption lives in scene_correspondences only: the sets that
@@ -382,8 +383,8 @@ class TestSceneCorrespondences:
         )
         for i, j in scene.edges:
             clean = build_correspondences(scene.clouds[i], scene.clouds[j], temperature=1e-6)
-            result = register_correspondences(clean, EXACT_CFG)
-            assert rotation_gap_deg(result.motion.rotation, true_relative(scene, i, j)[:3, :3]) < 1e-6
+            motion = register_correspondences(clean, EXACT_CFG).motions[0]
+            assert rotation_gap_deg(motion[:3, :3], true_relative(scene, i, j)[:3, :3]) < 1e-6
 
     def test_correspondences_deterministic(self):
         scene = generate_scene(4, 100, 0.01, 0.3, seed=37)
